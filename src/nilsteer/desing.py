@@ -142,47 +142,54 @@ class FrameSelection:
         return "FrameSelection(%s)" % (self.indices,)
 
 
-def select_frame(fields, basis, a, trig=None, threshold=1e-9):
-    """Cheapest spanning bracket frame at a point.
+def cheapest_frame(basis, value_sets, threshold):
+    """Cheapest n-subset of the basis spanning on every value matrix.
 
-    Candidate n-subsets of the basis are tried in order of total
-    bracket length; the first level containing a determinant that
-    clears the threshold wins, and within that level the largest
-    magnitude is kept.
+    value_sets holds matrices of bracket values (rows are coordinates,
+    columns the whole basis in order).  Candidates are tried in order
+    of total bracket length; the first level holding a subset whose
+    determinant clears the gate on every matrix wins, and within it
+    the largest worst-case magnitude, ties going to the first subset
+    in sorted order.  Returns (combo, dets), one determinant per
+    matrix, or None.
     """
+    n = len(value_sets[0])
+    combos = sorted(
+        itertools.combinations(range(1, len(basis) + 1), n),
+        key=lambda c: (sum(basis.element(j).length for j in c), c))
+    best = None
+    for combo in combos:
+        level = sum(basis.element(j).length for j in combo)
+        if best is not None and level > best[0]:
+            break
+        dets = []
+        for values in value_sets:
+            rows = [[values[i][j - 1] for j in combo] for i in range(n)]
+            det = det_matrix(rows)
+            if not _det_gate(det, rows, threshold):
+                break
+            dets.append(det)
+        else:
+            score = min(abs(float(d)) for d in dets)
+            if best is None or score > best[1]:
+                best = (level, score, combo, dets)
+    return None if best is None else best[2:]
+
+
+def select_frame(fields, basis, a, trig=None, threshold=1e-9):
+    """Cheapest spanning bracket frame at a point (see cheapest_frame)."""
     fields = list(fields)
     n = len(fields[0].comps)
     dim = len(basis)
     if dim < n:
         raise NoFrame("basis holds %d directions, the state needs %d"
                       % (dim, n))
-    w1 = _ones(n)
-    shadows = [taylor_truncate(f, a, w1, basis.r, trig) for f in fields]
-    values = []
-    for j in range(1, dim + 1):
-        fld = evaluate_bracket(basis, j, shadows, weights=w1, wcap=basis.r)
-        values.append([c.constant_term() for c in fld.comps])
-    combos = sorted(
-        itertools.combinations(range(1, dim + 1), n),
-        key=lambda c: (sum(basis.element(j).length for j in c), c))
-    best = None
-    best_level = None
-    for combo in combos:
-        level = sum(basis.element(j).length for j in combo)
-        if best_level is not None and level > best_level:
-            break
-        rows = [[values[j - 1][i] for j in combo] for i in range(n)]
-        det = det_matrix(rows)
-        if not _det_gate(det, rows, threshold):
-            continue
-        mag = abs(float(det))
-        if best is None or mag > best[0]:
-            best = (mag, combo, det)
-            best_level = level
-    if best is None:
+    values = _bracket_values(fields, basis, range(1, dim + 1), a, trig)
+    found = cheapest_frame(basis, [values], threshold)
+    if found is None:
         raise NoFrame("no spanning bracket frame at the anchor up to "
                       "length %d" % basis.r, anchor=tuple(a))
-    _, combo, det = best
+    combo, (det,) = found
     cell = ("points where the bracket directions %s keep |det| above "
             "%g of the column scale"
             % (", ".join(basis.name(j) for j in combo), threshold))

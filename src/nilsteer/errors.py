@@ -46,9 +46,15 @@ class SearchBudgetExhausted(NilsteerError):
 
 
 class SingularMatrix(NilsteerError):
-    """A control matrix fell below the determinant threshold."""
+    """A matrix is singular or below its determinant threshold."""
 
     code = "singular-matrix"
+
+
+class SteeringResidual(NilsteerError):
+    """Exact steering left a class coordinate off zero."""
+
+    code = "steering-residual"
 
 
 class IntegrationLeftDomain(NilsteerError):

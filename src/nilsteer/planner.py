@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .canonical import canonical_fields
 from .desing import FrameSelection, _bracket_values, _det_gate, \
-    desingularize
+    cheapest_frame, desingularize
 from .errors import (
     CoverageGap, DomainExit, IntegrationLeftDomain, IterationCapExceeded,
     NoPath, SingularFrame, SpecError,
@@ -483,45 +483,6 @@ class CoveringAtlas:
         }
 
 
-def _assign_frame(fields, basis, grid, idx, trig, threshold, memo):
-    """Pick the cheapest frame whose determinant passes at every corner."""
-    n = grid.n
-    values = []
-    for corner in grid.corners(idx):
-        key = tuple(corner)
-        hit = memo.get(key)
-        if hit is None:
-            hit = _bracket_values(fields, basis,
-                                  range(1, len(basis) + 1), corner, trig)
-            memo[key] = hit
-        values.append(hit)
-    combos = sorted(
-        itertools.combinations(range(1, len(basis) + 1), n),
-        key=lambda c: (sum(basis.element(j).length for j in c), c))
-    best = None
-    best_level = None
-    for combo in combos:
-        level = sum(basis.element(j).length for j in combo)
-        if best is not None and level > best_level:
-            break
-        score = None
-        for rows_all in values:
-            rows = [[rows_all[i][j - 1] for j in combo] for i in range(n)]
-            det = det_matrix(rows)
-            if not _det_gate(det, rows, threshold):
-                score = None
-                break
-            mag = abs(float(det))
-            score = mag if score is None else min(score, mag)
-        if score is not None and (best is None or score > best[0]):
-            best = (score, combo)
-            best_level = level
-    if best is None:
-        raise CoverageGap("no frame passes the corner gate on box %s"
-                          % (idx,), box=list(idx))
-    return best[1]
-
-
 def _components(boxes):
     """Face-adjacency connected components of a set of index tuples."""
     todo = set(boxes)
@@ -584,8 +545,19 @@ def build_covering(fields, K, basis, config=None, trig=None,
     assigned = {}
     memo = {}
     for idx in grid.boxes():
-        assigned[idx] = _assign_frame(fields, basis, grid, idx, trig,
-                                      config.det_threshold, memo)
+        values = []
+        for corner in grid.corners(idx):
+            key = tuple(corner)
+            if key not in memo:
+                memo[key] = _bracket_values(fields, basis,
+                                            range(1, len(basis) + 1),
+                                            corner, trig)
+            values.append(memo[key])
+        found = cheapest_frame(basis, values, config.det_threshold)
+        if found is None:
+            raise CoverageGap("no frame passes the corner gate on box %s"
+                              % (idx,), box=list(idx))
+        assigned[idx] = found[0]
     by_frame = {}
     for idx, frame in assigned.items():
         by_frame.setdefault(frame, []).append(idx)

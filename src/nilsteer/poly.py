@@ -16,7 +16,7 @@ report that degradation where the contract asks for it.
 import math
 from fractions import Fraction
 
-from .errors import SpecError
+from .errors import SingularMatrix, SpecError
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -273,19 +273,6 @@ def expr_subs(e, mapping):
     if k == "cos":
         return ecos(expr_subs(e.a, mapping))
     raise ValueError("unknown expression kind %r" % k)
-
-
-def expr_vars(e, acc=None):
-    if acc is None:
-        acc = set()
-    if e.kind == "var":
-        acc.add(e.a)
-    elif e.kind in ("add", "mul"):
-        for c in e.a:
-            expr_vars(c, acc)
-    elif e.kind in ("pow", "sin", "cos"):
-        expr_vars(e.a, acc)
-    return acc
 
 
 def expr_is_polynomial(e):
@@ -685,12 +672,6 @@ class Poly:
     def graded_part(self, weights, d):
         return Poly(self.n, {e: c for e, c in self.terms.items()
                              if wdeg(e, weights) == d})
-
-    def graded_parts(self, weights):
-        parts = {}
-        for e, c in self.terms.items():
-            parts.setdefault(wdeg(e, weights), {})[e] = c
-        return {d: Poly(self.n, t) for d, t in sorted(parts.items())}
 
     def uses_only_vars_below(self, j):
         return all(all(e[i] == 0 for i in range(j, self.n))
@@ -1092,90 +1073,64 @@ def taylor_truncate(field, anchor, weights, wcap, trig=None):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Fraction (with float fallback)
+# Linear algebra over any field: Fraction, pi-fractions or float
+#
+# Over an exact field (no float entry) the first nonzero entry is the
+# pivot and zero is tested by truthiness; over floats the pivot is the
+# largest magnitude.  int entries become Fractions so that division
+# never degrades them to floats.
+
+
+def _entry(x):
+    return Fraction(x) if isinstance(x, int) else x
+
+
+def _working_copy(rows):
+    a = [[_entry(x) for x in r] for r in rows]
+    exact = not any(isinstance(x, float) for r in a for x in r)
+    return a, exact
+
+
+def _pivot(a, col, start, exact):
+    """Pivot row for ``col`` among rows ``start``.., or None."""
+    if exact:
+        for r in range(start, len(a)):
+            if a[r][col]:
+                return r
+        return None
+    best, pivot = 0.0, None
+    for r in range(start, len(a)):
+        v = abs(a[r][col])
+        if v > best:
+            best, pivot = v, r
+    return pivot
 
 
 def mat_vec(rows, vec):
-    return [sum((r[i] * vec[i] for i in range(len(vec))), F0) for r in rows]
-
-
-def mat_mul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    return [[sum((a[i][k] * b[k][j] for k in range(inner)), F0)
-             for j in range(cols)] for i in range(rows)]
-
-
-def _matrix_is_exact(rows):
-    return all(is_exact(x) for r in rows for x in r)
-
-
-def invert_matrix(rows):
-    """Invert a square matrix, exactly over rationals when possible."""
-    n = len(rows)
-    exact = _matrix_is_exact(rows)
-    a = [[_num(x) for x in r] + [F1 if i == j else F0 for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = None
-        if exact:
-            for r in range(col, n):
-                if a[r][col] != 0:
-                    pivot = r
-                    break
-        else:
-            best = 0.0
-            for r in range(col, n):
-                v = abs(a[r][col])
-                if v > best:
-                    best = v
-                    pivot = r
-        if pivot is None or a[pivot][col] == 0:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def solve_linear(rows, rhs):
-    inv = invert_matrix(rows)
-    return mat_vec(inv, [_num(x) for x in rhs])
+    out = []
+    for r in rows:
+        acc = r[0] * vec[0]
+        for x, v in zip(r[1:], vec[1:]):
+            acc = acc + x * v
+        out.append(acc)
+    return out
 
 
 def det_matrix(rows):
-    """Determinant by fraction-free style elimination (exact or float)."""
-    n = len(rows)
-    a = [[_num(x) for x in r] for r in rows]
-    exact = _matrix_is_exact(rows)
+    """Determinant by Gaussian elimination."""
+    a, exact = _working_copy(rows)
     det = F1 if exact else 1.0
-    for col in range(n):
-        pivot = None
-        if exact:
-            for r in range(col, n):
-                if a[r][col] != 0:
-                    pivot = r
-                    break
-        else:
-            best = 0.0
-            for r in range(col, n):
-                if abs(a[r][col]) > best:
-                    best = abs(a[r][col])
-                    pivot = r
-        if pivot is None or a[pivot][col] == 0:
+    for col in range(len(a)):
+        pivot = _pivot(a, col, col, exact)
+        if pivot is None:
             return F0 if exact else 0.0
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             det = -det
         det = det * a[col][col]
-        inv_p = (F1 if exact else 1.0) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
+        inv_p = 1 / a[col][col]
+        for r in range(col + 1, len(a)):
+            if a[r][col]:
                 f = a[r][col] * inv_p
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
@@ -1185,24 +1140,12 @@ def rref(rows, rhs=None):
     """Reduced row echelon form; returns (matrix, pivots, rhs)."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [[_num(x) for x in r] for r in rows]
-    b = [_num(x) for x in rhs] if rhs is not None else None
-    exact = _matrix_is_exact(rows)
+    a, exact = _working_copy(rows)
+    b = [_entry(x) for x in rhs] if rhs is not None else None
     pivots = []
     row = 0
     for col in range(n):
-        pivot = None
-        if exact:
-            for r in range(row, m):
-                if a[r][col] != 0:
-                    pivot = r
-                    break
-        else:
-            best = 1e-300
-            for r in range(row, m):
-                if abs(a[r][col]) > best:
-                    best = abs(a[r][col])
-                    pivot = r
+        pivot = _pivot(a, col, row, exact)
         if pivot is None:
             continue
         a[row], a[pivot] = a[pivot], a[row]
@@ -1213,7 +1156,7 @@ def rref(rows, rhs=None):
         if b is not None:
             b[row] = b[row] / pv
         for r in range(m):
-            if r != row and a[r][col] != 0:
+            if r != row and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[row])]
                 if b is not None:
@@ -1223,6 +1166,16 @@ def rref(rows, rhs=None):
         if row == m:
             break
     return a, pivots, b
+
+
+def invert_matrix(rows):
+    """Inverse of a square matrix, by row reduction of [A | I]."""
+    n = len(rows)
+    a, pivots, _ = rref([list(r) + [F1 if i == j else F0 for j in range(n)]
+                         for i, r in enumerate(rows)])
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    return [r[n:] for r in a]
 
 
 def nullspace(rows):
@@ -1252,7 +1205,7 @@ def solve_min_norm(rows, rhs, tol=None):
     m = len(rows)
     n = len(rows[0]) if m else 0
     a, pivots, b = rref(rows, rhs)
-    exact = _matrix_is_exact(rows) and all(is_exact(x) for x in rhs)
+    exact = not any(isinstance(x, float) for r in [*rows, rhs] for x in r)
     if tol is None:
         tol = 0 if exact else 1e-9
     for r in range(len(pivots), m):
@@ -1268,7 +1221,7 @@ def solve_min_norm(rows, rhs, tol=None):
     g = [[sum((u[i] * v[i] for i in range(n)), F0) for v in kern]
          for u in kern]
     h = [sum((u[i] * x0[i] for i in range(n)), F0) for u in kern]
-    coeffs = solve_linear(g, h)
+    coeffs = mat_vec(invert_matrix(g), h)
     for c, u in zip(coeffs, kern):
         for i in range(n):
             x0[i] = x0[i] - c * u[i]

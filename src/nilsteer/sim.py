@@ -64,10 +64,23 @@ class Trajectory:
         return len(self.times)
 
 
-def _control_function(u):
-    if callable(u):
-        return u
-    return u.eval
+def _rhs(fields, u):
+    """Right-hand side sum_i u_i(t) X_i(x) of the driftless system."""
+    ufun = u if callable(u) else u.eval
+
+    def rhs(t, x):
+        uv = ufun(t)
+        pt = list(x)
+        out = [0.0] * len(pt)
+        for i, field in enumerate(fields):
+            ui = float(uv[i])
+            if ui == 0.0:
+                continue
+            for j, v in enumerate(field.evaluate(pt)):
+                out[j] += ui * float(v)
+        return out
+
+    return rhs
 
 
 def _sample_times(u, span, samples_per_period):
@@ -107,22 +120,7 @@ def integrate(fields, x0, u, span=None, tol=1e-10, domain=None,
     x0 = [float(v) for v in x0]
     if t1 <= t0:
         return Trajectory([t0], [x0], {"tol": tol})
-    ufun = _control_function(u)
-    m = len(fields)
-
-    def rhs(t, x):
-        uv = ufun(t)
-        pt = list(x)
-        out = [0.0] * len(pt)
-        for i in range(m):
-            ui = float(uv[i])
-            if ui == 0.0:
-                continue
-            vals = fields[i].evaluate(pt)
-            for j, v in enumerate(vals):
-                out[j] += ui * float(v)
-        return out
-
+    rhs = _rhs(fields, u)
     events = None
     if domain is not None:
         lo = [float(v) for v in domain[0]]
@@ -163,21 +161,7 @@ def integrate(fields, x0, u, span=None, tol=1e-10, domain=None,
 def integrate_fixed(fields, x0, u, span, steps):
     """Classic fourth-order fixed-step run, for cross-checks."""
     t0, t1 = float(span[0]), float(span[1])
-    ufun = _control_function(u)
-    m = len(fields)
-
-    def rhs(t, x):
-        uv = ufun(t)
-        out = [0.0] * len(x)
-        for i in range(m):
-            ui = float(uv[i])
-            if ui == 0.0:
-                continue
-            vals = fields[i].evaluate(list(x))
-            for j, v in enumerate(vals):
-                out[j] += ui * float(v)
-        return out
-
+    rhs = _rhs(fields, u)
     h = (t1 - t0) / steps
     t = t0
     x = [float(v) for v in x0]

@@ -21,8 +21,8 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import SearchBudgetExhausted, SingularMatrix
-from .poly import is_exact
+from .errors import SearchBudgetExhausted, SingularMatrix, SteeringResidual
+from .poly import det_matrix, invert_matrix, is_exact, mat_vec
 from .privcoord import dilate, pseudo_norm
 
 F0 = Fraction(0)
@@ -594,65 +594,6 @@ def poly_on_trigs(poly, trajs, cache=None):
 
 
 # ---------------------------------------------------------------------------
-# Field linear algebra (works for Fraction, PiFrac and float entries)
-
-
-def field_matvec(rows, vec):
-    out = []
-    for r in rows:
-        acc = r[0] * vec[0]
-        for x, v in zip(r[1:], vec[1:]):
-            acc = acc + x * v
-        out.append(acc)
-    return out
-
-
-def field_inverse(rows):
-    n = len(rows)
-    a = [list(r) + [F1 if i == j else F0 for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not coeff_is_zero(a[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrix("matrix has no pivot in column %d" % col)
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and not coeff_is_zero(a[r][col]):
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def field_det(rows):
-    n = len(rows)
-    a = [list(r) for r in rows]
-    det = F1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not coeff_is_zero(a[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            return F0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det = det * a[col][col]
-        for r in range(col + 1, n):
-            if not coeff_is_zero(a[r][col]):
-                f = a[r][col] / a[col][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-# ---------------------------------------------------------------------------
 # Frequency plans
 
 
@@ -718,7 +659,7 @@ class ClassPlan:
     def solve_amps(self, delta_target):
         if self.B is None:
             raise ValueError("class plan has no control matrix yet")
-        raw = field_matvec(self.B, list(delta_target))
+        raw = mat_vec(self.B, list(delta_target))
         out = []
         for g, a in zip(self.gains, raw):
             a = a / g
@@ -1012,7 +953,7 @@ def control_matrix(system, entry, elements=None, det_threshold=1e-6):
                                  class_id=entry.class_id)
         gains.append(Fraction(2) ** round(math.log2(norm)))
     a = [[cols[k][i] / gains[k] for k in range(q)] for i in range(q)]
-    det = field_det(a)
+    det = det_matrix(a)
     det_f = abs(float(det)) if not coeff_is_zero(det) else 0.0
     norms = [math.sqrt(math.fsum(float(x) ** 2 for x in row))
              for row in a]
@@ -1025,7 +966,7 @@ def control_matrix(system, entry, elements=None, det_threshold=1e-6):
             "control matrix determinant %.3e below threshold %.3e"
             % (det_f, det_threshold * geo), class_id=entry.class_id)
     entry.A = a
-    entry.B = field_inverse(a)
+    entry.B = invert_matrix(a)
     entry.det = det
     entry.gains = gains
     return a
@@ -1200,13 +1141,12 @@ def exact_steer(x_init, system, plan=None):
         channels, amps = steer_class(target, entry)
         state = propagate_period(system, channels, state,
                                  float_mode=False)
-        for j in entry.elements:
-            assert coeff_is_zero(simplify_value(state[j - 1])), \
-                "class coordinate %d not annihilated" % j
-            state[j - 1] = F0
-        for j in done:
-            assert coeff_is_zero(simplify_value(state[j - 1])), \
-                "earlier class coordinate %d moved" % j
+        for j in entry.elements + tuple(done):
+            if not coeff_is_zero(simplify_value(state[j - 1])):
+                raise SteeringResidual(
+                    "class %d left coordinate %d off zero"
+                    % (entry.class_id, j),
+                    class_id=entry.class_id, coordinate=j)
             state[j - 1] = F0
         done.extend(entry.elements)
         periods.append({
@@ -1224,65 +1164,69 @@ def exact_steer(x_init, system, plan=None):
 # Smooth concatenation
 
 
-def _carrier_frequencies(pool_max, mult, count, taken):
-    """A chain of mutually non-resonant carrier frequencies above the
-    period's pool."""
-    freqs = []
-    v = max(pool_max, max(taken, default=0))
-    for _ in range(count):
-        v = mult * v + 1
-        freqs.append(v)
-    return freqs
-
-
-def _junction_data(us, order):
-    """Values and derivatives (up to ``order``) of each channel at the
-    period start and end."""
-    starts = []
-    ends = []
-    for u in us:
-        svals = []
-        evals = []
-        cur = u
+def _carrier_bank(pool, mult, order, m):
+    """Per-channel (cos, sin) carrier frequencies: one cosine per even
+    and one sine per odd derivative order up to ``order``, drawn from
+    one chain v -> mult * v + 1 above the period's pool, so they are
+    mutually non-resonant."""
+    n_even = order // 2 + 1
+    v = pool
+    bank = []
+    for _ in range(m):
+        chain = []
         for _ in range(order + 1):
-            svals.append(simplify_value(cur.value_zero()))
-            evals.append(simplify_value(cur.value_2pi(cur.has_float())))
-            cur = cur.derivative()
-        starts.append(svals)
-        ends.append(evals)
-    return starts, ends
+            v = mult * v + 1
+            chain.append(v)
+        bank.append((chain[:n_even], chain[n_even:]))
+    return bank
+
+
+def _junction_ends(channels, order):
+    """Each channel's value and derivatives up to ``order`` at the
+    period end."""
+    ends = []
+    for u in channel_trigpolys(channels):
+        vals = []
+        for _ in range(order + 1):
+            vals.append(simplify_value(u.value_2pi(u.has_float())))
+            u = u.derivative()
+        ends.append(vals)
+    return ends
 
 
 def _solve_carrier_amps(freqs_even, freqs_odd, gaps):
-    """Carrier amplitudes matching value/derivative gaps at tau = 0.
+    """Carrier terms (amp, w, quarter) matching value/derivative gaps
+    at tau = 0.
 
     gaps[d] is the required extra derivative of order d.  cos carriers
     produce even derivatives ((-w^2)^i at order 2i), sin carriers the
     odd ones (w (-w^2)^i at order 2i+1); the two Vandermonde systems
-    are solved independently and exactly.
+    are solved independently and exactly over the rationals.
     """
-    even_orders = [d for d in range(len(gaps)) if d % 2 == 0]
-    odd_orders = [d for d in range(len(gaps)) if d % 2 == 1]
-    amps = []
-    if even_orders:
-        rows = [[Fraction(-w * w) ** (d // 2) for w in freqs_even]
-                for d in even_orders]
-        rhs = [gaps[d] for d in even_orders]
-        sol = _field_solve(rows, rhs)
-        amps.extend(zip(freqs_even, [0] * len(freqs_even), sol))
-    if odd_orders:
-        rows = [[Fraction(w) * Fraction(-w * w) ** ((d - 1) // 2)
-                 for w in freqs_odd] for d in odd_orders]
-        rhs = [gaps[d] for d in odd_orders]
-        sol = _field_solve(rows, rhs)
-        amps.extend(zip(freqs_odd, [1] * len(freqs_odd), sol))
-    return amps
+    terms = []
+    for quarter, freqs in ((0, freqs_even), (1, freqs_odd)):
+        orders = range(quarter, len(gaps), 2)
+        if not orders:
+            continue
+        rows = [[Fraction(w) ** quarter * Fraction(-w * w) ** (d // 2)
+                 for w in freqs] for d in orders]
+        amps = mat_vec(invert_matrix(rows), [gaps[d] for d in orders])
+        terms.extend((amp, w, quarter) for amp, w in zip(amps, freqs))
+    return terms
 
 
-def _field_solve(rows, rhs):
-    inv = field_inverse([[PiFrac.lift(x) if not isinstance(x, float)
-                          else x for x in r] for r in rows])
-    return field_matvec(inv, rhs)
+def _with_carriers(channels, bank, prev_end):
+    """Channel term lists plus the carriers that close each channel's
+    value and derivative gaps to ``prev_end`` at the period start."""
+    out = []
+    for terms, u, (evens, odds), want in zip(
+            channels, channel_trigpolys(channels), bank, prev_end):
+        gaps = []
+        for target in want:
+            gaps.append(target - u.value_zero())
+            u = u.derivative()
+        out.append(list(terms) + _solve_carrier_amps(evens, odds, gaps))
+    return out
 
 
 def smooth_concatenate(laws, k):
@@ -1354,56 +1298,24 @@ def _smooth_replan(law, k):
     new_periods = []
     for p in law.periods:
         entry = plan.classes[p["class_id"]]
-        q = len(entry.slots)
-        pool = entry.max_frequency()
-        n_even = len([d for d in range(order + 1) if d % 2 == 0])
-        n_odd = len([d for d in range(order + 1) if d % 2 == 1])
-        carrier_freqs = []
-        taken = []
-        for c in range(law.m):
-            evens = _carrier_frequencies(pool, mult, n_even, taken)
-            taken.extend(evens)
-            odds = _carrier_frequencies(pool, mult, n_odd, taken)
-            taken.extend(odds)
-            carrier_freqs.append((evens, odds))
-        target = [-(state[j - 1]) for j in entry.elements]
-        amps = entry.solve_amps(target)
-        final = None
-        for round_no in range(30):
-            channels = template_channels(entry, amps)
-            plain_us = channel_trigpolys(channels)
-            carried = []
-            for c in range(law.m):
-                u = plain_us[c]
-                gaps = []
-                cur = u
-                for d in range(order + 1):
-                    start_v = cur.value_zero()
-                    gaps.append(prev_end[c][d] - start_v)
-                    cur = cur.derivative()
-                extra = _solve_carrier_amps(carrier_freqs[c][0],
-                                            carrier_freqs[c][1], gaps)
-                terms = list(channels[c])
-                for w, is_sin, amp in extra:
-                    terms.append((amp, w, 1 if is_sin else 0))
-                carried.append(terms)
+        bank = _carrier_bank(entry.max_frequency(), mult, order, law.m)
+        amps = entry.solve_amps([-(state[j - 1]) for j in entry.elements])
+        for _ in range(30):
+            carried = _with_carriers(template_channels(entry, amps), bank,
+                                     prev_end)
             end = propagate_period(system, carried, state,
                                    float_mode=not exact_mode)
             resid = [end[j - 1] for j in entry.elements]
             worst = _max_abs(resid)
             if worst < resid_tol:
-                final = (carried, end)
                 break
             correction = entry.solve_amps(resid)
             amps = [a - c for a, c in zip(amps, correction)]
-        if final is None:
+        else:
             raise SearchBudgetExhausted(
                 "smoothing did not converge for class %d"
                 % p["class_id"], residual=worst)
-        carried, end = final
-        us = channel_trigpolys(carried)
-        _, ends = _junction_data(us, order)
-        prev_end = ends
+        prev_end = _junction_ends(carried, order)
         state = [simplify_value(v) for v in end]
         new_periods.append({
             "class_id": p["class_id"],
@@ -1427,42 +1339,18 @@ def _smooth_stitch(laws, k):
     m = laws[0].m
     order = k - 1
     scale0 = laws[0].scale
-    mult = 4
     prev_end = [[F0] * (order + 1) for _ in range(m)]
     new_periods = []
     for law in laws:
         ratio = _scale_ratio(law.scale, scale0)
         for p in law.periods:
-            base = _scaled_period(p, ratio)
-            pool = 0
-            for terms in base["channels"]:
-                for _, w, _q in terms:
-                    pool = max(pool, w)
-            n_even = len([d for d in range(order + 1) if d % 2 == 0])
-            n_odd = len([d for d in range(order + 1) if d % 2 == 1])
-            taken = []
-            out_channels = []
-            us = channel_trigpolys(base["channels"])
-            for c in range(m):
-                evens = _carrier_frequencies(pool, mult, n_even, taken)
-                taken.extend(evens)
-                odds = _carrier_frequencies(pool, mult, n_odd, taken)
-                taken.extend(odds)
-                gaps = []
-                cur = us[c]
-                for d in range(order + 1):
-                    gaps.append(prev_end[c][d] - cur.value_zero())
-                    cur = cur.derivative()
-                extra = _solve_carrier_amps(evens, odds, gaps)
-                terms = list(base["channels"][c])
-                for w, is_sin, amp in extra:
-                    terms.append((amp, w, 1 if is_sin else 0))
-                out_channels.append(terms)
-            stitched = dict(base)
-            stitched["channels"] = out_channels
+            stitched = _scaled_period(p, ratio)
+            pool = max((w for terms in stitched["channels"]
+                        for _, w, _q in terms), default=0)
+            bank = _carrier_bank(pool, 4, order, m)
+            stitched["channels"] = _with_carriers(stitched["channels"],
+                                                  bank, prev_end)
             new_periods.append(stitched)
-            _, ends = _junction_data(channel_trigpolys(out_channels),
-                                     order)
-            prev_end = ends
+            prev_end = _junction_ends(stitched["channels"], order)
     return ControlLaw(m, new_periods, scale0, laws[0].time_scale,
                       meta={"smoothed": k, "stitched": True})

@@ -8,14 +8,15 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from nilsteer.errors import SpecError
+from nilsteer.errors import SingularMatrix, SpecError
 from nilsteer.poly import (
     Expr, ExprField, Poly, TriangularMap, WeightedPolynomialField,
-    ecos, erat, esin, evar, expr_diff, expr_eval, expr_subs, expr_to_poly,
-    expr_to_str, invert_matrix, lie_bracket, nonholonomic_order, nullspace,
-    parse_expr, poly_to_expr, pushforward, solve_min_norm, taylor_poly,
-    taylor_truncate, weighted_components,
+    det_matrix, ecos, erat, esin, evar, expr_diff, expr_eval, expr_subs,
+    expr_to_poly, expr_to_str, invert_matrix, lie_bracket,
+    nonholonomic_order, nullspace, parse_expr, poly_to_expr, pushforward,
+    solve_min_norm, taylor_poly, taylor_truncate, weighted_components,
 )
+from nilsteer.steer import PiFrac, PiPoly
 
 X1, X2, X3 = evar(0), evar(1), evar(2)
 
@@ -370,9 +371,50 @@ def test_invert_matrix_matches_sympy():
 
 
 def test_invert_singular_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularMatrix):
         invert_matrix([[Fraction(1), Fraction(2)],
                        [Fraction(2), Fraction(4)]])
+
+
+def to_sympy_pi(v):
+    """A Fraction or pi-fraction as a sympy expression in pi."""
+    if isinstance(v, Fraction):
+        return sympy.Rational(v.numerator, v.denominator)
+
+    def pipoly(p):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.pi ** d for d, c in p.c.items()), sympy.S(0))
+
+    return pipoly(v.num) / pipoly(v.den)
+
+
+def test_linear_algebra_core_on_pi_fractions():
+    pi = PiFrac.lift(PiPoly.pi_pow(1))
+    # zero leading entry: the pivot search must swap rows
+    rows = [[Fraction(0), pi * pi - 1, pi / 2],
+            [pi, Fraction(1), Fraction(2)],
+            [Fraction(1, 3), 1 / pi, Fraction(5)]]
+    sm = sympy.Matrix([[to_sympy_pi(x) for x in r] for r in rows])
+    det = det_matrix(rows)
+    assert sympy.simplify(to_sympy_pi(det) - sm.det()) == 0
+    inv = invert_matrix(rows)
+    want = sm.inv()
+    for i in range(3):
+        for j in range(3):
+            assert isinstance(inv[i][j], (Fraction, PiFrac))
+            assert sympy.simplify(to_sympy_pi(inv[i][j]) - want[i, j]) == 0
+    singular = [[pi, 2 * pi], [Fraction(1), Fraction(2)]]
+    assert not det_matrix(singular)
+    with pytest.raises(SingularMatrix):
+        invert_matrix(singular)
+    # all-int input: the inverse must stay exact, never drop to floats
+    rows = [[2, 1], [1, 3]]
+    det = det_matrix(rows)
+    assert det == 5 and isinstance(det, Fraction)
+    inv = invert_matrix(rows)
+    assert inv == [[Fraction(3, 5), Fraction(-1, 5)],
+                   [Fraction(-1, 5), Fraction(2, 5)]]
+    assert all(isinstance(x, Fraction) for r in inv for x in r)
 
 
 def test_nullspace_dimension_and_membership():

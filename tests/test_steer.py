@@ -1,6 +1,10 @@
 """Tests for exact sinusoidal steering of the canonical forms."""
 
+import copy
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,12 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from nilsteer.canonical import canonical_dynamics, canonical_fields
-from nilsteer.errors import SearchBudgetExhausted, SingularMatrix
+from nilsteer.errors import (SearchBudgetExhausted, SingularMatrix,
+                             SteeringResidual)
+from nilsteer.poly import det_matrix, invert_matrix, mat_vec
 from nilsteer.privcoord import dilate, pseudo_norm
 from nilsteer.steer import (
-    ClassPlan, ControlLaw, PiFrac, PiPoly, SlotPlan, TrigPoly, _reduce_pairs,
-    build_plan, channel_trigpolys, coeff_is_zero, control_matrix, exact_steer,
-    field_det, field_inverse, field_matvec, plan_class, plan_frequencies,
+    ClassPlan, ControlLaw, FrequencyPlan, PiFrac, PiPoly, SlotPlan, TrigPoly,
+    _reduce_pairs, build_plan, channel_trigpolys, coeff_is_zero,
+    control_matrix, exact_steer, plan_class, plan_frequencies,
     propagate_period, simplify_value, smooth_concatenate, steer_class,
     template_channels, verify_nonresonance,
 )
@@ -427,7 +433,7 @@ def test_matrix_entry_matches_symbolic_integration(plan23):
 
 def test_inverse_is_exact(sys25):
     entry = plan_class(sys25, 9)
-    prod = [field_matvec(entry.B, [row[k] for row in entry.A])
+    prod = [mat_vec(entry.B, [row[k] for row in entry.A])
             for k in range(2)]
     for k in range(2):
         for i in range(2):
@@ -437,11 +443,11 @@ def test_inverse_is_exact(sys25):
 
 def test_field_linear_algebra_on_rationals():
     rows = [[F(1), F(2)], [F(3), F(4)]]
-    assert field_det(rows) == F(-2)
-    inv = field_inverse(rows)
+    assert det_matrix(rows) == F(-2)
+    inv = invert_matrix(rows)
     assert inv == [[F(-2), F(1)], [F(3, 2), F(-1, 2)]]
     with pytest.raises(SingularMatrix):
-        field_inverse([[F(1), F(2)], [F(2), F(4)]])
+        invert_matrix([[F(1), F(2)], [F(2), F(4)]])
 
 
 def test_solved_amplitudes_realize_the_target(sys24, plan24):
@@ -537,6 +543,57 @@ def test_steer_zero_point_gives_empty_law(sys23, plan23):
 def test_steer_checks_dimension(sys23, plan23):
     with pytest.raises(ValueError):
         exact_steer([F(1)] * 4, sys23, plan23)
+
+
+def corrupted_plan(plan, class_id):
+    """A copy of plan whose class_id entry solves for twice the
+    amplitudes it should; the original plan is left untouched."""
+    entry = copy.copy(plan.classes[class_id])
+    entry.B = [[2 * x for x in row] for row in entry.B]
+    classes = list(plan.classes)
+    classes[class_id] = entry
+    return FrequencyPlan(plan.m, plan.r, classes)
+
+
+def test_steer_raises_on_a_corrupted_control_matrix(sys22, plan22):
+    bad = corrupted_plan(plan22, 2)
+    with pytest.raises(SteeringResidual) as info:
+        exact_steer([F(0), F(0), F(1)], sys22, bad)
+    assert info.value.code == "steering-residual"
+    assert info.value.payload == {"class_id": 2, "coordinate": 3}
+    law = exact_steer([F(0), F(0), F(1)], sys22, plan22)
+    assert law.nperiods == 3
+
+
+_OPTIMIZED_STEER = """
+import copy
+from fractions import Fraction
+from nilsteer.canonical import canonical_fields
+from nilsteer.errors import SteeringResidual
+from nilsteer.steer import FrequencyPlan, build_plan, exact_steer
+assert not __debug__
+system = canonical_fields(2, 2)
+plan = build_plan(system)
+entry = copy.copy(plan.classes[2])
+entry.B = [[2 * x for x in row] for row in entry.B]
+bad = FrequencyPlan(plan.m, plan.r, plan.classes[:2] + [entry])
+try:
+    exact_steer([Fraction(0), Fraction(0), Fraction(1)], system, bad)
+except SteeringResidual as exc:
+    print(exc.code, sorted(exc.payload.items()))
+"""
+
+
+def test_steering_residual_survives_optimized_mode():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_STEER],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "steering-residual [('class_id', 2), ('coordinate', 3)]")
 
 
 def test_steer_three_generators():
