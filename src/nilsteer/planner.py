@@ -155,6 +155,17 @@ class PlannerReport:
         return out
 
 
+def _replay(fields, x, law, tol, domain):
+    """Integrate the true system under a planned law; leaving the
+    domain box becomes IntegrationLeftDomain."""
+    try:
+        return integrate(fields, x, law, tol=tol, domain=domain)
+    except DomainExit as ex:
+        raise IntegrationLeftDomain("local step left the working cell",
+                                    trajectory=ex.trajectory,
+                                    t_exit=ex.payload.get("t_exit"))
+
+
 class LocalSteering:
     """Approximate-and-correct local step for a free system.
 
@@ -218,14 +229,8 @@ class LocalSteering:
         law = exact_steer(z, self.system, self.plan)
         if self.exact_model:
             return list(a), law
-        try:
-            traj = integrate(self.fields, x, law,
-                             tol=self.config.integrator_tol,
-                             domain=self.domain)
-        except DomainExit as ex:
-            raise IntegrationLeftDomain(
-                "local step left the working cell",
-                trajectory=ex.trajectory, t_exit=ex.payload.get("t_exit"))
+        traj = _replay(self.fields, x, law, self.config.integrator_tol,
+                       self.domain)
         if self.fiber_start is not None:
             for row in traj.states:
                 fiber = row[self.fiber_start:]
@@ -255,14 +260,8 @@ def app_steer(x, a, approx, true_system, config=None, domain=None):
     law = exact_steer(z, approx.system)
     if law.nperiods == 0:
         return [float(v) for v in x]
-    try:
-        traj = integrate(true_system, x, law, tol=config.integrator_tol,
-                         domain=domain)
-    except DomainExit as ex:
-        raise IntegrationLeftDomain("local step left the working cell",
-                                    trajectory=ex.trajectory,
-                                    t_exit=ex.payload.get("t_exit"))
-    return traj.endpoint
+    return _replay(true_system, x, law, config.integrator_tol,
+                   domain).endpoint
 
 
 def subgoal(xbar, eta, j, chart):

@@ -246,13 +246,17 @@ def expr_eval(e, point, trig=None):
         return total
     if k == "pow":
         return expr_eval(e.a, point, trig) ** e.b
-    if k == "sin":
-        s, _, _ = _sincos(expr_eval(e.a, point, trig), trig)
-        return s
-    if k == "cos":
-        _, c, _ = _sincos(expr_eval(e.a, point, trig), trig)
-        return c
+    if k in ("sin", "cos"):
+        return _trig(k, expr_eval(e.a, point, trig), trig)
     raise ValueError("unknown expression kind %r" % k)
+
+
+def _trig(kind, value, trig=None):
+    """sin or cos of a value; a float argument gives a float, even at 0."""
+    if isinstance(value, float):
+        return math.sin(value) if kind == "sin" else math.cos(value)
+    s, c, _ = _sincos(value, trig)
+    return s if kind == "sin" else c
 
 
 def expr_subs(e, mapping):
@@ -923,6 +927,139 @@ def as_expr_field(field):
     if isinstance(field, ExprField):
         return field
     return ExprField([poly_to_expr(c) for c in field.comps])
+
+
+# ---------------------------------------------------------------------------
+# Float kernels
+#
+# A kernel is straight-line Python source with one assignment per Expr
+# node or Poly term, so neither deep trees nor long sums reach the
+# parser's nesting limits.  Exact constants are folded with the same
+# Python arithmetic evaluate() uses and become float literals where
+# evaluate() would first meet a float; every float operation then runs
+# in evaluate()'s order, so kernel values equal float(evaluate()) bit
+# for bit, up to the sign of a zero (evaluate() adds 0.0 first).
+
+
+def _lit(v):
+    v = float(v)
+    if math.isfinite(v):
+        return repr(v)
+    if v != v:
+        return "(1e999 - 1e999)"
+    return "1e999" if v > 0 else "(-1e999)"
+
+
+class _Kernel:
+    """Source lines of one kernel; point coordinates load on first use."""
+
+    def __init__(self):
+        self.lines = []
+        self.loaded = set()
+        self.count = 0
+
+    def var(self, i):
+        if i not in self.loaded:
+            self.loaded.add(i)
+            self.lines.append("x%d = p[%d]" % (i, i))
+        return "x%d" % i
+
+    def fresh(self):
+        self.count += 1
+        return "t%d" % self.count
+
+
+def _emit_expr(e, kern, memo):
+    """Emit e; return a float local's name, or e's constant value."""
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit
+    k = e.kind
+    if k == "rat":
+        out = e.a
+    elif k == "var":
+        out = kern.var(e.a)
+    elif k in ("add", "mul"):
+        add = k == "add"
+        out = F0 if add else F1
+        name = None
+        for c in e.a:
+            v = _emit_expr(c, kern, memo)
+            if not isinstance(out, str) and not isinstance(v, str):
+                out = out + v if add else out * v
+                continue
+            if not isinstance(out, str):
+                if out == (0 if add else 1):
+                    out = v
+                    continue
+                out = _lit(out)
+            if name is None:
+                name = kern.fresh()
+            kern.lines.append("%s = %s %s %s" % (
+                name, out, "+" if add else "*",
+                v if isinstance(v, str) else _lit(v)))
+            out = name
+    elif k == "pow":
+        out = _emit_expr(e.a, kern, memo)
+        if isinstance(out, str):
+            name = kern.fresh()
+            kern.lines.append("%s = %s ** %d" % (name, out, e.b))
+            out = name
+        else:
+            out = out ** e.b
+    elif k in ("sin", "cos"):
+        out = _emit_expr(e.a, kern, memo)
+        if isinstance(out, str):
+            name = kern.fresh()
+            kern.lines.append("%s = %s(%s)" % (name, k, out))
+            out = name
+        else:
+            out = _trig(k, out)
+    else:
+        raise ValueError("unknown expression kind %r" % k)
+    memo[id(e)] = out
+    return out
+
+
+def _emit_poly(p, kern):
+    """Emit p term by term in Poly.terms order; return name or literal."""
+    name = None
+    for e, c in p.terms.items():
+        factors = []
+        for i, a in enumerate(e):
+            if a:
+                x = kern.var(i)
+                factors.append(x if a == 1 else "%s ** %d" % (x, a))
+        if c != 1 or not factors:
+            factors.insert(0, _lit(c))
+        term = " * ".join(factors)
+        if name is None:
+            name = kern.fresh()
+            kern.lines.append("%s = %s" % (name, term))
+        else:
+            kern.lines.append("%s = %s + %s" % (name, name, term))
+    return name or "0.0"
+
+
+def compile_field(field):
+    """Float kernel point -> list of floats of an ExprField or a
+    WeightedPolynomialField, equal to [float(v) for v in
+    field.evaluate(point)] on float points."""
+    kern = _Kernel()
+    if isinstance(field, ExprField):
+        memo = {}
+        outs = [_emit_expr(c, kern, memo) for c in field.comps]
+        outs = [v if isinstance(v, str) else _lit(v) for v in outs]
+    elif isinstance(field, WeightedPolynomialField):
+        outs = [_emit_poly(c, kern) for c in field.comps]
+    else:
+        raise TypeError("cannot compile %r" % (field,))
+    src = "def kernel(p):\n%s    return [%s]\n" % (
+        "".join("    %s\n" % line for line in kern.lines), ", ".join(outs))
+    ns = {"sin": math.sin, "cos": math.cos, "__builtins__": {}}
+    exec(compile(src, "<compiled field>", "exec"), ns)
+    # Popped, so the kernel and its globals form no reference cycle.
+    return ns.pop("kernel")
 
 
 def lie_bracket(v, w, weights=None, wcap=None):

@@ -2,7 +2,11 @@
 
 The integrator is a thin wrapper over an adaptive high-order
 Runge-Kutta scheme; inputs are evaluated straight from their term
-lists, never resampled onto a grid.  A classic fixed-step scheme is
+lists, never resampled onto a grid.  Each integration compiles its
+fields to float kernels (``poly.compile_field``) once, and a law turns
+its exact amplitudes into floats on its first evaluation, so the
+right-hand side runs in plain floats, with the values the exact
+evaluation would round to.  A classic fixed-step scheme is
 kept alongside for convergence cross-checks.  Input length is the
 time integral of the euclidean norm of the control vector, and
 reparameterization trades time for amplitude without moving the
@@ -11,9 +15,11 @@ trajectory, which is what makes the driftless structure worth having.
 
 import math
 
+import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import DomainExit, SpecError, StepFailure
+from .poly import compile_field
 
 
 class Trajectory:
@@ -65,19 +71,20 @@ class Trajectory:
 
 
 def _rhs(fields, u):
-    """Right-hand side sum_i u_i(t) X_i(x) of the driftless system."""
+    """Right-hand side sum_i u_i(t) X_i(x) of the driftless system,
+    taking the state as a numpy array."""
     ufun = u if callable(u) else u.eval
+    kernels = [compile_field(f) for f in fields]
 
     def rhs(t, x):
         uv = ufun(t)
-        pt = list(x)
+        pt = x.tolist()
         out = [0.0] * len(pt)
-        for i, field in enumerate(fields):
+        for i, kernel in enumerate(kernels):
             ui = float(uv[i])
             if ui == 0.0:
                 continue
-            for j, v in enumerate(field.evaluate(pt)):
-                out[j] += ui * float(v)
+            out = [o + ui * v for o, v in zip(out, kernel(pt))]
         return out
 
     return rhs
@@ -164,19 +171,18 @@ def integrate_fixed(fields, x0, u, span, steps):
     rhs = _rhs(fields, u)
     h = (t1 - t0) / steps
     t = t0
-    x = [float(v) for v in x0]
+    x = np.array([float(v) for v in x0])
     times = [t]
-    states = [list(x)]
+    states = [x.tolist()]
     for _ in range(steps):
-        k1 = rhs(t, x)
-        k2 = rhs(t + h / 2, [a + h / 2 * b for a, b in zip(x, k1)])
-        k3 = rhs(t + h / 2, [a + h / 2 * b for a, b in zip(x, k2)])
-        k4 = rhs(t + h, [a + h * b for a, b in zip(x, k3)])
-        x = [a + h / 6 * (p + 2 * q + 2 * r + s)
-             for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+        k1 = np.array(rhs(t, x))
+        k2 = np.array(rhs(t + h / 2, x + h / 2 * k1))
+        k3 = np.array(rhs(t + h / 2, x + h / 2 * k2))
+        k4 = np.array(rhs(t + h, x + h * k3))
+        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
         times.append(t)
-        states.append(list(x))
+        states.append(x.tolist())
     return Trajectory(times, states, {"steps": steps})
 
 
@@ -209,11 +215,12 @@ def input_sup_bound(u):
     """
     if not u.periods:
         return 0.0
-    gain = abs(float(u.scale)) / float(u.time_scale)
+    _, _, gain, periods = u.float_table()
+    gain = abs(gain)
     worst = 0.0
-    for period in u.periods:
-        for terms in period["channels"]:
-            peak = math.fsum(abs(float(a)) for a, _, _ in terms)
+    for channels in periods:
+        for terms in channels:
+            peak = math.fsum(abs(a) for a, _, _ in terms)
             if peak > worst:
                 worst = peak
     return gain * worst

@@ -336,12 +336,6 @@ class PiFrac:
         return "(%s)/(%s)" % (repr(r.num), repr(r.den))
 
 
-def coeff_is_zero(c):
-    if isinstance(c, PiFrac):
-        return c.is_zero()
-    return c == 0
-
-
 def simplify_value(v):
     """Canonicalise a PiFrac; one that is actually rational collapses
     back to Fraction."""
@@ -357,12 +351,12 @@ def simplify_value(v):
 
 
 def _acc(out, p, w, s, c):
-    if coeff_is_zero(c):
+    if not c:
         return
     key = (p, w, s)
     cur = out.get(key)
     nv = c if cur is None else cur + c
-    if coeff_is_zero(nv):
+    if not nv:
         out.pop(key, None)
     else:
         out[key] = nv
@@ -437,7 +431,7 @@ class TrigPoly:
         return self.add(o.neg())
 
     def scale(self, c):
-        if coeff_is_zero(c):
+        if not c:
             return TrigPoly()
         return TrigPoly({k: v * c for k, v in self.terms.items()})
 
@@ -486,7 +480,7 @@ class TrigPoly:
                     pp -= 1
         prim = TrigPoly(out)
         v0 = prim.value_zero()
-        if not coeff_is_zero(v0):
+        if v0:
             prim = prim.add(TrigPoly.const(-v0))
         return prim
 
@@ -896,7 +890,7 @@ def propagate_period(system, channels, state, float_mode=None,
         integrand = poly_on_trigs(mono, trajs, cache).mul(us[chan - 1])
         vj = integrand.antiderivative()
         init = state[j - 1]
-        if not coeff_is_zero(init):
+        if init:
             vj = vj.add(TrigPoly.const(init))
         trajs.append(vj)
         out.append(simplify_value(vj.value_2pi(float_mode)))
@@ -922,7 +916,7 @@ def control_matrix(system, entry, elements=None, det_threshold=1e-6):
 
     def check_settled(end, what):
         for j in earlier:
-            if not coeff_is_zero(simplify_value(end[j - 1])):
+            if simplify_value(end[j - 1]):
                 raise SingularMatrix(
                     "%s of class %d displaces settled coordinate %d"
                     % (what, entry.class_id, j), class_id=entry.class_id)
@@ -933,7 +927,7 @@ def control_matrix(system, entry, elements=None, det_threshold=1e-6):
             float_mode=False)
         for j in elements:
             v = simplify_value(base[j - 1])
-            if not coeff_is_zero(v):
+            if v:
                 raise SingularMatrix(
                     "basics alone displace coordinate %d of class %d"
                     % (j, entry.class_id), value=float(v))
@@ -954,14 +948,14 @@ def control_matrix(system, entry, elements=None, det_threshold=1e-6):
         gains.append(Fraction(2) ** round(math.log2(norm)))
     a = [[cols[k][i] / gains[k] for k in range(q)] for i in range(q)]
     det = det_matrix(a)
-    det_f = abs(float(det)) if not coeff_is_zero(det) else 0.0
+    det_f = abs(float(det)) if det else 0.0
     norms = [math.sqrt(math.fsum(float(x) ** 2 for x in row))
              for row in a]
     if any(n == 0.0 for n in norms):
         raise SingularMatrix("zero row in control matrix",
                              class_id=entry.class_id)
     geo = math.exp(math.fsum(math.log(n) for n in norms) / q)
-    if coeff_is_zero(det) or det_f < det_threshold * geo:
+    if not det or det_f < det_threshold * geo:
         raise SingularMatrix(
             "control matrix determinant %.3e below threshold %.3e"
             % (det_f, det_threshold * geo), class_id=entry.class_id)
@@ -1029,6 +1023,7 @@ class ControlLaw:
         self.scale = scale
         self.time_scale = time_scale
         self.meta = meta or {}
+        self._floats = None
 
     @property
     def nperiods(self):
@@ -1038,24 +1033,37 @@ class ControlLaw:
     def horizon(self):
         return 2.0 * math.pi * self.nperiods * float(self.time_scale)
 
+    def float_table(self):
+        """(time_scale, 2 pi time_scale, scale / time_scale, periods) in
+        floats, where periods[k][i] lists channel i's terms of period k
+        as (amp, w, q pi / 2).  Built on first use and kept: steering
+        alone never converts its exact amplitudes."""
+        if self._floats is None:
+            ts = float(self.time_scale)
+            self._floats = (
+                ts, 2.0 * math.pi * ts, float(self.scale) / ts,
+                [[tuple((float(a), w, q * math.pi / 2.0)
+                        for a, w, q in terms)
+                  for terms in p["channels"]] for p in self.periods])
+        return self._floats
+
     def eval(self, t):
         """Control values at time t, as floats."""
         if not self.periods:
             return [0.0] * self.m
-        ts = float(self.time_scale)
-        base = 2.0 * math.pi * ts
+        ts, base, gain, periods = self.float_table()
         k = int(t // base)
-        if k >= self.nperiods:
-            k = self.nperiods - 1
+        if k >= len(periods):
+            k = len(periods) - 1
         if k < 0:
             k = 0
         tau = (t - k * base) / ts
-        gain = float(self.scale) / ts
+        cos = math.cos
         out = []
-        for terms in self.periods[k]["channels"]:
+        for terms in periods[k]:
             val = 0.0
-            for amp, w, q in terms:
-                val += float(amp) * math.cos(w * tau - q * math.pi / 2.0)
+            for amp, w, phase in terms:
+                val += amp * cos(w * tau - phase)
             out.append(gain * val)
         return out
 
@@ -1142,7 +1150,7 @@ def exact_steer(x_init, system, plan=None):
         state = propagate_period(system, channels, state,
                                  float_mode=False)
         for j in entry.elements + tuple(done):
-            if not coeff_is_zero(simplify_value(state[j - 1])):
+            if simplify_value(state[j - 1]):
                 raise SteeringResidual(
                     "class %d left coordinate %d off zero"
                     % (entry.class_id, j),

@@ -4,7 +4,9 @@ Everything here is deliberately written against different machinery
 than the package under test: dimension counts come from Moebius
 inversion, brackets and jets from sympy, integrals from scipy
 quadrature, ODE propagation from scipy's integrators.  Tests compare
-package output against these routes; the two sides share no code.
+package output against these routes; the two sides share no code,
+except for the reference replay, which drives the package's own exact
+evaluate() to judge the compiled float kernels against it.
 """
 
 import math
@@ -229,6 +231,57 @@ def propagate_ode(rhs, z0, t_end, rtol=1e-12, atol=1e-12):
                     dense_output=False)
     assert sol.success, sol.message
     return [float(v) for v in sol.y[:, -1]]
+
+
+# ---------------------------------------------------------------------------
+# Reference replay
+#
+# The per-call evaluation the package's compiled kernels replace: each
+# amplitude goes through float() and each field through its exact
+# evaluate() on every call.  The package's replay must agree bit for
+# bit, with the same number of rhs evaluations.
+
+
+def law_value(law, t):
+    """A ControlLaw's value at t from its exact terms, term by term."""
+    if not law.periods:
+        return [0.0] * law.m
+    ts = float(law.time_scale)
+    base = 2.0 * math.pi * ts
+    k = min(max(int(t // base), 0), len(law.periods) - 1)
+    tau = (t - k * base) / ts
+    gain = float(law.scale) / ts
+    out = []
+    for terms in law.periods[k]["channels"]:
+        val = 0.0
+        for amp, w, q in terms:
+            val += float(amp) * math.cos(w * tau - q * math.pi / 2.0)
+        out.append(gain * val)
+    return out
+
+
+def replay_reference(fields, x0, law, tol):
+    """solve_ivp run with the integrator settings of sim.integrate,
+    driven by evaluate() and law_value(); returns the solution."""
+
+    def rhs(t, x):
+        u = law_value(law, t)
+        out = [0.0] * len(x)
+        for ui, field in zip(u, fields):
+            if ui == 0.0:
+                continue
+            for j, v in enumerate(field.evaluate(x.tolist())):
+                out[j] += ui * float(v)
+        return out
+
+    # Output at every period boundary, as sim.integrate asks for: each
+    # step holding an output point costs DOP853 three more evaluations.
+    t1 = law.horizon
+    base = 2.0 * math.pi * float(law.time_scale)
+    grid = [k * base for k in range(law.nperiods) if k * base < t1]
+    return solve_ivp(rhs, (0.0, t1), [float(v) for v in x0],
+                     method="DOP853", t_eval=grid + [t1], rtol=tol,
+                     atol=tol, max_step=math.pi)
 
 
 # ---------------------------------------------------------------------------
