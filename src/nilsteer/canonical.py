@@ -13,7 +13,7 @@ exactly integrable triangular structure the steering layer exploits.
 
 from fractions import Fraction
 
-from .hall import build_hall_basis, evaluate_bracket
+from .hall import build_hall_basis
 from .poly import Poly, WeightedPolynomialField
 
 
@@ -77,15 +77,3 @@ def canonical_fields(m, r):
                 comps[e.index - 1] = mons[e.index - 1]
         fields.append(WeightedPolynomialField(comps, weights))
     return CanonicalSystem(m, r, basis, mons, fields)
-
-
-def canonical_dynamics(system, j):
-    """Rate data for coordinate j: (monomial, input channel)."""
-    e = system.basis.element(j)
-    return system.monomials[j - 1], e.phi
-
-
-def canonical_bracket(system, k):
-    """The bracket field of basis element k on the canonical system."""
-    return evaluate_bracket(system.basis, k, system.fields,
-                            weights=system.weights)

@@ -394,10 +394,6 @@ class LiftedSystem:
         self.frame = frame
         self.records = tuple(records)
 
-    @property
-    def xi_hat(self):
-        return self.approx.fields
-
     def lift_point(self, x):
         if len(x) != self.n:
             raise SpecError("expected a base point with %d coordinates"
@@ -409,12 +405,6 @@ class LiftedSystem:
                        or hasattr(p[0], "__len__")):
             return [list(row)[:self.n] for row in p]
         return list(p)[:self.n]
-
-    def chart_apply(self, p):
-        return self.chart.apply(p)
-
-    def chart_inverse(self, z):
-        return self.chart.apply_inverse(z)
 
     def var_names(self):
         return (["x%d" % (i + 1) for i in range(self.n)]

@@ -65,10 +65,6 @@ class HallBasis:
     def __len__(self):
         return len(self.elements)
 
-    @property
-    def dim(self):
-        return len(self.elements)
-
     def element(self, j):
         """1-based element access."""
         return self.elements[j - 1]
@@ -84,9 +80,6 @@ class HallBasis:
         if e.is_generator():
             return e.gen
         return (self.tree(e.left), self.tree(e.right))
-
-    def dims_upto(self, s):
-        return self.level_dims[s - 1]
 
     def to_json(self):
         elements = []
@@ -185,18 +178,6 @@ def build_hall_basis(m, r):
                                     e.right, e.phi, tuple(counts),
                                     e.delta))
     return HallBasis(m, r, finished, level_dims)
-
-
-def hall_decompose(basis, j):
-    """Peeling data of element j: (final generator, multiplicities)."""
-    e = basis.element(j)
-    return e.phi, e.alpha
-
-
-def equivalence_classes(basis):
-    """Element indices grouped by generator content, ordered by their
-    smallest member."""
-    return basis.classes
 
 
 def evaluate_bracket(basis, j, fields, weights=None, wcap=None):

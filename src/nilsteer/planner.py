@@ -1,15 +1,18 @@
 """Iterative global steering on top of local approximate steering.
 
-The local step steers the canonical model of the system exactly and
-replays the resulting input on the true system.  The global loop
-walks dilation subgoals toward the goal, halving its step budget
-whenever the local step fails to cut the remaining pseudo-distance in
-half; the modified variant additionally brackets the iterates inside
-a pseudo-norm ball so no a priori compactness assumption is needed.
+The local step (LocalSteering.steer) steers the canonical model of
+the system exactly and replays the resulting input on the true
+system.  The global loop walks dilation subgoals toward the goal,
+halving its step budget whenever the local step fails to cut the
+remaining pseudo-distance in half; the modified variant additionally
+brackets the iterates inside a pseudo-norm ball so no a priori
+compactness assumption is needed.
 Systems with singular points run through the covering machinery: the
 working box is split into cells carrying a fixed bracket frame, the
 planner lifts the system on each cell along the path, steers the
-lifted free system between waypoints, and projects back down.
+lifted free system between waypoints, and projects back down; the
+accepted per-step laws are chained into one by
+steer.smooth_concatenate.
 
 A practical note on tolerances: an endpoint whose coordinates carry
 integrator noise of size tau has pseudo-norm around tau**(1/r), so
@@ -20,7 +23,6 @@ construction, so its local step skips integration entirely.
 
 import itertools
 import math
-from fractions import Fraction
 
 from .canonical import canonical_fields
 from .desing import FrameSelection, _bracket_values, _det_gate, \
@@ -32,9 +34,7 @@ from .errors import (
 from .poly import det_matrix
 from .privcoord import dilate, first_order_approx, pseudo_norm
 from .sim import input_length, integrate
-from .steer import ControlLaw, build_plan, exact_steer
-
-F1 = Fraction(1)
+from .steer import build_plan, exact_steer, smooth_concatenate
 
 
 class PlannerConfig:
@@ -244,26 +244,6 @@ class LocalSteering:
         return self.steer(x, a)[0]
 
 
-def app_steer(x, a, approx, true_system, config=None, domain=None):
-    """Steer toward a using the model anchored there, replay on the truth.
-
-    The input is computed by steering the canonical model from the
-    chart image of x to the origin (the image of a), then the true
-    system is integrated under that same input.  Returns the endpoint.
-    """
-    config = config or PlannerConfig()
-    anchor = approx.chart.anchor
-    if len(anchor) != len(a) or any(
-            abs(float(p) - float(q)) > 1e-12 for p, q in zip(anchor, a)):
-        raise SpecError("approximation is not anchored at the goal")
-    z = approx.chart.apply(list(x))
-    law = exact_steer(z, approx.system)
-    if law.nperiods == 0:
-        return [float(v) for v in x]
-    return _replay(true_system, x, law, config.integrator_tol,
-                   domain).endpoint
-
-
 def subgoal(xbar, eta, j, chart):
     """Target point j steps of size eta along the dilation path.
 
@@ -282,22 +262,20 @@ def subgoal(xbar, eta, j, chart):
     return chart.apply_inverse(dilate(z, t, weights))
 
 
-def global_free(x0, x1, e, cell, app_steer_method, config=None,
-                modified=False):
+def global_free(x0, x1, e, cell, local, config=None, modified=False):
     """Iterative steering of a free system from x0 toward x1.
 
-    app_steer_method is the local method (a LocalSteering or anything
-    with the same steer/chart_at surface).  Per attempt: aim at the
-    current subgoal, accept the step if it at least halves the
-    pseudo-distance to the subgoal, otherwise halve the step budget
-    and restart the subgoal path at the current iterate.  The
+    local is the local method (a LocalSteering or anything with the
+    same steer/chart_at surface).  Per attempt: aim at the current
+    subgoal, accept the step if it at least halves the pseudo-distance
+    to the subgoal, otherwise halve the step budget and restart the
+    subgoal path at the current iterate.  The
     modified loop additionally rejects or charges steps against the
     expanding bracket R_k, keeping every iterate's pseudo-norm below
     ||z(x0)|| / (1 - R).
     """
     config = config or PlannerConfig()
-    ls = app_steer_method
-    chart1 = ls.chart_at(x1)
+    chart1 = local.chart_at(x1)
     weights = chart1.weights
     if cell is not None:
         for pt, name in ((x0, "initial"), (x1, "final")):
@@ -317,7 +295,7 @@ def global_free(x0, x1, e, cell, app_steer_method, config=None,
         report.status = "converged"
         return report
 
-    R = config.effective_R(ls.basis.r) if modified else None
+    R = config.effective_R(local.basis.r) if modified else None
 
     def bracket(k):
         # 1 + R + ... + R^k
@@ -338,8 +316,8 @@ def global_free(x0, x1, e, cell, app_steer_method, config=None,
         report.attempts += 1
         xd = subgoal(xbar, eta, j, chart1)
         try:
-            x, law = ls.steer(xi, xd)
-            chart_d = ls.chart_at(xd)
+            x, law = local.steer(xi, xd)
+            chart_d = local.chart_at(xd)
             away = pseudo_norm(chart_d.apply(list(x)), weights)
             before = pseudo_norm(chart_d.apply(list(xi)), weights)
             failed = away > before / 2
@@ -417,10 +395,6 @@ class Grid:
         blo, bhi = self.bounds(idx)
         return [list(c) for c in itertools.product(
             *[(a, b) for a, b in zip(blo, bhi)])]
-
-    def center(self, idx):
-        blo, bhi = self.bounds(idx)
-        return [(a + b) / 2 for a, b in zip(blo, bhi)]
 
 
 class Cell:
@@ -636,31 +610,6 @@ def _leg_domain(cell, grid, margin, fiber_dim, fiber_radius):
     return (lo, hi)
 
 
-def _fold_periods(law):
-    out = []
-    for period in law.periods:
-        channels = []
-        for terms in period["channels"]:
-            channels.append([(amp * law.scale, w, q)
-                             for amp, w, q in terms])
-        folded = dict(period)
-        folded["channels"] = channels
-        out.append(folded)
-    return out
-
-
-def concatenate_laws(m, laws, meta=None):
-    """Chain laws end to end, folding their scales into amplitudes."""
-    periods = []
-    for law in laws:
-        if law.m != m:
-            raise SpecError("laws disagree on the number of channels")
-        if float(law.time_scale) != 1.0:
-            raise SpecError("cannot concatenate reparameterized laws")
-        periods.extend(_fold_periods(law))
-    return ControlLaw(m, periods, F1, F1, meta=meta or {})
-
-
 def global_plan(fields, x_init, x_final, e, K, config=None, r=None,
                 trig=None, modified=True):
     """Plan inputs steering the system from x_init to x_final in K.
@@ -736,10 +685,8 @@ def global_plan(fields, x_init, x_final, e, K, config=None, r=None,
         x = lift.project(leg.iterates[-1])
     report.status = "converged"
     report.iterates = [[float(v) for v in x_init], list(x)]
-    law = concatenate_laws(m, laws, meta={
-        "legs": len(atlas.path),
-        "fiber_peaks": fiber_peaks,
-        "path": list(atlas.path),
-    })
+    law = smooth_concatenate(laws, 0, m)
+    law.meta.update(legs=len(atlas.path), fiber_peaks=fiber_peaks,
+                    path=list(atlas.path))
     report.norms = [leg.final_norm for leg in report.legs]
     return law, report

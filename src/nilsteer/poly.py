@@ -693,9 +693,6 @@ class Poly:
     def is_exact(self):
         return all(is_exact(c) for c in self.terms.values())
 
-    def to_float(self):
-        return Poly(self.n, {e: float(c) for e, c in self.terms.items()})
-
     def __add__(self, other):
         return self.add(other)
 
@@ -807,12 +804,6 @@ class WeightedPolynomialField:
         self.exact = exact
 
     @classmethod
-    def coordinate(cls, n, j, weights=None):
-        comps = [Poly.zero(n) for _ in range(n)]
-        comps[j] = Poly.const(n, 1)
-        return cls(comps, weights)
-
-    @classmethod
     def zero(cls, n, weights=None):
         return cls([Poly.zero(n) for _ in range(n)], weights)
 
@@ -849,29 +840,11 @@ class WeightedPolynomialField:
     def with_weights(self, weights):
         return WeightedPolynomialField(self.comps, weights, self.exact)
 
-    def term_wdeg_range(self):
-        lo = None
-        hi = None
-        for j, comp in enumerate(self.comps):
-            for e in comp.terms:
-                d = wdeg(e, self.weights) - self.weights[j]
-                lo = d if lo is None else min(lo, d)
-                hi = d if hi is None else max(hi, d)
-        return lo, hi
-
     def graded_part(self, d):
         """Terms of weighted degree exactly d (w(a) - w_j == d)."""
         comps = []
         for j, comp in enumerate(self.comps):
             comps.append(comp.graded_part(self.weights, d + self.weights[j]))
-        return WeightedPolynomialField(comps, self.weights, self.exact)
-
-    def truncate_degree(self, dcap):
-        """Drop terms of weighted degree above dcap."""
-        comps = []
-        for j, comp in enumerate(self.comps):
-            comps.append(comp.truncate(self.weights,
-                                       dcap + self.weights[j]))
         return WeightedPolynomialField(comps, self.weights, self.exact)
 
     def pad(self, new_n, weights=None):
@@ -1385,11 +1358,6 @@ class TriangularMap:
         self.comps = tuple(comps)
         self.inv = tuple(inv)
         self.n = len(self.comps)
-
-    @classmethod
-    def identity(cls, n):
-        comps = [Poly.var(n, i) for i in range(n)]
-        return cls(comps, list(comps))
 
     @classmethod
     def affine(cls, matrix, anchor):

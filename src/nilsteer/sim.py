@@ -91,23 +91,26 @@ def _rhs(fields, u):
 
 
 def _sample_times(u, span, samples_per_period):
+    """Output grid of a run over span: its two ends, each period edge
+    inside it, and samples_per_period - 1 evenly spaced points inside
+    each period.  Every point is made once; points within 1e-9 of a
+    period of either end are left out, so that an edge equal to t1 up
+    to rounding gives no second row there."""
     t0, t1 = float(span[0]), float(span[1])
-    times = {t0, t1}
+    times = [t0]
     if not callable(u) and u.periods:
         base = 2.0 * math.pi * float(u.time_scale)
+        gap = 1e-9 * base
         k = 0
-        while True:
+        while k * base < t1 - gap:
             edge = k * base
-            if edge > t1 + 1e-15:
-                break
-            for i in range(1, samples_per_period + 1):
+            for i in range(samples_per_period):
                 pt = edge + base * i / samples_per_period
-                if t0 < pt < t1:
-                    times.add(pt)
-            if t0 < edge < t1:
-                times.add(edge)
+                if t0 + gap < pt < t1 - gap:
+                    times.append(pt)
             k += 1
-    return sorted(times)
+    times.append(t1)
+    return times
 
 
 def integrate(fields, x0, u, span=None, tol=1e-10, domain=None,

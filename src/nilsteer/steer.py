@@ -14,6 +14,10 @@ boundaries live in the field of rational functions of pi; the small
 tower PiPoly/PiFrac/TrigPoly implements that field and the per-period
 propagation.  When inputs are floats the same code runs in floating
 point instead.
+
+Laws are joined end to end by one routine, smooth_concatenate, either
+plainly or with carrier sinusoids that make the joined control smooth
+across the junctions.
 """
 
 import itertools
@@ -21,7 +25,8 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import SearchBudgetExhausted, SingularMatrix, SteeringResidual
+from .errors import (SearchBudgetExhausted, SingularMatrix, SpecError,
+                     SteeringResidual)
 from .poly import det_matrix, invert_matrix, is_exact, mat_vec
 from .privcoord import dilate, pseudo_norm
 
@@ -375,6 +380,31 @@ def _acc_sin(out, p, w, c):
         _acc(out, p, w, 1, c)
 
 
+def _exact_sum(terms):
+    """Exact sum of c * (2 pi)^p over (p, c) pairs.
+
+    Numerators are grouped by denominator before any division, so
+    unreduced adds do not pile up denominator degree.
+    """
+    groups = {}
+    for p, c in terms:
+        if isinstance(c, PiFrac):
+            num, den = c.num, c.den
+        else:
+            num, den = PiPoly.const(c), _PP_ONE
+        if p:
+            num = num.mul(PiPoly.pi_pow(p, 2 ** p))
+        cur = groups.get(den)
+        groups[den] = num if cur is None else cur.add(num)
+    total = None
+    for den, num in groups.items():
+        pf = PiFrac(num, den, reduce=False)
+        total = pf if total is None else total + pf
+    if total is None:
+        return F0
+    return simplify_value(total)
+
+
 class TrigPoly:
     """Sums of t^p cos(w t) and t^p sin(w t), integer w >= 0.
 
@@ -499,23 +529,9 @@ class TrigPoly:
     def value_zero(self):
         vals = [c for (p, w, s), c in self.terms.items()
                 if p == 0 and s == 0]
-        if not vals:
-            return F0
         if any(isinstance(c, float) for c in vals):
             return math.fsum(float(c) for c in vals)
-        groups = {}
-        for c in vals:
-            if isinstance(c, PiFrac):
-                num, den = c.num, c.den
-            else:
-                num, den = PiPoly.const(c), _PP_ONE
-            cur = groups.get(den)
-            groups[den] = num if cur is None else cur.add(num)
-        total = None
-        for den, num in groups.items():
-            pf = PiFrac(num, den, reduce=False)
-            total = pf if total is None else total + pf
-        return simplify_value(total)
+        return _exact_sum((0, c) for c in vals)
 
     def value_2pi(self, float_mode=False):
         """Exact value at t = 2 pi (or float when asked)."""
@@ -525,27 +541,8 @@ class TrigPoly:
                 if s == 0:
                     total += float(c) * (2.0 * math.pi) ** p
             return total
-        # group contributions by denominator so unreduced adds do not
-        # pile up denominator degree
-        groups = {}
-        for (p, w, s), c in self.terms.items():
-            if s != 0:
-                continue
-            if isinstance(c, PiFrac):
-                num, den = c.num, c.den
-            else:
-                num, den = PiPoly.const(c), _PP_ONE
-            if p:
-                num = num.mul(PiPoly.pi_pow(p, 2 ** p))
-            cur = groups.get(den)
-            groups[den] = num if cur is None else cur.add(num)
-        total = None
-        for den, num in groups.items():
-            pf = PiFrac(num, den, reduce=False)
-            total = pf if total is None else total + pf
-        if total is None:
-            return F0
-        return simplify_value(total)
+        return _exact_sum((p, c) for (p, w, s), c in self.terms.items()
+                          if s == 0)
 
     def eval_float(self, t):
         total = 0.0
@@ -1237,54 +1234,50 @@ def _with_carriers(channels, bank, prev_end):
     return out
 
 
-def smooth_concatenate(laws, k):
+def smooth_concatenate(laws, k, m=None):
     """Join laws into one whose channels are C^(k-1) across junctions.
 
-    k = 0 plainly concatenates.  For k >= 1 each period gains a few
-    high-frequency non-resonant carrier sinusoids per channel whose
-    amplitudes close the value and derivative gaps at its start; when
-    the first law came from exact_steer (and so carries its system and
-    plan), the resonance amplitudes are re-solved by a fixed-point
-    iteration so the endpoint stays exact to far below any working
-    tolerance.  The first period is also anchored at zero, so the
-    joined control starts at rest.
+    Every law's scale is folded into its amplitudes, so the joined law
+    has scale 1 and keeps the time scale all the laws share; laws with
+    different time scales or channel counts raise SpecError.  m is the
+    channel count, needed only when laws is empty (the join is then
+    the empty law).  k = 0 plainly concatenates.  For k >= 1 each
+    period gains a few high-frequency non-resonant carrier sinusoids
+    per channel whose amplitudes close the value and derivative gaps
+    at its start, and the first period is anchored at zero, so the
+    joined control starts at rest.  A single law from exact_steer
+    (which carries its system and plan) is instead replanned by
+    _smooth_replan, keeping its scale and an exact endpoint.
     """
     if isinstance(laws, ControlLaw):
         laws = [laws]
-    if not laws:
-        raise ValueError("nothing to concatenate")
-    m = laws[0].m
+    if m is None:
+        if not laws:
+            raise SpecError("an empty join needs its channel count")
+        m = laws[0].m
     if any(law.m != m for law in laws):
-        raise ValueError("channel counts differ")
-    if k == 0:
-        periods = []
-        scale0 = laws[0].scale
-        for law in laws:
-            ratio = _scale_ratio(law.scale, scale0)
-            for p in law.periods:
-                periods.append(_scaled_period(p, ratio))
-        return ControlLaw(m, periods, scale0, laws[0].time_scale,
-                          meta={"smoothed": 0})
-    single = (len(laws) == 1 and laws[0].meta.get("system") is not None
-              and laws[0].meta.get("plan") is not None)
-    if single:
+        raise SpecError("laws disagree on the number of channels")
+    if k and len(laws) == 1 and laws[0].meta.get("system") is not None \
+            and laws[0].meta.get("plan") is not None:
         return _smooth_replan(laws[0], k)
-    return _smooth_stitch(laws, k)
-
-
-def _scale_ratio(a, b):
-    if is_exact(a) and is_exact(b):
-        return Fraction(a) / Fraction(b)
-    return float(a) / float(b)
-
-
-def _scaled_period(p, ratio):
-    if ratio == 1:
-        return dict(p)
-    out = dict(p)
-    out["channels"] = [[(a * ratio, w, q) for a, w, q in terms]
-                       for terms in p["channels"]]
-    return out
+    time_scale = laws[0].time_scale if laws else F1
+    if any(law.time_scale != time_scale for law in laws):
+        raise SpecError("cannot join laws with different time scales")
+    order = k - 1
+    prev_end = [[F0] * (order + 1) for _ in range(m)]
+    periods = []
+    for law in laws:
+        for p in law.periods:
+            channels = [[(a * law.scale, w, q) for a, w, q in terms]
+                        for terms in p["channels"]]
+            if k:
+                pool = max((w for terms in channels for _, w, _q in terms),
+                           default=0)
+                channels = _with_carriers(
+                    channels, _carrier_bank(pool, 4, order, m), prev_end)
+                prev_end = _junction_ends(channels, order)
+            periods.append(dict(p, channels=channels))
+    return ControlLaw(m, periods, F1, time_scale, meta={"smoothed": k})
 
 
 def _smooth_replan(law, k):
@@ -1296,10 +1289,7 @@ def _smooth_replan(law, k):
     """
     system = law.meta["system"]
     plan = law.meta["plan"]
-    state = [Fraction(v) if is_exact(v) else v
-             for v in law.meta["z_init"]]
-    exact_mode = all(is_exact(v) for v in state)
-    resid_tol = 1e-30 if exact_mode else 1e-12
+    state = list(law.meta["z_init"])
     order = k - 1
     mult = max(2, max(sum(e.delta) for e in plan.classes) + 1)
     prev_end = [[F0] * (order + 1) for _ in range(law.m)]
@@ -1312,10 +1302,10 @@ def _smooth_replan(law, k):
             carried = _with_carriers(template_channels(entry, amps), bank,
                                      prev_end)
             end = propagate_period(system, carried, state,
-                                   float_mode=not exact_mode)
+                                   float_mode=False)
             resid = [end[j - 1] for j in entry.elements]
             worst = _max_abs(resid)
-            if worst < resid_tol:
+            if worst < 1e-30:
                 break
             correction = entry.solve_amps(resid)
             amps = [a - c for a, c in zip(amps, correction)]
@@ -1335,30 +1325,3 @@ def _smooth_replan(law, k):
     meta["final_state"] = state
     return ControlLaw(law.m, new_periods, law.scale, law.time_scale,
                       meta)
-
-
-def _smooth_stitch(laws, k):
-    """Value/derivative stitching without replanning.
-
-    Used for heterogeneous law lists (different charts or scales); the
-    carriers are displacement-neutral to first order, so per-segment
-    endpoint errors stay far below planner tolerances.
-    """
-    m = laws[0].m
-    order = k - 1
-    scale0 = laws[0].scale
-    prev_end = [[F0] * (order + 1) for _ in range(m)]
-    new_periods = []
-    for law in laws:
-        ratio = _scale_ratio(law.scale, scale0)
-        for p in law.periods:
-            stitched = _scaled_period(p, ratio)
-            pool = max((w for terms in stitched["channels"]
-                        for _, w, _q in terms), default=0)
-            bank = _carrier_bank(pool, 4, order, m)
-            stitched["channels"] = _with_carriers(stitched["channels"],
-                                                  bank, prev_end)
-            new_periods.append(stitched)
-            prev_end = _junction_ends(stitched["channels"], order)
-    return ControlLaw(m, new_periods, scale0, laws[0].time_scale,
-                      meta={"smoothed": k, "stitched": True})

@@ -6,9 +6,7 @@ from math import factorial
 import pytest
 
 import oracles
-from nilsteer.canonical import (
-    canonical_bracket, canonical_dynamics, canonical_fields,
-)
+from nilsteer.canonical import canonical_fields
 from nilsteer.hall import build_hall_basis, evaluate_bracket
 from nilsteer.poly import Poly, wdeg
 
@@ -49,10 +47,10 @@ def test_monomials_two_four_hand_values():
 
 def test_dynamics_channels():
     sys = canonical_fields(2, 3)
-    p, chan = canonical_dynamics(sys, 5)
+    p, chan = sys.monomials[4], sys.basis.element(5).phi
     assert chan == 2
     assert p.terms == {(1, 1, 0, 0, 0): Fraction(1)}
-    p1, chan1 = canonical_dynamics(sys, 1)
+    p1, chan1 = sys.monomials[0], sys.basis.element(1).phi
     assert chan1 == 1 and p1.constant_term() == 1
 
 
@@ -82,7 +80,8 @@ def test_brackets_at_origin_are_coordinate_directions(m, r):
     sys = canonical_fields(m, r)
     origin = [Fraction(0)] * sys.n
     for j in range(1, sys.n + 1):
-        vals = canonical_bracket(sys, j).evaluate(origin)
+        vals = evaluate_bracket(sys.basis, j, sys.fields,
+                                weights=sys.weights).evaluate(origin)
         expect = [Fraction(1) if k == j - 1 else Fraction(0)
                   for k in range(sys.n)]
         assert vals == expect, j
@@ -103,7 +102,8 @@ def test_bracket_components_homogeneous():
     w = sys.weights
     for k in range(1, sys.n + 1):
         wk = w[k - 1]
-        fld = canonical_bracket(sys, k)
+        fld = evaluate_bracket(sys.basis, k, sys.fields,
+                               weights=sys.weights)
         for j, comp in enumerate(fld.comps):
             for expo in comp.terms:
                 assert wdeg(expo, w) == w[j] - wk, (k, j)
@@ -114,7 +114,9 @@ def test_growth_vector_at_random_points(m, r):
     sys = canonical_fields(m, r)
     rng = oracles.seeded(23)
     dims = oracles.cumulative_dims(m, r)
-    brackets = [canonical_bracket(sys, j) for j in range(1, sys.n + 1)]
+    brackets = [evaluate_bracket(sys.basis, j, sys.fields,
+                                 weights=sys.weights)
+                for j in range(1, sys.n + 1)]
     lengths = sys.weights
     for _ in range(20):
         point = oracles.random_rational_point(sys.n, rng)

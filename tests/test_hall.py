@@ -6,10 +6,7 @@ import pytest
 import sympy
 
 import oracles
-from nilsteer.hall import (
-    build_hall_basis, equivalence_classes, evaluate_bracket,
-    hall_decompose,
-)
+from nilsteer.hall import build_hall_basis, evaluate_bracket
 from nilsteer.poly import Poly, WeightedPolynomialField
 
 
@@ -96,7 +93,7 @@ def test_alpha_accounts_for_length():
 
 def test_decompose_and_interning():
     basis = build_hall_basis(2, 4)
-    phi, alpha = hall_decompose(basis, 3)
+    phi, alpha = basis.element(3).phi, basis.element(3).alpha
     assert phi == 2
     assert alpha[0] == 1 and sum(alpha) == 1
     again = build_hall_basis(2, 4)
@@ -105,14 +102,14 @@ def test_decompose_and_interning():
 
 def test_classes_two_four_all_singletons():
     basis = build_hall_basis(2, 4)
-    classes = equivalence_classes(basis)
+    classes = basis.classes
     assert len(classes) == 8
     assert all(len(c) == 1 for c in classes)
 
 
 def test_classes_two_five_pairs():
     basis = build_hall_basis(2, 5)
-    classes = equivalence_classes(basis)
+    classes = basis.classes
     assert len(classes) == 12
     by_delta = {basis.element(c[0]).delta: tuple(c) for c in classes}
     assert by_delta[(3, 2)] == (10, 13)

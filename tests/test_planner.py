@@ -12,15 +12,15 @@ from nilsteer.errors import (
 from nilsteer.hall import build_hall_basis
 from nilsteer.planner import (
     Cell, Grid, LocalSteering, PlannerConfig, PlannerReport,
-    app_steer, build_covering, concatenate_laws, global_free, global_plan,
-    subgoal,
+    build_covering, global_free, global_plan, subgoal,
 )
 from nilsteer.poly import (
-    ExprField, Poly, WeightedPolynomialField, ecos, erat, esin, evar,
+    ExprField, Poly, WeightedPolynomialField, as_expr_field, ecos, erat,
+    esin, evar,
 )
 from nilsteer.privcoord import dilate, pseudo_norm
 from nilsteer.sim import integrate
-from nilsteer.steer import ControlLaw
+from nilsteer.steer import ControlLaw, smooth_concatenate
 
 import oracles
 
@@ -96,25 +96,22 @@ def test_subgoal_weighted_dilation(local22):
 # local step
 
 
-def test_app_steer_canonical_reaches_anchor(local22):
-    ap = local22.approx_at([F(0)] * 3)
-    end = app_steer([F(1, 2), F(-1, 3), F(1, 5)], [F(0)] * 3, ap,
-                    list(canonical_fields(2, 2).fields))
+def test_app_steer_canonical_reaches_anchor():
+    # the canonical (2,2) fields as ExprFields are not recognised as the
+    # model, so the step integrates instead of returning the goal
+    fields = [as_expr_field(f) for f in canonical_fields(2, 2).fields]
+    ls = LocalSteering(fields, build_hall_basis(2, 2))
+    assert not ls.exact_model
+    end, law = ls.steer([F(1, 2), F(-1, 3), F(1, 5)], [F(0)] * 3)
+    assert law.nperiods > 0
     assert max(abs(float(v)) for v in end) <= 1e-8
 
 
 def test_app_steer_at_goal_is_identity(local22):
-    ap = local22.approx_at([F(0)] * 3)
-    end = app_steer([F(0)] * 3, [F(0)] * 3, ap,
-                    list(canonical_fields(2, 2).fields))
-    assert end == [0.0, 0.0, 0.0]
-
-
-def test_app_steer_rejects_wrong_anchor(local22):
-    ap = local22.approx_at([F(0)] * 3)
-    with pytest.raises(SpecError):
-        app_steer([F(1), F(0), F(0)], [F(1), F(0), F(0)], ap,
-                  list(canonical_fields(2, 2).fields))
+    a = [F(0)] * 3
+    end, law = local22.steer(a, a)
+    assert end == a
+    assert law.nperiods == 0
 
 
 def test_local_steering_detects_canonical_model(local22, local_uni):
@@ -177,7 +174,7 @@ def test_global_free_replay_matches_iterates(local_uni):
     uni = unicycle_fields()
     rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, None,
                       local_uni, PlannerConfig())
-    law = concatenate_laws(2, rep.all_laws())
+    law = smooth_concatenate(rep.all_laws(), 0, 2)
     traj = integrate(uni, [0.0, 0.0, 0.0], law, tol=1e-10)
     err = max(abs(a - b) for a, b in zip(traj.endpoint, rep.iterates[-1]))
     assert err <= 1e-8
@@ -473,17 +470,21 @@ def test_config_validation():
 def test_concatenate_laws_guards():
     law = ControlLaw(2, [])
     with pytest.raises(SpecError):
-        concatenate_laws(3, [law])
+        smooth_concatenate([law], 0, 3)
+    with pytest.raises(SpecError):
+        smooth_concatenate([], 0)
     slow = ControlLaw(2, [], scale=F(1), time_scale=F(2))
     with pytest.raises(SpecError):
-        concatenate_laws(2, [slow])
+        smooth_concatenate([law, slow], 0)
+    empty = smooth_concatenate([], 0, 2)
+    assert empty.m == 2 and empty.nperiods == 0 and empty.scale == 1
 
 
 def test_concatenate_folds_scales():
     p1 = {"channels": [[(F(2), 1, 0)], []]}
     a = ControlLaw(2, [p1], scale=F(3))
     b = ControlLaw(2, [p1], scale=F(1, 2))
-    law = concatenate_laws(2, [a, b])
+    law = smooth_concatenate([a, b], 0)
     assert law.nperiods == 2
     assert law.scale == 1
     assert law.periods[0]["channels"][0][0][0] == F(6)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilsteer import sim
 from nilsteer.canonical import canonical_fields
 from nilsteer.desing import desingularize, select_frame
 from nilsteer.errors import DomainExit, SpecError, StepFailure
@@ -20,6 +21,8 @@ from nilsteer.sim import (
     integrate_fixed, reparameterize,
 )
 from nilsteer.steer import ControlLaw
+
+import oracles
 
 F = Fraction
 TWO_PI = 2.0 * math.pi
@@ -66,6 +69,34 @@ def test_grid_contains_period_boundaries():
     for edge in (0.0, TWO_PI, 2 * TWO_PI):
         assert any(abs(t - edge) <= 1e-12 for t in traj.times)
     assert len(traj) == 9
+
+
+@pytest.mark.parametrize("periods", [13, 20, 40])
+@pytest.mark.parametrize("time_scale", [1.0, 1.3, 1.7])
+def test_grid_has_each_period_edge_once(monkeypatch, periods, time_scale):
+    # k * base and (k - 1) * base + base may differ by an ulp, and the
+    # last edge may miss the horizon by one; either gave a second row
+    cs = canonical_fields(2, 2)
+    period = {"channels": [[(F(1, 2), 1, 0)], [(F(1, 3), 2, 1)]]}
+    law = ControlLaw(2, [period] * periods, time_scale=time_scale)
+    base = TWO_PI * time_scale
+    seen = []
+    solve = sim.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        seen.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(sim, "solve_ivp", counting)
+    x0 = [0.1, -0.2, 0.3]
+    traj = integrate(cs.fields, x0, law, tol=1e-10)
+    assert len(traj) == periods + 1
+    for a, b in zip(traj.times, traj.times[1:]):
+        assert b - a > 1e-9 * base
+    ref = oracles.replay_reference(cs.fields, x0, law, 1e-10)
+    assert seen == [ref.nfev]
+    assert traj.endpoint == ref.y[:, -1].tolist()
 
 
 def test_trajectory_validation():

@@ -12,11 +12,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from nilsteer.canonical import canonical_dynamics, canonical_fields
+from nilsteer.canonical import canonical_fields
 from nilsteer.errors import (SearchBudgetExhausted, SingularMatrix,
-                             SteeringResidual)
+                             SpecError, SteeringResidual)
 from nilsteer.poly import det_matrix, invert_matrix, mat_vec
 from nilsteer.privcoord import dilate, pseudo_norm
+from nilsteer.sim import input_sup_bound, reparameterize
 from nilsteer.steer import (
     ClassPlan, ControlLaw, FrequencyPlan, PiFrac, PiPoly, SlotPlan, TrigPoly,
     _reduce_pairs, build_plan, channel_trigpolys, control_matrix,
@@ -68,7 +69,8 @@ def plan24(sys24):
 
 def law_rhs(system, law):
     """Canonical dynamics driven by a control law, for scipy."""
-    dyn = [canonical_dynamics(system, j) for j in range(1, system.n + 1)]
+    dyn = [(system.monomials[j - 1], system.basis.element(j).phi)
+           for j in range(1, system.n + 1)]
 
     def rhs(t, z):
         us = law.eval(t)
@@ -711,7 +713,33 @@ def test_plain_concatenation_keeps_periods(sys22, plan22):
     law2 = exact_steer([F(-1, 5), F(1, 7), F(2, 3)], sys22, plan22)
     joined = smooth_concatenate([law1, law2], 0)
     assert joined.nperiods == law1.nperiods + law2.nperiods
-    assert joined.scale == law1.scale
+    assert joined.scale == 1
+    laws = [law1] * law1.nperiods + [law2] * law2.nperiods
+    for law, p, q in zip(laws, law1.periods + law2.periods,
+                         joined.periods):
+        for terms, folded in zip(p["channels"], q["channels"]):
+            assert folded == [(a * law.scale, w, h) for a, w, h in terms]
+    for t in (0.3, 2.9, 7.1, law1.horizon + 0.4):
+        want = (law1 if t < law1.horizon else law2).eval(
+            t if t < law1.horizon else t - law1.horizon)
+        assert joined.eval(t) == pytest.approx(want, abs=1e-12)
+
+
+def test_joining_reparameterized_laws_raises(sys22, plan22):
+    # a join once played law2 at law1's time scale: the horizon came
+    # out short and the sup bound above the reparameterization's bound
+    law1 = exact_steer([F(1, 2), F(-1, 3), F(1, 4)], sys22, plan22)
+    law2 = exact_steer([F(-1, 5), F(1, 7), F(2, 3)], sys22, plan22)
+    bound = 0.67
+    slow = reparameterize(law2, bound)
+    assert slow.time_scale != law1.time_scale
+    assert input_sup_bound(slow) == pytest.approx(bound)
+    for k in (0, 1):
+        with pytest.raises(SpecError):
+            smooth_concatenate([law1, slow], k)
+    twice = smooth_concatenate([slow, slow], 0)
+    assert twice.time_scale == slow.time_scale
+    assert twice.horizon == pytest.approx(2 * slow.horizon)
 
 
 def test_stitching_heterogeneous_laws(sys22, plan22):
