@@ -13,9 +13,9 @@ canonical free system, so steering can be done upstairs and the
 trajectory projected back down.
 
 Chart coefficients come from rational arithmetic on truncated jets:
-with an exact anchor (plus exact trig values where the base fields
-need them) every coefficient is a Fraction; float anchors flow
-through the same code paths.
+with an exact anchor at which every trig argument of the base fields
+vanishes, every coefficient is a Fraction; trig values elsewhere and
+float anchors flow through the same code paths in floats.
 """
 
 import itertools
@@ -81,13 +81,13 @@ def _det_gate(det, rows, threshold):
     return abs(float(det)) > threshold * _column_scale(rows)
 
 
-def _bracket_values(fields, basis, indices, point, trig=None):
+def _bracket_values(fields, basis, indices, point):
     """Matrix of bracket direction values: rows are coordinates,
     columns follow ``indices``."""
     n = len(fields[0].comps)
     w1 = _ones(n)
     cap = max(basis.element(j).length for j in indices)
-    shadows = [taylor_truncate(f, point, w1, cap, trig) for f in fields]
+    shadows = [taylor_truncate(f, point, w1, cap) for f in fields]
     cols = []
     for j in indices:
         fld = evaluate_bracket(basis, j, shadows, weights=w1, wcap=cap)
@@ -104,17 +104,16 @@ class FrameSelection:
     """
 
     __slots__ = ("indices", "anchor", "det_value", "cell", "basis",
-                 "fields", "trig", "threshold")
+                 "fields", "threshold")
 
     def __init__(self, indices, anchor, det_value, cell, basis, fields,
-                 trig=None, threshold=1e-9):
+                 threshold=1e-9):
         self.indices = tuple(indices)
         self.anchor = tuple(anchor)
         self.det_value = det_value
         self.cell = cell
         self.basis = basis
         self.fields = tuple(fields)
-        self.trig = trig
         self.threshold = threshold
 
     @property
@@ -123,7 +122,7 @@ class FrameSelection:
 
     def frame_matrix(self, point):
         return _bracket_values(self.fields, self.basis, self.indices,
-                               point, self.trig)
+                               point)
 
     def contains(self, point):
         rows = self.frame_matrix(point)
@@ -176,7 +175,7 @@ def cheapest_frame(basis, value_sets, threshold):
     return None if best is None else best[2:]
 
 
-def select_frame(fields, basis, a, trig=None, threshold=1e-9):
+def select_frame(fields, basis, a, threshold=1e-9):
     """Cheapest spanning bracket frame at a point (see cheapest_frame)."""
     fields = list(fields)
     n = len(fields[0].comps)
@@ -184,7 +183,7 @@ def select_frame(fields, basis, a, trig=None, threshold=1e-9):
     if dim < n:
         raise NoFrame("basis holds %d directions, the state needs %d"
                       % (dim, n))
-    values = _bracket_values(fields, basis, range(1, dim + 1), a, trig)
+    values = _bracket_values(fields, basis, range(1, dim + 1), a)
     found = cheapest_frame(basis, [values], threshold)
     if found is None:
         raise NoFrame("no spanning bracket frame at the anchor up to "
@@ -193,8 +192,7 @@ def select_frame(fields, basis, a, trig=None, threshold=1e-9):
     cell = ("points where the bracket directions %s keep |det| above "
             "%g of the column scale"
             % (", ".join(basis.name(j) for j in combo), threshold))
-    return FrameSelection(combo, a, det, cell, basis, fields, trig,
-                          threshold)
+    return FrameSelection(combo, a, det, cell, basis, fields, threshold)
 
 
 def _word_functional(frame, word, p):
@@ -439,7 +437,7 @@ class LiftedSystem:
                 % (self.n, self.lifted_n, self.r))
 
 
-def desingularize(fields, frame, r=None, trig=None, cap=None):
+def desingularize(fields, frame, r=None):
     """Lift along a frame until the system is free up to step r.
 
     Fiber coordinates arrive level by level for the bracket
@@ -452,8 +450,6 @@ def desingularize(fields, frame, r=None, trig=None, cap=None):
     n = len(fields[0].comps)
     if r is None:
         r = frame.basis.r
-    if trig is None:
-        trig = frame.trig
     if len(frame.indices) != n:
         raise SpecError("frame has %d directions for a %d-dimensional "
                         "state" % (len(frame.indices), n))
@@ -465,8 +461,7 @@ def desingularize(fields, frame, r=None, trig=None, cap=None):
         basis = build_hall_basis(m, r)
     if max(basis.element(j).length for j in frame.indices) > r:
         raise SpecError("frame uses a bracket longer than r=%d" % r)
-    if cap is None:
-        cap = 2 * r + 1
+    cap = 2 * r + 1
 
     anchor = list(frame.anchor)
     J = set(frame.indices)
@@ -474,8 +469,7 @@ def desingularize(fields, frame, r=None, trig=None, cap=None):
 
     ident = [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
     chart = TriangularMap.affine(ident, anchor)
-    shadows = [taylor_truncate(f, anchor, _ones(n), cap, trig)
-               for f in fields]
+    shadows = [taylor_truncate(f, anchor, _ones(n), cap) for f in fields]
     coords = sorted(J)
     fiber_order = []
     fiber_rate = {}
@@ -496,8 +490,7 @@ def desingularize(fields, frame, r=None, trig=None, cap=None):
                 i = basis.element(k).phi - 1
                 comps = list(shadows[i].comps)
                 comps[prev_dim + t] = rate
-                shadows[i] = WeightedPolynomialField(comps, _ones(dim),
-                                                     shadows[i].exact)
+                shadows[i] = WeightedPolynomialField(comps, _ones(dim))
                 fiber_rate[k] = rate.subst(list(chart.comps))
                 fiber_order.append(k)
         coords = sorted(set(coords) | set(new))
@@ -529,12 +522,11 @@ def desingularize(fields, frame, r=None, trig=None, cap=None):
                         fiber_order, approx, fields_chart, frame, records)
 
 
-def growth_vector(fields, basis, point, trig=None, tol=1e-8):
+def growth_vector(fields, basis, point, tol=1e-8):
     """Ranks of the bracket flag at a point, one entry per length."""
     n = len(fields[0].comps)
     w1 = _ones(n)
-    shadows = [taylor_truncate(f, point, w1, basis.r, trig)
-               for f in fields]
+    shadows = [taylor_truncate(f, point, w1, basis.r) for f in fields]
     vals = []
     out = []
     for s in range(1, basis.r + 1):

@@ -47,17 +47,14 @@ class PlannerConfig:
     no explicit rate bound.
     """
 
-    __slots__ = ("tolerance", "integrator_tol", "R", "iteration_cap",
-                 "det_threshold", "grid", "fiber_radius", "margin")
+    __slots__ = ("integrator_tol", "R", "iteration_cap", "det_threshold",
+                 "grid", "fiber_radius", "margin")
 
-    def __init__(self, tolerance=1e-3, integrator_tol=1e-10, R=None,
-                 iteration_cap=10000, det_threshold=1e-9, grid=8,
-                 fiber_radius=None, margin=None):
-        if tolerance <= 0:
-            raise SpecError("tolerance must be positive")
+    def __init__(self, integrator_tol=1e-10, R=None, iteration_cap=10000,
+                 det_threshold=1e-9, grid=8, fiber_radius=None,
+                 margin=None):
         if iteration_cap < 1:
             raise SpecError("iteration cap must be at least 1")
-        self.tolerance = tolerance
         self.integrator_tol = integrator_tol
         self.R = R
         self.iteration_cap = iteration_cap
@@ -77,7 +74,6 @@ class PlannerConfig:
 
     def to_json(self):
         return {
-            "tolerance": self.tolerance,
             "integrator_tol": self.integrator_tol,
             "R": self.R,
             "iteration_cap": self.iteration_cap,
@@ -170,18 +166,17 @@ class LocalSteering:
     """Approximate-and-correct local step for a free system.
 
     Holds the canonical model, its steering plan, and a chart cache;
-    callable as the two-argument local method the global loop expects.
-    When the system literally is its canonical model the replay
-    endpoint equals the goal by construction and integration is
-    skipped, which is also what keeps exact-input runs exact.
+    its steer and chart_at are what the global loop calls.  When the
+    system literally is its canonical model the replay endpoint
+    equals the goal by construction and integration is skipped,
+    which is also what keeps exact-input runs exact.
     """
 
-    def __init__(self, fields, basis, config=None, trig=None,
-                 domain=None, fiber_start=None):
+    def __init__(self, fields, basis, config=None, domain=None,
+                 fiber_start=None):
         self.fields = list(fields)
         self.basis = basis
         self.config = config or PlannerConfig()
-        self.trig = trig
         self.domain = domain
         self.system = canonical_fields(basis.m, basis.r)
         self.plan = build_plan(self.system)
@@ -206,26 +201,28 @@ class LocalSteering:
                 return False
         return True
 
-    def approx_at(self, a):
+    def chart_at(self, a):
         key = tuple(float(v) for v in a)
         hit = self._charts.get(key)
         if hit is None:
-            hit = first_order_approx(self.fields, list(a), self.basis,
-                                     trig=self.trig)
+            hit = first_order_approx(self.fields, list(a), self.basis)
             self._charts[key] = hit
         return hit
-
-    def chart_at(self, a):
-        return self.approx_at(a).chart
 
     def norm_at(self, a, x):
         z = self.chart_at(a).apply(list(x))
         return pseudo_norm(z, self.weights)
 
     def steer(self, x, a):
-        """One local step from x toward a: returns (endpoint, law)."""
-        approx = self.approx_at(a)
-        z = approx.chart.apply(list(x))
+        """One local step from x toward a: returns (endpoint, law).
+
+        A start equal to a, coordinate for coordinate, gives a and the
+        empty law: no chart rounding noise is steered or replayed.
+        """
+        if list(x) == list(a):
+            return list(a), exact_steer([0] * self.system.n, self.system,
+                                        self.plan)
+        z = self.chart_at(a).apply(list(x))
         law = exact_steer(z, self.system, self.plan)
         if self.exact_model:
             return list(a), law
@@ -239,9 +236,6 @@ class LocalSteering:
                 if val > self.max_fiber_norm:
                     self.max_fiber_norm = val
         return traj.endpoint, law
-
-    def __call__(self, x, a):
-        return self.steer(x, a)[0]
 
 
 def subgoal(xbar, eta, j, chart):
@@ -262,25 +256,22 @@ def subgoal(xbar, eta, j, chart):
     return chart.apply_inverse(dilate(z, t, weights))
 
 
-def global_free(x0, x1, e, cell, local, config=None, modified=False):
+def global_free(x0, x1, e, local, config=None, modified=False):
     """Iterative steering of a free system from x0 toward x1.
 
     local is the local method (a LocalSteering or anything with the
-    same steer/chart_at surface).  Per attempt: aim at the current
-    subgoal, accept the step if it at least halves the pseudo-distance
-    to the subgoal, otherwise halve the step budget and restart the
-    subgoal path at the current iterate.  The
-    modified loop additionally rejects or charges steps against the
-    expanding bracket R_k, keeping every iterate's pseudo-norm below
-    ||z(x0)|| / (1 - R).
+    same steer/chart_at surface); x0 and x1 must lie where its charts
+    hold, which global_plan ensures by taking them in one covering
+    cell.  Per attempt: aim at the current subgoal, accept the step if
+    it at least halves the pseudo-distance to the subgoal, otherwise
+    halve the step budget and restart the subgoal path at the current
+    iterate.  The modified loop additionally rejects or charges steps
+    against the expanding bracket R_k, keeping every iterate's
+    pseudo-norm below ||z(x0)|| / (1 - R).
     """
     config = config or PlannerConfig()
     chart1 = local.chart_at(x1)
     weights = chart1.weights
-    if cell is not None:
-        for pt, name in ((x0, "initial"), (x1, "final")):
-            if not cell.contains(pt):
-                raise SpecError("%s point lies outside the cell" % name)
 
     def goal_norm(pt):
         return pseudo_norm(chart1.apply(list(pt)), weights)
@@ -503,8 +494,8 @@ def _overlap_waypoint(grid, cell_a, cell_b):
     return best
 
 
-def build_covering(fields, K, basis, config=None, trig=None,
-                   x_init=None, x_final=None):
+def build_covering(fields, K, basis, config=None, x_init=None,
+                   x_final=None):
     """Split the box K into frame cells and path between two points.
 
     Every grid box gets the lowest-level frame whose determinant
@@ -524,7 +515,7 @@ def build_covering(fields, K, basis, config=None, trig=None,
             if key not in memo:
                 memo[key] = _bracket_values(fields, basis,
                                             range(1, len(basis) + 1),
-                                            corner, trig)
+                                            corner)
             values.append(memo[key])
         found = cheapest_frame(basis, values, config.det_threshold)
         if found is None:
@@ -584,7 +575,7 @@ def build_covering(fields, K, basis, config=None, trig=None,
 # The full pipeline
 
 
-def _leg_domain(cell, grid, margin, fiber_dim, fiber_radius):
+def _leg_domain(cell, margin, fiber_dim, fiber_radius):
     """Runtime box for one leg: inflated cell bounds plus fiber bounds.
 
     The inflation is proportional to the cell extent.  Transient arcs
@@ -611,7 +602,7 @@ def _leg_domain(cell, grid, margin, fiber_dim, fiber_radius):
 
 
 def global_plan(fields, x_init, x_final, e, K, config=None, r=None,
-                trig=None, modified=True):
+                modified=True):
     """Plan inputs steering the system from x_init to x_final in K.
 
     Builds the covering, walks the cell path, desingularizes at each
@@ -635,7 +626,7 @@ def global_plan(fields, x_init, x_final, e, K, config=None, r=None,
         for cand in range(2, 6):
             basis = build_hall_basis(m, cand)
             try:
-                atlas = build_covering(fields, K, basis, config, trig,
+                atlas = build_covering(fields, K, basis, config,
                                        x_init, x_final)
                 r = cand
                 break
@@ -645,8 +636,8 @@ def global_plan(fields, x_init, x_final, e, K, config=None, r=None,
             raise last
     else:
         basis = build_hall_basis(m, r)
-        atlas = build_covering(fields, K, basis, config, trig,
-                               x_init, x_final)
+        atlas = build_covering(fields, K, basis, config, x_init,
+                               x_final)
 
     report = PlannerReport()
     report.legs = []
@@ -658,25 +649,24 @@ def global_plan(fields, x_init, x_final, e, K, config=None, r=None,
         cell = atlas.cells[cell_id]
         target = targets[leg_no]
         frame = FrameSelection(cell.frame, target, 0, "covering cell",
-                               basis, fields, trig,
-                               config.det_threshold)
+                               basis, fields, config.det_threshold)
         rows = frame.frame_matrix(target)
         det = det_matrix(rows)
         if not _det_gate(det, rows, config.det_threshold):
             raise SingularFrame("cell frame degenerates at a waypoint",
                                 cell=cell_id)
         frame.det_value = det
-        lift = desingularize(fields, frame, r=r, trig=trig)
+        lift = desingularize(fields, frame, r=r)
         fiber_dim = lift.lifted_n - n
-        domain = _leg_domain(cell, atlas.grid, config.margin, fiber_dim,
+        domain = _leg_domain(cell, config.margin, fiber_dim,
                              config.fiber_radius)
         leg_fields = (list(lift.xi_poly) if lift.xi_poly is not None
                       else list(lift.xi))
-        local = LocalSteering(leg_fields, lift.basis, config, trig,
+        local = LocalSteering(leg_fields, lift.basis, config,
                               domain=domain, fiber_start=n)
         lifted_x = lift.lift_point(x)
         lifted_goal = lift.lift_point(target)
-        leg = global_free(lifted_x, lifted_goal, e, None, local, config,
+        leg = global_free(lifted_x, lifted_goal, e, local, config,
                           modified=modified)
         leg.status = "converged"
         report.legs.append(leg)

@@ -9,8 +9,8 @@ machinery: weighted truncation, graded parts, triangular coordinate
 changes with exact inverses, and pushforwards.
 
 Coefficients are ``fractions.Fraction`` whenever the inputs allow it;
-any float anywhere poisons the computation to float, and operations
-report that degradation where the contract asks for it.
+any float anywhere poisons the computation to float, and
+``Poly.is_exact`` reads which of the two a result is.
 """
 
 import math
@@ -37,20 +37,13 @@ def is_exact(x):
     return isinstance(x, (int, Fraction))
 
 
-def _sincos(value, trig=None):
-    """Return (sin, cos, exact?) of an exact or float value.
-
-    ``trig`` maps exact argument values to exact (sin, cos) pairs; it is
-    how rational-circle anchors stay exact through a Taylor expansion.
-    """
+def _sincos(value):
+    """Return (sin, cos) of an exact or float value: exact at zero,
+    floats everywhere else."""
     if value == 0:
-        return F0, F1, True
-    if is_exact(value) and trig:
-        hit = trig.get(value)
-        if hit is not None:
-            return _num(hit[0]), _num(hit[1]), True
+        return F0, F1
     fv = float(value)
-    return math.sin(fv), math.cos(fv), False
+    return math.sin(fv), math.cos(fv)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +221,7 @@ def expr_diff(e, i):
     raise ValueError("unknown expression kind %r" % k)
 
 
-def expr_eval(e, point, trig=None):
+def expr_eval(e, point):
     k = e.kind
     if k == "rat":
         return e.a
@@ -237,25 +230,25 @@ def expr_eval(e, point, trig=None):
     if k == "add":
         total = F0
         for c in e.a:
-            total = total + expr_eval(c, point, trig)
+            total = total + expr_eval(c, point)
         return total
     if k == "mul":
         total = F1
         for c in e.a:
-            total = total * expr_eval(c, point, trig)
+            total = total * expr_eval(c, point)
         return total
     if k == "pow":
-        return expr_eval(e.a, point, trig) ** e.b
+        return expr_eval(e.a, point) ** e.b
     if k in ("sin", "cos"):
-        return _trig(k, expr_eval(e.a, point, trig), trig)
+        return _trig(k, expr_eval(e.a, point))
     raise ValueError("unknown expression kind %r" % k)
 
 
-def _trig(kind, value, trig=None):
+def _trig(kind, value):
     """sin or cos of a value; a float argument gives a float, even at 0."""
     if isinstance(value, float):
         return math.sin(value) if kind == "sin" else math.cos(value)
-    s, c, _ = _sincos(value, trig)
+    s, c = _sincos(value)
     return s if kind == "sin" else c
 
 
@@ -781,13 +774,12 @@ class WeightedPolynomialField:
 
     comps[j] is the coefficient of the j-th coordinate direction.  The
     weighted degree of a term c*z^a d/dz_j is w(a) - w_j; graded parts
-    follow that grading.  ``exact`` records whether every coefficient
-    stayed rational through the construction.
+    follow that grading.
     """
 
-    __slots__ = ("n", "comps", "weights", "exact")
+    __slots__ = ("n", "comps", "weights")
 
-    def __init__(self, comps, weights=None, exact=None):
+    def __init__(self, comps, weights=None):
         comps = tuple(comps)
         if not comps:
             raise ValueError("a field needs at least one component")
@@ -799,9 +791,6 @@ class WeightedPolynomialField:
             raise ValueError("field must have one component per variable")
         self.comps = comps
         self.weights = tuple(weights) if weights is not None else None
-        if exact is None:
-            exact = all(c.is_exact() for c in comps)
-        self.exact = exact
 
     @classmethod
     def zero(cls, n, weights=None):
@@ -825,32 +814,32 @@ class WeightedPolynomialField:
     def add(self, other):
         return WeightedPolynomialField(
             [a.add(b) for a, b in zip(self.comps, other.comps)],
-            self.weights, self.exact and other.exact)
+            self.weights)
 
     def sub(self, other):
         return WeightedPolynomialField(
             [a.sub(b) for a, b in zip(self.comps, other.comps)],
-            self.weights, self.exact and other.exact)
+            self.weights)
 
     def scale(self, c):
         return WeightedPolynomialField(
             [comp.scale(c) for comp in self.comps],
-            self.weights, self.exact and is_exact(c))
+            self.weights)
 
     def with_weights(self, weights):
-        return WeightedPolynomialField(self.comps, weights, self.exact)
+        return WeightedPolynomialField(self.comps, weights)
 
     def graded_part(self, d):
         """Terms of weighted degree exactly d (w(a) - w_j == d)."""
         comps = []
         for j, comp in enumerate(self.comps):
             comps.append(comp.graded_part(self.weights, d + self.weights[j]))
-        return WeightedPolynomialField(comps, self.weights, self.exact)
+        return WeightedPolynomialField(comps, self.weights)
 
     def pad(self, new_n, weights=None):
         comps = [c.pad(new_n) for c in self.comps]
         comps += [Poly.zero(new_n) for _ in range(new_n - self.n)]
-        return WeightedPolynomialField(comps, weights, self.exact)
+        return WeightedPolynomialField(comps, weights)
 
     def __eq__(self, other):
         return (isinstance(other, WeightedPolynomialField)
@@ -859,9 +848,6 @@ class WeightedPolynomialField:
     def __repr__(self):
         body = ", ".join(poly_to_str(c) for c in self.comps)
         return "Field[%s]" % body
-
-
-PolyField = WeightedPolynomialField
 
 
 class ExprField:
@@ -873,8 +859,8 @@ class ExprField:
         self.comps = tuple(comps)
         self.n = len(self.comps)
 
-    def evaluate(self, point, trig=None):
-        return [expr_eval(c, point, trig) for c in self.comps]
+    def evaluate(self, point):
+        return [expr_eval(c, point) for c in self.comps]
 
     def apply_to(self, e):
         terms = []
@@ -1054,8 +1040,7 @@ def lie_bracket(v, w, weights=None, wcap=None):
                 if not dvj.is_zero() and not w.comps[i].is_zero():
                     acc = acc.sub(w.comps[i].mul(dvj, weights, wcap))
             comps.append(acc)
-        return WeightedPolynomialField(comps, weights or v.weights,
-                                       v.exact and w.exact)
+        return WeightedPolynomialField(comps, weights or v.weights)
     ev = as_expr_field(v)
     ew = as_expr_field(w)
     comps = []
@@ -1085,48 +1070,44 @@ def weighted_components(field):
 # Taylor expansion with weighted truncation
 
 
-def taylor_poly(e, anchor, weights, wcap, trig=None):
+def taylor_poly(e, anchor, weights, wcap):
     """Weighted Taylor polynomial of an expression about an anchor.
 
-    Returns (poly, exact) where poly is written in the centred
-    variables h_i = x_i - anchor_i and keeps monomials of weighted
-    degree at most wcap.  exact is False when a trig value at the
-    anchor had to be taken in floating point.
+    The result is written in the centred variables h_i = x_i - anchor_i
+    and keeps monomials of weighted degree at most wcap.  sin and cos
+    of a nonzero constant term are taken in floating point, so the
+    coefficients stay rational (``Poly.is_exact``) only when every
+    trig argument vanishes at the anchor.
     """
     n = len(anchor)
     k = e.kind
     if k == "rat":
-        return Poly.const(n, e.a), True
+        return Poly.const(n, e.a)
     if k == "var":
         p = Poly.var(n, e.a)
         a = _num(anchor[e.a])
         if a != 0:
             p = p.add(Poly.const(n, a))
-        return p.truncate(weights, wcap), True
+        return p.truncate(weights, wcap)
     if k == "add":
         total = Poly.zero(n)
-        exact = True
         for c in e.a:
-            p, ex = taylor_poly(c, anchor, weights, wcap, trig)
-            total = total.add(p)
-            exact = exact and ex
-        return total, exact
+            total = total.add(taylor_poly(c, anchor, weights, wcap))
+        return total
     if k == "mul":
         total = Poly.const(n, 1)
-        exact = True
         for c in e.a:
-            p, ex = taylor_poly(c, anchor, weights, wcap, trig)
-            total = total.mul(p, weights, wcap)
-            exact = exact and ex
-        return total, exact
+            total = total.mul(taylor_poly(c, anchor, weights, wcap),
+                              weights, wcap)
+        return total
     if k == "pow":
-        p, ex = taylor_poly(e.a, anchor, weights, wcap, trig)
-        return p.pow(e.b, weights, wcap), ex
+        p = taylor_poly(e.a, anchor, weights, wcap)
+        return p.pow(e.b, weights, wcap)
     if k in ("sin", "cos"):
-        p, ex = taylor_poly(e.a, anchor, weights, wcap, trig)
+        p = taylor_poly(e.a, anchor, weights, wcap)
         c0 = p.constant_term()
         h = p.sub(Poly.const(n, c0))
-        s0, cv0, ex0 = _sincos(c0, trig)
+        s0, cv0 = _sincos(c0)
         # sin(c0+h) = sin c0 cos h + cos c0 sin h, and likewise for cos;
         # h has no constant term so h^k dies once k exceeds the cap.
         sin_h = Poly.zero(n)
@@ -1150,36 +1131,27 @@ def taylor_poly(e, anchor, weights, wcap, trig=None):
                 cos_h = cos_h.add(h_pow.scale(coeff))
             j += 1
         if k == "sin":
-            out = cos_h.scale(s0).add(sin_h.scale(cv0))
-        else:
-            out = cos_h.scale(cv0).sub(sin_h.scale(s0))
-        return out, ex and ex0
+            return cos_h.scale(s0).add(sin_h.scale(cv0))
+        return cos_h.scale(cv0).sub(sin_h.scale(s0))
     raise ValueError("unknown expression kind %r" % k)
 
 
-def taylor_truncate(field, anchor, weights, wcap, trig=None):
+def taylor_truncate(field, anchor, weights, wcap):
     """Weighted Taylor approximation of a vector field about anchor.
 
     The result is a WeightedPolynomialField in the centred coordinates,
     with component j truncated at weighted degree wcap + w_j so that
-    field terms up to weighted degree wcap survive.  Its ``exact`` flag
-    reports whether any trig evaluation fell back to floats.
+    field terms up to weighted degree wcap survive.  Its coefficients
+    are floats wherever taylor_poly had to take a trig value in floats.
     """
     weights = tuple(weights)
-    comps = []
-    exact = True
     if isinstance(field, WeightedPolynomialField):
-        for j, comp in enumerate(field.comps):
-            p = comp.shift(anchor).truncate(weights, wcap + weights[j])
-            comps.append(p)
-            exact = exact and p.is_exact()
+        comps = [comp.shift(anchor).truncate(weights, wcap + weights[j])
+                 for j, comp in enumerate(field.comps)]
     else:
-        for j, comp in enumerate(field.comps):
-            p, ex = taylor_poly(comp, anchor, weights, wcap + weights[j],
-                                trig)
-            comps.append(p)
-            exact = exact and ex
-    return WeightedPolynomialField(comps, weights, exact)
+        comps = [taylor_poly(comp, anchor, weights, wcap + weights[j])
+                 for j, comp in enumerate(field.comps)]
+    return WeightedPolynomialField(comps, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -1456,7 +1428,7 @@ def pushforward(field, tmap, weights=None, wcap=None):
 # Nonholonomic order
 
 
-def nonholonomic_order(f, fields, anchor, cap, trig=None, tol=1e-12):
+def nonholonomic_order(f, fields, anchor, cap, tol=1e-12):
     """Order of vanishing of f at anchor along iterated field derivatives.
 
     Returns (order, mode) where order is the smallest total number of
@@ -1477,7 +1449,7 @@ def nonholonomic_order(f, fields, anchor, cap, trig=None, tol=1e-12):
         mode = "float"
         return abs(v) > tol
 
-    if value_nonzero(expr_eval(f, anchor, trig)):
+    if value_nonzero(expr_eval(f, anchor)):
         return 0, mode
     level = [f]
     for s in range(1, cap + 1):
@@ -1487,7 +1459,7 @@ def nonholonomic_order(f, fields, anchor, cap, trig=None, tol=1e-12):
             for xf in efields:
                 h = xf.apply_to(g)
                 nxt.append(h)
-                if value_nonzero(expr_eval(h, anchor, trig)):
+                if value_nonzero(expr_eval(h, anchor)):
                     hit = True
         if hit:
             return s, mode

@@ -12,7 +12,6 @@ the planner and the steering layer.
 import math
 from fractions import Fraction
 
-from .canonical import canonical_fields
 from .desing import _chart_round
 from .errors import SpecError
 from .poly import TriangularMap, is_exact, poly_to_str, taylor_truncate
@@ -85,24 +84,19 @@ class PrivilegedChart:
     shear matching the leading field parts to the canonical
     monomials.  Forward and inverse maps are both polynomial, so the
     chart is a bijection of the whole space and evaluation never
-    needs root-finding.
+    needs root-finding.  fields_chart keeps the input system's jets
+    in the chart coordinates, so the quality of the approximation by
+    the canonical model can be inspected directly.
     """
 
-    __slots__ = ("anchor", "weights", "affine", "correct", "identify",
-                 "map", "det_value")
+    __slots__ = ("anchor", "weights", "map", "det_value", "fields_chart")
 
-    def __init__(self, anchor, weights, align, correct, identify,
-                 det_value):
-        n = len(anchor)
+    def __init__(self, anchor, weights, chart_map, det_value, fields_chart):
         self.anchor = tuple(anchor)
         self.weights = tuple(weights)
-        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        centre = TriangularMap.affine(ident, anchor)
-        self.affine = align.compose(centre)
-        self.correct = correct
-        self.identify = identify
-        self.map = identify.compose(correct).compose(self.affine)
+        self.map = chart_map
         self.det_value = det_value
+        self.fields_chart = tuple(fields_chart)
 
     @property
     def n(self):
@@ -132,53 +126,16 @@ class PrivilegedChart:
         return "PrivilegedChart(anchor=%s)" % (self.anchor,)
 
 
-class ApproxSystem:
-    """A system's canonical first-order model at an anchor.
-
-    The model fields are the canonical ones, the same for every
-    anchor; what changes with the anchor is the chart.  fields_chart
-    keeps the input system's jets in the chart coordinates so the
-    quality of the approximation can be inspected directly.
-    """
-
-    __slots__ = ("chart", "system", "fields_chart")
-
-    def __init__(self, chart, system, fields_chart):
-        self.chart = chart
-        self.system = system
-        self.fields_chart = tuple(fields_chart)
-
-    @property
-    def fields(self):
-        return self.system.fields
-
-    @property
-    def basis(self):
-        return self.system.basis
-
-    @property
-    def weights(self):
-        return self.chart.weights
-
-    def to_json(self):
-        znames = ["z%d" % (i + 1) for i in range(self.chart.n)]
-        return {
-            "m": self.system.m,
-            "r": self.system.r,
-            "chart": self.chart.to_json(),
-            "fields": [[poly_to_str(c, znames) for c in f.comps]
-                       for f in self.fields],
-        }
-
-
-def first_order_approx(fields, a, basis, trig=None, cap=None):
-    """Privileged chart and canonical model for a free system.
+def first_order_approx(fields, a, basis):
+    """Privileged chart at a for a free system.
 
     The system must already be free up to step basis.r at the anchor,
     meaning the first len(basis) bracket fields are a frame there;
     otherwise the alignment step raises SingularFrame and the caller
     should lift first.  The whole chart chain runs in one pass since
-    no fiber coordinates are needed.
+    no fiber coordinates are needed.  In the returned chart the
+    leading parts of the fields are the canonical fields of
+    (basis.m, basis.r), the system's first-order model at every anchor.
     """
     n = len(basis)
     if len(a) != n:
@@ -191,14 +148,14 @@ def first_order_approx(fields, a, basis, trig=None, cap=None):
     if len(fields) != basis.m:
         raise SpecError("%d fields for a basis with %d generators"
                         % (len(fields), basis.m))
-    if cap is None:
-        cap = 2 * basis.r + 1
-    shadows = [taylor_truncate(f, a, (1,) * n, cap, trig) for f in fields]
+    cap = 2 * basis.r + 1
+    shadows = [taylor_truncate(f, a, (1,) * n, cap) for f in fields]
     coords = list(range(1, n + 1))
     align, correct, identify, shadows, det = _chart_round(
         shadows, basis, coords, basis.r, cap)
+    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    affine = align.compose(TriangularMap.affine(ident, a))
+    chart_map = identify.compose(correct).compose(affine)
     weights = basis.free_weights
-    chart = PrivilegedChart(a, weights, align, correct, identify, det)
-    fields_chart = [f.with_weights(weights) for f in shadows]
-    return ApproxSystem(chart, canonical_fields(basis.m, basis.r),
-                        fields_chart)
+    return PrivilegedChart(a, weights, chart_map, det,
+                           [f.with_weights(weights) for f in shadows])

@@ -71,9 +71,9 @@ class Trajectory:
 
 
 def _rhs(fields, u):
-    """Right-hand side sum_i u_i(t) X_i(x) of the driftless system,
-    taking the state as a numpy array."""
-    ufun = u if callable(u) else u.eval
+    """Right-hand side sum_i u_i(t) X_i(x) of the driftless system
+    under the law u, taking the state as a numpy array."""
+    ufun = u.eval
     kernels = [compile_field(f) for f in fields]
 
     def rhs(t, x):
@@ -98,7 +98,7 @@ def _sample_times(u, span, samples_per_period):
     to rounding gives no second row there."""
     t0, t1 = float(span[0]), float(span[1])
     times = [t0]
-    if not callable(u) and u.periods:
+    if u.periods:
         base = 2.0 * math.pi * float(u.time_scale)
         gap = 1e-9 * base
         k = 0
@@ -115,16 +115,15 @@ def _sample_times(u, span, samples_per_period):
 
 def integrate(fields, x0, u, span=None, tol=1e-10, domain=None,
               samples_per_period=1):
-    """Solve xdot = sum_i u_i(t) X_i(x) from x0.
+    """Solve xdot = sum_i u_i(t) X_i(x) from x0 under the law u.
 
-    The output grid always contains every period boundary of the law
-    inside the span; samples_per_period adds interior points for
-    plotting.  domain, when given, is a (lo, hi) box pair; leaving it
-    aborts the run and attaches the partial trajectory to the error.
+    span defaults to the law's whole horizon.  The output grid always
+    contains every period boundary of the law inside the span;
+    samples_per_period adds interior points for plotting.  domain,
+    when given, is a (lo, hi) box pair; leaving it aborts the run and
+    attaches the partial trajectory to the error.
     """
     if span is None:
-        if callable(u):
-            raise SpecError("a bare callable input needs an explicit span")
         span = (0.0, u.horizon)
     t0, t1 = float(span[0]), float(span[1])
     x0 = [float(v) for v in x0]
@@ -189,10 +188,31 @@ def integrate_fixed(fields, x0, u, span, steps):
     return Trajectory(times, states, {"steps": steps})
 
 
+def _quad_halving(f, a, b, tol, depth):
+    """quad of f over [a, b]; where quad reports a failure (subdivision
+    limit, roundoff) the interval is halved and each half retried, at
+    most depth times deep, after which quad's own warning stands."""
+    if depth == 0:
+        return quad(f, a, b, epsabs=1e-14, epsrel=tol, limit=200)[0]
+    out = quad(f, a, b, epsabs=1e-14, epsrel=tol, limit=200,
+               full_output=1)
+    if len(out) == 3:
+        return out[0]
+    mid = 0.5 * (a + b)
+    return (_quad_halving(f, a, mid, tol, depth - 1)
+            + _quad_halving(f, mid, b, tol, depth - 1))
+
+
 def input_length(u, tol=1e-10):
-    """Integral of the euclidean norm of the control vector."""
-    if callable(u):
-        raise SpecError("input length needs a law with a horizon")
+    """Integral of the euclidean norm of the control vector.
+
+    Each period is split into ceil(w / 4) equal pieces, w the period's
+    top frequency, so that quad sees about four oscillations of the
+    fastest term per piece: a whole period of a fast law overruns
+    quad's subdivision limit.  The norm has kinks where every channel
+    vanishes at once, and a piece on which quad still fails is halved
+    (_quad_halving).
+    """
     if not u.periods:
         return 0.0
     ufun = u.eval
@@ -200,12 +220,16 @@ def input_length(u, tol=1e-10):
     def integrand(t):
         return math.sqrt(math.fsum(v * v for v in ufun(t)))
 
-    base = 2.0 * math.pi * float(u.time_scale)
+    _, base, _, periods = u.float_table()
     total = 0.0
-    for k in range(u.nperiods):
-        val, _ = quad(integrand, k * base, (k + 1) * base,
-                      epsabs=1e-14, epsrel=tol, limit=200)
-        total += val
+    for k, channels in enumerate(periods):
+        top = max((w for terms in channels for _, w, _ in terms),
+                  default=0)
+        pieces = max(1, math.ceil(top / 4))
+        edges = [k * base + base * i / pieces for i in range(pieces)]
+        edges.append((k + 1) * base)
+        for a, b in zip(edges, edges[1:]):
+            total += _quad_halving(integrand, a, b, tol, 8)
     return total
 
 

@@ -865,8 +865,7 @@ def channel_trigpolys(channels):
     return out
 
 
-def propagate_period(system, channels, state, float_mode=None,
-                     want_trajs=False):
+def propagate_period(system, channels, state, float_mode=None):
     """Exact state after one 2 pi period of the given controls.
 
     The canonical dynamics are triangular: coordinate j integrates
@@ -891,12 +890,10 @@ def propagate_period(system, channels, state, float_mode=None,
             vj = vj.add(TrigPoly.const(init))
         trajs.append(vj)
         out.append(simplify_value(vj.value_2pi(float_mode)))
-    if want_trajs:
-        return out, trajs, us
     return out
 
 
-def control_matrix(system, entry, elements=None, det_threshold=1e-6):
+def control_matrix(system, entry, det_threshold=1e-6):
     """Displacement matrix of one class: column k is the net change of
     the class coordinates under a unit probe on slot k's resonance.
 
@@ -904,8 +901,7 @@ def control_matrix(system, entry, elements=None, det_threshold=1e-6):
     change, fills entry.A / entry.B / entry.det, and raises
     SingularMatrix below the determinant threshold.
     """
-    if elements is None:
-        elements = entry.elements
+    elements = entry.elements
     q = len(entry.slots)
     zero_state = [F0] * system.n
     earlier = [j for j in range(1, system.n + 1)

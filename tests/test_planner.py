@@ -11,7 +11,7 @@ from nilsteer.errors import (
 )
 from nilsteer.hall import build_hall_basis
 from nilsteer.planner import (
-    Cell, Grid, LocalSteering, PlannerConfig, PlannerReport,
+    Grid, LocalSteering, PlannerConfig, PlannerReport,
     build_covering, global_free, global_plan, subgoal,
 )
 from nilsteer.poly import (
@@ -114,6 +114,15 @@ def test_app_steer_at_goal_is_identity(local22):
     assert law.nperiods == 0
 
 
+def test_steer_at_goal_stays_put_off_the_model(local_uni):
+    # the unicycle is not its canonical model and its chart maps the
+    # anchor to rounding noise, which must not be steered and replayed
+    a = [0.3, -0.2, 0.1]
+    end, law = local_uni.steer(list(a), a)
+    assert end == a
+    assert law.nperiods == 0
+
+
 def test_local_steering_detects_canonical_model(local22, local_uni):
     assert local22.exact_model
     assert not local_uni.exact_model
@@ -141,7 +150,7 @@ def test_local_step_contracts_on_unicycle(local_uni):
 
 
 def test_global_free_already_there(local22):
-    rep = global_free([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 1e-6, None,
+    rep = global_free([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 1e-6,
                       local22, PlannerConfig())
     assert rep.status == "converged"
     assert rep.iterations == 0
@@ -152,7 +161,7 @@ def test_global_free_canonical_single_exact_step():
     sys23 = canonical_fields(2, 3)
     ls = LocalSteering(list(sys23.fields), build_hall_basis(2, 3))
     x0 = [F(3, 7), F(-2, 5), F(1, 3), F(-1, 4), F(2, 9)]
-    rep = global_free(x0, [F(0)] * 5, 1e-6, None, ls, PlannerConfig())
+    rep = global_free(x0, [F(0)] * 5, 1e-6, ls, PlannerConfig())
     assert rep.status == "converged"
     assert rep.iterations == 1
     assert rep.norms[-1] == 0
@@ -160,7 +169,7 @@ def test_global_free_canonical_single_exact_step():
 
 
 def test_global_free_unicycle_parking(local_uni):
-    rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, None,
+    rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
                       local_uni, PlannerConfig())
     assert rep.status == "converged"
     assert float(rep.final_norm) <= 1e-3
@@ -172,7 +181,7 @@ def test_global_free_unicycle_parking(local_uni):
 
 def test_global_free_replay_matches_iterates(local_uni):
     uni = unicycle_fields()
-    rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, None,
+    rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
                       local_uni, PlannerConfig())
     law = smooth_concatenate(rep.all_laws(), 0, 2)
     traj = integrate(uni, [0.0, 0.0, 0.0], law, tol=1e-10)
@@ -181,7 +190,7 @@ def test_global_free_replay_matches_iterates(local_uni):
 
 
 def test_global_free_acceptance_halves_subgoal_distance(local_uni):
-    rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, None,
+    rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
                       local_uni, PlannerConfig())
     # replays the acceptance predicate from the recorded trace
     accepted = list(zip(rep.iterates, rep.iterates[1:], rep.subgoals))
@@ -193,16 +202,16 @@ def test_global_free_acceptance_halves_subgoal_distance(local_uni):
 
 
 def test_global_free_etas_never_increase(local_uni):
-    rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, None,
+    rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
                       local_uni, PlannerConfig(), modified=True)
     assert all(b <= a for a, b in zip(rep.etas, rep.etas[1:]))
     assert rep.status == "converged"
 
 
 def test_global_free_modified_matches_plain_here(local_uni):
-    plain = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, None,
+    plain = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
                         local_uni, PlannerConfig())
-    mod = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, None,
+    mod = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
                       local_uni, PlannerConfig(), modified=True)
     # strong contraction keeps every accepted step in the lowest branch
     assert mod.iterations == plain.iterations
@@ -214,22 +223,11 @@ def test_global_free_modified_matches_plain_here(local_uni):
 
 def test_global_free_iteration_cap(local_uni):
     with pytest.raises(IterationCapExceeded) as exc:
-        global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, None,
+        global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
                     local_uni, PlannerConfig(iteration_cap=2))
     rep = exc.value.report
     assert rep.attempts == 2
     assert rep.status == "cap-exceeded"
-
-
-def test_global_free_cell_containment_guard(local_uni):
-    grid = Grid([-1.0] * 3, [1.0] * 3, 1)
-    cell = Cell((1, 2, 3), [(0, 0, 0)], grid, 0)
-    with pytest.raises(SpecError):
-        global_free([5.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, cell,
-                    local_uni, PlannerConfig())
-    rep = global_free([0.0, 0.0, 0.0], [0.0, 0.5, 0.0], 1e-3, cell,
-                      local_uni, PlannerConfig())
-    assert rep.status == "converged"
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +278,7 @@ def test_modified_branches_follow_the_bracket():
     # attempt 4: lands at 0.04, plain acceptance, loop converges
     ls = _ScriptLocal(endpoints=[0.9, 1.5, 2.8, 0.04],
                       away=[0.1, 0.2, 0.1, 0.2, 0.1, 0.2])
-    rep = global_free([1.0], [0.0], 0.05, None, ls,
+    rep = global_free([1.0], [0.0], 0.05, ls,
                       PlannerConfig(R=0.9), modified=True)
     assert rep.status == "converged"
     assert rep.attempts == 4
@@ -297,7 +295,7 @@ def test_plain_loop_would_accept_the_drift():
     # same first two attempts without the bracket: no extra halving
     ls = _ScriptLocal(endpoints=[0.9, 1.5, 0.04],
                       away=[0.1, 0.2, 0.1, 0.2])
-    rep = global_free([1.0], [0.0], 0.05, None, ls, PlannerConfig(R=0.9))
+    rep = global_free([1.0], [0.0], 0.05, ls, PlannerConfig(R=0.9))
     assert rep.attempts == 3
     assert rep.iterations == 2
     assert rep.etas == [1.0, 0.5, 0.5, 0.5]
@@ -456,8 +454,6 @@ def test_plan_auto_depth_matches_explicit(martinet_plan):
 
 
 def test_config_validation():
-    with pytest.raises(SpecError):
-        PlannerConfig(tolerance=0.0)
     with pytest.raises(SpecError):
         PlannerConfig(iteration_cap=0)
     with pytest.raises(SpecError):

@@ -84,11 +84,6 @@ def test_expr_diff_and_eval():
 
 
 def test_expr_eval_trig_table():
-    table = {Fraction(1, 3): (Fraction(4, 5), Fraction(3, 5))}
-    v = expr_eval(esin(X1), [Fraction(1, 3)], table)
-    assert v == Fraction(4, 5)
-    w = expr_eval(ecos(X1), [Fraction(1, 3)], table)
-    assert w == Fraction(3, 5)
     f = expr_eval(esin(X1), [0.25])
     assert isinstance(f, float) and abs(f - math.sin(0.25)) < 1e-15
 
@@ -160,34 +155,23 @@ def test_taylor_polynomial_recentre_exact():
     # polynomial input: weighted Taylor is exact recentering
     e = parse_expr("x1^2*x2 + x2^3", ["x1", "x2"])
     anchor = [Fraction(1), Fraction(-1)]
-    p, exact = taylor_poly(e, anchor, (1, 1), 10)
-    assert exact
+    p = taylor_poly(e, anchor, (1, 1), 10)
+    assert p.is_exact()
     for h1, h2 in [(0, 0), (Fraction(1, 3), Fraction(1, 2))]:
         direct = expr_eval(e, [anchor[0] + h1, anchor[1] + h2])
         assert p.eval([h1, h2]) == direct
 
 
 def test_taylor_sin_at_zero_exact():
-    p, exact = taylor_poly(esin(X1), [Fraction(0)], (1,), 5)
-    assert exact
+    p = taylor_poly(esin(X1), [Fraction(0)], (1,), 5)
+    assert p.is_exact()
     assert p.terms == {(1,): Fraction(1), (3,): Fraction(-1, 6),
                        (5,): Fraction(1, 120)}
 
 
-def test_taylor_trig_table_exact():
-    table = {Fraction(2, 7): (Fraction(3, 5), Fraction(4, 5))}
-    p, exact = taylor_poly(ecos(X1), [Fraction(2, 7)], (1,), 3, table)
-    assert exact
-    # cos(a + h) = cos a cos h - sin a sin h
-    assert p.terms[(0,)] == Fraction(4, 5)
-    assert p.terms[(1,)] == Fraction(-3, 5)
-    assert p.terms[(2,)] == Fraction(-2, 5)
-    assert p.terms[(3,)] == Fraction(3, 5) / 6
-
-
 def test_taylor_float_fallback_flagged():
-    p, exact = taylor_poly(esin(X1), [Fraction(1, 3)], (1,), 3)
-    assert not exact
+    p = taylor_poly(esin(X1), [Fraction(1, 3)], (1,), 3)
+    assert not p.is_exact()
     assert abs(float(p.terms[(0,)]) - math.sin(1 / 3)) < 1e-15
 
 
@@ -198,7 +182,7 @@ def test_taylor_jets_match_finite_differences():
     anchor = [0.4, -0.3, 0.7]
     field = ExprField(comps)
     approx = taylor_truncate(field, anchor, (1, 1, 1), 2)
-    assert not approx.exact
+    assert not any(c.is_exact() for c in approx.comps)
     for j, comp in enumerate(comps):
         def fun(pt, comp=comp):
             return float(expr_eval(comp, pt))
@@ -212,7 +196,7 @@ def test_taylor_jets_match_finite_differences():
 
 def test_taylor_weighted_cap_respects_weights():
     e = parse_expr("x2^2 + x1^5", ["x1", "x2"])
-    p, _ = taylor_poly(e, [Fraction(0), Fraction(0)], (1, 3), 5)
+    p = taylor_poly(e, [Fraction(0), Fraction(0)], (1, 3), 5)
     assert (0, 1) not in p.terms
     assert p.terms.get((5, 0)) == 1
     assert (0, 2) not in p.terms  # weighted degree 6 > 5

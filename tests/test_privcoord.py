@@ -120,11 +120,11 @@ def test_pseudo_norm_homogeneity(z, t):
 
 def test_canonical_system_is_its_own_model():
     cs = canonical_fields(2, 3)
-    ap = first_order_approx(cs.fields, [F(0)] * cs.n, cs.basis)
+    chart = first_order_approx(cs.fields, [F(0)] * cs.n, cs.basis)
     for j in range(cs.n):
-        assert ap.chart.map.comps[j] == Poly.var(cs.n, j)
+        assert chart.map.comps[j] == Poly.var(cs.n, j)
     for i in range(2):
-        assert ap.fields_chart[i].sub(ap.fields[i]).is_zero()
+        assert chart.fields_chart[i].sub(cs.fields[i]).is_zero()
 
 
 @pytest.mark.parametrize("a1,a2,b2", [
@@ -134,41 +134,42 @@ def test_canonical_system_is_its_own_model():
 def test_linear_shear_identification(a1, a2, b2):
     fields = shear_fields(a1, a2, 1 + a2, b2)
     basis = build_hall_basis(2, 2)
-    ap = first_order_approx(fields, [F(0)] * 3, basis)
+    chart = first_order_approx(fields, [F(0)] * 3, basis)
+    model = canonical_fields(basis.m, basis.r)
     expect = (Poly.var(3, 2)
               .add(Poly.monomial(3, (1, 1, 0), -a2))
               .add(Poly.monomial(3, (2, 0, 0), -a1 / 2))
               .add(Poly.monomial(3, (0, 2, 0), -b2 / 2)))
-    assert ap.chart.map.comps[2] == expect
+    assert chart.map.comps[2] == expect
     for i in range(2):
-        assert ap.fields_chart[i].sub(ap.fields[i]).is_zero()
+        assert chart.fields_chart[i].sub(model.fields[i]).is_zero()
 
 
 def test_lifted_system_model_is_canonical(martinet_lifted):
     xi, basis = martinet_lifted
     anchor = [F(0)] * 5
-    ap = first_order_approx(xi, anchor, basis)
-    want = canonical_fields(2, 3)
+    chart = first_order_approx(xi, anchor, basis)
+    model = canonical_fields(basis.m, basis.r)
     for i in range(2):
-        assert ap.fields[i].sub(want.fields[i]).is_zero()
-        diff = ap.fields_chart[i].sub(ap.fields[i])
+        diff = chart.fields_chart[i].sub(model.fields[i])
         assert all(d >= 0 for d in weighted_components(diff))
-    assert ap.chart.apply(anchor) == [F(0)] * 5
-    assert ap.chart.is_exact()
+    assert chart.apply(anchor) == [F(0)] * 5
+    assert chart.is_exact()
 
 
 def test_trig_system_residual_degrees():
     basis = build_hall_basis(2, 2)
-    ap = first_order_approx(unicycle_fields(), [F(0)] * 3, basis)
+    chart = first_order_approx(unicycle_fields(), [F(0)] * 3, basis)
+    model = canonical_fields(basis.m, basis.r)
     for i in range(2):
-        diff = ap.fields_chart[i].sub(ap.fields[i])
+        diff = chart.fields_chart[i].sub(model.fields[i])
         assert all(d >= 0 for d in weighted_components(diff))
     # z = (x, theta, -y + x*theta), worked out by hand
-    assert ap.chart.map.comps[0] == Poly.var(3, 0)
-    assert ap.chart.map.comps[1] == Poly.var(3, 2)
+    assert chart.map.comps[0] == Poly.var(3, 0)
+    assert chart.map.comps[1] == Poly.var(3, 2)
     expect = Poly.var(3, 1).scale(F(-1)).add(Poly.monomial(3, (1, 0, 1),
                                                            F(1)))
-    assert ap.chart.map.comps[2] == expect
+    assert chart.map.comps[2] == expect
 
 
 def test_singular_anchor_is_rejected():
@@ -181,8 +182,8 @@ def test_singular_anchor_is_rejected():
     basis = build_hall_basis(2, 2)
     with pytest.raises(SingularFrame):
         first_order_approx(fields, [F(0)] * 3, basis)
-    ap = first_order_approx(fields, [F(1, 2), F(0), F(0)], basis)
-    assert ap.chart.apply([F(1, 2), F(0), F(0)]) == [F(0)] * 3
+    chart = first_order_approx(fields, [F(1, 2), F(0), F(0)], basis)
+    assert chart.apply([F(1, 2), F(0), F(0)]) == [F(0)] * 3
 
 
 def test_dimension_mismatches_are_rejected(martinet_lifted):
@@ -196,27 +197,26 @@ def test_dimension_mismatches_are_rejected(martinet_lifted):
 def test_round_trip_and_json(martinet_lifted):
     xi, basis = martinet_lifted
     a = [0.3, -0.2, 0.1, 0.05, -0.4]
-    ap = first_order_approx(xi, a, basis)
+    chart = first_order_approx(xi, a, basis)
     pt = [0.7, -0.3, 0.2, 0.6, -0.1]
-    z = ap.chart.apply(pt)
-    back = ap.chart.apply_inverse(z)
+    z = chart.apply(pt)
+    back = chart.apply_inverse(z)
     assert max(abs(p - q) for p, q in zip(pt, back)) <= 1e-12
-    blob = ap.to_json()
-    assert blob["m"] == 2 and blob["r"] == 3
-    assert len(blob["chart"]["forward"]) == 5
+    blob = chart.to_json()
+    assert blob["weights"] == list(basis.free_weights)
+    assert len(blob["forward"]) == 5 and len(blob["inverse"]) == 5
 
 
 # ---------------------------------------------------------------------------
 # Coordinate orders at random anchors
 
 
-def check_orders(ap, tol=None):
-    basis = ap.basis
+def check_orders(chart, basis, tol=None):
     dim = len(basis)
-    wt = ap.weights
+    wt = chart.weights
     w1 = (1,) * dim
     cap = 2 * basis.r + 1
-    jets = [f.with_weights(w1) for f in ap.fields_chart]
+    jets = [f.with_weights(w1) for f in chart.fields_chart]
     frames = [evaluate_bracket(basis, j, jets, weights=w1, wcap=cap)
               for j in range(1, dim + 1)]
     for j in range(dim):
@@ -243,7 +243,7 @@ def test_orders_canonical_random_anchors():
     rng = oracles.seeded(41)
     for _ in range(10):
         a = oracles.random_rational_point(cs.n, rng)
-        check_orders(first_order_approx(cs.fields, a, cs.basis))
+        check_orders(first_order_approx(cs.fields, a, cs.basis), cs.basis)
 
 
 def test_orders_lifted_random_anchors(martinet_lifted):
@@ -251,7 +251,7 @@ def test_orders_lifted_random_anchors(martinet_lifted):
     rng = oracles.seeded(42)
     for _ in range(10):
         a = oracles.random_rational_point(5, rng)
-        check_orders(first_order_approx(xi, a, basis))
+        check_orders(first_order_approx(xi, a, basis), basis)
 
 
 def test_orders_unicycle_random_anchors():
@@ -260,7 +260,8 @@ def test_orders_unicycle_random_anchors():
     rng = oracles.seeded(43)
     for _ in range(10):
         a = [rng.uniform(-2.0, 2.0) for _ in range(3)]
-        check_orders(first_order_approx(fields, a, basis), tol=1e-9)
+        check_orders(first_order_approx(fields, a, basis), basis,
+                     tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +274,8 @@ def test_chart_varies_continuously(martinet_lifted):
 
     def coeffs(anchor):
         out = {}
-        ap = first_order_approx(xi, anchor, basis)
-        for j, c in enumerate(ap.chart.map.comps):
+        chart = first_order_approx(xi, anchor, basis)
+        for j, c in enumerate(chart.map.comps):
             for expo, v in c.terms.items():
                 out[(j, expo)] = float(v)
         return out
@@ -299,16 +300,17 @@ def test_pseudo_norm_bounded_by_steering_length(martinet_lifted):
     # dominated by the length of a constructed steering law; reference
     # run gives ratios in [0.050, 0.052]
     xi, basis = martinet_lifted
-    ap = first_order_approx(xi, [F(0)] * 5, basis)
+    chart = first_order_approx(xi, [F(0)] * 5, basis)
+    model = canonical_fields(basis.m, basis.r)
     rng = random.Random(7)
     checked = 0
     for _ in range(15):
         x = [F(rng.randint(-8, 8), 16) for _ in range(5)]
-        z = ap.chart.apply(x)
-        nz = pseudo_norm(z, ap.weights)
+        z = chart.apply(x)
+        nz = pseudo_norm(z, chart.weights)
         if nz == 0:
             continue
-        law = exact_steer(z, ap.system)
+        law = exact_steer(z, model)
         ell = input_length(law)
         assert float(nz) <= 0.1 * ell
         checked += 1

@@ -6,9 +6,11 @@ adaptive scheme and the fixed-step one.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from nilsteer import sim
 from nilsteer.canonical import canonical_fields
@@ -20,7 +22,9 @@ from nilsteer.sim import (
     Trajectory, input_length, input_sup_bound, integrate,
     integrate_fixed, reparameterize,
 )
-from nilsteer.steer import ControlLaw
+from nilsteer.steer import (
+    ControlLaw, build_plan, exact_steer, smooth_concatenate,
+)
 
 import oracles
 
@@ -118,22 +122,51 @@ def test_csv_round_trip(tmp_path):
     assert [float(v) for v in lines[2].split(",")] == [1.0, 3.0, 4.0]
 
 
-def test_callable_input_needs_span():
-    cs = canonical_fields(2, 2)
-    u = lambda t: (math.cos(t), math.sin(t))
-    with pytest.raises(SpecError):
-        integrate(cs.fields, [0.0] * 3, u)
-    traj = integrate(cs.fields, [0.0] * 3, u, span=(0.0, TWO_PI),
-                     tol=1e-10)
-    assert abs(traj.endpoint[2] - math.pi) <= 1e-9
-
-
 def test_input_length_values():
     assert input_length(ControlLaw(2, [])) == 0.0
     ell = input_length(circle_law())
     assert abs(ell - TWO_PI) <= 1e-9
     scaled = ControlLaw(2, circle_law().periods, scale=F(3))
     assert abs(input_length(scaled) - 3 * ell) <= 1e-9 * ell
+
+
+def fine_length(law):
+    """The integral input_length takes, on one piece per oscillation of
+    each period's top frequency (four times finer) and at the tighter
+    tolerance of oracles.quad_over_periods."""
+    _, base, _, periods = law.float_table()
+    total = 0.0
+    for k, channels in enumerate(periods):
+        top = max((w for terms in channels for _, w, _ in terms),
+                  default=0)
+
+        def norm(t, k=k):
+            return math.sqrt(math.fsum(v * v
+                                       for v in law.eval(k * base + t)))
+
+        total += oracles.quad_over_periods(norm, base, max(1, top))
+    return total
+
+
+def test_input_length_of_fast_laws_needs_no_quad_warning():
+    # fast periods (top frequency 592 here, 13653 in the k = 3 join)
+    # overrun quad's subdivision limit when taken whole
+    s33 = canonical_fields(3, 3)
+    x33 = [F(1, 2), F(-1, 3), F(1, 4), F(-1, 5), F(1, 6), F(-1, 7),
+           F(-2, 7), F(-1, 7), F(0), F(1, 7), F(2, 7), F(-2, 7),
+           F(-1, 7), F(0)]
+    laws = [exact_steer(x33, s33)]
+    s22 = canonical_fields(2, 2)
+    plan22 = build_plan(s22)
+    law1 = exact_steer([F(1, 2), F(-1, 3), F(1, 4)], s22, plan22)
+    law2 = exact_steer([F(-1, 5), F(1, 7), F(2, 3)], s22, plan22)
+    laws += [smooth_concatenate([law1, law2], k) for k in (1, 2, 3)]
+    for law in laws:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            got = input_length(law)
+        want = fine_length(law)
+        assert abs(got - want) <= 1e-8 * want
 
 
 def test_sup_bound():
