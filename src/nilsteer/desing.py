@@ -141,6 +141,14 @@ class FrameSelection:
         return "FrameSelection(%s)" % (self.indices,)
 
 
+def frame_combos(basis, n):
+    """Every n-subset of the basis as (total bracket length, subset),
+    cheapest first and in sorted order within a length."""
+    return sorted(
+        (sum(basis.element(j).length for j in c), c)
+        for c in itertools.combinations(range(1, len(basis) + 1), n))
+
+
 def cheapest_frame(basis, value_sets, threshold):
     """Cheapest n-subset of the basis spanning on every value matrix.
 
@@ -153,12 +161,8 @@ def cheapest_frame(basis, value_sets, threshold):
     matrix, or None.
     """
     n = len(value_sets[0])
-    combos = sorted(
-        itertools.combinations(range(1, len(basis) + 1), n),
-        key=lambda c: (sum(basis.element(j).length for j in c), c))
     best = None
-    for combo in combos:
-        level = sum(basis.element(j).length for j in combo)
+    for level, combo in frame_combos(basis, n):
         if best is not None and level > best[0]:
             break
         dets = []
@@ -374,7 +378,7 @@ class LiftedSystem:
     """
 
     def __init__(self, n, m, r, basis, xi, xi_poly, chart, anchor,
-                 fiber_order, approx, fields_chart, frame, records):
+                 fiber_order, fields_chart, frame, records):
         self.n = n
         self.m = m
         self.r = r
@@ -387,10 +391,15 @@ class LiftedSystem:
         self.anchor = tuple(anchor)
         self.anchor_lifted = tuple(anchor) + (0,) * (self.lifted_n - n)
         self.fiber_order = tuple(fiber_order)
-        self.approx = approx
         self.fields_chart = tuple(fields_chart)
         self.frame = frame
         self.records = tuple(records)
+
+    @property
+    def approx(self):
+        """The canonical model; built on demand, since only to_json and
+        callers inspecting the lift read it."""
+        return canonical_fields(self.m, self.r)
 
     def lift_point(self, x):
         if len(x) != self.n:
@@ -516,10 +525,9 @@ def desingularize(fields, frame, r=None):
         N = len(basis)
         xi_poly = [WeightedPolynomialField(
             [expr_to_poly(c, N) for c in f.comps]) for f in xi]
-    approx = canonical_fields(m, r)
     fields_chart = [f.with_weights(basis.free_weights) for f in shadows]
     return LiftedSystem(n, m, r, basis, xi, xi_poly, chart, anchor,
-                        fiber_order, approx, fields_chart, frame, records)
+                        fiber_order, fields_chart, frame, records)
 
 
 def growth_vector(fields, basis, point, tol=1e-8):

@@ -14,6 +14,14 @@ lifted free system between waypoints, and projects back down; the
 accepted per-step laws are chained into one by
 steer.smooth_concatenate.
 
+The covering atlas depends only on the fields, the box, the config
+and the step r, never on the endpoints, so a Planner builds it once,
+together with the canonical model and its frequency plan, and each
+query only searches a cell path through it (CoveringAtlas.path_between).
+build_covering decides most boxes with one float screen over compiled
+bracket fields; a box whose outcome could turn on rounding goes
+through the exact frame search instead (see _screen_frames).
+
 A practical note on tolerances: an endpoint whose coordinates carry
 integrator noise of size tau has pseudo-norm around tau**(1/r), so
 asking the loop for a tolerance below that floor cannot converge.
@@ -24,14 +32,17 @@ construction, so its local step skips integration entirely.
 import itertools
 import math
 
+import numpy as np
+
 from .canonical import canonical_fields
 from .desing import FrameSelection, _bracket_values, _det_gate, \
-    cheapest_frame, desingularize
+    cheapest_frame, desingularize, frame_combos
 from .errors import (
     CoverageGap, DomainExit, IntegrationLeftDomain, IterationCapExceeded,
-    NoPath, SingularFrame, SpecError,
+    NoPath, SingularFrame, SpecError, StepFailure,
 )
-from .poly import det_matrix
+from .hall import build_hall_basis, evaluate_bracket
+from .poly import compile_field, det_matrix
 from .privcoord import dilate, first_order_approx, pseudo_norm
 from .sim import input_length, integrate
 from .steer import build_plan, exact_steer, smooth_concatenate
@@ -165,22 +176,24 @@ def _replay(fields, x, law, tol, domain):
 class LocalSteering:
     """Approximate-and-correct local step for a free system.
 
-    Holds the canonical model, its steering plan, and a chart cache;
-    its steer and chart_at are what the global loop calls.  When the
-    system literally is its canonical model the replay endpoint
-    equals the goal by construction and integration is skipped,
-    which is also what keeps exact-input runs exact.
+    Takes the canonical model of the free system (canonical_fields)
+    and its steering plan (build_plan) from the caller, which builds
+    them once per (m, r), and holds a chart cache; its steer and
+    chart_at are what the global loop calls.  When the system
+    literally is its canonical model the replay endpoint equals the
+    goal by construction and integration is skipped, which is also
+    what keeps exact-input runs exact.
     """
 
-    def __init__(self, fields, basis, config=None, domain=None,
+    def __init__(self, fields, system, plan, config=None, domain=None,
                  fiber_start=None):
         self.fields = list(fields)
-        self.basis = basis
+        self.system = system
+        self.plan = plan
+        self.basis = system.basis
         self.config = config or PlannerConfig()
         self.domain = domain
-        self.system = canonical_fields(basis.m, basis.r)
-        self.plan = build_plan(self.system)
-        self.weights = basis.free_weights
+        self.weights = self.basis.free_weights
         self.fiber_start = fiber_start
         self.max_fiber_norm = 0.0
         self._charts = {}
@@ -265,9 +278,11 @@ def global_free(x0, x1, e, local, config=None, modified=False):
     cell.  Per attempt: aim at the current subgoal, accept the step if
     it at least halves the pseudo-distance to the subgoal, otherwise
     halve the step budget and restart the subgoal path at the current
-    iterate.  The modified loop additionally rejects or charges steps
-    against the expanding bracket R_k, keeping every iterate's
-    pseudo-norm below ||z(x0)|| / (1 - R).
+    iterate.  A local step that leaves its domain, meets a singular
+    frame or stalls the integrator counts as a failed attempt.  The
+    modified loop additionally rejects or charges steps against the
+    expanding bracket R_k, keeping every iterate's pseudo-norm below
+    ||z(x0)|| / (1 - R).
     """
     config = config or PlannerConfig()
     chart1 = local.chart_at(x1)
@@ -312,7 +327,7 @@ def global_free(x0, x1, e, local, config=None, modified=False):
             away = pseudo_norm(chart_d.apply(list(x)), weights)
             before = pseudo_norm(chart_d.apply(list(xi)), weights)
             failed = away > before / 2
-        except (IntegrationLeftDomain, SingularFrame):
+        except (IntegrationLeftDomain, SingularFrame, StepFailure):
             failed = True
             x = law = None
 
@@ -423,17 +438,49 @@ class Cell:
 
 
 class CoveringAtlas:
-    """Cells, their intersection graph, and a start-to-goal path."""
+    """Cells and their intersection graph, with a waypoint per edge."""
 
-    def __init__(self, grid, cells, edges, path):
+    def __init__(self, grid, cells, edges):
         self.grid = grid
         self.cells = cells
         self.edges = edges
-        self.path = path
 
-    def waypoints(self):
+    def path_between(self, x_init, x_final):
+        """Shortest cell path from a cell holding x_init to one holding
+        x_final, breadth first with neighbours in index order."""
+        sources = [c.index for c in self.cells if c.contains(x_init)]
+        targets = {c.index for c in self.cells if c.contains(x_final)}
+        if not sources or not targets:
+            raise SpecError("endpoints are not inside the working box")
+        adj = {c.index: set() for c in self.cells}
+        for (a, b) in self.edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        prev = {s: None for s in sources}
+        queue = list(sources)
+        found = None
+        while queue:
+            cur = queue.pop(0)
+            if cur in targets:
+                found = cur
+                break
+            for nb in sorted(adj[cur]):
+                if nb not in prev:
+                    prev[nb] = cur
+                    queue.append(nb)
+        if found is None:
+            raise NoPath("covering graph does not connect the endpoints")
+        path = []
+        node = found
+        while node is not None:
+            path.append(node)
+            node = prev[node]
+        path.reverse()
+        return path
+
+    def waypoints(self, path):
         out = []
-        for a, b in zip(self.path, self.path[1:]):
+        for a, b in zip(path, path[1:]):
             key = (min(a, b), max(a, b))
             out.append(self.edges[key])
         return out
@@ -443,7 +490,6 @@ class CoveringAtlas:
             "cells": [c.to_json() for c in self.cells],
             "edges": [{"cells": list(k), "waypoint": [float(v) for v in w]}
                       for k, w in sorted(self.edges.items())],
-            "path": list(self.path),
         }
 
 
@@ -468,25 +514,40 @@ def _components(boxes):
     return comps
 
 
-def _boxes_touch(a, b):
-    return all(abs(p - q) <= 1 for p, q in zip(a, b))
+def _cell_edges(grid, cells):
+    """{(a, b): waypoint} for every pair of cells a < b that touch.
+
+    Two cells touch where a box of one is among the (at most 3**n - 1)
+    grid neighbours of a box of the other.  The touching box pairs of
+    an edge are listed with the lower cell's boxes in sorted order and
+    each one's neighbours in sorted order, which is the order the
+    waypoint's mean and tie-breaking see.
+    """
+    cell_of = {idx: cell.index for cell in cells for idx in cell.boxes}
+    pairs = {}
+    for cell in cells:
+        for ia in cell.boxes:
+            near = [range(max(i - 1, 0), min(i + 2, r))
+                    for i, r in zip(ia, grid.res)]
+            for ib in itertools.product(*near):
+                b = cell_of[ib]
+                if b > cell.index:
+                    pairs.setdefault((cell.index, b), []).append((ia, ib))
+    return {key: _overlap_waypoint(grid, pairs[key])
+            for key in sorted(pairs)}
 
 
-def _overlap_waypoint(grid, cell_a, cell_b):
-    """Deterministic point in the intersection of two closed cells."""
+def _overlap_waypoint(grid, box_pairs):
+    """Deterministic point in the intersection of two closed cells,
+    given their touching box pairs: the centre of the shared face
+    nearest the mean of all shared-face centres, first one on ties."""
     pieces = []
-    for ia in cell_a.boxes:
-        for ib in cell_b.boxes:
-            if not _boxes_touch(ia, ib):
-                continue
-            alo, ahi = grid.bounds(ia)
-            blo, bhi = grid.bounds(ib)
-            lo = [max(p, q) for p, q in zip(alo, blo)]
-            hi = [min(p, q) for p, q in zip(ahi, bhi)]
-            if all(h >= l - 1e-12 for l, h in zip(lo, hi)):
-                pieces.append([(l + h) / 2 for l, h in zip(lo, hi)])
-    if not pieces:
-        return None
+    for ia, ib in box_pairs:
+        alo, ahi = grid.bounds(ia)
+        blo, bhi = grid.bounds(ib)
+        lo = [max(p, q) for p, q in zip(alo, blo)]
+        hi = [min(p, q) for p, q in zip(ahi, bhi)]
+        pieces.append([(l + h) / 2 for l, h in zip(lo, hi)])
     mean = [sum(c[d] for c in pieces) / len(pieces)
             for d in range(grid.n)]
     best = min(pieces, key=lambda c: sum((p - q) ** 2
@@ -494,34 +555,103 @@ def _overlap_waypoint(grid, cell_a, cell_b):
     return best
 
 
-def build_covering(fields, K, basis, config=None, x_init=None,
-                   x_final=None):
-    """Split the box K into frame cells and path between two points.
+# Margin of the float screen, relative to the column scale of a
+# bracket matrix.  Float rounding moves a determinant by a few ulps
+# of that scale; a box whose frame choice could flip within this
+# margin goes to the exact search.
+SCREEN_SLACK = 1e-6
+
+
+def _screen_frames(fields, basis, grid, threshold):
+    """{box index: frame} for the boxes the float screen decides.
+
+    Only the cheapest level of n-subsets is screened.  Each bracket it
+    uses is compiled once and evaluated once per grid corner, and
+    every (box, corner) determinant of a subset is one numpy batch.  A
+    box is decided when every subset of the level clears the gate
+    (|det| > threshold * scale) by SCREEN_SLACK * scale at every
+    corner, and the largest worst |det| beats every other by the
+    factor 1 + SCREEN_SLACK.  Under those margins the exact search
+    (cheapest_frame on _bracket_values, exact or float) picks the same
+    frame; a failing or nearly tied subset leaves the box undecided,
+    because an exact determinant passes the gate whenever it is
+    nonzero.
+    """
+    n = grid.n
+    combos = frame_combos(basis, n)
+    if not combos:
+        return {}
+    level = combos[0][0]
+    combos = [c for lv, c in combos if lv == level]
+    cols = sorted({j for c in combos for j in c})
+    kernels = [compile_field(evaluate_bracket(basis, j, fields))
+               for j in cols]
+    axes = [[a + i * s for i in range(r + 1)]
+            for a, s, r in zip(grid.lo, grid.step, grid.res)]
+    # values[corner grid index..., bracket, coordinate]
+    values = np.array([[kern(list(p)) for kern in kernels]
+                       for p in itertools.product(*axes)], dtype=float)
+    values = values.reshape([r + 1 for r in grid.res]
+                            + [len(cols), n])
+    # box_vals[box, corner, bracket, coordinate], boxes in grid.boxes()
+    # order and corners in Grid.corners() order
+    box_vals = np.stack(
+        [values[tuple(slice(o, o + r) for o, r in zip(off, grid.res))]
+         .reshape(-1, len(cols), n)
+         for off in itertools.product((0, 1), repeat=n)], axis=1)
+    clear, scores = [], []
+    for combo in combos:
+        mats = box_vals[:, :, [cols.index(j) for j in combo], :]
+        dets = np.abs(np.linalg.det(mats))
+        norms = np.linalg.norm(mats, axis=-1)
+        scale = np.prod(np.where(norms > 0, norms, 1.0), axis=-1)
+        clear.append(np.all(dets > (threshold + SCREEN_SLACK) * scale,
+                            axis=1))
+        scores.append(np.min(dets, axis=1))
+    ok = np.all(clear, axis=0)
+    scores = np.array(scores)
+    if len(combos) > 1:
+        ranked = np.sort(scores, axis=0)
+        ok &= ranked[-1] > ranked[-2] * (1 + SCREEN_SLACK)
+    best = np.argmax(scores, axis=0)
+    return {idx: combos[best[k]]
+            for k, idx in enumerate(grid.boxes()) if ok[k]}
+
+
+def build_covering(fields, K, basis, config=None):
+    """Split the box K into frame cells: the covering atlas.
 
     Every grid box gets the lowest-level frame whose determinant
     passes the gate at all box corners, preferring the largest worst
     determinant within a level; per-frame box sets are split into
     face-connected cells; cells touching each other are graph
     neighbors with a deterministic waypoint in their intersection.
+    The float screen (_screen_frames) assigns most boxes; the rest go,
+    in grid order, through cheapest_frame on exact corner values, so
+    ties and the CoverageGap box are those of the exact search.
     """
     config = config or PlannerConfig()
     grid = Grid(K[0], K[1], config.grid)
+    screened = _screen_frames(fields, basis, grid, config.det_threshold)
     assigned = {}
     memo = {}
     for idx in grid.boxes():
-        values = []
-        for corner in grid.corners(idx):
-            key = tuple(corner)
-            if key not in memo:
-                memo[key] = _bracket_values(fields, basis,
-                                            range(1, len(basis) + 1),
-                                            corner)
-            values.append(memo[key])
-        found = cheapest_frame(basis, values, config.det_threshold)
-        if found is None:
-            raise CoverageGap("no frame passes the corner gate on box %s"
-                              % (idx,), box=list(idx))
-        assigned[idx] = found[0]
+        frame = screened.get(idx)
+        if frame is None:
+            values = []
+            for corner in grid.corners(idx):
+                key = tuple(corner)
+                if key not in memo:
+                    memo[key] = _bracket_values(fields, basis,
+                                                range(1, len(basis) + 1),
+                                                corner)
+                values.append(memo[key])
+            found = cheapest_frame(basis, values, config.det_threshold)
+            if found is None:
+                raise CoverageGap("no frame passes the corner gate on "
+                                  "box %s" % (idx,), box=list(idx))
+            frame = found[0]
+        assigned[idx] = frame
     by_frame = {}
     for idx, frame in assigned.items():
         by_frame.setdefault(frame, []).append(idx)
@@ -529,46 +659,7 @@ def build_covering(fields, K, basis, config=None, x_init=None,
     for frame in sorted(by_frame):
         for comp in _components(by_frame[frame]):
             cells.append(Cell(frame, comp, grid, len(cells)))
-    edges = {}
-    for a in range(len(cells)):
-        for b in range(a + 1, len(cells)):
-            touch = any(_boxes_touch(ia, ib)
-                        for ia in cells[a].boxes
-                        for ib in cells[b].boxes)
-            if touch:
-                wp = _overlap_waypoint(grid, cells[a], cells[b])
-                if wp is not None:
-                    edges[(a, b)] = wp
-    path = []
-    if x_init is not None and x_final is not None:
-        sources = [c.index for c in cells if c.contains(x_init)]
-        targets = {c.index for c in cells if c.contains(x_final)}
-        if not sources or not targets:
-            raise SpecError("endpoints are not inside the working box")
-        adj = {c.index: set() for c in cells}
-        for (a, b) in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        prev = {s: None for s in sources}
-        queue = list(sources)
-        found = None
-        while queue:
-            cur = queue.pop(0)
-            if cur in targets:
-                found = cur
-                break
-            for nb in sorted(adj[cur]):
-                if nb not in prev:
-                    prev[nb] = cur
-                    queue.append(nb)
-        if found is None:
-            raise NoPath("covering graph does not connect the endpoints")
-        node = found
-        while node is not None:
-            path.append(node)
-            node = prev[node]
-        path.reverse()
-    return CoveringAtlas(grid, cells, edges, path)
+    return CoveringAtlas(grid, cells, _cell_edges(grid, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -601,82 +692,121 @@ def _leg_domain(cell, margin, fiber_dim, fiber_radius):
     return (lo, hi)
 
 
+class Planner:
+    """A planning session on one system and working box K.
+
+    The step r (the smallest in 2..5 whose covering has no gap when r
+    is None), the covering atlas and the canonical model with its
+    frequency plan depend only on (fields, K, config, r), so they are
+    built here once; plan() answers one query on top of them.
+    """
+
+    def __init__(self, fields, K, config=None, r=None):
+        self.fields = list(fields)
+        self.config = config or PlannerConfig()
+        m = len(self.fields)
+        if r is None:
+            last = None
+            for cand in range(2, 6):
+                basis = build_hall_basis(m, cand)
+                try:
+                    atlas = build_covering(self.fields, K, basis,
+                                           self.config)
+                except CoverageGap as ex:
+                    last = ex
+                    continue
+                r = cand
+                break
+            else:
+                raise last
+        else:
+            basis = build_hall_basis(m, r)
+            atlas = build_covering(self.fields, K, basis, self.config)
+        self.r = r
+        self.basis = basis
+        self.atlas = atlas
+        self.system = canonical_fields(m, r)
+        self.steer_plan = build_plan(self.system)
+        # Lifts at atlas waypoints, which every query through the same
+        # edge reuses; the last leg's target is the query's own goal.
+        self._waypoint_lifts = {}
+
+    def _lift(self, cell_id, target):
+        """The cell frame, checked at the leg target, and the lift of
+        the system there."""
+        threshold = self.config.det_threshold
+        frame = FrameSelection(self.atlas.cells[cell_id].frame, target, 0,
+                               "covering cell", self.basis, self.fields,
+                               threshold)
+        rows = frame.frame_matrix(target)
+        det = det_matrix(rows)
+        if not _det_gate(det, rows, threshold):
+            raise SingularFrame("cell frame degenerates at a waypoint",
+                                cell=cell_id)
+        frame.det_value = det
+        return desingularize(self.fields, frame, r=self.r)
+
+    def plan(self, x_init, x_final, e, modified=True):
+        """Plan inputs steering the system from x_init to x_final.
+
+        Walks the atlas's cell path, desingularizes at each leg's
+        target (once per session at a waypoint), runs the free-system
+        loop on the lifted system, and projects back.  Returns the concatenated law together with a
+        report whose legs hold the per-cell traces.
+        """
+        config = self.config
+        n = len(x_init)
+        if len(x_final) != n:
+            raise SpecError("endpoints disagree in dimension")
+        path = self.atlas.path_between(x_init, x_final)
+
+        report = PlannerReport()
+        report.legs = []
+        targets = self.atlas.waypoints(path) + [list(x_final)]
+        x = [float(v) for v in x_init]
+        laws = []
+        fiber_peaks = []
+        for leg_no, cell_id in enumerate(path):
+            cell = self.atlas.cells[cell_id]
+            target = targets[leg_no]
+            key = (cell_id, tuple(target))
+            lift = self._waypoint_lifts.get(key)
+            if lift is None:
+                lift = self._lift(cell_id, target)
+                if leg_no < len(path) - 1:
+                    self._waypoint_lifts[key] = lift
+            fiber_dim = lift.lifted_n - n
+            domain = _leg_domain(cell, config.margin, fiber_dim,
+                                 config.fiber_radius)
+            leg_fields = (list(lift.xi_poly) if lift.xi_poly is not None
+                          else list(lift.xi))
+            local = LocalSteering(leg_fields, self.system, self.steer_plan,
+                                  config, domain=domain, fiber_start=n)
+            lifted_x = lift.lift_point(x)
+            lifted_goal = lift.lift_point(target)
+            leg = global_free(lifted_x, lifted_goal, e, local, config,
+                              modified=modified)
+            leg.status = "converged"
+            report.legs.append(leg)
+            laws.extend(leg.laws)
+            fiber_peaks.append(local.max_fiber_norm)
+            x = lift.project(leg.iterates[-1])
+        report.status = "converged"
+        report.iterates = [[float(v) for v in x_init], list(x)]
+        law = smooth_concatenate(laws, 0, len(self.fields))
+        law.meta.update(legs=len(path), fiber_peaks=fiber_peaks,
+                        path=list(path))
+        report.norms = [leg.final_norm for leg in report.legs]
+        return law, report
+
+
 def global_plan(fields, x_init, x_final, e, K, config=None, r=None,
                 modified=True):
     """Plan inputs steering the system from x_init to x_final in K.
 
-    Builds the covering, walks the cell path, desingularizes at each
-    leg's target, runs the free-system loop on the lifted system, and
-    projects back.  Returns the concatenated law together with a
-    report whose legs hold the per-cell traces.  With r=None the
-    smallest step making the covering work is found by search.
+    One query of a fresh session: Planner(fields, K, config, r) then
+    its plan(x_init, x_final, e, modified).  Callers with several
+    queries on one system keep the Planner.
     """
-    from .hall import build_hall_basis
-
-    config = config or PlannerConfig()
-    n = len(x_init)
-    if len(x_final) != n:
-        raise SpecError("endpoints disagree in dimension")
-    m = len(fields)
-
-    basis = None
-    atlas = None
-    if r is None:
-        last = None
-        for cand in range(2, 6):
-            basis = build_hall_basis(m, cand)
-            try:
-                atlas = build_covering(fields, K, basis, config,
-                                       x_init, x_final)
-                r = cand
-                break
-            except CoverageGap as ex:
-                last = ex
-        if atlas is None:
-            raise last
-    else:
-        basis = build_hall_basis(m, r)
-        atlas = build_covering(fields, K, basis, config, x_init,
-                               x_final)
-
-    report = PlannerReport()
-    report.legs = []
-    targets = atlas.waypoints() + [list(x_final)]
-    x = [float(v) for v in x_init]
-    laws = []
-    fiber_peaks = []
-    for leg_no, cell_id in enumerate(atlas.path):
-        cell = atlas.cells[cell_id]
-        target = targets[leg_no]
-        frame = FrameSelection(cell.frame, target, 0, "covering cell",
-                               basis, fields, config.det_threshold)
-        rows = frame.frame_matrix(target)
-        det = det_matrix(rows)
-        if not _det_gate(det, rows, config.det_threshold):
-            raise SingularFrame("cell frame degenerates at a waypoint",
-                                cell=cell_id)
-        frame.det_value = det
-        lift = desingularize(fields, frame, r=r)
-        fiber_dim = lift.lifted_n - n
-        domain = _leg_domain(cell, config.margin, fiber_dim,
-                             config.fiber_radius)
-        leg_fields = (list(lift.xi_poly) if lift.xi_poly is not None
-                      else list(lift.xi))
-        local = LocalSteering(leg_fields, lift.basis, config,
-                              domain=domain, fiber_start=n)
-        lifted_x = lift.lift_point(x)
-        lifted_goal = lift.lift_point(target)
-        leg = global_free(lifted_x, lifted_goal, e, local, config,
-                          modified=modified)
-        leg.status = "converged"
-        report.legs.append(leg)
-        laws.extend(leg.laws)
-        fiber_peaks.append(local.max_fiber_norm)
-        x = lift.project(leg.iterates[-1])
-    report.status = "converged"
-    report.iterates = [[float(v) for v in x_init], list(x)]
-    law = smooth_concatenate(laws, 0, m)
-    law.meta.update(legs=len(atlas.path), fiber_peaks=fiber_peaks,
-                    path=list(atlas.path))
-    report.norms = [leg.final_norm for leg in report.legs]
-    return law, report
+    return Planner(fields, K, config, r).plan(x_init, x_final, e,
+                                              modified)

@@ -214,7 +214,10 @@ def fd_directional(fun, point, direction, h=1e-4):
 
 
 def quad_over_periods(f, t_end, periods=None):
-    """Integrate f on [0, t_end] piecewise to keep quad honest."""
+    """Integrate f on [0, t_end] in `periods` equal pieces (default:
+    one per 2 pi) to keep quad honest.  For a trigonometric integrand
+    pass the top frequency times the number of 2 pi periods, so that
+    each piece holds one oscillation of the fastest term."""
     if periods is None:
         periods = max(1, int(round(t_end / (2 * math.pi))))
     edges = [t_end * k / periods for k in range(periods + 1)]

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from nilsteer import sim
+from nilsteer.canonical import canonical_fields
 from nilsteer.desing import desingularize, select_frame
 from nilsteer.hall import build_hall_basis
 from nilsteer.planner import LocalSteering
@@ -21,7 +22,7 @@ from nilsteer.poly import (
     eadd, emul, epow, erat, esin, evar,
 )
 from nilsteer.sim import input_sup_bound, integrate, reparameterize
-from nilsteer.steer import ControlLaw, PiFrac, PiPoly
+from nilsteer.steer import ControlLaw, PiFrac, PiPoly, build_plan
 
 N = 3
 
@@ -298,7 +299,8 @@ def assert_same_replay(monkeypatch, fields, x0, law, tol=1e-10):
 
 def test_unicycle_leg_matches_reference_replay(monkeypatch):
     fields = unicycle_fields()
-    local = LocalSteering(fields, build_hall_basis(2, 2))
+    model = canonical_fields(2, 2)
+    local = LocalSteering(fields, model, build_plan(model))
     x0 = [0.1, -0.15, 0.3]
     _, law = local.steer(x0, [0.0, 0.0, 0.0])
     assert assert_same_replay(monkeypatch, fields, x0, law) > 100
@@ -307,7 +309,8 @@ def test_unicycle_leg_matches_reference_replay(monkeypatch):
 def test_martinet_lifted_leg_matches_reference_replay(monkeypatch,
                                                       martinet_lift):
     fields = list(martinet_lift.xi_poly)
-    local = LocalSteering(fields, martinet_lift.basis, fiber_start=N)
+    model = canonical_fields(2, martinet_lift.r)
+    local = LocalSteering(fields, model, build_plan(model), fiber_start=N)
     x0 = martinet_lift.lift_point([0.05, -0.04, 0.02])
     goal = martinet_lift.lift_point([0.0, 0.0, 0.0])
     _, law = local.steer(x0, goal)

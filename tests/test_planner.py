@@ -1,18 +1,22 @@
 """Local steps, the global loop, box coverings, and the full pipeline."""
 
+import itertools
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from nilsteer import desing, planner
 from nilsteer.canonical import canonical_fields
+from nilsteer.desing import _bracket_values, cheapest_frame
 from nilsteer.errors import (
-    CoverageGap, IterationCapExceeded, SpecError,
+    CoverageGap, IterationCapExceeded, SpecError, StepFailure,
 )
 from nilsteer.hall import build_hall_basis
 from nilsteer.planner import (
-    Grid, LocalSteering, PlannerConfig, PlannerReport,
-    build_covering, global_free, global_plan, subgoal,
+    Grid, LocalSteering, Planner, PlannerConfig, PlannerReport,
+    _overlap_waypoint, build_covering, global_free, global_plan, subgoal,
 )
 from nilsteer.poly import (
     ExprField, Poly, WeightedPolynomialField, as_expr_field, ecos, erat,
@@ -20,7 +24,7 @@ from nilsteer.poly import (
 )
 from nilsteer.privcoord import dilate, pseudo_norm
 from nilsteer.sim import integrate
-from nilsteer.steer import ControlLaw, smooth_concatenate
+from nilsteer.steer import ControlLaw, build_plan, smooth_concatenate
 
 import oracles
 
@@ -31,28 +35,47 @@ def unicycle_fields():
             ExprField([erat(0), erat(0), erat(1)])]
 
 
-def martinet_fields():
+def third_component_fields(third):
+    """X1 = d1, X2 = d2 + third(x) d3 on R^3."""
     n = 3
     f1 = WeightedPolynomialField(
         [Poly.const(n, 1), Poly.zero(n), Poly.zero(n)])
-    f2 = WeightedPolynomialField(
-        [Poly.zero(n), Poly.const(n, 1),
-         Poly.monomial(n, (2, 0, 0), F(1))])
+    f2 = WeightedPolynomialField([Poly.zero(n), Poly.const(n, 1), third])
     return [f1, f2]
+
+
+def x1_power_fields(k):
+    """X2 = d2 + x1^k d3: the step jumps to k + 1 on x1 = 0."""
+    return third_component_fields(Poly.monomial(3, (k, 0, 0), F(1)))
+
+
+def martinet_fields():
+    return x1_power_fields(2)
+
+
+def parabola_fields():
+    """X2 = d2 + (x1^2 + x1 x2^2) d3: singular on x1 = -x2^2 / 2."""
+    return third_component_fields(
+        Poly.monomial(3, (2, 0, 0), F(1)).add(
+            Poly.monomial(3, (1, 2, 0), F(1))))
 
 
 BOX3 = ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
 
 
+def local_for(fields, m, r):
+    model = canonical_fields(m, r)
+    return LocalSteering(fields, model, build_plan(model))
+
+
 @pytest.fixture(scope="module")
 def local22():
-    sys22 = canonical_fields(2, 2)
-    return LocalSteering(list(sys22.fields), build_hall_basis(2, 2))
+    return local_for(list(canonical_fields(2, 2).fields), 2, 2)
 
 
 @pytest.fixture(scope="module")
 def local_uni():
-    return LocalSteering(unicycle_fields(), build_hall_basis(2, 2))
+    return local_for(unicycle_fields(), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +123,7 @@ def test_app_steer_canonical_reaches_anchor():
     # the canonical (2,2) fields as ExprFields are not recognised as the
     # model, so the step integrates instead of returning the goal
     fields = [as_expr_field(f) for f in canonical_fields(2, 2).fields]
-    ls = LocalSteering(fields, build_hall_basis(2, 2))
+    ls = local_for(fields, 2, 2)
     assert not ls.exact_model
     end, law = ls.steer([F(1, 2), F(-1, 3), F(1, 5)], [F(0)] * 3)
     assert law.nperiods > 0
@@ -159,7 +182,7 @@ def test_global_free_already_there(local22):
 
 def test_global_free_canonical_single_exact_step():
     sys23 = canonical_fields(2, 3)
-    ls = LocalSteering(list(sys23.fields), build_hall_basis(2, 3))
+    ls = LocalSteering(list(sys23.fields), sys23, build_plan(sys23))
     x0 = [F(3, 7), F(-2, 5), F(1, 3), F(-1, 4), F(2, 9)]
     rep = global_free(x0, [F(0)] * 5, 1e-6, ls, PlannerConfig())
     assert rep.status == "converged"
@@ -268,7 +291,10 @@ class _ScriptLocal:
         return _ScriptChart(a, self.away)
 
     def steer(self, x, a):
-        return [self.endpoints.pop(0)], ControlLaw(1, [])
+        end = self.endpoints.pop(0)
+        if isinstance(end, Exception):
+            raise end
+        return [end], ControlLaw(1, [])
 
 
 def test_modified_branches_follow_the_bracket():
@@ -301,30 +327,43 @@ def test_plain_loop_would_accept_the_drift():
     assert rep.etas == [1.0, 0.5, 0.5, 0.5]
 
 
+def test_step_failure_is_a_rejection():
+    # attempt 1 aims at the goal and the integrator stalls: eta halves
+    # attempt 2 reaches its subgoal 0.5, attempt 3 the goal
+    ls = _ScriptLocal(endpoints=[StepFailure("step size too small"),
+                                 0.5, 0.0],
+                      away=[0.5])
+    rep = global_free([1.0], [0.0], 0.05, ls, PlannerConfig())
+    assert rep.status == "converged"
+    assert rep.attempts == 3
+    assert rep.rejections == 1
+    assert rep.iterates == [[1.0], [0.5], [0.0]]
+    assert rep.etas == [1.0, 0.5, 0.5, 0.5]
+
+
 # ---------------------------------------------------------------------------
 # covering
 
 
 def test_unicycle_covers_with_one_cell():
     atlas = build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2),
-                           PlannerConfig(grid=4),
-                           x_init=[0.0, 0.0, 0.0], x_final=[0.5, 0.5, 0.5])
+                           PlannerConfig(grid=4))
     assert len(atlas.cells) == 1
     assert atlas.cells[0].frame == (1, 2, 3)
-    assert atlas.path == [0]
+    assert atlas.path_between([0.0, 0.0, 0.0], [0.5, 0.5, 0.5]) == [0]
 
 
 def test_martinet_covering_splits_at_the_plane():
     atlas = build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3),
-                           PlannerConfig(),
-                           x_init=[-0.5, 0.0, 0.0], x_final=[0.5, 0.2, 0.1])
+                           PlannerConfig())
     assert len(atlas.cells) == 3
     frames = sorted({c.frame for c in atlas.cells})
     assert frames == [(1, 2, 3), (1, 2, 4)]
     # the path crosses the singular plane through the bridging cell
-    path_frames = [atlas.cells[c].frame for c in atlas.path]
+    path = atlas.path_between([-0.5, 0.0, 0.0], [0.5, 0.2, 0.1])
+    path_frames = [atlas.cells[c].frame for c in path]
     assert path_frames == [(1, 2, 3), (1, 2, 4), (1, 2, 3)]
-    wps = atlas.waypoints()
+    wps = atlas.waypoints(path)
     assert wps[0] == pytest.approx([-0.25, 0.0, 0.0])
     assert wps[1] == pytest.approx([0.25, 0.0, 0.0])
 
@@ -336,10 +375,10 @@ def test_martinet_covering_needs_length_three():
 
 
 def test_covering_rejects_outside_endpoints():
+    atlas = build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2),
+                           PlannerConfig(grid=2))
     with pytest.raises(SpecError):
-        build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2),
-                       PlannerConfig(grid=2),
-                       x_init=[5.0, 0.0, 0.0], x_final=[0.0, 0.0, 0.0])
+        atlas.path_between([5.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 def test_covering_json_roundtrip():
@@ -349,6 +388,132 @@ def test_covering_json_roundtrip():
     back = json.loads(blob)
     assert len(back["cells"]) == len(atlas.cells)
     assert all("frame" in c for c in back["cells"])
+
+
+def three_plane_fields():
+    """X1 = d1, X2 = d2, X3 = x2 d1 + (1 + x1) d2: three generator
+    frames compete on every box, with exact ties where |1 + x1| = 1."""
+    n = 2
+    one, zero = Poly.const(n, 1), Poly.zero(n)
+    x1, x2 = Poly.var(n, 0), Poly.var(n, 1)
+    return [WeightedPolynomialField([one, zero]),
+            WeightedPolynomialField([zero, one]),
+            WeightedPolynomialField([x2, one.add(x1)])]
+
+
+ATLAS_CASES = {
+    "unicycle-grid4": (unicycle_fields, ([-1.0, -1.0, -2.0],
+                                         [1.0, 1.0, 2.0]), 2, 4),
+    "unicycle-grid2": (unicycle_fields, BOX3, 2, 2),
+    "martinet-r2-grid4": (martinet_fields, BOX3, 2, 4),
+    "martinet-r2-grid8": (martinet_fields, BOX3, 2, 8),
+    "martinet-r3-grid4": (martinet_fields, BOX3, 3, 4),
+    "martinet-r3-grid8": (martinet_fields, BOX3, 3, 8),
+    "canonical22": (lambda: list(canonical_fields(2, 2).fields), BOX3, 2,
+                    8),
+    "x1^1": (lambda: x1_power_fields(1), BOX3, 2, 8),
+    "x1^2": (lambda: x1_power_fields(2), BOX3, 3, 4),
+    "x1^3": (lambda: x1_power_fields(3), BOX3, 4, 8),
+    "parabola-grid3": (parabola_fields, BOX3, 3, 3),
+    "parabola-grid4": (parabola_fields, BOX3, 3, 4),
+    "parabola-grid5": (parabola_fields, BOX3, 3, 5),
+    "parabola-grid8": (parabola_fields, BOX3, 3, 8),
+    "three-plane": (three_plane_fields, ([-2.0, -2.0], [2.0, 2.0]), 2, 8),
+}
+
+
+def exact_frames(fields, K, basis, config):
+    """Every box's frame from the exact search, in grid order, or the
+    first box it finds no frame for."""
+    grid = Grid(K[0], K[1], config.grid)
+    memo = {}
+    frames = {}
+    for idx in grid.boxes():
+        values = []
+        for corner in grid.corners(idx):
+            key = tuple(corner)
+            if key not in memo:
+                memo[key] = _bracket_values(fields, basis,
+                                            range(1, len(basis) + 1),
+                                            corner)
+            values.append(memo[key])
+        found = cheapest_frame(basis, values, config.det_threshold)
+        if found is None:
+            return list(idx)
+        frames[idx] = found[0]
+    return frames
+
+
+@pytest.mark.parametrize("case", sorted(ATLAS_CASES))
+def test_atlas_matches_exact_frame_search(case):
+    make, K, r, res = ATLAS_CASES[case]
+    fields = make()
+    basis = build_hall_basis(len(fields), r)
+    config = PlannerConfig(grid=res)
+    want = exact_frames(fields, K, basis, config)
+    if isinstance(want, list):
+        with pytest.raises(CoverageGap) as exc:
+            build_covering(fields, K, basis, config)
+        assert exc.value.payload["box"] == want
+        return
+    atlas = build_covering(fields, K, basis, config)
+    got = {idx: cell.frame for cell in atlas.cells for idx in cell.boxes}
+    assert got == want
+    # edges against the scan of every box pair of every cell pair
+    cells = atlas.cells
+    edges = {}
+    for a, b in itertools.combinations(range(len(cells)), 2):
+        pairs = [(ia, ib) for ia in cells[a].boxes for ib in cells[b].boxes
+                 if all(abs(p - q) <= 1 for p, q in zip(ia, ib))]
+        if pairs:
+            edges[(a, b)] = _overlap_waypoint(atlas.grid, pairs)
+    assert list(atlas.edges.items()) == list(edges.items())
+
+
+def test_screen_leaves_few_boxes_to_the_exact_search(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return desing._bracket_values(*args)
+
+    monkeypatch.setattr(planner, "_bracket_values", counting)
+    build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2),
+                   PlannerConfig(grid=4))
+    assert calls == []
+    build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3),
+                   PlannerConfig(grid=8))
+    # the boxes touching x1 = 0, where [X1, X2] vanishes, go exact:
+    # at most their 3 * 81 of the 729 corners
+    assert 0 < len(calls) <= 243
+    assert all(abs(corner[0]) <= 0.25 + 1e-12 for corner in calls)
+
+
+def test_session_matches_one_shot_plans(monkeypatch):
+    queries = [([-0.5, 0.0, 0.0], [0.5, 0.2, 0.1]),
+               ([-0.6, 0.3, -0.2], [0.4, -0.1, 0.3]),
+               ([-0.4, -0.2, 0.1], [0.6, 0.1, -0.3])]
+    one_shot = [global_plan(martinet_fields(), a, b, 1e-3, BOX3,
+                            PlannerConfig()) for a, b in queries]
+    counts = Counter()
+    for name in ("build_covering", "build_plan", "desingularize"):
+        def counting(*args, _fn=getattr(planner, name), _name=name,
+                     **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(planner, name, counting)
+    session = Planner(martinet_fields(), BOX3, PlannerConfig())
+    assert session.r == 3
+    for (a, b), (law, rep) in zip(queries, one_shot):
+        law2, rep2 = session.plan(a, b, 1e-3)
+        assert json.dumps(law2.to_json(), default=str) == \
+            json.dumps(law.to_json(), default=str)
+        assert json.dumps(rep2.to_json()) == json.dumps(rep.to_json())
+    # the r = 2 covering has a gap, the r = 3 one is kept for every
+    # query; all three cross the plane through the same two waypoints,
+    # whose lifts are kept too, so only the goals are lifted again
+    assert counts == {"build_covering": 2, "build_plan": 1,
+                      "desingularize": 2 + 3}
 
 
 def test_grid_validation():
