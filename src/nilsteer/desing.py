@@ -373,7 +373,7 @@ class LiftedSystem:
     first, fiber variables in order of creation, and the first n
     components of every xi_i are the original field untouched.  chart
     maps ambient points to the privileged coordinates in which the
-    canonical system ``approx`` is the first-order model;
+    canonical system canonical_fields(m, r) is the first-order model;
     fields_chart holds the lifted fields' jets in those coordinates.
     """
 
@@ -394,12 +394,6 @@ class LiftedSystem:
         self.fields_chart = tuple(fields_chart)
         self.frame = frame
         self.records = tuple(records)
-
-    @property
-    def approx(self):
-        """The canonical model; built on demand, since only to_json and
-        callers inspecting the lift read it."""
-        return canonical_fields(self.m, self.r)
 
     def lift_point(self, x):
         if len(x) != self.n:
@@ -433,7 +427,7 @@ class LiftedSystem:
                    for f in self.xi],
             "chart": [poly_to_str(c, names) for c in self.chart.comps],
             "xi_hat": [[poly_to_str(c, znames) for c in f.comps]
-                       for f in self.approx.fields],
+                       for f in canonical_fields(self.m, self.r).fields],
             "records": [
                 {"level": rec["level"], "coords": list(rec["coords"]),
                  "fibers": list(rec["fibers"]), "dim": rec["dim"],

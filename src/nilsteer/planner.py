@@ -727,34 +727,17 @@ class Planner:
         self.atlas = atlas
         self.system = canonical_fields(m, r)
         self.steer_plan = build_plan(self.system)
-        # Lifts at atlas waypoints, which every query through the same
-        # edge reuses; the last leg's target is the query's own goal.
-        self._waypoint_lifts = {}
-
-    def _lift(self, cell_id, target):
-        """The cell frame, checked at the leg target, and the lift of
-        the system there."""
-        threshold = self.config.det_threshold
-        frame = FrameSelection(self.atlas.cells[cell_id].frame, target, 0,
-                               "covering cell", self.basis, self.fields,
-                               threshold)
-        rows = frame.frame_matrix(target)
-        det = det_matrix(rows)
-        if not _det_gate(det, rows, threshold):
-            raise SingularFrame("cell frame degenerates at a waypoint",
-                                cell=cell_id)
-        frame.det_value = det
-        return desingularize(self.fields, frame, r=self.r)
 
     def plan(self, x_init, x_final, e, modified=True):
         """Plan inputs steering the system from x_init to x_final.
 
         Walks the atlas's cell path, desingularizes at each leg's
-        target (once per session at a waypoint), runs the free-system
-        loop on the lifted system, and projects back.  Returns the concatenated law together with a
+        target, runs the free-system loop on the lifted system, and
+        projects back.  Returns the concatenated law together with a
         report whose legs hold the per-cell traces.
         """
         config = self.config
+        threshold = config.det_threshold
         n = len(x_init)
         if len(x_final) != n:
             raise SpecError("endpoints disagree in dimension")
@@ -766,15 +749,17 @@ class Planner:
         x = [float(v) for v in x_init]
         laws = []
         fiber_peaks = []
-        for leg_no, cell_id in enumerate(path):
+        for cell_id, target in zip(path, targets):
             cell = self.atlas.cells[cell_id]
-            target = targets[leg_no]
-            key = (cell_id, tuple(target))
-            lift = self._waypoint_lifts.get(key)
-            if lift is None:
-                lift = self._lift(cell_id, target)
-                if leg_no < len(path) - 1:
-                    self._waypoint_lifts[key] = lift
+            frame = FrameSelection(cell.frame, target, 0, "covering cell",
+                                   self.basis, self.fields, threshold)
+            rows = frame.frame_matrix(target)
+            det = det_matrix(rows)
+            if not _det_gate(det, rows, threshold):
+                raise SingularFrame("cell frame degenerates at a waypoint",
+                                    cell=cell_id)
+            frame.det_value = det
+            lift = desingularize(self.fields, frame, r=self.r)
             fiber_dim = lift.lifted_n - n
             domain = _leg_domain(cell, config.margin, fiber_dim,
                                  config.fiber_radius)

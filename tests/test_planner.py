@@ -510,10 +510,11 @@ def test_session_matches_one_shot_plans(monkeypatch):
             json.dumps(law.to_json(), default=str)
         assert json.dumps(rep2.to_json()) == json.dumps(rep.to_json())
     # the r = 2 covering has a gap, the r = 3 one is kept for every
-    # query; all three cross the plane through the same two waypoints,
-    # whose lifts are kept too, so only the goals are lifted again
+    # query; each query lifts once per leg of its path
+    legs = [law.meta["legs"] for law, _ in one_shot]
+    assert legs == [3, 3, 3]
     assert counts == {"build_covering": 2, "build_plan": 1,
-                      "desingularize": 2 + 3}
+                      "desingularize": sum(legs)}
 
 
 def test_grid_validation():
