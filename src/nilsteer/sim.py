@@ -1,21 +1,20 @@
 """Integration of driftless systems and input bookkeeping.
 
 The integrator is a thin wrapper over an adaptive high-order
-Runge-Kutta scheme; inputs are evaluated straight from their term
-lists, never resampled onto a grid.  Each integration compiles its
-fields to float kernels (``poly.compile_field``) once, and a law turns
-its exact amplitudes into floats on its first evaluation, so the
-right-hand side runs in plain floats, with the values the exact
-evaluation would round to.  A classic fixed-step scheme is
-kept alongside for convergence cross-checks.  Input length is the
-time integral of the euclidean norm of the control vector, and
-reparameterization trades time for amplitude without moving the
-trajectory, which is what makes the driftless structure worth having.
+Runge-Kutta scheme, restarted at each period edge of the law, where
+the inputs jump; inputs are evaluated straight from their term lists,
+never resampled onto a grid.  Each integration compiles its fields to
+float kernels (``poly.compile_field``) once, and a law turns its exact
+amplitudes into floats on its first evaluation, so the right-hand side
+runs in plain floats, with the values the exact evaluation would round
+to.  Input length is the time integral of the euclidean norm of the
+control vector, and reparameterization trades time for amplitude
+without moving the trajectory, which is what makes the driftless
+structure worth having.
 """
 
 import math
 
-import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import DomainExit, SpecError, StepFailure
@@ -70,18 +69,16 @@ class Trajectory:
         return len(self.times)
 
 
-def _rhs(fields, u):
+def _period_rhs(kernels, u, k):
     """Right-hand side sum_i u_i(t) X_i(x) of the driftless system
-    under the law u, taking the state as a numpy array."""
-    ufun = u.eval
-    kernels = [compile_field(f) for f in fields]
+    under period k of the law u, at every t, taking the state as a
+    numpy array."""
+    value = u.period_value
 
     def rhs(t, x):
-        uv = ufun(t)
         pt = x.tolist()
         out = [0.0] * len(pt)
-        for i, kernel in enumerate(kernels):
-            ui = float(uv[i])
+        for ui, kernel in zip(value(k, t), kernels):
             if ui == 0.0:
                 continue
             out = [o + ui * v for o, v in zip(out, kernel(pt))]
@@ -90,27 +87,34 @@ def _rhs(fields, u):
     return rhs
 
 
-def _sample_times(u, span, samples_per_period):
-    """Output grid of a run over span: its two ends, each period edge
-    inside it, and samples_per_period - 1 evenly spaced points inside
-    each period.  Every point is made once; points within 1e-9 of a
-    period of either end are left out, so that an edge equal to t1 up
-    to rounding gives no second row there."""
-    t0, t1 = float(span[0]), float(span[1])
-    times = [t0]
-    if u.periods:
-        base = 2.0 * math.pi * float(u.time_scale)
-        gap = 1e-9 * base
-        k = 0
-        while k * base < t1 - gap:
-            edge = k * base
-            for i in range(samples_per_period):
-                pt = edge + base * i / samples_per_period
-                if t0 + gap < pt < t1 - gap:
-                    times.append(pt)
-            k += 1
-    times.append(t1)
-    return times
+def _pieces(u, t0, t1, samples_per_period):
+    """A run over [t0, t1] cut at each period edge inside it, as a list
+    of (k, times): period k of u drives the piece (None when u has no
+    periods), and times are its output points from its start to its
+    end, so that consecutive pieces share one point.  Inside each
+    period samples_per_period - 1 evenly spaced points are added.
+    Points within 1e-9 of a period of either end are left out, so that
+    an edge equal to t1 up to rounding makes no piece there; outside
+    the law's horizon its first or last period drives the run, as in
+    ControlLaw.eval."""
+    if not u.periods:
+        return [(None, [t0, t1])]
+    base = u.float_table()[1]
+    gap = 1e-9 * base
+    cuts = [[t0]]
+    k = 0
+    while k * base < t1 - gap:
+        for i in range(samples_per_period):
+            pt = k * base + base * i / samples_per_period
+            if t0 + gap < pt < t1 - gap:
+                cuts[-1].append(pt)
+                if i == 0:
+                    cuts.append([pt])
+        k += 1
+    cuts[-1].append(t1)
+    last = len(u.periods) - 1
+    return [(min(max(int(0.5 * (ts[0] + ts[-1]) // base), 0), last), ts)
+            for ts in cuts]
 
 
 def integrate(fields, x0, u, span=None, tol=1e-10, domain=None,
@@ -122,6 +126,16 @@ def integrate(fields, x0, u, span=None, tol=1e-10, domain=None,
     samples_per_period adds interior points for plotting.  domain,
     when given, is a (lo, hi) box pair; leaving it aborts the run and
     attaches the partial trajectory to the error.
+
+    The run makes one adaptive solve per period piece of the span.  A
+    law jumps at each period edge, and an explicit Runge-Kutta scheme
+    that steps across a jump of its right-hand side shrinks its step
+    there and misses by more than its tolerance; restarted at the
+    edge, it sees a smooth right-hand side on every piece.  Each piece
+    evaluates only its own period's terms (ControlLaw.period_value),
+    its end included, and a period whose channels are all empty holds
+    the state without a solve.  The end row of each piece starts the
+    next one.
     """
     if span is None:
         span = (0.0, u.horizon)
@@ -129,7 +143,8 @@ def integrate(fields, x0, u, span=None, tol=1e-10, domain=None,
     x0 = [float(v) for v in x0]
     if t1 <= t0:
         return Trajectory([t0], [x0], {"tol": tol})
-    rhs = _rhs(fields, u)
+    kernels = [compile_field(f) for f in fields]
+    periods = u.float_table()[3]
     events = None
     if domain is not None:
         lo = [float(v) for v in domain[0]]
@@ -143,49 +158,40 @@ def integrate(fields, x0, u, span=None, tol=1e-10, domain=None,
         inside.direction = -1
         events = [inside]
 
-    t_eval = _sample_times(u, (t0, t1), samples_per_period)
-    sol = solve_ivp(rhs, (t0, t1), x0, method="DOP853", t_eval=t_eval,
-                    rtol=tol, atol=tol, events=events, max_step=math.pi)
-    times = list(sol.t)
-    states = [list(col) for col in sol.y.T]
-    if times and times[0] > t0:
-        times.insert(0, t0)
-        states.insert(0, x0)
     meta = {"tol": tol, "span": (t0, t1)}
-    if sol.status == 1:
-        te = float(sol.t_events[0][0])
-        partial = [(t, s) for t, s in zip(times, states) if t < te]
-        ptimes = [t for t, _ in partial] + [te]
-        pstates = [s for _, s in partial] + [list(sol.y_events[0][0])]
-        raise DomainExit("trajectory left the domain box at t=%.6g" % te,
-                         trajectory=Trajectory(ptimes, pstates, meta),
-                         t_exit=te)
-    if not sol.success:
-        raise StepFailure("integrator stopped: %s" % sol.message,
-                          trajectory=Trajectory(times, states, meta)
-                          if len(times) > 1 else None)
+    times, states = [t0], [x0]
+    for k, grid in _pieces(u, t0, t1, samples_per_period):
+        if k is None or not any(periods[k]):
+            times += grid[1:]
+            states += [states[-1]] * (len(grid) - 1)
+            continue
+        # Without interior points the solver's own last step is the
+        # end row; asking for it as an output would cost three more
+        # evaluations for the dense output of that step.
+        t_eval = grid[1:] if len(grid) > 2 else None
+        sol = solve_ivp(_period_rhs(kernels, u, k), (grid[0], grid[-1]),
+                        states[-1], method="DOP853", t_eval=t_eval,
+                        rtol=tol, atol=tol, events=events,
+                        max_step=math.pi)
+        if t_eval is not None:
+            times += sol.t.tolist()
+            states += sol.y.T.tolist()
+        elif sol.status == 0:
+            times.append(grid[-1])
+            states.append(sol.y[:, -1].tolist())
+        if sol.status == 1:
+            te = float(sol.t_events[0][0])
+            partial = [(t, s) for t, s in zip(times, states) if t < te]
+            ptimes = [t for t, _ in partial] + [te]
+            pstates = [s for _, s in partial] + [sol.y_events[0][0].tolist()]
+            raise DomainExit("trajectory left the domain box at t=%.6g" % te,
+                             trajectory=Trajectory(ptimes, pstates, meta),
+                             t_exit=te)
+        if not sol.success:
+            raise StepFailure("integrator stopped: %s" % sol.message,
+                              trajectory=Trajectory(times, states, meta)
+                              if len(times) > 1 else None)
     return Trajectory(times, states, meta)
-
-
-def integrate_fixed(fields, x0, u, span, steps):
-    """Classic fourth-order fixed-step run, for cross-checks."""
-    t0, t1 = float(span[0]), float(span[1])
-    rhs = _rhs(fields, u)
-    h = (t1 - t0) / steps
-    t = t0
-    x = np.array([float(v) for v in x0])
-    times = [t]
-    states = [x.tolist()]
-    for _ in range(steps):
-        k1 = np.array(rhs(t, x))
-        k2 = np.array(rhs(t + h / 2, x + h / 2 * k1))
-        k3 = np.array(rhs(t + h / 2, x + h / 2 * k2))
-        k4 = np.array(rhs(t + h, x + h * k3))
-        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        times.append(t)
-        states.append(x.tolist())
-    return Trajectory(times, states, {"steps": steps})
 
 
 def _quad_halving(f, a, b, tol, depth):

@@ -1044,12 +1044,16 @@ class ControlLaw:
         """Control values at time t, as floats."""
         if not self.periods:
             return [0.0] * self.m
+        base = self.float_table()[1]
+        k = min(max(int(t // base), 0), len(self.periods) - 1)
+        return self.period_value(k, t)
+
+    def period_value(self, k, t):
+        """Values at time t of period k's terms, as floats: the period's
+        sum at tau = (t - k * 2 pi time_scale) / time_scale, also where t
+        lies outside period k, so that a replay can hold one period up
+        to and including its end."""
         ts, base, gain, periods = self.float_table()
-        k = int(t // base)
-        if k >= len(periods):
-            k = len(periods) - 1
-        if k < 0:
-            k = 0
         tau = (t - k * base) / ts
         cos = math.cos
         out = []

@@ -242,16 +242,18 @@ def propagate_ode(rhs, z0, t_end, rtol=1e-12, atol=1e-12):
 # The per-call evaluation the package's compiled kernels replace: each
 # amplitude goes through float() and each field through its exact
 # evaluate() on every call.  The package's replay must agree bit for
-# bit, with the same number of rhs evaluations.
+# bit, with the same number of rhs evaluations in each period.
 
 
-def law_value(law, t):
-    """A ControlLaw's value at t from its exact terms, term by term."""
+def law_value(law, t, k=None):
+    """A ControlLaw's value at t from its exact terms, term by term:
+    period k's terms, or by default those of the period holding t."""
     if not law.periods:
         return [0.0] * law.m
     ts = float(law.time_scale)
     base = 2.0 * math.pi * ts
-    k = min(max(int(t // base), 0), len(law.periods) - 1)
+    if k is None:
+        k = min(max(int(t // base), 0), len(law.periods) - 1)
     tau = (t - k * base) / ts
     gain = float(law.scale) / ts
     out = []
@@ -264,27 +266,36 @@ def law_value(law, t):
 
 
 def replay_reference(fields, x0, law, tol):
-    """solve_ivp run with the integrator settings of sim.integrate,
-    driven by evaluate() and law_value(); returns the solution."""
+    """The law's whole horizon replayed with the integrator settings of
+    sim.integrate, one solve_ivp run per period from the end of the
+    one before, driven by evaluate() and law_value() on that period's
+    terms up to and including its end; a period with no terms leaves
+    the state where it is.  Returns the runs, one per solve."""
 
-    def rhs(t, x):
-        u = law_value(law, t)
-        out = [0.0] * len(x)
-        for ui, field in zip(u, fields):
-            if ui == 0.0:
-                continue
-            for j, v in enumerate(field.evaluate(x.tolist())):
-                out[j] += ui * float(v)
-        return out
+    def rhs_of(k):
+        def rhs(t, x):
+            u = law_value(law, t, k)
+            out = [0.0] * len(x)
+            for ui, field in zip(u, fields):
+                if ui == 0.0:
+                    continue
+                for j, v in enumerate(field.evaluate(x.tolist())):
+                    out[j] += ui * float(v)
+            return out
+        return rhs
 
-    # Output at every period boundary, as sim.integrate asks for: each
-    # step holding an output point costs DOP853 three more evaluations.
-    t1 = law.horizon
     base = 2.0 * math.pi * float(law.time_scale)
-    grid = [k * base for k in range(law.nperiods) if k * base < t1]
-    return solve_ivp(rhs, (0.0, t1), [float(v) for v in x0],
-                     method="DOP853", t_eval=grid + [t1], rtol=tol,
-                     atol=tol, max_step=math.pi)
+    edges = [k * base for k in range(law.nperiods)] + [law.horizon]
+    x = [float(v) for v in x0]
+    runs = []
+    for k, (a, b) in enumerate(zip(edges, edges[1:])):
+        if not any(law.periods[k]["channels"]):
+            continue
+        sol = solve_ivp(rhs_of(k), (a, b), x, method="DOP853", rtol=tol,
+                        atol=tol, max_step=math.pi)
+        runs.append(sol)
+        x = sol.y[:, -1].tolist()
+    return runs
 
 
 # ---------------------------------------------------------------------------

@@ -565,7 +565,7 @@ def test_plan_martinet_crosses_the_plane(martinet_plan):
     law, rep = martinet_plan
     assert rep.status == "converged"
     assert len(rep.legs) == 3
-    assert [leg.iterations for leg in rep.legs] == [1, 1, 2]
+    assert [leg.iterations for leg in rep.legs] == [1, 1, 1]
     for leg in rep.legs:
         assert float(leg.final_norm) <= 1e-3
     err = max(abs(a - b) for a, b in
@@ -592,7 +592,7 @@ def test_plan_martinet_fiber_ball(martinet_plan):
                              PlannerConfig(margin=2.0, fiber_radius=radius),
                              r=3)
     assert rep2.status == "converged"
-    assert [leg.iterations for leg in rep2.legs] == [1, 1, 2]
+    assert [leg.iterations for leg in rep2.legs] == [1, 1, 1]
     assert all(p <= radius for p in law2.meta["fiber_peaks"])
 
 
