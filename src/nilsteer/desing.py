@@ -25,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .canonical import canonical_fields, canonical_monomials
-from .errors import IdentificationFailure, NoFrame, SingularFrame, SpecError
-from .hall import build_hall_basis, evaluate_bracket
+from .errors import IdentificationFailure, SingularFrame, SpecError
+from .hall import evaluate_bracket
 from .poly import (ExprField, Poly, TriangularMap, WeightedPolynomialField,
                    as_expr_field, det_matrix, erat, expr_to_poly,
                    expr_to_str, invert_matrix, is_exact, poly_to_expr,
@@ -95,52 +95,6 @@ def _bracket_values(fields, basis, indices, point):
     return [[cols[k][i] for k in range(len(cols))] for i in range(n)]
 
 
-class FrameSelection:
-    """A spanning n-tuple of bracket directions at an anchor.
-
-    indices are positions in the basis, kept in basis order; cell
-    describes the open set on which the tuple keeps a usable
-    determinant and contains() tests a point against it.
-    """
-
-    __slots__ = ("indices", "anchor", "det_value", "cell", "basis",
-                 "fields", "threshold")
-
-    def __init__(self, indices, anchor, det_value, cell, basis, fields,
-                 threshold=1e-9):
-        self.indices = tuple(indices)
-        self.anchor = tuple(anchor)
-        self.det_value = det_value
-        self.cell = cell
-        self.basis = basis
-        self.fields = tuple(fields)
-        self.threshold = threshold
-
-    @property
-    def lengths(self):
-        return tuple(self.basis.element(j).length for j in self.indices)
-
-    def frame_matrix(self, point):
-        return _bracket_values(self.fields, self.basis, self.indices,
-                               point)
-
-    def contains(self, point):
-        rows = self.frame_matrix(point)
-        return _det_gate(det_matrix(rows), rows, self.threshold)
-
-    def to_json(self):
-        return {
-            "indices": list(self.indices),
-            "names": [self.basis.name(j) for j in self.indices],
-            "anchor": [float(v) for v in self.anchor],
-            "det": float(self.det_value),
-            "cell": self.cell,
-        }
-
-    def __repr__(self):
-        return "FrameSelection(%s)" % (self.indices,)
-
-
 def frame_combos(basis, n):
     """Every n-subset of the basis as (total bracket length, subset),
     cheapest first and in sorted order within a length."""
@@ -177,26 +131,6 @@ def cheapest_frame(basis, value_sets, threshold):
             if best is None or score > best[1]:
                 best = (level, score, combo, dets)
     return None if best is None else best[2:]
-
-
-def select_frame(fields, basis, a, threshold=1e-9):
-    """Cheapest spanning bracket frame at a point (see cheapest_frame)."""
-    fields = list(fields)
-    n = len(fields[0].comps)
-    dim = len(basis)
-    if dim < n:
-        raise NoFrame("basis holds %d directions, the state needs %d"
-                      % (dim, n))
-    values = _bracket_values(fields, basis, range(1, dim + 1), a)
-    found = cheapest_frame(basis, [values], threshold)
-    if found is None:
-        raise NoFrame("no spanning bracket frame at the anchor up to "
-                      "length %d" % basis.r, anchor=tuple(a))
-    combo, (det,) = found
-    cell = ("points where the bracket directions %s keep |det| above "
-            "%g of the column scale"
-            % (", ".join(basis.name(j) for j in combo), threshold))
-    return FrameSelection(combo, a, det, cell, basis, fields, threshold)
 
 
 def _word_functional(frame, word, p):
@@ -374,7 +308,8 @@ class LiftedSystem:
     components of every xi_i are the original field untouched.  chart
     maps ambient points to the privileged coordinates in which the
     canonical system canonical_fields(m, r) is the first-order model;
-    fields_chart holds the lifted fields' jets in those coordinates.
+    fields_chart holds the lifted fields' jets in those coordinates,
+    and frame the basis indices of the bracket frame lifted along.
     """
 
     def __init__(self, n, m, r, basis, xi, xi_poly, chart, anchor,
@@ -392,7 +327,7 @@ class LiftedSystem:
         self.anchor_lifted = tuple(anchor) + (0,) * (self.lifted_n - n)
         self.fiber_order = tuple(fiber_order)
         self.fields_chart = tuple(fields_chart)
-        self.frame = frame
+        self.frame = tuple(frame)
         self.records = tuple(records)
 
     def lift_point(self, x):
@@ -420,7 +355,7 @@ class LiftedSystem:
             "r": self.r,
             "lifted_n": self.lifted_n,
             "weights": list(self.weights),
-            "frame": list(self.frame.indices),
+            "frame": list(self.frame),
             "fiber_order": list(self.fiber_order),
             "anchor": [float(v) for v in self.anchor],
             "xi": [[expr_to_str(c, names) for c in f.comps]
@@ -440,34 +375,29 @@ class LiftedSystem:
                 % (self.n, self.lifted_n, self.r))
 
 
-def desingularize(fields, frame, r=None):
-    """Lift along a frame until the system is free up to step r.
+def desingularize(fields, basis, indices, anchor):
+    """Lift at anchor until the system is free up to step basis.r.
 
-    Fiber coordinates arrive level by level for the bracket
-    directions the frame does not cover, with rates given by the
-    canonical monomials read through the chart built so far; each
+    indices name the basis elements of the bracket frame, one per
+    state coordinate.  Fiber coordinates arrive level by level for the
+    bracket directions the frame does not cover, with rates given by
+    the canonical monomials read through the chart built so far; each
     level then reruns the full chart chain on the enlarged system.
     """
     fields = list(fields)
     m = len(fields)
     n = len(fields[0].comps)
-    if r is None:
-        r = frame.basis.r
-    if len(frame.indices) != n:
+    r = basis.r
+    if len(indices) != n:
         raise SpecError("frame has %d directions for a %d-dimensional "
-                        "state" % (len(frame.indices), n))
-    basis = frame.basis
+                        "state" % (len(indices), n))
     if basis.m != m:
         raise SpecError("frame basis is for %d inputs, got %d fields"
                         % (basis.m, m))
-    if basis.r != r:
-        basis = build_hall_basis(m, r)
-    if max(basis.element(j).length for j in frame.indices) > r:
-        raise SpecError("frame uses a bracket longer than r=%d" % r)
     cap = 2 * r + 1
 
-    anchor = list(frame.anchor)
-    J = set(frame.indices)
+    anchor = list(anchor)
+    J = set(indices)
     mons = canonical_monomials(basis)
 
     ident = [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
@@ -521,7 +451,7 @@ def desingularize(fields, frame, r=None):
             [expr_to_poly(c, N) for c in f.comps]) for f in xi]
     fields_chart = [f.with_weights(basis.free_weights) for f in shadows]
     return LiftedSystem(n, m, r, basis, xi, xi_poly, chart, anchor,
-                        fiber_order, fields_chart, frame, records)
+                        fiber_order, fields_chart, indices, records)
 
 
 def growth_vector(fields, basis, point, tol=1e-8):

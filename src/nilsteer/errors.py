@@ -17,12 +17,6 @@ class NilsteerError(Exception):
         self.payload = payload
 
 
-class NoFrame(NilsteerError):
-    """No bracket frame with usable determinant exists at the point."""
-
-    code = "no-frame"
-
-
 class SingularFrame(NilsteerError):
     """A chosen frame is singular where it was assumed invertible."""
 

@@ -16,6 +16,7 @@ coefficients downstream.
 
 from dataclasses import dataclass
 
+from .errors import SpecError
 from .poly import lie_bracket
 
 
@@ -75,12 +76,6 @@ class HallBasis:
             return "X%d" % e.gen
         return "[%s,%s]" % (self.name(e.left), self.name(e.right))
 
-    def tree(self, j):
-        e = self.element(j)
-        if e.is_generator():
-            return e.gen
-        return (self.tree(e.left), self.tree(e.right))
-
     def to_json(self):
         elements = []
         for e in self.elements:
@@ -122,9 +117,9 @@ def _group_classes(elements):
 def build_hall_basis(m, r):
     """Construct the basis for m generators truncated at length r."""
     if m < 1:
-        raise ValueError("need at least one generator")
+        raise SpecError("need at least one generator")
     if r < 1:
-        raise ValueError("need depth at least one")
+        raise SpecError("need depth at least one")
     elements = []
     interned = {}
 
@@ -188,8 +183,8 @@ def evaluate_bracket(basis, j, fields, weights=None, wcap=None):
     exploited.
     """
     if len(fields) != basis.m:
-        raise ValueError("expected %d fields, got %d"
-                         % (basis.m, len(fields)))
+        raise SpecError("expected %d fields, got %d"
+                        % (basis.m, len(fields)))
     memo = {}
 
     def ev(k):

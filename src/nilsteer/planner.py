@@ -11,8 +11,7 @@ Systems with singular points run through the covering machinery: the
 working box is split into cells carrying a fixed bracket frame, the
 planner lifts the system on each cell along the path, steers the
 lifted free system between waypoints, and projects back down; the
-accepted per-step laws are chained into one by
-steer.smooth_concatenate.
+accepted per-step laws are chained into one by steer.concatenate.
 
 The covering atlas depends only on the fields, the box, the config
 and the step r, never on the endpoints, so a Planner builds it once,
@@ -35,17 +34,17 @@ import math
 import numpy as np
 
 from .canonical import canonical_fields
-from .desing import FrameSelection, _bracket_values, _det_gate, \
-    cheapest_frame, desingularize, frame_combos
+from .desing import _bracket_values, _det_gate, cheapest_frame, \
+    desingularize, frame_combos
 from .errors import (
     CoverageGap, DomainExit, IntegrationLeftDomain, IterationCapExceeded,
     NoPath, SingularFrame, SpecError, StepFailure,
 )
 from .hall import build_hall_basis, evaluate_bracket
-from .poly import compile_field, det_matrix
+from .poly import WeightedPolynomialField, compile_field, det_matrix
 from .privcoord import dilate, first_order_approx, pseudo_norm
 from .sim import input_length, integrate
-from .steer import build_plan, exact_steer, smooth_concatenate
+from .steer import build_plan, concatenate, exact_steer
 
 
 class PlannerConfig:
@@ -131,14 +130,6 @@ class PlannerReport:
             return sum(leg.total_length() for leg in self.legs)
         return sum(input_length(law) for law in self.laws)
 
-    def all_laws(self):
-        if self.legs is not None:
-            out = []
-            for leg in self.legs:
-                out.extend(leg.all_laws())
-            return out
-        return list(self.laws)
-
     def to_json(self):
         out = {
             "status": self.status,
@@ -200,19 +191,9 @@ class LocalSteering:
         self.exact_model = self._matches_model()
 
     def _matches_model(self):
-        if len(self.fields) != len(self.system.fields):
-            return False
-        for mine, model in zip(self.fields, self.system.fields):
-            if getattr(mine, "comps", None) is None:
-                return False
-            if getattr(mine, "n", None) != model.n:
-                return False
-            try:
-                if not mine.sub(model).is_zero():
-                    return False
-            except (AttributeError, ValueError, TypeError):
-                return False
-        return True
+        return len(self.fields) == len(self.system.fields) and all(
+            isinstance(mine, WeightedPolynomialField) and mine == model
+            for mine, model in zip(self.fields, self.system.fields))
 
     def chart_at(self, a):
         key = tuple(float(v) for v in a)
@@ -221,10 +202,6 @@ class LocalSteering:
             hit = first_order_approx(self.fields, list(a), self.basis)
             self._charts[key] = hit
         return hit
-
-    def norm_at(self, a, x):
-        z = self.chart_at(a).apply(list(x))
-        return pseudo_norm(z, self.weights)
 
     def steer(self, x, a):
         """One local step from x toward a: returns (endpoint, law).
@@ -751,15 +728,13 @@ class Planner:
         fiber_peaks = []
         for cell_id, target in zip(path, targets):
             cell = self.atlas.cells[cell_id]
-            frame = FrameSelection(cell.frame, target, 0, "covering cell",
-                                   self.basis, self.fields, threshold)
-            rows = frame.frame_matrix(target)
-            det = det_matrix(rows)
-            if not _det_gate(det, rows, threshold):
+            rows = _bracket_values(self.fields, self.basis, cell.frame,
+                                   target)
+            if not _det_gate(det_matrix(rows), rows, threshold):
                 raise SingularFrame("cell frame degenerates at a waypoint",
                                     cell=cell_id)
-            frame.det_value = det
-            lift = desingularize(self.fields, frame, r=self.r)
+            lift = desingularize(self.fields, self.basis, cell.frame,
+                                 target)
             fiber_dim = lift.lifted_n - n
             domain = _leg_domain(cell, config.margin, fiber_dim,
                                  config.fiber_radius)
@@ -771,14 +746,13 @@ class Planner:
             lifted_goal = lift.lift_point(target)
             leg = global_free(lifted_x, lifted_goal, e, local, config,
                               modified=modified)
-            leg.status = "converged"
             report.legs.append(leg)
             laws.extend(leg.laws)
             fiber_peaks.append(local.max_fiber_norm)
             x = lift.project(leg.iterates[-1])
         report.status = "converged"
         report.iterates = [[float(v) for v in x_init], list(x)]
-        law = smooth_concatenate(laws, 0, len(self.fields))
+        law = concatenate(laws, len(self.fields))
         law.meta.update(legs=len(path), fiber_peaks=fiber_peaks,
                         path=list(path))
         report.norms = [leg.final_norm for leg in report.legs]

@@ -5,8 +5,8 @@ expression tree (rationals, variables, sums, products, integer powers,
 sin, cos) that covers arbitrary smooth inputs.  ``Poly`` is a sparse
 multivariate polynomial over exact rationals (or floats, when an input
 was only available numerically) and carries all the weighted-degree
-machinery: weighted truncation, graded parts, triangular coordinate
-changes with exact inverses, and pushforwards.
+machinery: weighted truncation, triangular coordinate changes with
+exact inverses, and pushforwards.
 
 Coefficients are ``fractions.Fraction`` whenever the inputs allow it;
 any float anywhere poisons the computation to float, and
@@ -250,26 +250,6 @@ def _trig(kind, value):
         return math.sin(value) if kind == "sin" else math.cos(value)
     s, c = _sincos(value)
     return s if kind == "sin" else c
-
-
-def expr_subs(e, mapping):
-    """Substitute variables by expressions; mapping is {index: Expr}."""
-    k = e.kind
-    if k == "rat":
-        return e
-    if k == "var":
-        return mapping.get(e.a, e)
-    if k == "add":
-        return eadd(*[expr_subs(c, mapping) for c in e.a])
-    if k == "mul":
-        return emul(*[expr_subs(c, mapping) for c in e.a])
-    if k == "pow":
-        return epow(expr_subs(e.a, mapping), e.b)
-    if k == "sin":
-        return esin(expr_subs(e.a, mapping))
-    if k == "cos":
-        return ecos(expr_subs(e.a, mapping))
-    raise ValueError("unknown expression kind %r" % k)
 
 
 def expr_is_polynomial(e):
@@ -551,17 +531,6 @@ class Poly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def min_wdeg(self, weights):
-        """Smallest weighted degree of a monomial, or None when zero."""
-        if not self.terms:
-            return None
-        return min(wdeg(e, weights) for e in self.terms)
-
-    def max_wdeg(self, weights):
-        if not self.terms:
-            return None
-        return max(wdeg(e, weights) for e in self.terms)
-
     def add(self, other):
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -666,10 +635,6 @@ class Poly:
         return Poly(self.n, {e: c for e, c in self.terms.items()
                              if wdeg(e, weights) <= wcap})
 
-    def graded_part(self, weights, d):
-        return Poly(self.n, {e: c for e, c in self.terms.items()
-                             if wdeg(e, weights) == d})
-
     def uses_only_vars_below(self, j):
         return all(all(e[i] == 0 for i in range(j, self.n))
                    for e in self.terms)
@@ -773,8 +738,7 @@ class WeightedPolynomialField:
     """Polynomial vector field with an optional weight vector.
 
     comps[j] is the coefficient of the j-th coordinate direction.  The
-    weighted degree of a term c*z^a d/dz_j is w(a) - w_j; graded parts
-    follow that grading.
+    weighted degree of a term c*z^a d/dz_j is w(a) - w_j.
     """
 
     __slots__ = ("n", "comps", "weights")
@@ -828,13 +792,6 @@ class WeightedPolynomialField:
 
     def with_weights(self, weights):
         return WeightedPolynomialField(self.comps, weights)
-
-    def graded_part(self, d):
-        """Terms of weighted degree exactly d (w(a) - w_j == d)."""
-        comps = []
-        for j, comp in enumerate(self.comps):
-            comps.append(comp.graded_part(self.weights, d + self.weights[j]))
-        return WeightedPolynomialField(comps, self.weights)
 
     def pad(self, new_n, weights=None):
         comps = [c.pad(new_n) for c in self.comps]
@@ -1048,22 +1005,6 @@ def lie_bracket(v, w, weights=None, wcap=None):
         comps.append(eadd(ev.apply_to(ew.comps[j]),
                           emul(erat(-1), ew.apply_to(ev.comps[j]))))
     return ExprField(comps)
-
-
-def weighted_components(field):
-    """Split a weighted polynomial field into its graded parts.
-
-    Returns {degree: field}, smallest degree first.  The degree of a
-    term c*z^a d/dz_j is w(a) - w_j, so for a frame adapted to the
-    filtration the leading block sits at degree -1.
-    """
-    if field.weights is None:
-        raise ValueError("field carries no weights")
-    degrees = set()
-    for j, comp in enumerate(field.comps):
-        for e in comp.terms:
-            degrees.add(wdeg(e, field.weights) - field.weights[j])
-    return {d: field.graded_part(d) for d in sorted(degrees)}
 
 
 # ---------------------------------------------------------------------------
@@ -1409,59 +1350,6 @@ class TriangularMap:
             else None)
         return WeightedPolynomialField(comps, w)
 
-    def check_inverse(self):
-        """Verify symbolically that inv really inverts comps."""
-        ident = [Poly.var(self.n, i) for i in range(self.n)]
-        back = [c.subst(list(self.inv)) for c in self.comps]
-        forth = [c.subst(list(self.comps)) for c in self.inv]
-        return back == ident and forth == ident
-
     def __repr__(self):
         return "TriangularMap(n=%d)" % self.n
 
-
-def pushforward(field, tmap, weights=None, wcap=None):
-    return tmap.pushforward(field, weights, wcap)
-
-
-# ---------------------------------------------------------------------------
-# Nonholonomic order
-
-
-def nonholonomic_order(f, fields, anchor, cap, tol=1e-12):
-    """Order of vanishing of f at anchor along iterated field derivatives.
-
-    Returns (order, mode) where order is the smallest total number of
-    field applications whose result is nonzero at the anchor, or None
-    when everything up to ``cap`` applications vanishes (read: order is
-    at least cap + 1).  mode is 'exact' when every evaluation stayed
-    rational and 'float' when trig forced numeric evaluation, in which
-    case values below ``tol`` count as zero.
-    """
-    efields = [as_expr_field(x) for x in fields]
-    f = f if isinstance(f, Expr) else poly_to_expr(f)
-    mode = "exact"
-
-    def value_nonzero(v):
-        nonlocal mode
-        if is_exact(v):
-            return v != 0
-        mode = "float"
-        return abs(v) > tol
-
-    if value_nonzero(expr_eval(f, anchor)):
-        return 0, mode
-    level = [f]
-    for s in range(1, cap + 1):
-        nxt = []
-        hit = False
-        for g in level:
-            for xf in efields:
-                h = xf.apply_to(g)
-                nxt.append(h)
-                if value_nonzero(expr_eval(h, anchor)):
-                    hit = True
-        if hit:
-            return s, mode
-        level = nxt
-    return None, mode

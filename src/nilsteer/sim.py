@@ -8,9 +8,7 @@ float kernels (``poly.compile_field``) once, and a law turns its exact
 amplitudes into floats on its first evaluation, so the right-hand side
 runs in plain floats, with the values the exact evaluation would round
 to.  Input length is the time integral of the euclidean norm of the
-control vector, and reparameterization trades time for amplitude
-without moving the trajectory, which is what makes the driftless
-structure worth having.
+control vector.
 """
 
 import math
@@ -19,6 +17,7 @@ from scipy.integrate import quad, solve_ivp
 
 from .errors import DomainExit, SpecError, StepFailure
 from .poly import compile_field
+from .steer import TWO_PI
 
 
 class Trajectory:
@@ -48,22 +47,6 @@ class Trajectory:
     @property
     def endpoint(self):
         return self.states[-1]
-
-    @property
-    def n(self):
-        return len(self.states[0]) if self.states else 0
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
-
-    def csv_text(self):
-        cols = ["t"] + ["x_%d" % (j + 1) for j in range(self.n)]
-        lines = [",".join(cols)]
-        for t, row in zip(self.times, self.states):
-            lines.append(",".join(["%.17g" % t]
-                                  + ["%.17g" % v for v in row]))
-        return "\n".join(lines) + "\n"
 
     def __len__(self):
         return len(self.times)
@@ -99,13 +82,12 @@ def _pieces(u, t0, t1, samples_per_period):
     ControlLaw.eval."""
     if not u.periods:
         return [(None, [t0, t1])]
-    base = u.float_table()[1]
-    gap = 1e-9 * base
+    gap = 1e-9 * TWO_PI
     cuts = [[t0]]
     k = 0
-    while k * base < t1 - gap:
+    while k * TWO_PI < t1 - gap:
         for i in range(samples_per_period):
-            pt = k * base + base * i / samples_per_period
+            pt = k * TWO_PI + TWO_PI * i / samples_per_period
             if t0 + gap < pt < t1 - gap:
                 cuts[-1].append(pt)
                 if i == 0:
@@ -113,7 +95,7 @@ def _pieces(u, t0, t1, samples_per_period):
         k += 1
     cuts[-1].append(t1)
     last = len(u.periods) - 1
-    return [(min(max(int(0.5 * (ts[0] + ts[-1]) // base), 0), last), ts)
+    return [(min(max(int(0.5 * (ts[0] + ts[-1]) // TWO_PI), 0), last), ts)
             for ts in cuts]
 
 
@@ -144,7 +126,7 @@ def integrate(fields, x0, u, span=None, tol=1e-10, domain=None,
     if t1 <= t0:
         return Trajectory([t0], [x0], {"tol": tol})
     kernels = [compile_field(f) for f in fields]
-    periods = u.float_table()[3]
+    periods = u.float_table()[1]
     events = None
     if domain is not None:
         lo = [float(v) for v in domain[0]]
@@ -226,14 +208,13 @@ def input_length(u, tol=1e-10):
     def integrand(t):
         return math.sqrt(math.fsum(v * v for v in ufun(t)))
 
-    _, base, _, periods = u.float_table()
     total = 0.0
-    for k, channels in enumerate(periods):
+    for k, channels in enumerate(u.float_table()[1]):
         top = max((w for terms in channels for _, w, _ in terms),
                   default=0)
         pieces = max(1, math.ceil(top / 4))
-        edges = [k * base + base * i / pieces for i in range(pieces)]
-        edges.append((k + 1) * base)
+        edges = [k * TWO_PI + TWO_PI * i / pieces for i in range(pieces)]
+        edges.append((k + 1) * TWO_PI)
         for a, b in zip(edges, edges[1:]):
             total += _quad_halving(integrand, a, b, tol, 8)
     return total
@@ -248,7 +229,7 @@ def input_sup_bound(u):
     """
     if not u.periods:
         return 0.0
-    _, _, gain, periods = u.float_table()
+    gain, periods = u.float_table()
     gain = abs(gain)
     worst = 0.0
     for channels in periods:
@@ -257,23 +238,3 @@ def input_sup_bound(u):
             if peak > worst:
                 worst = peak
     return gain * worst
-
-
-def reparameterize(u, bound):
-    """Slow the law down until its input bound certificate fits.
-
-    Time-rescaling a driftless system leaves the trajectory unchanged
-    as a curve, so endpoints are preserved; only the duration grows.
-    Laws already within the bound come back untouched.
-    """
-    bound = float(bound)
-    if bound <= 0:
-        raise SpecError("input bound must be positive")
-    sup = input_sup_bound(u)
-    if sup <= bound:
-        return u
-    ratio = sup / bound
-    cls = type(u)
-    return cls(u.m, u.periods, scale=u.scale,
-               time_scale=float(u.time_scale) * ratio,
-               meta=dict(u.meta, reparameterized=ratio))

@@ -15,9 +15,8 @@ tower PiPoly/PiFrac/TrigPoly implements that field and the per-period
 propagation.  When inputs are floats the same code runs in floating
 point instead.
 
-Laws are joined end to end by one routine, smooth_concatenate, either
-plainly or with carrier sinusoids that make the joined control smooth
-across the junctions.
+Laws are joined end to end by one routine, concatenate, which folds
+every law's scale into its amplitudes.
 """
 
 import itertools
@@ -34,6 +33,8 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 HALF = Fraction(1, 2)
 _PI_HAT = Fraction(math.pi)
+# Length of one period of a law, in float time.
+TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +515,6 @@ class TrigPoly:
             prim = prim.add(TrigPoly.const(-v0))
         return prim
 
-    def derivative(self):
-        out = {}
-        for (p, w, s), c in self.terms.items():
-            if p > 0:
-                _acc(out, p - 1, w, s, c * p)
-            if w > 0:
-                if s == 0:
-                    _acc_sin(out, p, w, c * (-w))
-                else:
-                    _acc_cos(out, p, w, c * w)
-        return TrigPoly(out)
-
     def value_zero(self):
         vals = [c for (p, w, s), c in self.terms.items()
                 if p == 0 and s == 0]
@@ -543,13 +532,6 @@ class TrigPoly:
             return total
         return _exact_sum((p, c) for (p, w, s), c in self.terms.items()
                           if s == 0)
-
-    def eval_float(self, t):
-        total = 0.0
-        for (p, w, s), c in self.terms.items():
-            base = math.cos(w * t) if s == 0 else math.sin(w * t)
-            total += float(c) * t ** p * base
-        return total
 
     def has_float(self):
         return any(isinstance(c, float) for c in self.terms.values())
@@ -1004,17 +986,15 @@ class ControlLaw:
 
     Each period holds one term list per channel; a term (amp, w, q)
     contributes amp * cos(w tau - q pi/2) on the period's local time
-    tau in [0, 2 pi].  The law's value is scale / time_scale times the
-    period value at tau = (t / time_scale) mod 2 pi, so ``scale``
-    implements the dilation homogeneity and ``time_scale`` implements
-    input-bound reparameterisation without touching endpoints.
+    tau in [0, 2 pi].  Period k runs on [2 pi k, 2 pi (k + 1)], and the
+    law's value is scale times the period value at tau = t mod 2 pi, so
+    ``scale`` implements the dilation homogeneity.
     """
 
-    def __init__(self, m, periods, scale=F1, time_scale=F1, meta=None):
+    def __init__(self, m, periods, scale=F1, meta=None):
         self.m = m
         self.periods = list(periods)
         self.scale = scale
-        self.time_scale = time_scale
         self.meta = meta or {}
         self._floats = None
 
@@ -1024,17 +1004,15 @@ class ControlLaw:
 
     @property
     def horizon(self):
-        return 2.0 * math.pi * self.nperiods * float(self.time_scale)
+        return TWO_PI * self.nperiods
 
     def float_table(self):
-        """(time_scale, 2 pi time_scale, scale / time_scale, periods) in
-        floats, where periods[k][i] lists channel i's terms of period k
-        as (amp, w, q pi / 2).  Built on first use and kept: steering
-        alone never converts its exact amplitudes."""
+        """(scale, periods) in floats, where periods[k][i] lists channel
+        i's terms of period k as (amp, w, q pi / 2).  Built on first use
+        and kept: steering alone never converts its exact amplitudes."""
         if self._floats is None:
-            ts = float(self.time_scale)
             self._floats = (
-                ts, 2.0 * math.pi * ts, float(self.scale) / ts,
+                float(self.scale),
                 [[tuple((float(a), w, q * math.pi / 2.0)
                         for a, w, q in terms)
                   for terms in p["channels"]] for p in self.periods])
@@ -1044,17 +1022,15 @@ class ControlLaw:
         """Control values at time t, as floats."""
         if not self.periods:
             return [0.0] * self.m
-        base = self.float_table()[1]
-        k = min(max(int(t // base), 0), len(self.periods) - 1)
+        k = min(max(int(t // TWO_PI), 0), len(self.periods) - 1)
         return self.period_value(k, t)
 
     def period_value(self, k, t):
         """Values at time t of period k's terms, as floats: the period's
-        sum at tau = (t - k * 2 pi time_scale) / time_scale, also where t
-        lies outside period k, so that a replay can hold one period up
-        to and including its end."""
-        ts, base, gain, periods = self.float_table()
-        tau = (t - k * base) / ts
+        sum at tau = t - 2 pi k, also where t lies outside period k, so
+        that a replay can hold one period up to and including its end."""
+        gain, periods = self.float_table()
+        tau = t - k * TWO_PI
         cos = math.cos
         out = []
         for terms in periods[k]:
@@ -1063,9 +1039,6 @@ class ControlLaw:
                 val += amp * cos(w * tau - phase)
             out.append(gain * val)
         return out
-
-    def period_trigpolys(self, k):
-        return channel_trigpolys(self.periods[k]["channels"])
 
     def to_json(self):
         periods = []
@@ -1080,7 +1053,6 @@ class ControlLaw:
         out = {
             "m": self.m,
             "scale": float(self.scale),
-            "time_scale": float(self.time_scale),
             "periods": periods,
         }
         if is_exact(self.scale):
@@ -1105,11 +1077,7 @@ class ControlLaw:
         scale = blob.get("scale", 1.0)
         if "scale_exact" in blob:
             scale = Fraction(blob["scale_exact"])
-        return cls(blob["m"], periods, scale, blob.get("time_scale", 1.0))
-
-
-def _max_abs(values):
-    return max((abs(float(v)) for v in values), default=0.0)
+        return cls(blob["m"], periods, scale)
 
 
 def exact_steer(x_init, system, plan=None):
@@ -1123,16 +1091,14 @@ def exact_steer(x_init, system, plan=None):
     amplitude magnitudes, so exactness of the root is not needed).
     """
     if len(x_init) != system.n:
-        raise ValueError("state has dimension %d, expected %d"
-                         % (len(x_init), system.n))
+        raise SpecError("state has dimension %d, expected %d"
+                        % (len(x_init), system.n))
     weights = system.weights
     x = [Fraction(v) for v in x_init]
     lam = pseudo_norm(x, weights)
     if lam == 0:
         return ControlLaw(system.m, [], F1,
-                          meta={"system": system, "plan": plan,
-                                "z_init": [F0] * system.n,
-                                "x_init": x})
+                          meta={"z_init": [F0] * system.n, "x_init": x})
     if not is_exact(lam):
         lam = Fraction(float(lam))
     if plan is None:
@@ -1161,167 +1127,27 @@ def exact_steer(x_init, system, plan=None):
             "amps": amps,
         })
     return ControlLaw(system.m, periods, lam,
-                      meta={"system": system, "plan": plan,
-                            "z_init": z_init, "x_init": x})
+                      meta={"z_init": z_init, "x_init": x})
 
 
-# ---------------------------------------------------------------------------
-# Smooth concatenation
-
-
-def _carrier_bank(pool, mult, order, m):
-    """Per-channel (cos, sin) carrier frequencies: one cosine per even
-    and one sine per odd derivative order up to ``order``, drawn from
-    one chain v -> mult * v + 1 above the period's pool, so they are
-    mutually non-resonant."""
-    n_even = order // 2 + 1
-    v = pool
-    bank = []
-    for _ in range(m):
-        chain = []
-        for _ in range(order + 1):
-            v = mult * v + 1
-            chain.append(v)
-        bank.append((chain[:n_even], chain[n_even:]))
-    return bank
-
-
-def _junction_ends(channels, order):
-    """Each channel's value and derivatives up to ``order`` at the
-    period end."""
-    ends = []
-    for u in channel_trigpolys(channels):
-        vals = []
-        for _ in range(order + 1):
-            vals.append(simplify_value(u.value_2pi(u.has_float())))
-            u = u.derivative()
-        ends.append(vals)
-    return ends
-
-
-def _solve_carrier_amps(freqs_even, freqs_odd, gaps):
-    """Carrier terms (amp, w, quarter) matching value/derivative gaps
-    at tau = 0.
-
-    gaps[d] is the required extra derivative of order d.  cos carriers
-    produce even derivatives ((-w^2)^i at order 2i), sin carriers the
-    odd ones (w (-w^2)^i at order 2i+1); the two Vandermonde systems
-    are solved independently and exactly over the rationals.
-    """
-    terms = []
-    for quarter, freqs in ((0, freqs_even), (1, freqs_odd)):
-        orders = range(quarter, len(gaps), 2)
-        if not orders:
-            continue
-        rows = [[Fraction(w) ** quarter * Fraction(-w * w) ** (d // 2)
-                 for w in freqs] for d in orders]
-        amps = mat_vec(invert_matrix(rows), [gaps[d] for d in orders])
-        terms.extend((amp, w, quarter) for amp, w in zip(amps, freqs))
-    return terms
-
-
-def _with_carriers(channels, bank, prev_end):
-    """Channel term lists plus the carriers that close each channel's
-    value and derivative gaps to ``prev_end`` at the period start."""
-    out = []
-    for terms, u, (evens, odds), want in zip(
-            channels, channel_trigpolys(channels), bank, prev_end):
-        gaps = []
-        for target in want:
-            gaps.append(target - u.value_zero())
-            u = u.derivative()
-        out.append(list(terms) + _solve_carrier_amps(evens, odds, gaps))
-    return out
-
-
-def smooth_concatenate(laws, k, m=None):
-    """Join laws into one whose channels are C^(k-1) across junctions.
+def concatenate(laws, m=None):
+    """Join laws end to end.
 
     Every law's scale is folded into its amplitudes, so the joined law
-    has scale 1 and keeps the time scale all the laws share; laws with
-    different time scales or channel counts raise SpecError.  m is the
-    channel count, needed only when laws is empty (the join is then
-    the empty law).  k = 0 plainly concatenates.  For k >= 1 each
-    period gains a few high-frequency non-resonant carrier sinusoids
-    per channel whose amplitudes close the value and derivative gaps
-    at its start, and the first period is anchored at zero, so the
-    joined control starts at rest.  A single law from exact_steer
-    (which carries its system and plan) is instead replanned by
-    _smooth_replan, keeping its scale and an exact endpoint.
+    has scale 1; laws with different channel counts raise SpecError.
+    m is the channel count, needed only when laws is empty (the join
+    is then the empty law).
     """
-    if isinstance(laws, ControlLaw):
-        laws = [laws]
     if m is None:
         if not laws:
             raise SpecError("an empty join needs its channel count")
         m = laws[0].m
     if any(law.m != m for law in laws):
         raise SpecError("laws disagree on the number of channels")
-    if k and len(laws) == 1 and laws[0].meta.get("system") is not None \
-            and laws[0].meta.get("plan") is not None:
-        return _smooth_replan(laws[0], k)
-    time_scale = laws[0].time_scale if laws else F1
-    if any(law.time_scale != time_scale for law in laws):
-        raise SpecError("cannot join laws with different time scales")
-    order = k - 1
-    prev_end = [[F0] * (order + 1) for _ in range(m)]
     periods = []
     for law in laws:
         for p in law.periods:
             channels = [[(a * law.scale, w, q) for a, w, q in terms]
                         for terms in p["channels"]]
-            if k:
-                pool = max((w for terms in channels for _, w, _q in terms),
-                           default=0)
-                channels = _with_carriers(
-                    channels, _carrier_bank(pool, 4, order, m), prev_end)
-                prev_end = _junction_ends(channels, order)
             periods.append(dict(p, channels=channels))
-    return ControlLaw(m, periods, F1, time_scale, meta={"smoothed": k})
-
-
-def _smooth_replan(law, k):
-    """Exact smoothing of a single exact_steer law.
-
-    Re-solves each period's resonance amplitudes together with its
-    carrier amplitudes so that junctions match exactly and the
-    endpoint error is pushed below 1e-30 componentwise.
-    """
-    system = law.meta["system"]
-    plan = law.meta["plan"]
-    state = list(law.meta["z_init"])
-    order = k - 1
-    mult = max(2, max(sum(e.delta) for e in plan.classes) + 1)
-    prev_end = [[F0] * (order + 1) for _ in range(law.m)]
-    new_periods = []
-    for p in law.periods:
-        entry = plan.classes[p["class_id"]]
-        bank = _carrier_bank(entry.max_frequency(), mult, order, law.m)
-        amps = entry.solve_amps([-(state[j - 1]) for j in entry.elements])
-        for _ in range(30):
-            carried = _with_carriers(template_channels(entry, amps), bank,
-                                     prev_end)
-            end = propagate_period(system, carried, state,
-                                   float_mode=False)
-            resid = [end[j - 1] for j in entry.elements]
-            worst = _max_abs(resid)
-            if worst < 1e-30:
-                break
-            correction = entry.solve_amps(resid)
-            amps = [a - c for a, c in zip(amps, correction)]
-        else:
-            raise SearchBudgetExhausted(
-                "smoothing did not converge for class %d"
-                % p["class_id"], residual=worst)
-        prev_end = _junction_ends(carried, order)
-        state = [simplify_value(v) for v in end]
-        new_periods.append({
-            "class_id": p["class_id"],
-            "elements": p["elements"],
-            "channels": carried,
-        })
-    meta = dict(law.meta)
-    meta["smoothed"] = k
-    meta["final_state"] = state
-    return ControlLaw(law.m, new_periods, law.scale, law.time_scale,
-                      meta)
+    return ControlLaw(m, periods)

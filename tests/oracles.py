@@ -6,7 +6,9 @@ inversion, brackets and jets from sympy, integrals from scipy
 quadrature, ODE propagation from scipy's integrators.  Tests compare
 package output against these routes; the two sides share no code,
 except for the reference replay, which drives the package's own exact
-evaluate() to judge the compiled float kernels against it.
+evaluate() to judge the compiled float kernels against it, and the
+exact checks at the end of this file, which work on the package's own
+Poly, TrigPoly and TriangularMap values.
 """
 
 import math
@@ -15,6 +17,12 @@ from fractions import Fraction
 
 import sympy
 from scipy.integrate import quad, solve_ivp
+
+from nilsteer.poly import (
+    Expr, Poly, WeightedPolynomialField, as_expr_field, expr_eval, is_exact,
+    poly_to_expr, wdeg,
+)
+from nilsteer.steer import TrigPoly, _acc, _acc_cos, _acc_sin
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +258,11 @@ def law_value(law, t, k=None):
     period k's terms, or by default those of the period holding t."""
     if not law.periods:
         return [0.0] * law.m
-    ts = float(law.time_scale)
-    base = 2.0 * math.pi * ts
+    base = 2.0 * math.pi
     if k is None:
         k = min(max(int(t // base), 0), len(law.periods) - 1)
-    tau = (t - k * base) / ts
-    gain = float(law.scale) / ts
+    tau = t - k * base
+    gain = float(law.scale)
     out = []
     for terms in law.periods[k]["channels"]:
         val = 0.0
@@ -284,7 +291,7 @@ def replay_reference(fields, x0, law, tol):
             return out
         return rhs
 
-    base = 2.0 * math.pi * float(law.time_scale)
+    base = 2.0 * math.pi
     edges = [k * base for k in range(law.nperiods)] + [law.horizon]
     x = [float(v) for v in x0]
     runs = []
@@ -399,3 +406,114 @@ def random_rational_point(n, rng, lo=-2, hi=2, den=16):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# ---------------------------------------------------------------------------
+# Exact checks on package values
+#
+# Round trips and splittings the package has no use for itself: each
+# one recomputes a value another way, so a test can compare the two
+# exactly.
+
+
+def check_inverse(tmap):
+    """Verify symbolically that a TriangularMap's inv really inverts its
+    comps."""
+    ident = [Poly.var(tmap.n, i) for i in range(tmap.n)]
+    back = [c.subst(list(tmap.inv)) for c in tmap.comps]
+    forth = [c.subst(list(tmap.comps)) for c in tmap.inv]
+    return back == ident and forth == ident
+
+
+def poly_graded_part(p, weights, d):
+    """Terms of a Poly of weighted degree exactly d."""
+    return Poly(p.n, {e: c for e, c in p.terms.items()
+                      if wdeg(e, weights) == d})
+
+
+def field_graded_part(field, d):
+    """Terms of a weighted field of weighted degree exactly d
+    (w(a) - w_j == d)."""
+    comps = []
+    for j, comp in enumerate(field.comps):
+        comps.append(poly_graded_part(comp, field.weights,
+                                      d + field.weights[j]))
+    return WeightedPolynomialField(comps, field.weights)
+
+
+def weighted_components(field):
+    """Split a weighted polynomial field into its graded parts.
+
+    Returns {degree: field}, smallest degree first.  The degree of a
+    term c*z^a d/dz_j is w(a) - w_j, so for a frame adapted to the
+    filtration the leading block sits at degree -1.
+    """
+    if field.weights is None:
+        raise ValueError("field carries no weights")
+    degrees = set()
+    for j, comp in enumerate(field.comps):
+        for e in comp.terms:
+            degrees.add(wdeg(e, field.weights) - field.weights[j])
+    return {d: field_graded_part(field, d) for d in sorted(degrees)}
+
+
+def nonholonomic_order(f, fields, anchor, cap, tol=1e-12):
+    """Order of vanishing of f at anchor along iterated field derivatives.
+
+    Returns (order, mode) where order is the smallest total number of
+    field applications whose result is nonzero at the anchor, or None
+    when everything up to ``cap`` applications vanishes (read: order is
+    at least cap + 1).  mode is 'exact' when every evaluation stayed
+    rational and 'float' when trig forced numeric evaluation, in which
+    case values below ``tol`` count as zero.
+    """
+    efields = [as_expr_field(x) for x in fields]
+    f = f if isinstance(f, Expr) else poly_to_expr(f)
+    mode = "exact"
+
+    def value_nonzero(v):
+        nonlocal mode
+        if is_exact(v):
+            return v != 0
+        mode = "float"
+        return abs(v) > tol
+
+    if value_nonzero(expr_eval(f, anchor)):
+        return 0, mode
+    level = [f]
+    for s in range(1, cap + 1):
+        nxt = []
+        hit = False
+        for g in level:
+            for xf in efields:
+                h = xf.apply_to(g)
+                nxt.append(h)
+                if value_nonzero(expr_eval(h, anchor)):
+                    hit = True
+        if hit:
+            return s, mode
+        level = nxt
+    return None, mode
+
+
+def trig_derivative(u):
+    """Exact derivative of a TrigPoly, term by term."""
+    out = {}
+    for (p, w, s), c in u.terms.items():
+        if p > 0:
+            _acc(out, p - 1, w, s, c * p)
+        if w > 0:
+            if s == 0:
+                _acc_sin(out, p, w, c * (-w))
+            else:
+                _acc_cos(out, p, w, c * w)
+    return TrigPoly(out)
+
+
+def trig_eval_float(u, t):
+    """A TrigPoly's value at t, in floats."""
+    total = 0.0
+    for (p, w, s), c in u.terms.items():
+        base = math.cos(w * t) if s == 0 else math.sin(w * t)
+        total += float(c) * t ** p * base
+    return total

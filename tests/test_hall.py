@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 import oracles
+from nilsteer.errors import SpecError
 from nilsteer.hall import build_hall_basis, evaluate_bracket
 from nilsteer.poly import Poly, WeightedPolynomialField
 
@@ -196,10 +197,10 @@ def test_evaluate_bracket_matches_sympy_oracle():
 
 
 def test_rejects_bad_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError):
         build_hall_basis(0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError):
         build_hall_basis(2, 0)
     basis = build_hall_basis(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError):
         evaluate_bracket(basis, 3, [martinet_fields()[0]])

@@ -14,14 +14,14 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from nilsteer import sim
 from nilsteer.canonical import canonical_fields
-from nilsteer.desing import desingularize, select_frame
+from nilsteer.desing import desingularize
 from nilsteer.hall import build_hall_basis
 from nilsteer.planner import LocalSteering
 from nilsteer.poly import (
     Expr, ExprField, Poly, WeightedPolynomialField, compile_field, ecos,
     eadd, emul, epow, erat, esin, evar,
 )
-from nilsteer.sim import input_sup_bound, integrate, reparameterize
+from nilsteer.sim import input_sup_bound, integrate
 from nilsteer.steer import ControlLaw, PiFrac, PiPoly, build_plan
 
 N = 3
@@ -46,20 +46,20 @@ def martinet_fields():
             WeightedPolynomialField([Poly.zero(N), Poly.const(N, 1), x1sq])]
 
 
-def lift_of(fields, r):
-    basis = build_hall_basis(2, r)
-    frame = select_frame(fields, basis, [F(0)] * N)
-    return desingularize(fields, frame)
+def lift_of(fields, r, frame):
+    """The lift at the origin along frame, the cheapest frame there
+    (see test_desing)."""
+    return desingularize(fields, build_hall_basis(2, r), frame, [F(0)] * N)
 
 
 @pytest.fixture(scope="module")
 def unicycle_lift():
-    return lift_of(unicycle_fields(), 2)
+    return lift_of(unicycle_fields(), 2, (1, 2, 3))
 
 
 @pytest.fixture(scope="module")
 def martinet_lift():
-    return lift_of(martinet_fields(), 3)
+    return lift_of(martinet_fields(), 3, (1, 2, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +227,7 @@ def laws(draw):
                for _ in range(draw(st.integers(0, 3)))]
     scale = draw(st.one_of(st.just(F(1)), fractions.filter(bool),
                            st.floats(0.1, 4.0)))
-    time_scale = draw(st.one_of(st.just(F(1)), st.floats(0.2, 5.0)))
-    return ControlLaw(m, periods, scale=scale, time_scale=time_scale)
+    return ControlLaw(m, periods, scale=scale)
 
 
 @settings(max_examples=80, deadline=None)
@@ -242,13 +241,12 @@ def test_law_eval_matches_term_formula(law, fracs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(laws(), st.floats(0.01, 5.0), st.floats(0.0, 1.0))
-def test_reparameterized_and_json_laws(law, bound, frac):
-    for other in (reparameterize(law, bound),
-                  ControlLaw.from_json(law.to_json_str())):
-        t = frac * (other.horizon if other.periods else 1.0)
-        assert other.eval(t) == oracles.law_value(other, t)
-        assert other.eval(-t) == oracles.law_value(other, -t)
+@given(laws(), st.floats(0.0, 1.0))
+def test_json_laws(law, frac):
+    other = ControlLaw.from_json(law.to_json_str())
+    t = frac * (other.horizon if other.periods else 1.0)
+    assert other.eval(t) == oracles.law_value(other, t)
+    assert other.eval(-t) == oracles.law_value(other, -t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,7 +254,7 @@ def test_reparameterized_and_json_laws(law, bound, frac):
 def test_sup_bound_reads_the_float_table(law):
     want = 0.0
     if law.periods:
-        gain = abs(float(law.scale)) / float(law.time_scale)
+        gain = abs(float(law.scale))
         want = gain * max(math.fsum(abs(float(a)) for a, _, _ in terms)
                           for p in law.periods for terms in p["channels"])
     assert input_sup_bound(law) == want

@@ -1,6 +1,8 @@
 """Packaging and source hygiene: every console script pyproject.toml
-declares must resolve to a callable in the package, and every
-parameter of every function in the package must be read."""
+declares must resolve to a callable in the package, every parameter of
+every function in the package must be read, and every function or
+class the package defines must be named somewhere in the package or
+the benchmark."""
 
 import ast
 import importlib
@@ -11,10 +13,20 @@ import pytest
 HERE = os.path.dirname(os.path.abspath(__file__))
 PYPROJECT = os.path.join(HERE, os.pardir, "pyproject.toml")
 PACKAGE = os.path.join(HERE, os.pardir, "src", "nilsteer")
+# Where a caller must name a definition for it to count as used.
+CALLER_DIRS = [os.path.join(HERE, os.pardir, d) for d in ("src", "bench")]
 
 # (file, function, parameter) whose presence a callee fixes: solve_ivp
 # calls a domain event as inside(t, x), and the box test reads only x.
 CALLEE_FIXED = {("sim.py", "inside", "t")}
+
+# Definitions kept without a caller in src/ or bench/, with the reason.
+NO_CALLER_NEEDED = {
+    "evaluate": "the exact reference the compiled float kernels match",
+    "to_json_str": "writes a law for the JSON round trip",
+    "from_json": "reads a law back in the JSON round trip",
+    "growth_vector": "the LARC check a command-line front end will run",
+}
 
 
 def resolve(target):
@@ -66,3 +78,51 @@ def test_every_parameter_is_read():
             if (fname, name, arg) not in CALLEE_FIXED:
                 found.append("%s: %s(%s)" % (fname, name, arg))
     assert not found, found
+
+
+def python_files(root):
+    for dirpath, _, names in os.walk(root):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                yield os.path.realpath(os.path.join(dirpath, name))
+
+
+def uncalled_definitions(package, caller_dirs):
+    """(file, name) for each function or class, other than a dunder,
+    defined in the package, whose name no ast.Name id or ast.Attribute
+    attr in caller_dirs equals outside the definition's own node.
+    Import statements, comments and docstrings name nothing here."""
+    trees = {}
+    for root in caller_dirs:
+        for path in python_files(root):
+            with open(path) as fh:
+                trees[path] = ast.parse(fh.read())
+    uses = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+    out = []
+    for path in python_files(package):
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if all(id(n) in own for n in uses.get(name, ())):
+                out.append((os.path.basename(path), name))
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    uncalled = uncalled_definitions(PACKAGE, CALLER_DIRS)
+    found = [(fname, name) for fname, name in uncalled
+             if name not in NO_CALLER_NEEDED]
+    assert not found, found
+    # a name that has gained a caller leaves the list
+    assert set(NO_CALLER_NEEDED) == {name for _, name in uncalled}

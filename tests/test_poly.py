@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from nilsteer.errors import SingularMatrix, SpecError
 from nilsteer.poly import (
-    Expr, ExprField, Poly, TriangularMap, WeightedPolynomialField,
-    det_matrix, ecos, erat, esin, evar, expr_diff, expr_eval, expr_subs,
-    expr_to_poly, expr_to_str, invert_matrix, lie_bracket,
-    nonholonomic_order, nullspace, parse_expr, poly_to_expr, pushforward,
-    solve_min_norm, taylor_poly, taylor_truncate, weighted_components,
+    ExprField, Poly, TriangularMap, WeightedPolynomialField, det_matrix,
+    ecos, erat, esin, evar, expr_diff, expr_eval, expr_to_poly, expr_to_str,
+    invert_matrix, lie_bracket, nullspace, parse_expr, poly_to_expr,
+    solve_min_norm, taylor_poly, taylor_truncate,
 )
+from oracles import nonholonomic_order, weighted_components
 from nilsteer.steer import PiFrac, PiPoly
 
 X1, X2, X3 = evar(0), evar(1), evar(2)
@@ -288,7 +288,7 @@ def test_shear_inverse_exact():
               Poly(n, {(2, 0, 0): Fraction(1, 2)}),
               Poly(n, {(1, 1, 0): Fraction(1), (3, 0, 0): Fraction(-1, 3)})]
     t = TriangularMap.shear(shifts)
-    assert t.check_inverse()
+    assert oracles.check_inverse(t)
     pt = [Fraction(1, 2), Fraction(-1), Fraction(2)]
     assert t.apply_inverse(t.apply(pt)) == pt
 
@@ -302,7 +302,7 @@ def test_affine_map_and_compose():
     comp = shear.compose(t)
     pt = [Fraction(3), Fraction(-2)]
     assert comp.apply(pt) == shear.apply(t.apply(pt))
-    assert comp.check_inverse()
+    assert oracles.check_inverse(comp)
 
 
 def test_pushforward_matches_sympy():
@@ -327,8 +327,8 @@ def test_pushforward_round_trip(field):
               Poly(3, {(1, 1, 0): Fraction(-2)})]
     t = TriangularMap.shear(shifts)
     t_inv = TriangularMap(t.inv, t.comps)
-    there = pushforward(field, t)
-    back = pushforward(there, t_inv)
+    there = t.pushforward(field)
+    back = t_inv.pushforward(there)
     assert back == field
 
 

@@ -15,12 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from nilsteer.canonical import canonical_fields
-from nilsteer.desing import desingularize, select_frame
+from nilsteer.desing import desingularize
 from nilsteer.errors import SingularFrame, SpecError
 from nilsteer.hall import build_hall_basis, evaluate_bracket
 from nilsteer.poly import (
     ExprField, Poly, WeightedPolynomialField, ecos, erat, esin, evar,
-    weighted_components,
 )
 from nilsteer.privcoord import (
     dilate, first_order_approx, nth_root_fraction, pseudo_norm,
@@ -60,8 +59,8 @@ def martinet_lifted():
         [Poly.const(n, 1), Poly.zero(n), Poly.zero(n)])
     f2 = WeightedPolynomialField([Poly.zero(n), Poly.const(n, 1), x1sq])
     basis = build_hall_basis(2, 3)
-    frame = select_frame([f1, f2], basis, [F(0)] * 3)
-    lift = desingularize([f1, f2], frame)
+    # (1, 2, 4) is the cheapest frame at the origin (see test_desing)
+    lift = desingularize([f1, f2], basis, (1, 2, 4), [F(0)] * 3)
     return list(lift.xi_poly), basis
 
 
@@ -152,7 +151,7 @@ def test_lifted_system_model_is_canonical(martinet_lifted):
     model = canonical_fields(basis.m, basis.r)
     for i in range(2):
         diff = chart.fields_chart[i].sub(model.fields[i])
-        assert all(d >= 0 for d in weighted_components(diff))
+        assert all(d >= 0 for d in oracles.weighted_components(diff))
     assert chart.apply(anchor) == [F(0)] * 5
     assert chart.is_exact()
 
@@ -163,7 +162,7 @@ def test_trig_system_residual_degrees():
     model = canonical_fields(basis.m, basis.r)
     for i in range(2):
         diff = chart.fields_chart[i].sub(model.fields[i])
-        assert all(d >= 0 for d in weighted_components(diff))
+        assert all(d >= 0 for d in oracles.weighted_components(diff))
     # z = (x, theta, -y + x*theta), worked out by hand
     assert chart.map.comps[0] == Poly.var(3, 0)
     assert chart.map.comps[1] == Poly.var(3, 2)

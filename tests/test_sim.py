@@ -1,4 +1,4 @@
-"""Integrator, input length, and reparameterization.
+"""Integrator and input length.
 
 Closed-form endpoints come from one-dimensional flows and the
 quadratic area integral; replays of planned laws are judged against
@@ -15,7 +15,7 @@ from scipy.integrate import IntegrationWarning
 
 from nilsteer import sim
 from nilsteer.canonical import canonical_fields
-from nilsteer.desing import desingularize, select_frame
+from nilsteer.desing import desingularize
 from nilsteer.errors import DomainExit, SpecError, StepFailure
 from nilsteer.hall import build_hall_basis
 from nilsteer.planner import LocalSteering
@@ -23,11 +23,9 @@ from nilsteer.poly import (
     ExprField, Poly, WeightedPolynomialField, ecos, erat, esin, evar,
 )
 from nilsteer.sim import (
-    Trajectory, input_length, input_sup_bound, integrate, reparameterize,
+    Trajectory, input_length, input_sup_bound, integrate,
 )
-from nilsteer.steer import (
-    ControlLaw, build_plan, exact_steer, smooth_concatenate,
-)
+from nilsteer.steer import ControlLaw, build_plan, exact_steer
 
 import oracles
 
@@ -79,14 +77,13 @@ def test_grid_contains_period_boundaries():
 
 
 @pytest.mark.parametrize("periods", [13, 20, 40])
-@pytest.mark.parametrize("time_scale", [1.0, 1.3, 1.7])
-def test_grid_has_each_period_edge_once(monkeypatch, periods, time_scale):
+def test_grid_has_each_period_edge_once(monkeypatch, periods):
     # k * base and (k - 1) * base + base may differ by an ulp, and the
     # last edge may miss the horizon by one; either gave a second row
     cs = canonical_fields(2, 2)
     period = {"channels": [[(F(1, 2), 1, 0)], [(F(1, 3), 2, 1)]]}
-    law = ControlLaw(2, [period] * periods, time_scale=time_scale)
-    base = TWO_PI * time_scale
+    law = ControlLaw(2, [period] * periods)
+    base = TWO_PI
     seen = []
     solve = sim.solve_ivp
 
@@ -160,16 +157,6 @@ def test_trajectory_validation():
         Trajectory([0.0], [[1.0], [2.0]])
 
 
-def test_csv_round_trip(tmp_path):
-    traj = Trajectory([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])
-    path = tmp_path / "out.csv"
-    traj.to_csv(str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,x_1,x_2"
-    assert len(lines) == 3
-    assert [float(v) for v in lines[2].split(",")] == [1.0, 3.0, 4.0]
-
-
 def test_input_length_values():
     assert input_length(ControlLaw(2, [])) == 0.0
     ell = input_length(circle_law())
@@ -182,33 +169,45 @@ def fine_length(law):
     """The integral input_length takes, on one piece per oscillation of
     each period's top frequency (four times finer) and at the tighter
     tolerance of oracles.quad_over_periods."""
-    _, base, _, periods = law.float_table()
     total = 0.0
-    for k, channels in enumerate(periods):
+    for k, channels in enumerate(law.float_table()[1]):
         top = max((w for terms in channels for _, w, _ in terms),
                   default=0)
 
         def norm(t, k=k):
             return math.sqrt(math.fsum(v * v
-                                       for v in law.eval(k * base + t)))
+                                       for v in law.eval(k * TWO_PI + t)))
 
-        total += oracles.quad_over_periods(norm, base, max(1, top))
+        total += oracles.quad_over_periods(norm, TWO_PI, max(1, top))
     return total
 
 
+def fast_law():
+    """Two periods with top frequencies 13653 and 1365, in which every
+    channel vanishes at both period edges, so that the norm has a kink
+    there."""
+    return ControlLaw(2, [
+        {"channels": [
+            [(F(4, 3), 1, 0), (F(-17, 12), 13, 0), (F(1, 12), 53, 0),
+             (F(1, 50000), 213, 1)],
+            [(F(-3, 50), 1, 1), (F(4, 3), 3, 0), (F(-17, 12), 853, 0),
+             (F(1, 12), 3413, 0), (F(1, 10000), 13653, 1)]]},
+        {"channels": [
+            [(F(1, 30), 0, 0), (F(-1, 30), 1, 0), (F(1, 1000), 21, 1)],
+            [(F(-1, 40), 0, 0), (F(1, 40), 85, 0), (F(1, 2000), 1365, 1)]]},
+    ])
+
+
 def test_input_length_of_fast_laws_needs_no_quad_warning():
-    # fast periods (top frequency 592 here, 13653 in the k = 3 join)
-    # overrun quad's subdivision limit when taken whole
+    # fast periods (top frequency 592 in the (3,3) steer, 13653 in
+    # fast_law) overrun quad's subdivision limit when taken whole
     s33 = canonical_fields(3, 3)
     x33 = [F(1, 2), F(-1, 3), F(1, 4), F(-1, 5), F(1, 6), F(-1, 7),
            F(-2, 7), F(-1, 7), F(0), F(1, 7), F(2, 7), F(-2, 7),
            F(-1, 7), F(0)]
-    laws = [exact_steer(x33, s33)]
-    s22 = canonical_fields(2, 2)
-    plan22 = build_plan(s22)
-    law1 = exact_steer([F(1, 2), F(-1, 3), F(1, 4)], s22, plan22)
-    law2 = exact_steer([F(-1, 5), F(1, 7), F(2, 3)], s22, plan22)
-    laws += [smooth_concatenate([law1, law2], k) for k in (1, 2, 3)]
+    laws = [exact_steer(x33, s33), fast_law()]
+    assert max(w for p in laws[1].periods for terms in p["channels"]
+               for _, w, _ in terms) >= 13653
     for law in laws:
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
@@ -220,41 +219,8 @@ def test_input_length_of_fast_laws_needs_no_quad_warning():
 def test_sup_bound():
     assert input_sup_bound(ControlLaw(2, [])) == 0.0
     assert input_sup_bound(circle_law()) == 1.0
-    law = ControlLaw(2, circle_law().periods, scale=F(3),
-                     time_scale=F(2))
+    law = ControlLaw(2, circle_law().periods, scale=F(3, 2))
     assert input_sup_bound(law) == 1.5
-
-
-def test_reparameterize_noop_and_rescale():
-    law = circle_law()
-    assert reparameterize(law, 2.0) is law
-    slow = reparameterize(law, 0.5)
-    assert float(slow.time_scale) == 2.0
-    assert abs(slow.horizon - 2 * law.horizon) <= 1e-12
-    assert input_sup_bound(slow) == 0.5
-    zero = ControlLaw(2, [])
-    assert reparameterize(zero, 1.0) is zero
-    with pytest.raises(SpecError):
-        reparameterize(law, 0.0)
-
-
-def test_reparameterize_preserves_endpoints():
-    cs = canonical_fields(2, 3)
-    x0 = [0.3, -0.1, 0.2, 0.05, -0.4]
-    law = wiggle_law()
-    base = integrate(cs.fields, x0, law, tol=1e-10)
-    half = integrate(cs.fields, x0, reparameterize(law, 0.5), tol=1e-10)
-    err = max(abs(a - b) for a, b in zip(base.endpoint, half.endpoint))
-    assert err <= 1e-9
-    # a longer rescale needs a tighter integrator tolerance to stay
-    # within the same bound over the 4x horizon
-    base11 = integrate(cs.fields, x0, law, tol=1e-11)
-    slow = integrate(cs.fields, x0, reparameterize(law, 0.25), tol=1e-11)
-    err = max(abs(a - b) for a, b in zip(base11.endpoint, slow.endpoint))
-    assert err <= 1e-9
-    # duration quadrupled, length unchanged (same curve)
-    assert abs(input_length(reparameterize(law, 0.25))
-               - input_length(law)) <= 1e-8
 
 
 def test_domain_exit_attaches_partial():
@@ -318,8 +284,8 @@ def test_lifted_trajectory_projects_onto_base():
         [Poly.const(n, 1), Poly.zero(n), Poly.zero(n)])
     f2 = WeightedPolynomialField([Poly.zero(n), Poly.const(n, 1), x1sq])
     basis = build_hall_basis(2, 3)
-    frame = select_frame([f1, f2], basis, [F(0)] * 3)
-    lift = desingularize([f1, f2], frame)
+    # (1, 2, 4) is the cheapest frame at the origin (see test_desing)
+    lift = desingularize([f1, f2], basis, (1, 2, 4), [F(0)] * 3)
     law = wiggle_law()
     x0 = [0.2, -0.1, 0.3]
     down = integrate([f1, f2], x0, law, tol=1e-10, samples_per_period=8)
