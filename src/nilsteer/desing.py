@@ -1,16 +1,20 @@
 """Lifting to a free nilpotent shadow.
 
 A system whose bracket flag is thinner than the free one gains a
-fiber coordinate per missing direction, level by level.  Each level
-reruns a chain of exact polynomial coordinate changes on the lifted
-fields: a linear map putting a bracket frame on the coordinate axes,
+fiber coordinate per missing direction, level by level.  The rate of
+a fiber added at level s is its canonical monomial read through the
+chart that the levels below s build: each level runs one round of
+exact polynomial coordinate changes on the lifted fields (_chart_round),
+a linear map putting a bracket frame on the coordinate axes,
 order-raising corrections that cancel low-order derivative
 functionals, and a homogeneous identification matching the leading
-graded part of every field against the canonical monomials.  The
-output is a lifted system whose chart gives privileged coordinates
-at the lifted anchor and whose first-order model is exactly the
-canonical free system, so steering can be done upstairs and the
-trajectory projected back down.
+graded part of every field against the canonical monomials.  Rounds
+stop below the last level that adds a fiber, since no rate reads
+them.  The output is the lifted fields alone: they are free up to
+the step at the lifted anchor, so steering can be done upstairs and
+the trajectory projected back down, and the privileged chart
+upstairs comes from privcoord.first_order_approx, which runs the same
+round once on the lifted fields.
 
 Chart coefficients come from rational arithmetic on truncated jets:
 with an exact anchor at which every trig argument of the base fields
@@ -24,16 +28,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import canonical_fields, canonical_monomials
+from .canonical import canonical_monomials
 from .errors import IdentificationFailure, SingularFrame, SpecError
 from .hall import evaluate_bracket
 from .poly import (ExprField, Poly, TriangularMap, WeightedPolynomialField,
                    as_expr_field, det_matrix, erat, expr_to_poly,
-                   expr_to_str, invert_matrix, is_exact, poly_to_expr,
-                   poly_to_str, solve_min_norm, taylor_truncate)
+                   invert_matrix, is_exact, poly_to_expr, solve_min_norm,
+                   taylor_truncate)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+# Relative determinant gate of a bracket frame on float data: the
+# covering, the frame check of desingularize and every chart round
+# call a frame singular below this fraction of its column scale.
+DET_THRESHOLD = 1e-9
 
 
 def _ones(n):
@@ -74,11 +83,11 @@ def _column_scale(rows):
     return scale
 
 
-def _det_gate(det, rows, threshold):
+def _det_gate(det, rows):
     """Nonzero test: exact when the data is exact, relative otherwise."""
     if is_exact(det):
         return det != 0
-    return abs(float(det)) > threshold * _column_scale(rows)
+    return abs(float(det)) > DET_THRESHOLD * _column_scale(rows)
 
 
 def _bracket_values(fields, basis, indices, point):
@@ -103,7 +112,7 @@ def frame_combos(basis, n):
         for c in itertools.combinations(range(1, len(basis) + 1), n))
 
 
-def cheapest_frame(basis, value_sets, threshold):
+def cheapest_frame(basis, value_sets):
     """Cheapest n-subset of the basis spanning on every value matrix.
 
     value_sets holds matrices of bracket values (rows are coordinates,
@@ -123,7 +132,7 @@ def cheapest_frame(basis, value_sets, threshold):
         for values in value_sets:
             rows = [[values[i][j - 1] for j in combo] for i in range(n)]
             det = det_matrix(rows)
-            if not _det_gate(det, rows, threshold):
+            if not _det_gate(det, rows):
                 break
             dets.append(det)
         else:
@@ -157,7 +166,7 @@ def _hom_exponents(limit, wt, target):
     return out
 
 
-def _chart_round(shadows, basis, coords, s, cap, threshold=1e-9):
+def _chart_round(shadows, basis, coords, s, cap):
     """One level of the chart chain.
 
     shadows hold per-generator jets in the current coordinates with
@@ -180,7 +189,7 @@ def _chart_round(shadows, basis, coords, s, cap, threshold=1e-9):
     rows = [[table[k].comps[i].constant_term() for k in range(dim)]
             for i in range(dim)]
     det = det_matrix(rows)
-    if not _det_gate(det, rows, threshold):
+    if not _det_gate(det, rows):
         raise SingularFrame("bracket frame degenerates at the anchor "
                             "(level %d)" % s, level=s,
                             det=float(det) if det else 0.0)
@@ -301,74 +310,43 @@ def _chart_round(shadows, basis, coords, s, cap, threshold=1e-9):
 
 
 class LiftedSystem:
-    """A system made free by fiber coordinates, with its chart.
+    """A system made free by fiber coordinates.
 
     xi are the lifted fields on the ambient space: base variables
-    first, fiber variables in order of creation, and the first n
-    components of every xi_i are the original field untouched.  chart
-    maps ambient points to the privileged coordinates in which the
-    canonical system canonical_fields(m, r) is the first-order model;
-    fields_chart holds the lifted fields' jets in those coordinates,
-    and frame the basis indices of the bracket frame lifted along.
+    first, fiber variables in order of creation (fiber_order holds
+    their basis indices), and the first n components of every xi_i are
+    the original field untouched.  xi_poly holds the same fields as
+    polynomial fields when the base fields are polynomial.  frame is
+    the basis indices of the bracket frame lifted along.  At the lifted
+    anchor lift_point(anchor) the first len(basis) brackets of xi are a
+    frame, so first_order_approx gives the privileged chart there, in
+    which canonical_fields(m, r) is the first-order model.
     """
 
-    def __init__(self, n, m, r, basis, xi, xi_poly, chart, anchor,
-                 fiber_order, fields_chart, frame, records):
+    def __init__(self, n, m, r, basis, xi, xi_poly, anchor, fiber_order,
+                 frame):
         self.n = n
         self.m = m
         self.r = r
         self.basis = basis
         self.lifted_n = len(basis)
-        self.weights = basis.free_weights
         self.xi = tuple(xi)
         self.xi_poly = tuple(xi_poly) if xi_poly is not None else None
-        self.chart = chart
         self.anchor = tuple(anchor)
-        self.anchor_lifted = tuple(anchor) + (0,) * (self.lifted_n - n)
         self.fiber_order = tuple(fiber_order)
-        self.fields_chart = tuple(fields_chart)
         self.frame = tuple(frame)
-        self.records = tuple(records)
 
     def lift_point(self, x):
         if len(x) != self.n:
             raise SpecError("expected a base point with %d coordinates"
                             % self.n)
-        return list(x) + [0] * (self.lifted_n - self.n)
+        return list(x) + [0] * len(self.fiber_order)
 
     def project(self, p):
         if len(p) and (isinstance(p[0], (list, tuple))
                        or hasattr(p[0], "__len__")):
             return [list(row)[:self.n] for row in p]
         return list(p)[:self.n]
-
-    def var_names(self):
-        return (["x%d" % (i + 1) for i in range(self.n)]
-                + ["v%d" % k for k in self.fiber_order])
-
-    def to_json(self):
-        names = self.var_names()
-        znames = ["z%d" % (j + 1) for j in range(self.lifted_n)]
-        return {
-            "n": self.n,
-            "m": self.m,
-            "r": self.r,
-            "lifted_n": self.lifted_n,
-            "weights": list(self.weights),
-            "frame": list(self.frame),
-            "fiber_order": list(self.fiber_order),
-            "anchor": [float(v) for v in self.anchor],
-            "xi": [[expr_to_str(c, names) for c in f.comps]
-                   for f in self.xi],
-            "chart": [poly_to_str(c, names) for c in self.chart.comps],
-            "xi_hat": [[poly_to_str(c, znames) for c in f.comps]
-                       for f in canonical_fields(self.m, self.r).fields],
-            "records": [
-                {"level": rec["level"], "coords": list(rec["coords"]),
-                 "fibers": list(rec["fibers"]), "dim": rec["dim"],
-                 "det": float(rec["det"])}
-                for rec in self.records],
-        }
 
     def __repr__(self):
         return ("LiftedSystem(n=%d, lifted_n=%d, r=%d)"
@@ -379,10 +357,12 @@ def desingularize(fields, basis, indices, anchor):
     """Lift at anchor until the system is free up to step basis.r.
 
     indices name the basis elements of the bracket frame, one per
-    state coordinate.  Fiber coordinates arrive level by level for the
-    bracket directions the frame does not cover, with rates given by
-    the canonical monomials read through the chart built so far; each
-    level then reruns the full chart chain on the enlarged system.
+    state coordinate; a frame that fails the determinant gate at the
+    anchor raises SingularFrame.  Fiber coordinates arrive level by
+    level for the bracket directions the frame does not cover, with
+    rates given by the canonical monomials read through the chart the
+    rounds below that level build; rounds run only below the last
+    level that adds a fiber.
     """
     fields = list(fields)
     m = len(fields)
@@ -394,11 +374,18 @@ def desingularize(fields, basis, indices, anchor):
     if basis.m != m:
         raise SpecError("frame basis is for %d inputs, got %d fields"
                         % (basis.m, m))
+    rows = _bracket_values(fields, basis, indices, anchor)
+    if not _det_gate(det_matrix(rows), rows):
+        raise SingularFrame("bracket frame degenerates at the anchor",
+                            frame=list(indices),
+                            anchor=[float(v) for v in anchor])
     cap = 2 * r + 1
 
     anchor = list(anchor)
     J = set(indices)
     mons = canonical_monomials(basis)
+    top = max((basis.element(j).length for j in range(1, len(basis) + 1)
+               if j not in J), default=0)
 
     ident = [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
     chart = TriangularMap.affine(ident, anchor)
@@ -406,8 +393,7 @@ def desingularize(fields, basis, indices, anchor):
     coords = sorted(J)
     fiber_order = []
     fiber_rate = {}
-    records = []
-    for s in range(1, r + 1):
+    for s in range(1, top + 1):
         new = [j for j in range(1, len(basis) + 1)
                if basis.element(j).length == s and j not in J]
         prev_dim = len(coords)
@@ -427,12 +413,10 @@ def desingularize(fields, basis, indices, anchor):
                 fiber_rate[k] = rate.subst(list(chart.comps))
                 fiber_order.append(k)
         coords = sorted(set(coords) | set(new))
-        align, correct, identify, shadows, det = _chart_round(
-            shadows, basis, coords, s, cap)
-        chart = identify.compose(correct).compose(align).compose(chart)
-        records.append({"level": s, "coords": tuple(coords),
-                        "fibers": tuple(new), "dim": len(coords),
-                        "det": det, "maps": (align, correct, identify)})
+        if s < top:
+            align, correct, identify, shadows, _ = _chart_round(
+                shadows, basis, coords, s, cap)
+            chart = identify.compose(correct).compose(align).compose(chart)
 
     base_expr = [as_expr_field(f) for f in fields]
     xi = []
@@ -449,26 +433,18 @@ def desingularize(fields, basis, indices, anchor):
         N = len(basis)
         xi_poly = [WeightedPolynomialField(
             [expr_to_poly(c, N) for c in f.comps]) for f in xi]
-    fields_chart = [f.with_weights(basis.free_weights) for f in shadows]
-    return LiftedSystem(n, m, r, basis, xi, xi_poly, chart, anchor,
-                        fiber_order, fields_chart, indices, records)
+    return LiftedSystem(n, m, r, basis, xi, xi_poly, anchor, fiber_order,
+                        indices)
 
 
 def growth_vector(fields, basis, point, tol=1e-8):
     """Ranks of the bracket flag at a point, one entry per length."""
-    n = len(fields[0].comps)
-    w1 = _ones(n)
-    shadows = [taylor_truncate(f, point, w1, basis.r) for f in fields]
-    vals = []
+    values = np.array(_bracket_values(fields, basis,
+                                      range(1, len(basis) + 1), point),
+                      dtype=float)
     out = []
-    for s in range(1, basis.r + 1):
-        for j in range(1, len(basis) + 1):
-            if basis.element(j).length != s:
-                continue
-            fld = evaluate_bracket(basis, j, shadows, weights=w1,
-                                   wcap=basis.r)
-            vals.append([float(c.constant_term()) for c in fld.comps])
-        mat = np.array(vals, dtype=float)
+    for k in basis.level_dims:
+        mat = values[:, :k]
         scale = max(1.0, float(np.abs(mat).max()))
         out.append(int(np.linalg.matrix_rank(mat, tol=tol * scale)))
     return tuple(out)

@@ -34,14 +34,14 @@ import math
 import numpy as np
 
 from .canonical import canonical_fields
-from .desing import _bracket_values, _det_gate, cheapest_frame, \
+from .desing import DET_THRESHOLD, _bracket_values, cheapest_frame, \
     desingularize, frame_combos
 from .errors import (
     CoverageGap, DomainExit, IntegrationLeftDomain, IterationCapExceeded,
     NoPath, SingularFrame, SpecError, StepFailure,
 )
 from .hall import build_hall_basis, evaluate_bracket
-from .poly import WeightedPolynomialField, compile_field, det_matrix
+from .poly import WeightedPolynomialField, compile_field
 from .privcoord import dilate, first_order_approx, pseudo_norm
 from .sim import input_length, integrate
 from .steer import build_plan, concatenate, exact_steer
@@ -50,25 +50,27 @@ from .steer import build_plan, concatenate, exact_steer
 class PlannerConfig:
     """Knobs for the iterative planner.
 
-    R is the bracketing ratio of the modified loop and must sit in
+    integrator_tol is the replay tolerance of every local step.  R is
+    the bracketing ratio of the modified loop and must sit in
     ((1/2)**(1/(r+1)**2), 1); leaving it None picks the midpoint of
     that interval once r is known.  The iteration cap counts loop
     attempts, accepted or not, and exists because termination carries
-    no explicit rate bound.
+    no explicit rate bound.  grid is the covering's boxes per axis;
+    margin and fiber_radius bound each leg's runtime box (see
+    _leg_domain).  The frame determinant gate is not a knob: the
+    covering and the lift share desing.DET_THRESHOLD.
     """
 
-    __slots__ = ("integrator_tol", "R", "iteration_cap", "det_threshold",
-                 "grid", "fiber_radius", "margin")
+    __slots__ = ("integrator_tol", "R", "iteration_cap", "grid",
+                 "fiber_radius", "margin")
 
     def __init__(self, integrator_tol=1e-10, R=None, iteration_cap=10000,
-                 det_threshold=1e-9, grid=8, fiber_radius=None,
-                 margin=None):
+                 grid=8, fiber_radius=None, margin=None):
         if iteration_cap < 1:
             raise SpecError("iteration cap must be at least 1")
         self.integrator_tol = integrator_tol
         self.R = R
         self.iteration_cap = iteration_cap
-        self.det_threshold = det_threshold
         self.grid = grid
         self.fiber_radius = fiber_radius
         self.margin = margin
@@ -87,7 +89,6 @@ class PlannerConfig:
             "integrator_tol": self.integrator_tol,
             "R": self.R,
             "iteration_cap": self.iteration_cap,
-            "det_threshold": self.det_threshold,
             "grid": self.grid,
             "fiber_radius": self.fiber_radius,
             "margin": self.margin,
@@ -539,14 +540,14 @@ def _overlap_waypoint(grid, box_pairs):
 SCREEN_SLACK = 1e-6
 
 
-def _screen_frames(fields, basis, grid, threshold):
+def _screen_frames(fields, basis, grid):
     """{box index: frame} for the boxes the float screen decides.
 
     Only the cheapest level of n-subsets is screened.  Each bracket it
     uses is compiled once and evaluated once per grid corner, and
     every (box, corner) determinant of a subset is one numpy batch.  A
     box is decided when every subset of the level clears the gate
-    (|det| > threshold * scale) by SCREEN_SLACK * scale at every
+    (|det| > DET_THRESHOLD * scale) by SCREEN_SLACK * scale at every
     corner, and the largest worst |det| beats every other by the
     factor 1 + SCREEN_SLACK.  Under those margins the exact search
     (cheapest_frame on _bracket_values, exact or float) picks the same
@@ -582,7 +583,7 @@ def _screen_frames(fields, basis, grid, threshold):
         dets = np.abs(np.linalg.det(mats))
         norms = np.linalg.norm(mats, axis=-1)
         scale = np.prod(np.where(norms > 0, norms, 1.0), axis=-1)
-        clear.append(np.all(dets > (threshold + SCREEN_SLACK) * scale,
+        clear.append(np.all(dets > (DET_THRESHOLD + SCREEN_SLACK) * scale,
                             axis=1))
         scores.append(np.min(dets, axis=1))
     ok = np.all(clear, axis=0)
@@ -609,7 +610,7 @@ def build_covering(fields, K, basis, config=None):
     """
     config = config or PlannerConfig()
     grid = Grid(K[0], K[1], config.grid)
-    screened = _screen_frames(fields, basis, grid, config.det_threshold)
+    screened = _screen_frames(fields, basis, grid)
     assigned = {}
     memo = {}
     for idx in grid.boxes():
@@ -623,7 +624,7 @@ def build_covering(fields, K, basis, config=None):
                                                 range(1, len(basis) + 1),
                                                 corner)
                 values.append(memo[key])
-            found = cheapest_frame(basis, values, config.det_threshold)
+            found = cheapest_frame(basis, values)
             if found is None:
                 raise CoverageGap("no frame passes the corner gate on "
                                   "box %s" % (idx,), box=list(idx))
@@ -680,6 +681,13 @@ class Planner:
 
     def __init__(self, fields, K, config=None, r=None):
         self.fields = list(fields)
+        dims = {f.n for f in self.fields}
+        if len(dims) != 1:
+            raise SpecError("fields must share one state dimension, got %s"
+                            % sorted(dims))
+        n, = dims
+        if len(K) != 2 or any(len(corner) != n for corner in K):
+            raise SpecError("box corners must have %d coordinates" % n)
         self.config = config or PlannerConfig()
         m = len(self.fields)
         if r is None:
@@ -709,12 +717,12 @@ class Planner:
         """Plan inputs steering the system from x_init to x_final.
 
         Walks the atlas's cell path, desingularizes at each leg's
-        target, runs the free-system loop on the lifted system, and
-        projects back.  Returns the concatenated law together with a
+        target (SingularFrame if the cell frame degenerates there),
+        runs the free-system loop on the lifted system, and projects
+        back.  Returns the concatenated law together with a
         report whose legs hold the per-cell traces.
         """
         config = self.config
-        threshold = config.det_threshold
         n = len(x_init)
         if len(x_final) != n:
             raise SpecError("endpoints disagree in dimension")
@@ -728,11 +736,6 @@ class Planner:
         fiber_peaks = []
         for cell_id, target in zip(path, targets):
             cell = self.atlas.cells[cell_id]
-            rows = _bracket_values(self.fields, self.basis, cell.frame,
-                                   target)
-            if not _det_gate(det_matrix(rows), rows, threshold):
-                raise SingularFrame("cell frame degenerates at a waypoint",
-                                    cell=cell_id)
             lift = desingularize(self.fields, self.basis, cell.frame,
                                  target)
             fiber_dim = lift.lifted_n - n

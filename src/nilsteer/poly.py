@@ -314,7 +314,6 @@ _TOKEN_WORD = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
 class _Tokens:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
         self.items = []
         self._scan()
         self.idx = 0
@@ -756,10 +755,6 @@ class WeightedPolynomialField:
         self.comps = comps
         self.weights = tuple(weights) if weights is not None else None
 
-    @classmethod
-    def zero(cls, n, weights=None):
-        return cls([Poly.zero(n) for _ in range(n)], weights)
-
     def is_zero(self):
         return all(c.is_zero() for c in self.comps)
 
@@ -774,21 +769,6 @@ class WeightedPolynomialField:
                 continue
             total = total.add(comp.mul(p.diff(i)))
         return total
-
-    def add(self, other):
-        return WeightedPolynomialField(
-            [a.add(b) for a, b in zip(self.comps, other.comps)],
-            self.weights)
-
-    def sub(self, other):
-        return WeightedPolynomialField(
-            [a.sub(b) for a, b in zip(self.comps, other.comps)],
-            self.weights)
-
-    def scale(self, c):
-        return WeightedPolynomialField(
-            [comp.scale(c) for comp in self.comps],
-            self.weights)
 
     def with_weights(self, weights):
         return WeightedPolynomialField(self.comps, weights)

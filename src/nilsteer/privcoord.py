@@ -1,7 +1,10 @@
 """Privileged coordinates and first order approximations.
 
-The chart construction mirrors the lifting pipeline: a linear change
-adapted to a bracket frame, polynomial corrections that push the
+first_order_approx is the one construction of a privileged chart: on
+a system that is free up to the step at the anchor (a lifted system
+from desing.desingularize, or a free system as given) it runs one
+round of desing._chart_round at full depth, which is a linear change
+adapted to the bracket frame, polynomial corrections that push the
 nonholonomic order of each coordinate up to its weight, and a final
 homogeneous identification that makes the leading part of the frame
 equal the canonical fields exactly.  This module also owns the small

@@ -84,9 +84,6 @@ class PiPoly:
     def neg(self):
         return PiPoly({d: -v for d, v in self.c.items()})
 
-    def sub(self, o):
-        return self.add(o.neg())
-
     def mul(self, o):
         out = {}
         for d1, v1 in self.c.items():
@@ -455,17 +452,6 @@ class TrigPoly:
             _acc(out, p, w, s, c)
         return TrigPoly(out)
 
-    def neg(self):
-        return TrigPoly({k: -c for k, c in self.terms.items()})
-
-    def sub(self, o):
-        return self.add(o.neg())
-
-    def scale(self, c):
-        if not c:
-            return TrigPoly()
-        return TrigPoly({k: v * c for k, v in self.terms.items()})
-
     def mul(self, o):
         out = {}
         for (p1, w1, s1), c1 in self.terms.items():
@@ -612,14 +598,13 @@ class ClassPlan:
     """
 
     def __init__(self, class_id, elements, delta, epsilon, slots,
-                 spacing, rotation=0):
+                 spacing):
         self.class_id = class_id
         self.elements = tuple(elements)
         self.delta = tuple(delta)
         self.epsilon = epsilon
         self.slots = list(slots)
         self.spacing = spacing
-        self.rotation = rotation
         self.A = None
         self.B = None
         self.det = None
@@ -698,8 +683,7 @@ def plan_frequencies(basis, class_id, spacing=1, rotation=0):
     if total == 1:
         gen = delta.index(1) + 1
         slot = SlotPlan(cls[0], [()] * m, gen, 0, 0)
-        return ClassPlan(class_id, cls, delta, 0, [slot], spacing,
-                         rotation)
+        return ClassPlan(class_id, cls, delta, 0, [slot], spacing)
     eps = (total - 1) % 2
     vmax = 0
 
@@ -723,8 +707,7 @@ def plan_frequencies(basis, class_id, spacing=1, rotation=0):
         carrier = fresh() if not channels[res_ch - 1] else 0
         slots.append(SlotPlan(element, channels, res_ch, resonance,
                               carrier))
-    return ClassPlan(class_id, cls, delta, eps, slots, spacing,
-                     rotation)
+    return ClassPlan(class_id, cls, delta, eps, slots, spacing)
 
 
 def _signed_sums(pool, count):
@@ -1098,7 +1081,7 @@ def exact_steer(x_init, system, plan=None):
     lam = pseudo_norm(x, weights)
     if lam == 0:
         return ControlLaw(system.m, [], F1,
-                          meta={"z_init": [F0] * system.n, "x_init": x})
+                          meta={"z_init": [F0] * system.n})
     if not is_exact(lam):
         lam = Fraction(float(lam))
     if plan is None:
@@ -1127,7 +1110,7 @@ def exact_steer(x_init, system, plan=None):
             "amps": amps,
         })
     return ControlLaw(system.m, periods, lam,
-                      meta={"z_init": z_init, "x_init": x})
+                      meta={"z_init": z_init})
 
 
 def concatenate(laws, m=None):

@@ -441,6 +441,12 @@ def field_graded_part(field, d):
     return WeightedPolynomialField(comps, field.weights)
 
 
+def field_sub(a, b):
+    """The field a - b, component by component, with a's weights."""
+    return WeightedPolynomialField(
+        [p.sub(q) for p, q in zip(a.comps, b.comps)], a.weights)
+
+
 def weighted_components(field):
     """Split a weighted polynomial field into its graded parts.
 

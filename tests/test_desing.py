@@ -7,17 +7,19 @@ homogeneous identification on a three-dimensional shear system has a
 closed-form answer; free systems must come back unchanged.  Rank and
 derivative-functional checks pin the structural claims: coordinate
 orders equal the weights, growth vectors fill up to the free
-dimensions, and nilpotency survives the lift.
+dimensions, and nilpotency survives the lift.  Charts are judged as
+the planner builds them: first_order_approx on the lifted fields at
+the lifted anchor.
 """
 
 import itertools
-import json
 import math
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from nilsteer import desing, privcoord
 from nilsteer.canonical import canonical_fields
 from nilsteer.desing import (
     _bracket_values, _det_gate, cheapest_frame, desingularize,
@@ -29,6 +31,7 @@ from nilsteer.poly import (
     ExprField, Poly, WeightedPolynomialField, as_expr_field, det_matrix,
     ecos, erat, esin, evar, wdeg,
 )
+from nilsteer.privcoord import first_order_approx
 
 F = Fraction
 
@@ -54,26 +57,34 @@ def origin(n):
     return [F(0)] * n
 
 
-def frame_at(fields, basis, a, threshold=1e-9):
+def frame_at(fields, basis, a):
     """The cheapest spanning bracket frame at a point, as (indices,
     det), or None when no frame spans there."""
     values = _bracket_values(fields, basis, range(1, len(basis) + 1), a)
-    found = cheapest_frame(basis, [values], threshold)
+    found = cheapest_frame(basis, [values])
     if found is None:
         return None
     combo, (det,) = found
     return combo, det
 
 
-def gate_holds(fields, basis, indices, point, threshold=1e-9):
+def gate_holds(fields, basis, indices, point):
     """Whether the frame's determinant clears the gate at point."""
     rows = _bracket_values(fields, basis, indices, point)
-    return _det_gate(det_matrix(rows), rows, threshold)
+    return _det_gate(det_matrix(rows), rows)
 
 
 def lift_at(fields, basis, a):
     indices, _ = frame_at(fields, basis, a)
     return desingularize(fields, basis, indices, a)
+
+
+def lift_chart(lift):
+    """The privileged chart the planner steers the lift in: the first
+    order approximation of the lifted fields at the lifted anchor."""
+    fields = lift.xi_poly if lift.xi_poly is not None else lift.xi
+    return first_order_approx(list(fields), lift.lift_point(lift.anchor),
+                              lift.basis)
 
 
 @pytest.fixture(scope="module")
@@ -86,15 +97,24 @@ def unicycle_lift():
     return lift_at(unicycle_fields(), build_hall_basis(2, 2), origin(3))
 
 
-def low_order_words(lift, tol=None, cap=None):
+@pytest.fixture(scope="module")
+def martinet_chart(martinet_lift):
+    return lift_chart(martinet_lift)
+
+
+@pytest.fixture(scope="module")
+def unicycle_chart(unicycle_lift):
+    return lift_chart(unicycle_lift)
+
+
+def low_order_words(basis, chart, tol=None):
     """Check every sorted derivative word of weighted degree below a
-    coordinate's weight kills that coordinate at the lifted anchor."""
-    basis = lift.basis
+    coordinate's weight kills that coordinate at the chart's anchor."""
     dim = len(basis)
     w1 = (1,) * dim
     wt = basis.free_weights
-    cap = cap if cap is not None else 2 * basis.r + 1
-    jets = [f.with_weights(w1) for f in lift.fields_chart]
+    cap = 2 * basis.r + 1
+    jets = [f.with_weights(w1) for f in chart.fields_chart]
     frames = [evaluate_bracket(basis, j, jets, weights=w1, wcap=cap)
               for j in range(1, dim + 1)]
     for j in range(dim):
@@ -202,13 +222,15 @@ def test_cell_membership_follows_the_determinant():
 # The lift itself
 
 
-def test_martinet_lift_matches_the_hand_computation(martinet_lift):
+def test_martinet_lift_matches_the_hand_computation(martinet_lift,
+                                                   martinet_chart):
     # integrating the fiber rates by hand: v3 runs at x1^2... no, at the
     # canonical monomial of [f1,f2] read through the level-1 chart,
     # which is x1; v5's monomial is x1*x2
     lift = martinet_lift
     assert lift.lifted_n == 5
     assert lift.fiber_order == (3, 5)
+    assert lift.frame == (1, 2, 4)
     N = 5
     mono = lambda expo, c=F(1): Poly.monomial(N, expo, c)
     exp1 = [Poly.const(N, 1)] + [Poly.zero(N)] * 4
@@ -219,23 +241,15 @@ def test_martinet_lift_matches_the_hand_computation(martinet_lift):
     # chart: base coordinates pass through, the frame's length-3
     # bracket equals 2*d3 so its coordinate is x3/2, and the two fiber
     # variables are already privileged
-    assert lift.var_names() == ["x1", "x2", "x3", "v3", "v5"]
-    assert lift.chart.comps[0] == Poly.var(N, 0)
-    assert lift.chart.comps[1] == Poly.var(N, 1)
-    assert lift.chart.comps[2] == Poly.var(N, 3)
-    assert lift.chart.comps[3] == mono((0, 0, 1, 0, 0), F(1, 2))
-    assert lift.chart.comps[4] == Poly.var(N, 4)
-    assert oracles.check_inverse(lift.chart)
-    assert all(c.is_exact() for c in lift.chart.comps)
-    assert lift.chart.apply(lift.anchor_lifted) == [F(0)] * 5
-
-
-def test_lift_levels_are_recorded(martinet_lift):
-    recs = martinet_lift.records
-    assert [rec["level"] for rec in recs] == [1, 2, 3]
-    assert [rec["dim"] for rec in recs] == [3, 4, 5]
-    assert [rec["fibers"] for rec in recs] == [(), (3,), (5,)]
-    assert recs[2]["coords"] == (1, 2, 3, 4, 5)
+    chart = martinet_chart.map
+    assert chart.comps[0] == Poly.var(N, 0)
+    assert chart.comps[1] == Poly.var(N, 1)
+    assert chart.comps[2] == Poly.var(N, 3)
+    assert chart.comps[3] == mono((0, 0, 1, 0, 0), F(1, 2))
+    assert chart.comps[4] == Poly.var(N, 4)
+    assert oracles.check_inverse(chart)
+    assert all(c.is_exact() for c in chart.comps)
+    assert chart.apply(lift.lift_point(lift.anchor)) == [F(0)] * 5
 
 
 def test_lifted_fields_project_onto_the_base(martinet_lift):
@@ -320,11 +334,13 @@ def test_free_input_comes_back_unchanged():
     lift = lift_at(cs.fields, cs.basis, origin(cs.n))
     assert lift.fiber_order == ()
     assert lift.lifted_n == cs.n
+    assert list(lift.xi_poly) == list(cs.fields)
+    chart = lift_chart(lift)
     for j in range(cs.n):
-        assert lift.chart.comps[j] == Poly.var(cs.n, j)
+        assert chart.map.comps[j] == Poly.var(cs.n, j)
     model = canonical_fields(lift.m, lift.r)
     for i in range(2):
-        assert lift.fields_chart[i].sub(model.fields[i]).is_zero()
+        assert chart.fields_chart[i] == model.fields[i]
 
 
 def test_disguised_canonical_system_lands_on_canonical():
@@ -336,12 +352,13 @@ def test_disguised_canonical_system_lands_on_canonical():
     comps[3] = comps[3].add(Poly.var(cs.n, 1))
     fields[1] = WeightedPolynomialField(comps, cs.weights)
     lift = lift_at(fields, cs.basis, origin(cs.n))
+    chart = lift_chart(lift)
     expect = Poly.var(cs.n, 3).sub(Poly.monomial(cs.n, (0, 2, 0, 0, 0),
                                                  F(1, 2)))
-    assert lift.chart.comps[3] == expect
+    assert chart.map.comps[3] == expect
     model = canonical_fields(lift.m, lift.r)
     for i in range(2):
-        assert lift.fields_chart[i].sub(model.fields[i]).is_zero()
+        assert chart.fields_chart[i] == model.fields[i]
 
 
 @pytest.mark.parametrize("a1,a2,b2", [
@@ -368,32 +385,62 @@ def test_identification_has_the_closed_form_answer(a1, a2, b2):
     indices, _ = frame_at([f1, f2], basis, origin(3))
     assert indices == (1, 2, 3)
     lift = desingularize([f1, f2], basis, indices, origin(3))
+    chart = lift_chart(lift)
     expect = (Poly.var(n, 2)
               .add(Poly.monomial(n, (1, 1, 0), -a2))
               .add(Poly.monomial(n, (2, 0, 0), -a1 / 2))
               .add(Poly.monomial(n, (0, 2, 0), -b2 / 2)))
-    assert lift.chart.comps[0] == Poly.var(n, 0)
-    assert lift.chart.comps[1] == Poly.var(n, 1)
-    assert lift.chart.comps[2] == expect
+    assert chart.map.comps[0] == Poly.var(n, 0)
+    assert chart.map.comps[1] == Poly.var(n, 1)
+    assert chart.map.comps[2] == expect
     model = canonical_fields(lift.m, lift.r)
     for i in range(2):
-        assert lift.fields_chart[i].sub(model.fields[i]).is_zero()
+        assert chart.fields_chart[i] == model.fields[i]
 
 
 def test_bad_frame_surfaces_as_singular():
+    # [f1, f2] vanishes at the origin, so the frame (1, 2, 3) is
+    # singular there, whether or not a fiber is needed on top of it
     fields = martinet_fields()
-    basis = build_hall_basis(2, 3)
     with pytest.raises(SingularFrame):
-        desingularize(fields, basis, (1, 2, 3), origin(3))
+        desingularize(fields, build_hall_basis(2, 3), (1, 2, 3), origin(3))
+    with pytest.raises(SingularFrame) as info:
+        desingularize(fields, build_hall_basis(2, 2), (1, 2, 3), origin(3))
+    assert info.value.payload == {"frame": [1, 2, 3], "anchor": [0.0] * 3}
+
+
+def test_rounds_stop_below_the_last_fiber_level(monkeypatch):
+    levels = []
+
+    def counting(shadows, basis, coords, s, cap):
+        levels.append(s)
+        return real(shadows, basis, coords, s, cap)
+
+    real = desing._chart_round
+    monkeypatch.setattr(desing, "_chart_round", counting)
+    # Martinet gains fibers at levels 2 and 3: their rates read the
+    # charts of rounds 1 and 2, and no rate reads round 3
+    desingularize(martinet_fields(), build_hall_basis(2, 3), (1, 2, 4),
+                  origin(3))
+    assert levels == [1, 2]
+    # a frame of the whole basis adds no fiber and runs no round
+    del levels[:]
+    desingularize(unicycle_fields(), build_hall_basis(2, 2), (1, 2, 3),
+                  origin(3))
+    cs = canonical_fields(2, 3)
+    desingularize(cs.fields, cs.basis, tuple(range(1, cs.n + 1)),
+                  origin(cs.n))
+    assert levels == []
 
 
 # ---------------------------------------------------------------------------
 # Chart structure
 
 
-def test_coordinate_orders_match_the_weights(martinet_lift, unicycle_lift):
-    low_order_words(martinet_lift)
-    low_order_words(unicycle_lift)
+def test_coordinate_orders_match_the_weights(martinet_lift, martinet_chart,
+                                             unicycle_lift, unicycle_chart):
+    low_order_words(martinet_lift.basis, martinet_chart)
+    low_order_words(unicycle_lift.basis, unicycle_chart)
 
 
 def test_coordinate_orders_hold_at_float_anchors():
@@ -402,55 +449,63 @@ def test_coordinate_orders_hold_at_float_anchors():
     rng = oracles.seeded(23)
     for _ in range(3):
         anchor = [rng.uniform(-1.0, 1.0) for _ in range(3)]
-        low_order_words(lift_at(fields, basis, anchor), tol=1e-9)
+        chart = lift_chart(lift_at(fields, basis, anchor))
+        low_order_words(basis, chart, tol=1e-9)
 
 
-def test_lift_is_a_first_order_model(martinet_lift, unicycle_lift):
+def test_lift_is_a_first_order_model(martinet_lift, martinet_chart,
+                                     unicycle_lift, unicycle_chart):
     # nilpotent input: the chart lands exactly on the canonical fields
     model = canonical_fields(martinet_lift.m, martinet_lift.r)
     for i in range(2):
-        diff = martinet_lift.fields_chart[i].sub(model.fields[i])
-        assert diff.is_zero()
+        assert martinet_chart.fields_chart[i] == model.fields[i]
     # trig input: the difference only carries nonnegative weighted
     # degrees, so the canonical fields are the leading part
     model = canonical_fields(unicycle_lift.m, unicycle_lift.r)
     for i in range(2):
-        diff = unicycle_lift.fields_chart[i].sub(model.fields[i])
+        diff = oracles.field_sub(unicycle_chart.fields_chart[i],
+                                 model.fields[i])
         assert all(d >= 0 for d in oracles.weighted_components(diff))
 
 
-def test_unicycle_chart_is_exact_at_a_rational_anchor(unicycle_lift):
-    assert all(c.is_exact() for c in unicycle_lift.chart.comps)
-    assert oracles.check_inverse(unicycle_lift.chart)
+def test_unicycle_chart_is_exact_at_a_rational_anchor(unicycle_chart):
+    assert unicycle_chart.is_exact()
+    assert oracles.check_inverse(unicycle_chart.map)
 
 
-def test_per_level_identifications_are_homogeneous(martinet_lift,
+def test_per_level_identifications_are_homogeneous(monkeypatch,
+                                                   martinet_lift,
                                                    unicycle_lift):
-    for lift in (martinet_lift, unicycle_lift):
-        for rec in lift.records:
-            wt = tuple(lift.basis.element(j).length
-                       for j in rec["coords"])
-            dim = len(wt)
-            align, correct, identify = rec["maps"]
-            level = rec["level"]
-            for pos in range(dim):
-                psi = identify.comps[pos].sub(Poly.var(dim, pos))
-                if not psi.is_zero():
-                    assert psi.uses_only_vars_below(pos)
-                    assert {wdeg(e, wt) for e in psi.terms} == {wt[pos]}
-                shift = correct.comps[pos].sub(Poly.var(dim, pos))
-                if not shift.is_zero():
-                    assert shift.uses_only_vars_below(pos)
-                    assert min(sum(e) for e in shift.terms) >= 2
-                    top = wt[pos] - 1 if wt[pos] <= level else level
-                    assert max(wdeg(e, wt) for e in shift.terms) <= top
+    rounds = []
 
+    def recording(shadows, basis, coords, s, cap):
+        out = real(shadows, basis, coords, s, cap)
+        rounds.append((basis, coords, s, out[:3]))
+        return out
 
-def test_lift_serializes(martinet_lift):
-    blob = martinet_lift.to_json()
-    text = json.dumps(blob)
-    assert "x1*x2" in text
-    assert blob["lifted_n"] == 5
-    assert blob["fiber_order"] == [3, 5]
-    assert blob["frame"] == [1, 2, 4]
-    assert len(blob["chart"]) == 5
+    real = privcoord._chart_round
+    monkeypatch.setattr(privcoord, "_chart_round", recording)
+    lift_chart(martinet_lift)
+    lift_chart(unicycle_lift)
+    assert len(rounds) == 2
+    moved = []
+    for basis, coords, level, (align, correct, identify) in rounds:
+        wt = tuple(basis.element(j).length for j in coords)
+        dim = len(wt)
+        count = 0
+        for pos in range(dim):
+            psi = identify.comps[pos].sub(Poly.var(dim, pos))
+            if not psi.is_zero():
+                count += 1
+                assert psi.uses_only_vars_below(pos)
+                assert {wdeg(e, wt) for e in psi.terms} == {wt[pos]}
+            shift = correct.comps[pos].sub(Poly.var(dim, pos))
+            if not shift.is_zero():
+                assert shift.uses_only_vars_below(pos)
+                assert min(sum(e) for e in shift.terms) >= 2
+                top = wt[pos] - 1 if wt[pos] <= level else level
+                assert max(wdeg(e, wt) for e in shift.terms) <= top
+        moved.append(count)
+    # the unicycle's round identifies one coordinate, so the checks
+    # above have a nonzero map to judge
+    assert moved[1] == 1

@@ -1,8 +1,8 @@
 """Packaging and source hygiene: every console script pyproject.toml
 declares must resolve to a callable in the package, every parameter of
-every function in the package must be read, and every function or
-class the package defines must be named somewhere in the package or
-the benchmark."""
+every function in the package must be read, every function or class
+the package defines must be named somewhere in the package or the
+benchmark, and so must every attribute the package stores on self."""
 
 import ast
 import importlib
@@ -26,6 +26,12 @@ NO_CALLER_NEEDED = {
     "to_json_str": "writes a law for the JSON round trip",
     "from_json": "reads a law back in the JSON round trip",
     "growth_vector": "the LARC check a command-line front end will run",
+}
+
+# Attributes stored on self but read by no code in src/ or bench/.
+NO_READER_NEEDED = {
+    "fields_chart": "tests judge the first-order model through it",
+    "report": "the payload of IterationCapExceeded for callers",
 }
 
 
@@ -126,3 +132,38 @@ def test_every_public_name_has_a_caller():
     assert not found, found
     # a name that has gained a caller leaves the list
     assert set(NO_CALLER_NEEDED) == {name for _, name in uncalled}
+
+
+def unread_attributes(package, caller_dirs):
+    """(file, name) for each attribute a function in the package stores
+    as self.name, whose name no ast.Attribute read (Load context) in
+    caller_dirs carries."""
+    read = set()
+    for root in caller_dirs:
+        for path in python_files(root):
+            with open(path) as fh:
+                read.update(
+                    node.attr for node in ast.walk(ast.parse(fh.read()))
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    out = set()
+    for path in python_files(package):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr not in read):
+                out.add((os.path.basename(path), node.attr))
+    return sorted(out)
+
+
+def test_every_stored_attribute_is_read():
+    unread = unread_attributes(PACKAGE, CALLER_DIRS)
+    found = [(fname, name) for fname, name in unread
+             if name not in NO_READER_NEEDED]
+    assert not found, found
+    # a name that has gained a reader leaves the list
+    assert set(NO_READER_NEEDED) == {name for _, name in unread}

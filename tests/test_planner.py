@@ -442,7 +442,7 @@ def exact_frames(fields, K, basis, config):
                                             range(1, len(basis) + 1),
                                             corner)
             values.append(memo[key])
-        found = cheapest_frame(basis, values, config.det_threshold)
+        found = cheapest_frame(basis, values)
         if found is None:
             return list(idx)
         frames[idx] = found[0]
@@ -520,6 +520,19 @@ def test_session_matches_one_shot_plans(monkeypatch):
     assert legs == [3, 3, 3]
     assert counts == {"build_covering": 2, "build_plan": 1,
                       "desingularize": sum(legs)}
+
+
+def test_planner_validates_dimensions():
+    # a 3-D system with a 2-D or a 4-D box, and fields of two
+    # dimensions, in either order
+    for box in (([-1.0] * 2, [1.0] * 2), ([-1.0] * 4, [1.0] * 4)):
+        with pytest.raises(SpecError):
+            Planner(unicycle_fields(), box)
+    five = canonical_fields(2, 3).fields
+    for fields in ([unicycle_fields()[0], five[1]],
+                   [five[0], unicycle_fields()[1]]):
+        with pytest.raises(SpecError):
+            Planner(fields, BOX3)
 
 
 def test_grid_validation():
