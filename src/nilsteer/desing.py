@@ -312,29 +312,21 @@ def _chart_round(shadows, basis, coords, s, cap):
 class LiftedSystem:
     """A system made free by fiber coordinates.
 
-    xi are the lifted fields on the ambient space: base variables
+    fields are the lifted fields on the ambient space: base variables
     first, fiber variables in order of creation (fiber_order holds
-    their basis indices), and the first n components of every xi_i are
-    the original field untouched.  xi_poly holds the same fields as
-    polynomial fields when the base fields are polynomial.  frame is
-    the basis indices of the bracket frame lifted along.  At the lifted
-    anchor lift_point(anchor) the first len(basis) brackets of xi are a
-    frame, so first_order_approx gives the privileged chart there, in
-    which canonical_fields(m, r) is the first-order model.
+    their basis indices), and the first n components of every field
+    are the original field untouched.  They are polynomial fields when
+    the base fields are polynomial, expression fields otherwise.  At
+    the lifted anchor lift_point(anchor) the brackets of the fields
+    in basis order are a frame, so first_order_approx gives the
+    privileged chart there, in which canonical_fields(m, r) is the
+    first-order model.
     """
 
-    def __init__(self, n, m, r, basis, xi, xi_poly, anchor, fiber_order,
-                 frame):
+    def __init__(self, n, fields, fiber_order):
         self.n = n
-        self.m = m
-        self.r = r
-        self.basis = basis
-        self.lifted_n = len(basis)
-        self.xi = tuple(xi)
-        self.xi_poly = tuple(xi_poly) if xi_poly is not None else None
-        self.anchor = tuple(anchor)
+        self.fields = tuple(fields)
         self.fiber_order = tuple(fiber_order)
-        self.frame = tuple(frame)
 
     def lift_point(self, x):
         if len(x) != self.n:
@@ -347,10 +339,6 @@ class LiftedSystem:
                        or hasattr(p[0], "__len__")):
             return [list(row)[:self.n] for row in p]
         return list(p)[:self.n]
-
-    def __repr__(self):
-        return ("LiftedSystem(n=%d, lifted_n=%d, r=%d)"
-                % (self.n, self.lifted_n, self.r))
 
 
 def desingularize(fields, basis, indices, anchor):
@@ -389,7 +377,9 @@ def desingularize(fields, basis, indices, anchor):
 
     ident = [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
     chart = TriangularMap.affine(ident, anchor)
-    shadows = [taylor_truncate(f, anchor, _ones(n), cap) for f in fields]
+    # Only the chart rounds, at levels below top, read these jets.
+    shadows = ([taylor_truncate(f, anchor, _ones(n), cap) for f in fields]
+               if top > 1 else None)
     coords = sorted(J)
     fiber_order = []
     fiber_rate = {}
@@ -398,25 +388,27 @@ def desingularize(fields, basis, indices, anchor):
                if basis.element(j).length == s and j not in J]
         prev_dim = len(coords)
         dim = prev_dim + len(new)
+        # Rate of a new fiber: its canonical monomial read in the
+        # coordinates of the previous level, whose leading block
+        # matches the basis positions.
+        rates = [_reindex(mons[k - 1], dim) for k in new]
+        chart = _pad_map(chart, len(new))
+        for k, rate in zip(new, rates):
+            fiber_rate[k] = rate.subst(list(chart.comps))
+            fiber_order.append(k)
+        coords = sorted(set(coords) | set(new))
+        if s == top:
+            break
         if new:
-            chart = _pad_map(chart, len(new))
             shadows = [f.pad(dim, _ones(dim)) for f in shadows]
-            for t, k in enumerate(new):
-                # Rate of the new fiber: its canonical monomial read in
-                # the coordinates of the previous level, whose leading
-                # block matches the basis positions.
-                rate = _reindex(mons[k - 1], dim)
+            for t, (k, rate) in enumerate(zip(new, rates)):
                 i = basis.element(k).phi - 1
                 comps = list(shadows[i].comps)
                 comps[prev_dim + t] = rate
                 shadows[i] = WeightedPolynomialField(comps, _ones(dim))
-                fiber_rate[k] = rate.subst(list(chart.comps))
-                fiber_order.append(k)
-        coords = sorted(set(coords) | set(new))
-        if s < top:
-            align, correct, identify, shadows, _ = _chart_round(
-                shadows, basis, coords, s, cap)
-            chart = identify.compose(correct).compose(align).compose(chart)
+        align, correct, identify, shadows, _ = _chart_round(
+            shadows, basis, coords, s, cap)
+        chart = identify.compose(correct).compose(align).compose(chart)
 
     base_expr = [as_expr_field(f) for f in fields]
     xi = []
@@ -428,13 +420,11 @@ def desingularize(fields, basis, indices, anchor):
             else:
                 comps.append(erat(0))
         xi.append(ExprField(comps))
-    xi_poly = None
     if all(f.is_polynomial() for f in base_expr):
         N = len(basis)
-        xi_poly = [WeightedPolynomialField(
-            [expr_to_poly(c, N) for c in f.comps]) for f in xi]
-    return LiftedSystem(n, m, r, basis, xi, xi_poly, anchor, fiber_order,
-                        indices)
+        xi = [WeightedPolynomialField([expr_to_poly(c, N) for c in f.comps])
+              for f in xi]
+    return LiftedSystem(n, xi, fiber_order)
 
 
 def growth_vector(fields, basis, point, tol=1e-8):

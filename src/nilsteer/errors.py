@@ -1,9 +1,10 @@
 """Exception types shared across the library.
 
 Every failure mode that callers are expected to catch is a named class
-here, so the CLI can map them to structured exit codes and the planner
-can react to specific conditions (frame singularities, domain exits)
-without string matching.
+here, so a front end can map them to structured exit codes and the
+planner can react to specific conditions (singular frames, integrator
+stalls) without string matching.  The structured data of an error,
+such as the partial trajectory of a stalled replay, is its payload.
 """
 
 
@@ -51,16 +52,6 @@ class SteeringResidual(NilsteerError):
     code = "steering-residual"
 
 
-class IntegrationLeftDomain(NilsteerError):
-    """A trajectory left the working cell during integration."""
-
-    code = "integration-left-domain"
-
-    def __init__(self, message, trajectory=None, **payload):
-        super().__init__(message, **payload)
-        self.trajectory = trajectory
-
-
 class IterationCapExceeded(NilsteerError):
     """The iterative planner exceeded its iteration cap."""
 
@@ -87,20 +78,6 @@ class StepFailure(NilsteerError):
     """The integrator failed to advance."""
 
     code = "step-failure"
-
-    def __init__(self, message, trajectory=None, **payload):
-        super().__init__(message, **payload)
-        self.trajectory = trajectory
-
-
-class DomainExit(NilsteerError):
-    """Integration detected an exit from the stated domain."""
-
-    code = "domain-exit"
-
-    def __init__(self, message, trajectory=None, **payload):
-        super().__init__(message, **payload)
-        self.trajectory = trajectory
 
 
 class SpecError(NilsteerError):

@@ -1,12 +1,14 @@
 """Iterative global steering on top of local approximate steering.
 
 The local step (LocalSteering.steer) steers the canonical model of
-the system exactly and replays the resulting input on the true
-system.  The global loop walks dilation subgoals toward the goal,
-halving its step budget whenever the local step fails to cut the
-remaining pseudo-distance in half; the modified variant additionally
-brackets the iterates inside a pseudo-norm ball so no a priori
-compactness assumption is needed.
+the system exactly and replays the resulting law, whole, on the true
+system.  The global loop (global_free) walks dilation subgoals toward
+the goal, halving its step budget whenever the local step fails to
+cut the remaining pseudo-distance in half, or raises SingularFrame or
+StepFailure.  The modified loop, which the Planner always runs,
+additionally brackets the iterates inside the pseudo-norm ball of
+radius ||z(x0)|| / (1 - R), so no a priori compactness assumption is
+needed and no box confines a replay.
 Systems with singular points run through the covering machinery: the
 working box is split into cells carrying a fixed bracket frame, the
 planner lifts the system on each cell along the path, steers the
@@ -37,8 +39,8 @@ from .canonical import canonical_fields
 from .desing import DET_THRESHOLD, _bracket_values, cheapest_frame, \
     desingularize, frame_combos
 from .errors import (
-    CoverageGap, DomainExit, IntegrationLeftDomain, IterationCapExceeded,
-    NoPath, SingularFrame, SpecError, StepFailure,
+    CoverageGap, IterationCapExceeded, NoPath, SingularFrame, SpecError,
+    StepFailure,
 )
 from .hall import build_hall_basis, evaluate_bracket
 from .poly import WeightedPolynomialField, compile_field
@@ -55,25 +57,23 @@ class PlannerConfig:
     ((1/2)**(1/(r+1)**2), 1); leaving it None picks the midpoint of
     that interval once r is known.  The iteration cap counts loop
     attempts, accepted or not, and exists because termination carries
-    no explicit rate bound.  grid is the covering's boxes per axis;
-    margin and fiber_radius bound each leg's runtime box (see
-    _leg_domain).  The frame determinant gate is not a knob: the
-    covering and the lift share desing.DET_THRESHOLD.
+    no explicit rate bound.  grid is the covering's boxes per axis.
+    Nothing else is a knob: the covering and the lift share the frame
+    determinant gate desing.DET_THRESHOLD, and no box confines a
+    replay, since the modified loop already keeps every iterate in
+    its pseudo-norm ball.
     """
 
-    __slots__ = ("integrator_tol", "R", "iteration_cap", "grid",
-                 "fiber_radius", "margin")
+    __slots__ = ("integrator_tol", "R", "iteration_cap", "grid")
 
     def __init__(self, integrator_tol=1e-10, R=None, iteration_cap=10000,
-                 grid=8, fiber_radius=None, margin=None):
+                 grid=8):
         if iteration_cap < 1:
             raise SpecError("iteration cap must be at least 1")
         self.integrator_tol = integrator_tol
         self.R = R
         self.iteration_cap = iteration_cap
         self.grid = grid
-        self.fiber_radius = fiber_radius
-        self.margin = margin
 
     def effective_R(self, r):
         lo = 0.5 ** (1.0 / (r + 1) ** 2)
@@ -90,8 +90,6 @@ class PlannerConfig:
             "R": self.R,
             "iteration_cap": self.iteration_cap,
             "grid": self.grid,
-            "fiber_radius": self.fiber_radius,
-            "margin": self.margin,
         }
 
 
@@ -154,17 +152,6 @@ class PlannerReport:
         return out
 
 
-def _replay(fields, x, law, tol, domain):
-    """Integrate the true system under a planned law; leaving the
-    domain box becomes IntegrationLeftDomain."""
-    try:
-        return integrate(fields, x, law, tol=tol, domain=domain)
-    except DomainExit as ex:
-        raise IntegrationLeftDomain("local step left the working cell",
-                                    trajectory=ex.trajectory,
-                                    t_exit=ex.payload.get("t_exit"))
-
-
 class LocalSteering:
     """Approximate-and-correct local step for a free system.
 
@@ -177,17 +164,12 @@ class LocalSteering:
     what keeps exact-input runs exact.
     """
 
-    def __init__(self, fields, system, plan, config=None, domain=None,
-                 fiber_start=None):
+    def __init__(self, fields, system, plan, config=None):
         self.fields = list(fields)
         self.system = system
         self.plan = plan
         self.basis = system.basis
         self.config = config or PlannerConfig()
-        self.domain = domain
-        self.weights = self.basis.free_weights
-        self.fiber_start = fiber_start
-        self.max_fiber_norm = 0.0
         self._charts = {}
         self.exact_model = self._matches_model()
 
@@ -217,15 +199,7 @@ class LocalSteering:
         law = exact_steer(z, self.system, self.plan)
         if self.exact_model:
             return list(a), law
-        traj = _replay(self.fields, x, law, self.config.integrator_tol,
-                       self.domain)
-        if self.fiber_start is not None:
-            for row in traj.states:
-                fiber = row[self.fiber_start:]
-                wts = self.weights[self.fiber_start:]
-                val = float(pseudo_norm(fiber, wts))
-                if val > self.max_fiber_norm:
-                    self.max_fiber_norm = val
+        traj = integrate(self.fields, x, law, self.config.integrator_tol)
         return traj.endpoint, law
 
 
@@ -256,10 +230,10 @@ def global_free(x0, x1, e, local, config=None, modified=False):
     cell.  Per attempt: aim at the current subgoal, accept the step if
     it at least halves the pseudo-distance to the subgoal, otherwise
     halve the step budget and restart the subgoal path at the current
-    iterate.  A local step that leaves its domain, meets a singular
-    frame or stalls the integrator counts as a failed attempt.  The
-    modified loop additionally rejects or charges steps against the
-    expanding bracket R_k, keeping every iterate's pseudo-norm below
+    iterate.  A local step that meets a singular frame or stalls the
+    integrator counts as a failed attempt.  The modified loop
+    additionally rejects or charges steps against the expanding
+    bracket R_k, keeping every iterate's pseudo-norm below
     ||z(x0)|| / (1 - R).
     """
     config = config or PlannerConfig()
@@ -305,7 +279,7 @@ def global_free(x0, x1, e, local, config=None, modified=False):
             away = pseudo_norm(chart_d.apply(list(x)), weights)
             before = pseudo_norm(chart_d.apply(list(xi)), weights)
             failed = away > before / 2
-        except (IntegrationLeftDomain, SingularFrame, StepFailure):
+        except (SingularFrame, StepFailure):
             failed = True
             x = law = None
 
@@ -644,32 +618,6 @@ def build_covering(fields, K, basis, config=None):
 # The full pipeline
 
 
-def _leg_domain(cell, margin, fiber_dim, fiber_radius):
-    """Runtime box for one leg: inflated cell bounds plus fiber bounds.
-
-    The inflation is proportional to the cell extent.  Transient arcs
-    of the steering loops may legitimately leave the cell (charts are
-    only ever evaluated at subgoal anchors, which stay inside), so the
-    box is a guard against runaways, not a tight containment; with
-    both knobs unset there is no barrier at all.  Exits show up as
-    step rejections, so a tight box trades speed for confinement.
-    """
-    if margin is None and fiber_radius is None:
-        return None
-    lo, hi = cell.bounding_box()
-    pad = [(margin or 0.0) * (b - a) for a, b in zip(lo, hi)]
-    lo = [a - p for a, p in zip(lo, pad)]
-    hi = [b + p for b, p in zip(hi, pad)]
-    if margin is None:
-        lo = [-math.inf] * len(lo)
-        hi = [math.inf] * len(hi)
-    if fiber_dim:
-        rad = fiber_radius if fiber_radius is not None else math.inf
-        lo = lo + [-rad] * fiber_dim
-        hi = hi + [rad] * fiber_dim
-    return (lo, hi)
-
-
 class Planner:
     """A planning session on one system and working box K.
 
@@ -713,18 +661,22 @@ class Planner:
         self.system = canonical_fields(m, r)
         self.steer_plan = build_plan(self.system)
 
-    def plan(self, x_init, x_final, e, modified=True):
+    def plan(self, x_init, x_final, e):
         """Plan inputs steering the system from x_init to x_final.
 
         Walks the atlas's cell path, desingularizes at each leg's
         target (SingularFrame if the cell frame degenerates there),
-        runs the free-system loop on the lifted system, and projects
-        back.  Returns the concatenated law together with a
-        report whose legs hold the per-cell traces.
+        runs the modified free-system loop to tolerance e on the
+        lifted system, and projects back.  Returns the concatenated
+        law together with a report whose legs hold the per-cell
+        traces.  e must be positive and finite: no loop gets below a
+        tolerance of zero.
         """
+        if not (e > 0 and math.isfinite(e)):
+            raise SpecError("tolerance must be positive and finite, got %r"
+                            % (e,))
         config = self.config
-        n = len(x_init)
-        if len(x_final) != n:
+        if len(x_final) != len(x_init):
             raise SpecError("endpoints disagree in dimension")
         path = self.atlas.path_between(x_init, x_final)
 
@@ -733,42 +685,29 @@ class Planner:
         targets = self.atlas.waypoints(path) + [list(x_final)]
         x = [float(v) for v in x_init]
         laws = []
-        fiber_peaks = []
         for cell_id, target in zip(path, targets):
-            cell = self.atlas.cells[cell_id]
-            lift = desingularize(self.fields, self.basis, cell.frame,
-                                 target)
-            fiber_dim = lift.lifted_n - n
-            domain = _leg_domain(cell, config.margin, fiber_dim,
-                                 config.fiber_radius)
-            leg_fields = (list(lift.xi_poly) if lift.xi_poly is not None
-                          else list(lift.xi))
-            local = LocalSteering(leg_fields, self.system, self.steer_plan,
-                                  config, domain=domain, fiber_start=n)
-            lifted_x = lift.lift_point(x)
-            lifted_goal = lift.lift_point(target)
-            leg = global_free(lifted_x, lifted_goal, e, local, config,
-                              modified=modified)
+            lift = desingularize(self.fields, self.basis,
+                                 self.atlas.cells[cell_id].frame, target)
+            local = LocalSteering(lift.fields, self.system,
+                                  self.steer_plan, config)
+            leg = global_free(lift.lift_point(x), lift.lift_point(target),
+                              e, local, config, modified=True)
             report.legs.append(leg)
             laws.extend(leg.laws)
-            fiber_peaks.append(local.max_fiber_norm)
             x = lift.project(leg.iterates[-1])
         report.status = "converged"
         report.iterates = [[float(v) for v in x_init], list(x)]
         law = concatenate(laws, len(self.fields))
-        law.meta.update(legs=len(path), fiber_peaks=fiber_peaks,
-                        path=list(path))
+        law.meta.update(legs=len(path), path=list(path))
         report.norms = [leg.final_norm for leg in report.legs]
         return law, report
 
 
-def global_plan(fields, x_init, x_final, e, K, config=None, r=None,
-                modified=True):
+def global_plan(fields, x_init, x_final, e, K, config=None, r=None):
     """Plan inputs steering the system from x_init to x_final in K.
 
     One query of a fresh session: Planner(fields, K, config, r) then
-    its plan(x_init, x_final, e, modified).  Callers with several
-    queries on one system keep the Planner.
+    its plan(x_init, x_final, e).  Callers with several queries on one
+    system keep the Planner.
     """
-    return Planner(fields, K, config, r).plan(x_init, x_final, e,
-                                              modified)
+    return Planner(fields, K, config, r).plan(x_init, x_final, e)

@@ -810,9 +810,9 @@ class ExprField:
     def is_polynomial(self):
         return all(expr_is_polynomial(c) for c in self.comps)
 
-    def to_poly_field(self, weights=None):
+    def to_poly_field(self):
         return WeightedPolynomialField(
-            [expr_to_poly(c, self.n) for c in self.comps], weights)
+            [expr_to_poly(c, self.n) for c in self.comps])
 
     def __repr__(self):
         return "ExprField[%s]" % ", ".join(expr_to_str(c)
@@ -1198,22 +1198,21 @@ def nullspace(rows):
     return basis
 
 
-def solve_min_norm(rows, rhs, tol=None):
+def solve_min_norm(rows, rhs):
     """Least-norm exact solution of a consistent linear system.
 
     Finds any particular solution by elimination, then removes its
     kernel component, so repeated runs give one canonical answer.
-    Raises ValueError when the system is inconsistent.
+    Raises ValueError when the system is inconsistent: a leftover
+    residual is nonzero on exact data and above 1e-9 on float data.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     a, pivots, b = rref(rows, rhs)
     exact = not any(isinstance(x, float) for r in [*rows, rhs] for x in r)
-    if tol is None:
-        tol = 0 if exact else 1e-9
     for r in range(len(pivots), m):
         resid = b[r]
-        if (resid != 0 if exact else abs(resid) > tol):
+        if (resid != 0 if exact else abs(resid) > 1e-9):
             raise ValueError("inconsistent linear system")
     x0 = [F0] * n
     for r, pc in enumerate(pivots):

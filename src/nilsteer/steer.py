@@ -985,10 +985,6 @@ class ControlLaw:
     def nperiods(self):
         return len(self.periods)
 
-    @property
-    def horizon(self):
-        return TWO_PI * self.nperiods
-
     def float_table(self):
         """(scale, periods) in floats, where periods[k][i] lists channel
         i's terms of period k as (amp, w, q pi / 2).  Built on first use

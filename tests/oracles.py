@@ -292,7 +292,7 @@ def replay_reference(fields, x0, law, tol):
         return rhs
 
     base = 2.0 * math.pi
-    edges = [k * base for k in range(law.nperiods)] + [law.horizon]
+    edges = [k * base for k in range(law.nperiods + 1)]
     x = [float(v) for v in x0]
     runs = []
     for k, (a, b) in enumerate(zip(edges, edges[1:])):

@@ -28,7 +28,7 @@ from nilsteer.desing import (
 from nilsteer.errors import SingularFrame, SpecError
 from nilsteer.hall import build_hall_basis, evaluate_bracket
 from nilsteer.poly import (
-    ExprField, Poly, WeightedPolynomialField, as_expr_field, det_matrix,
+    ExprField, Poly, WeightedPolynomialField, det_matrix,
     ecos, erat, esin, evar, wdeg,
 )
 from nilsteer.privcoord import first_order_approx
@@ -79,12 +79,11 @@ def lift_at(fields, basis, a):
     return desingularize(fields, basis, indices, a)
 
 
-def lift_chart(lift):
+def lift_chart(lift, basis, anchor):
     """The privileged chart the planner steers the lift in: the first
     order approximation of the lifted fields at the lifted anchor."""
-    fields = lift.xi_poly if lift.xi_poly is not None else lift.xi
-    return first_order_approx(list(fields), lift.lift_point(lift.anchor),
-                              lift.basis)
+    return first_order_approx(list(lift.fields), lift.lift_point(anchor),
+                              basis)
 
 
 @pytest.fixture(scope="module")
@@ -99,12 +98,12 @@ def unicycle_lift():
 
 @pytest.fixture(scope="module")
 def martinet_chart(martinet_lift):
-    return lift_chart(martinet_lift)
+    return lift_chart(martinet_lift, build_hall_basis(2, 3), origin(3))
 
 
 @pytest.fixture(scope="module")
 def unicycle_chart(unicycle_lift):
-    return lift_chart(unicycle_lift)
+    return lift_chart(unicycle_lift, build_hall_basis(2, 2), origin(3))
 
 
 def low_order_words(basis, chart, tol=None):
@@ -228,16 +227,18 @@ def test_martinet_lift_matches_the_hand_computation(martinet_lift,
     # canonical monomial of [f1,f2] read through the level-1 chart,
     # which is x1; v5's monomial is x1*x2
     lift = martinet_lift
-    assert lift.lifted_n == 5
+    assert lift.fields[0].n == 5
     assert lift.fiber_order == (3, 5)
-    assert lift.frame == (1, 2, 4)
+    assert frame_at(martinet_fields(), build_hall_basis(2, 3),
+                    origin(3))[0] == (1, 2, 4)
     N = 5
     mono = lambda expo, c=F(1): Poly.monomial(N, expo, c)
     exp1 = [Poly.const(N, 1)] + [Poly.zero(N)] * 4
     exp2 = [Poly.zero(N), Poly.const(N, 1), mono((2, 0, 0, 0, 0)),
             mono((1, 0, 0, 0, 0)), mono((1, 1, 0, 0, 0))]
-    assert list(lift.xi_poly[0].comps) == exp1
-    assert list(lift.xi_poly[1].comps) == exp2
+    assert all(isinstance(f, WeightedPolynomialField) for f in lift.fields)
+    assert list(lift.fields[0].comps) == exp1
+    assert list(lift.fields[1].comps) == exp2
     # chart: base coordinates pass through, the frame's length-3
     # bracket equals 2*d3 so its coordinate is x3/2, and the two fiber
     # variables are already privileged
@@ -249,13 +250,14 @@ def test_martinet_lift_matches_the_hand_computation(martinet_lift,
     assert chart.comps[4] == Poly.var(N, 4)
     assert oracles.check_inverse(chart)
     assert all(c.is_exact() for c in chart.comps)
-    assert chart.apply(lift.lift_point(lift.anchor)) == [F(0)] * 5
+    assert chart.apply(lift.lift_point(origin(3))) == [F(0)] * 5
 
 
-def test_lifted_fields_project_onto_the_base(martinet_lift):
-    base = [as_expr_field(f) for f in martinet_fields()]
-    for xi, X in zip(martinet_lift.xi, base):
-        assert list(xi.comps[:3]) == list(X.comps)
+def test_lifted_fields_project_onto_the_base(martinet_lift, unicycle_lift):
+    for xi, X in zip(martinet_lift.fields, martinet_fields()):
+        assert list(xi.comps[:3]) == [c.pad(5) for c in X.comps]
+    for xi, X in zip(unicycle_lift.fields, unicycle_fields()):
+        assert list(xi.comps) == list(X.comps)
 
 
 def test_projection_inverts_lifting(martinet_lift):
@@ -269,14 +271,13 @@ def test_projection_inverts_lifting(martinet_lift):
 
 def test_lifted_growth_vector_is_free(martinet_lift):
     rng = oracles.seeded(11)
-    basis = martinet_lift.basis
+    basis = build_hall_basis(2, 3)
     hits = 0
     for _ in range(100):
         p = [rng.uniform(-1.0, 1.0) for _ in range(5)]
-        if not gate_holds(martinet_fields(), basis, martinet_lift.frame,
-                          p[:3]):
+        if not gate_holds(martinet_fields(), basis, (1, 2, 4), p[:3]):
             continue
-        assert growth_vector(martinet_lift.xi_poly, basis, p) == (2, 3, 5)
+        assert growth_vector(martinet_lift.fields, basis, p) == (2, 3, 5)
         hits += 1
     assert hits == 100  # the frame cell covers the whole sample box
 
@@ -294,7 +295,7 @@ def test_lift_preserves_nilpotency(martinet_lift):
     b4 = build_hall_basis(2, 4)
     for j in range(1, len(b4) + 1):
         if b4.element(j).length == 4:
-            fld = evaluate_bracket(b4, j, list(martinet_lift.xi_poly))
+            fld = evaluate_bracket(b4, j, list(martinet_lift.fields))
             assert fld.is_zero(), b4.name(j)
 
 
@@ -315,8 +316,8 @@ def test_projection_commutes_with_the_flow(martinet_lift):
 
     def lifted_rhs(t, x):
         u1, u2 = controls(t)
-        a = lift.xi[0].evaluate(list(x))
-        b = lift.xi[1].evaluate(list(x))
+        a = lift.fields[0].evaluate(list(x))
+        b = lift.fields[1].evaluate(list(x))
         return [u1 * float(p) + u2 * float(q) for p, q in zip(a, b)]
 
     x0 = [0.2, -0.1, 0.3]
@@ -333,14 +334,13 @@ def test_free_input_comes_back_unchanged():
     cs = canonical_fields(2, 3)
     lift = lift_at(cs.fields, cs.basis, origin(cs.n))
     assert lift.fiber_order == ()
-    assert lift.lifted_n == cs.n
-    assert list(lift.xi_poly) == list(cs.fields)
-    chart = lift_chart(lift)
+    assert lift.fields[0].n == cs.n
+    assert list(lift.fields) == list(cs.fields)
+    chart = lift_chart(lift, cs.basis, origin(cs.n))
     for j in range(cs.n):
         assert chart.map.comps[j] == Poly.var(cs.n, j)
-    model = canonical_fields(lift.m, lift.r)
     for i in range(2):
-        assert chart.fields_chart[i] == model.fields[i]
+        assert chart.fields_chart[i] == cs.fields[i]
 
 
 def test_disguised_canonical_system_lands_on_canonical():
@@ -352,13 +352,12 @@ def test_disguised_canonical_system_lands_on_canonical():
     comps[3] = comps[3].add(Poly.var(cs.n, 1))
     fields[1] = WeightedPolynomialField(comps, cs.weights)
     lift = lift_at(fields, cs.basis, origin(cs.n))
-    chart = lift_chart(lift)
+    chart = lift_chart(lift, cs.basis, origin(cs.n))
     expect = Poly.var(cs.n, 3).sub(Poly.monomial(cs.n, (0, 2, 0, 0, 0),
                                                  F(1, 2)))
     assert chart.map.comps[3] == expect
-    model = canonical_fields(lift.m, lift.r)
     for i in range(2):
-        assert chart.fields_chart[i] == model.fields[i]
+        assert chart.fields_chart[i] == cs.fields[i]
 
 
 @pytest.mark.parametrize("a1,a2,b2", [
@@ -385,7 +384,7 @@ def test_identification_has_the_closed_form_answer(a1, a2, b2):
     indices, _ = frame_at([f1, f2], basis, origin(3))
     assert indices == (1, 2, 3)
     lift = desingularize([f1, f2], basis, indices, origin(3))
-    chart = lift_chart(lift)
+    chart = lift_chart(lift, basis, origin(3))
     expect = (Poly.var(n, 2)
               .add(Poly.monomial(n, (1, 1, 0), -a2))
               .add(Poly.monomial(n, (2, 0, 0), -a1 / 2))
@@ -393,7 +392,7 @@ def test_identification_has_the_closed_form_answer(a1, a2, b2):
     assert chart.map.comps[0] == Poly.var(n, 0)
     assert chart.map.comps[1] == Poly.var(n, 1)
     assert chart.map.comps[2] == expect
-    model = canonical_fields(lift.m, lift.r)
+    model = canonical_fields(2, 2)
     for i in range(2):
         assert chart.fields_chart[i] == model.fields[i]
 
@@ -433,14 +432,35 @@ def test_rounds_stop_below_the_last_fiber_level(monkeypatch):
     assert levels == []
 
 
+def test_jets_are_truncated_only_for_chart_rounds(monkeypatch):
+    caps = []
+
+    def counting(field, point, weights, cap):
+        caps.append(cap)
+        return real(field, point, weights, cap)
+
+    real = desing.taylor_truncate
+    monkeypatch.setattr(desing, "taylor_truncate", counting)
+    # the frame gate truncates each field once, to the longest frame
+    # bracket; a unicycle lift runs no round, so nothing else is
+    # truncated
+    desingularize(unicycle_fields(), build_hall_basis(2, 2), (1, 2, 3),
+                  origin(3))
+    assert caps == [2, 2]
+    # Martinet's rounds take one more truncation per field, to 2r + 1
+    del caps[:]
+    desingularize(martinet_fields(), build_hall_basis(2, 3), (1, 2, 4),
+                  origin(3))
+    assert caps == [3, 3, 7, 7]
+
+
 # ---------------------------------------------------------------------------
 # Chart structure
 
 
-def test_coordinate_orders_match_the_weights(martinet_lift, martinet_chart,
-                                             unicycle_lift, unicycle_chart):
-    low_order_words(martinet_lift.basis, martinet_chart)
-    low_order_words(unicycle_lift.basis, unicycle_chart)
+def test_coordinate_orders_match_the_weights(martinet_chart, unicycle_chart):
+    low_order_words(build_hall_basis(2, 3), martinet_chart)
+    low_order_words(build_hall_basis(2, 2), unicycle_chart)
 
 
 def test_coordinate_orders_hold_at_float_anchors():
@@ -449,19 +469,18 @@ def test_coordinate_orders_hold_at_float_anchors():
     rng = oracles.seeded(23)
     for _ in range(3):
         anchor = [rng.uniform(-1.0, 1.0) for _ in range(3)]
-        chart = lift_chart(lift_at(fields, basis, anchor))
+        chart = lift_chart(lift_at(fields, basis, anchor), basis, anchor)
         low_order_words(basis, chart, tol=1e-9)
 
 
-def test_lift_is_a_first_order_model(martinet_lift, martinet_chart,
-                                     unicycle_lift, unicycle_chart):
+def test_lift_is_a_first_order_model(martinet_chart, unicycle_chart):
     # nilpotent input: the chart lands exactly on the canonical fields
-    model = canonical_fields(martinet_lift.m, martinet_lift.r)
+    model = canonical_fields(2, 3)
     for i in range(2):
         assert martinet_chart.fields_chart[i] == model.fields[i]
     # trig input: the difference only carries nonnegative weighted
     # degrees, so the canonical fields are the leading part
-    model = canonical_fields(unicycle_lift.m, unicycle_lift.r)
+    model = canonical_fields(2, 2)
     for i in range(2):
         diff = oracles.field_sub(unicycle_chart.fields_chart[i],
                                  model.fields[i])
@@ -485,8 +504,8 @@ def test_per_level_identifications_are_homogeneous(monkeypatch,
 
     real = privcoord._chart_round
     monkeypatch.setattr(privcoord, "_chart_round", recording)
-    lift_chart(martinet_lift)
-    lift_chart(unicycle_lift)
+    lift_chart(martinet_lift, build_hall_basis(2, 3), origin(3))
+    lift_chart(unicycle_lift, build_hall_basis(2, 2), origin(3))
     assert len(rounds) == 2
     moved = []
     for basis, coords, level, (align, correct, identify) in rounds:

@@ -18,11 +18,11 @@ from nilsteer.desing import desingularize
 from nilsteer.hall import build_hall_basis
 from nilsteer.planner import LocalSteering
 from nilsteer.poly import (
-    Expr, ExprField, Poly, WeightedPolynomialField, compile_field, ecos,
-    eadd, emul, epow, erat, esin, evar,
+    Expr, ExprField, Poly, WeightedPolynomialField, as_expr_field,
+    compile_field, ecos, eadd, emul, epow, erat, esin, evar,
 )
 from nilsteer.sim import input_sup_bound, integrate
-from nilsteer.steer import ControlLaw, PiFrac, PiPoly, build_plan
+from nilsteer.steer import TWO_PI, ControlLaw, PiFrac, PiPoly, build_plan
 
 N = 3
 
@@ -145,13 +145,17 @@ def test_compiled_expr_field(field, x):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(coords, min_size=8, max_size=8))
 def test_compiled_lifted_fields(unicycle_lift, martinet_lift, x):
-    # Expr fields from both lifts, polynomial ones from Martinet's.
-    assert unicycle_lift.xi_poly is None
-    assert martinet_lift.xi_poly is not None
-    for lift in (unicycle_lift, martinet_lift):
-        for field in list(lift.xi) + list(lift.xi_poly or ()):
-            pt = x[:field.n]
-            assert compile_field(field)(pt) == reference(field, pt)
+    # Expr fields from both lifts, Martinet's rebuilt from its
+    # polynomial ones, and those polynomial fields.
+    assert all(isinstance(f, ExprField) for f in unicycle_lift.fields)
+    assert all(isinstance(f, WeightedPolynomialField)
+               for f in martinet_lift.fields)
+    fields = (list(unicycle_lift.fields)
+              + [as_expr_field(f) for f in martinet_lift.fields]
+              + list(martinet_lift.fields))
+    for field in fields:
+        pt = x[:field.n]
+        assert compile_field(field)(pt) == reference(field, pt)
 
 
 def test_float_zero_trig_argument_stays_float():
@@ -235,7 +239,7 @@ def laws(draw):
 def test_law_eval_matches_term_formula(law, fracs):
     # Times run from before the start to past the horizon, where the
     # period index is clamped.
-    span = law.horizon if law.periods else 1.0
+    span = TWO_PI * law.nperiods if law.periods else 1.0
     for t in [f * span for f in fracs] + [0.0, span, -span, 2 * span]:
         assert law.eval(t) == oracles.law_value(law, t)
 
@@ -244,7 +248,7 @@ def test_law_eval_matches_term_formula(law, fracs):
 @given(laws(), st.floats(0.0, 1.0))
 def test_json_laws(law, frac):
     other = ControlLaw.from_json(law.to_json_str())
-    t = frac * (other.horizon if other.periods else 1.0)
+    t = frac * (TWO_PI * other.nperiods if other.periods else 1.0)
     assert other.eval(t) == oracles.law_value(other, t)
     assert other.eval(-t) == oracles.law_value(other, -t)
 
@@ -307,9 +311,9 @@ def test_unicycle_leg_matches_reference_replay(monkeypatch):
 
 def test_martinet_lifted_leg_matches_reference_replay(monkeypatch,
                                                       martinet_lift):
-    fields = list(martinet_lift.xi_poly)
-    model = canonical_fields(2, martinet_lift.r)
-    local = LocalSteering(fields, model, build_plan(model), fiber_start=N)
+    fields = list(martinet_lift.fields)
+    model = canonical_fields(2, 3)
+    local = LocalSteering(fields, model, build_plan(model))
     x0 = martinet_lift.lift_point([0.05, -0.04, 0.02])
     goal = martinet_lift.lift_point([0.0, 0.0, 0.0])
     _, law = local.steer(x0, goal)

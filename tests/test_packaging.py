@@ -2,7 +2,9 @@
 declares must resolve to a callable in the package, every parameter of
 every function in the package must be read, every function or class
 the package defines must be named somewhere in the package or the
-benchmark, and so must every attribute the package stores on self."""
+benchmark, and so must every attribute the package stores on self.
+Every parameter with a default must be passed by some call there,
+too: an option that only ever takes its default is a constant."""
 
 import ast
 import importlib
@@ -16,10 +18,6 @@ PACKAGE = os.path.join(HERE, os.pardir, "src", "nilsteer")
 # Where a caller must name a definition for it to count as used.
 CALLER_DIRS = [os.path.join(HERE, os.pardir, d) for d in ("src", "bench")]
 
-# (file, function, parameter) whose presence a callee fixes: solve_ivp
-# calls a domain event as inside(t, x), and the box test reads only x.
-CALLEE_FIXED = {("sim.py", "inside", "t")}
-
 # Definitions kept without a caller in src/ or bench/, with the reason.
 NO_CALLER_NEEDED = {
     "evaluate": "the exact reference the compiled float kernels match",
@@ -32,6 +30,15 @@ NO_CALLER_NEEDED = {
 NO_READER_NEEDED = {
     "fields_chart": "tests judge the first-order model through it",
     "report": "the payload of IterationCapExceeded for callers",
+    "payload": "the structured data of every NilsteerError, for callers",
+}
+
+# (function, parameter) defaults that no call in src/ or bench/ passes.
+DEFAULT_NOT_PASSED = {
+    ("growth_vector", "tol"): "growth_vector itself has no caller yet",
+    ("build_plan", "budget"): "the retry schedule is to be replaced",
+    ("build_plan", "det_threshold"): "the retry schedule is to be "
+                                     "replaced",
 }
 
 
@@ -80,9 +87,8 @@ def test_every_parameter_is_read():
             continue
         with open(os.path.join(PACKAGE, fname)) as fh:
             source = fh.read()
-        for name, arg in unread_parameters(source):
-            if (fname, name, arg) not in CALLEE_FIXED:
-                found.append("%s: %s(%s)" % (fname, name, arg))
+        found.extend("%s: %s(%s)" % (fname, name, arg)
+                     for name, arg in unread_parameters(source))
     assert not found, found
 
 
@@ -167,3 +173,77 @@ def test_every_stored_attribute_is_read():
     assert not found, found
     # a name that has gained a reader leaves the list
     assert set(NO_READER_NEEDED) == {name for _, name in unread}
+
+
+def defaulted_parameters(tree):
+    """(call name, positional index or None, parameter) for each
+    parameter with a default of each function in tree.  A method's
+    index leaves out self or cls, and __init__ is called by its class
+    name; keyword-only parameters have no index."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef,
+                                    ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name)
+                             and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls is not None and not static else 0
+                name = cls if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                out.extend((name, i - skip, positional[i].arg)
+                           for i in range(first, len(positional)))
+                out.extend((name, None, a.arg)
+                           for a, d in zip(args.kwonlyargs,
+                                           args.kw_defaults)
+                           if d is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return out
+
+
+def unpassed_defaults(package, caller_dirs):
+    """(function, parameter) for each defaulted parameter of a function
+    in the package that no call in caller_dirs passes, by keyword or by
+    position.  Calls match by name, as ast.Name id or ast.Attribute
+    attr, and a call with *args or **kwargs passes every parameter."""
+    calls = {}
+    for root in caller_dirs:
+        for path in python_files(root):
+            with open(path) as fh:
+                for node in ast.walk(ast.parse(fh.read())):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    out = set()
+    for path in python_files(package):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for name, index, param in defaulted_parameters(tree):
+            for call in calls.get(name, ()):
+                if (any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg in (None, param)
+                               for k in call.keywords)
+                        or index is not None and len(call.args) > index):
+                    break
+            else:
+                out.add((name, param))
+    return sorted(out)
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = unpassed_defaults(PACKAGE, CALLER_DIRS)
+    found = [key for key in unpassed if key not in DEFAULT_NOT_PASSED]
+    assert not found, found
+    # a parameter that has gained a caller leaves the list
+    assert set(DEFAULT_NOT_PASSED) == set(unpassed)

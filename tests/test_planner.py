@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -70,7 +71,8 @@ def local_for(fields, m, r):
 
 def norm_at(local, a, x):
     """Pseudo-norm of x in the local step's chart at a."""
-    return pseudo_norm(local.chart_at(a).apply(list(x)), local.weights)
+    return pseudo_norm(local.chart_at(a).apply(list(x)),
+                       local.basis.free_weights)
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +159,7 @@ def test_local_steering_detects_canonical_model(local22, local_uni):
 
 
 def test_local_step_contracts_on_unicycle(local_uni):
-    w = local_uni.weights
+    w = local_uni.basis.free_weights
     rng = oracles.seeded(17)
     worst = 0.0
     for _ in range(20):
@@ -535,6 +537,16 @@ def test_planner_validates_dimensions():
             Planner(fields, BOX3)
 
 
+def test_plan_rejects_a_tolerance_it_cannot_reach():
+    # a tolerance of zero or below ran until the iteration cap, and a
+    # NaN or infinite one returned at once without steering
+    session = Planner(unicycle_fields(), BOX3,
+                      PlannerConfig(grid=1, iteration_cap=3), r=2)
+    for e in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(SpecError):
+            session.plan([0.0, 0.0, 0.0], [0.0, 0.5, 0.0], e)
+
+
 def test_grid_validation():
     with pytest.raises(SpecError):
         Grid([0.0, 0.0], [1.0], 4)
@@ -599,19 +611,6 @@ def test_plan_martinet_replay_reaches_endpoint(martinet_plan):
     # the physical crossing: x1 really sweeps from negative to positive
     xs = [row[0] for row in traj.states]
     assert min(xs) < -0.25 and max(xs) > 0.25
-
-
-def test_plan_martinet_fiber_ball(martinet_plan):
-    law, rep = martinet_plan
-    peaks = law.meta["fiber_peaks"]
-    radius = 10 * max(peaks)
-    law2, rep2 = global_plan(martinet_fields(), [-0.5, 0.0, 0.0],
-                             [0.5, 0.2, 0.1], 1e-3, BOX3,
-                             PlannerConfig(margin=2.0, fiber_radius=radius),
-                             r=3)
-    assert rep2.status == "converged"
-    assert [leg.iterations for leg in rep2.legs] == [1, 1, 1]
-    assert all(p <= radius for p in law2.meta["fiber_peaks"])
 
 
 def test_plan_report_serializes(martinet_plan):

@@ -61,7 +61,7 @@ def martinet_lifted():
     basis = build_hall_basis(2, 3)
     # (1, 2, 4) is the cheapest frame at the origin (see test_desing)
     lift = desingularize([f1, f2], basis, (1, 2, 4), [F(0)] * 3)
-    return list(lift.xi_poly), basis
+    return list(lift.fields), basis
 
 
 # ---------------------------------------------------------------------------

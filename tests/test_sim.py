@@ -16,7 +16,7 @@ from scipy.integrate import IntegrationWarning
 from nilsteer import sim
 from nilsteer.canonical import canonical_fields
 from nilsteer.desing import desingularize
-from nilsteer.errors import DomainExit, SpecError, StepFailure
+from nilsteer.errors import SpecError, StepFailure
 from nilsteer.hall import build_hall_basis
 from nilsteer.planner import LocalSteering
 from nilsteer.poly import (
@@ -69,11 +69,9 @@ def test_quadratic_area_integral():
 
 def test_grid_contains_period_boundaries():
     cs = canonical_fields(2, 2)
-    traj = integrate(cs.fields, [0.0] * 3, wiggle_law(), tol=1e-8,
-                     samples_per_period=4)
-    for edge in (0.0, TWO_PI, 2 * TWO_PI):
-        assert any(abs(t - edge) <= 1e-12 for t in traj.times)
-    assert len(traj) == 9
+    traj = integrate(cs.fields, [0.0] * 3, wiggle_law(), tol=1e-8)
+    assert traj.times == [0.0, TWO_PI, 2 * TWO_PI]
+    assert len(traj) == 3
 
 
 @pytest.mark.parametrize("periods", [13, 20, 40])
@@ -122,30 +120,6 @@ def test_replay_is_accurate_across_period_jumps(x0):
     tight = oracles.replay_reference(fields, x0, law, 1e-13)[-1].y[:, -1]
     end = integrate(fields, x0, law, tol=1e-10).endpoint
     assert max(abs(a - b) for a, b in zip(end, tight)) <= 1e-9
-
-
-@pytest.mark.parametrize("span", [(1.0, 2 * TWO_PI), (1.0, 3 * TWO_PI - 2.0),
-                                  (TWO_PI, 3 * TWO_PI + 4.0),
-                                  (-1.0, 0.5 * TWO_PI)])
-def test_span_splits_at_a_period_edge(span):
-    # Spans that start or end inside a period, run past the horizon or
-    # start before 0: a run is its pieces, so splitting it at an edge
-    # inside gives the same rows.
-    cs = canonical_fields(2, 2)
-    law = ControlLaw(2, wiggle_law().periods * 2)
-    x0 = [0.1, -0.2, 0.3]
-    whole = integrate(cs.fields, x0, law, span=span, samples_per_period=3)
-    edges = [k * TWO_PI for k in range(4)
-             if span[0] < k * TWO_PI < span[1]]
-    assert edges
-    for edge in edges:
-        assert edge in whole.times
-        head = integrate(cs.fields, x0, law, span=(span[0], edge),
-                         samples_per_period=3)
-        rest = integrate(cs.fields, head.endpoint, law, span=(edge, span[1]),
-                         samples_per_period=3)
-        assert whole.times == head.times + rest.times[1:]
-        assert whole.states == head.states + rest.states[1:]
 
 
 def test_trajectory_validation():
@@ -223,40 +197,6 @@ def test_sup_bound():
     assert input_sup_bound(law) == 1.5
 
 
-def test_domain_exit_attaches_partial():
-    cs = canonical_fields(2, 2)
-    with pytest.raises(DomainExit) as info:
-        integrate(cs.fields, [0.0] * 3, circle_law(),
-                  domain=([-0.2] * 3, [0.2] * 3))
-    partial = info.value.trajectory
-    assert partial is not None
-    assert abs(max(partial.endpoint) - 0.2) <= 1e-9
-    assert partial.times[-1] < TWO_PI
-
-
-def test_domain_exit_in_a_later_period():
-    # u1 = 1/10 moves x1 by 0.63 per period, so x1 = 1.5 falls in the
-    # third; the partial run holds the first two periods as a run over
-    # them alone gives them.
-    cs = canonical_fields(2, 2)
-    period = {"channels": [[(F(1, 10), 0, 0)], [(F(1, 2), 1, 1)]]}
-    law = ControlLaw(2, [period] * 3)
-    box = ([-1.5] * 3, [1.5] * 3)
-    x0 = [0.0, 0.1, -0.1]
-    with pytest.raises(DomainExit) as info:
-        integrate(cs.fields, x0, law, domain=box)
-    partial = info.value.trajectory
-    t_exit = info.value.payload["t_exit"]
-    assert 2 * TWO_PI < t_exit < 3 * TWO_PI
-    assert partial.times[-1] == t_exit
-    assert abs(partial.endpoint[0] - 1.5) <= 1e-9
-    head = integrate(cs.fields, x0, law, span=(0.0, 2 * TWO_PI),
-                     domain=box)
-    assert partial.times[:3] == head.times == [0.0, TWO_PI, 2 * TWO_PI]
-    assert partial.states[:3] == head.states
-    assert len(partial) == 4
-
-
 def test_step_failure_in_a_later_period_keeps_earlier_rows():
     # xdot = u x^2 from x = 1: u = -1/10 in the first period, then
     # u = 1 blows up 1.63 into the second
@@ -265,16 +205,18 @@ def test_step_failure_in_a_later_period_keeps_earlier_rows():
                          {"channels": [[(1, 0, 0)]]}])
     with pytest.raises(StepFailure) as info:
         integrate([f], [1.0], law, tol=1e-10)
-    partial = info.value.trajectory
+    partial = info.value.payload["trajectory"]
     assert partial.times == [0.0, TWO_PI]
     assert abs(partial.endpoint[0] - 1.0 / (1.0 + 0.1 * TWO_PI)) <= 1e-9
 
 
 def test_blowup_raises_step_failure():
+    # xdot = x^2 from x = 1 blows up at t = 1, inside the first period
     f = WeightedPolynomialField([Poly.monomial(1, (2,), F(1))])
     law = ControlLaw(1, [{"channels": [[(1, 0, 0)]]}])
-    with pytest.raises(StepFailure):
-        integrate([f], [1.0], law, span=(0.0, 2.0), tol=1e-10)
+    with pytest.raises(StepFailure) as info:
+        integrate([f], [1.0], law, tol=1e-10)
+    assert info.value.payload["trajectory"] is None
 
 
 def test_lifted_trajectory_projects_onto_base():
@@ -286,11 +228,11 @@ def test_lifted_trajectory_projects_onto_base():
     basis = build_hall_basis(2, 3)
     # (1, 2, 4) is the cheapest frame at the origin (see test_desing)
     lift = desingularize([f1, f2], basis, (1, 2, 4), [F(0)] * 3)
-    law = wiggle_law()
+    law = ControlLaw(2, wiggle_law().periods * 8)
     x0 = [0.2, -0.1, 0.3]
-    down = integrate([f1, f2], x0, law, tol=1e-10, samples_per_period=8)
-    up = integrate(list(lift.xi), lift.lift_point(x0), law, tol=1e-10,
-                   samples_per_period=8)
+    down = integrate([f1, f2], x0, law, tol=1e-10)
+    up = integrate(list(lift.fields), lift.lift_point(x0), law, tol=1e-10)
+    assert len(down) == 17
     assert down.times == up.times
     worst = 0.0
     for drow, urow in zip(down.states, lift.project(up.states)):

@@ -21,8 +21,8 @@ from nilsteer.steer import (
     ClassPlan, ControlLaw, FrequencyPlan, PiFrac, PiPoly, SlotPlan, TrigPoly,
     _reduce_pairs, build_plan, channel_trigpolys, concatenate,
     control_matrix, exact_steer, plan_class, plan_frequencies,
-    propagate_period, simplify_value, steer_class, template_channels,
-    verify_nonresonance,
+    TWO_PI, propagate_period, simplify_value, steer_class,
+    template_channels, verify_nonresonance,
 )
 
 F = Fraction
@@ -80,7 +80,8 @@ def law_rhs(system, law):
 
 def ode_endpoint(system, law, z0):
     return oracles.propagate_ode(law_rhs(system, law),
-                                 [float(v) for v in z0], law.horizon,
+                                 [float(v) for v in z0],
+                                 TWO_PI * law.nperiods,
                                  rtol=1e-11, atol=1e-12)
 
 
@@ -548,7 +549,6 @@ def test_steer_irrational_pseudo_norm_rounds_the_scale(sys22, plan22):
 def test_steer_zero_point_gives_empty_law(sys23, plan23):
     law = exact_steer([F(0)] * sys23.n, sys23, plan23)
     assert law.nperiods == 0
-    assert law.horizon == 0.0
     assert law.eval(0.0) == [0.0, 0.0]
 
 
@@ -630,14 +630,16 @@ def test_control_law_json_round_trip(sys23, plan23):
     back = ControlLaw.from_json(law.to_json_str())
     assert back.m == law.m and back.nperiods == law.nperiods
     assert back.scale == law.scale
-    for t in [k * law.horizon / 23 for k in range(24)]:
+    end = TWO_PI * law.nperiods
+    for t in [k * end / 23 for k in range(24)]:
         assert back.eval(t) == pytest.approx(law.eval(t), abs=1e-9)
 
 
 def test_control_law_eval_clamps_outside_horizon(sys22, plan22):
     law = exact_steer([F(1, 2), F(-1, 3), F(1, 4)], sys22, plan22)
     assert all(math.isfinite(v) for v in law.eval(-0.5))
-    assert all(math.isfinite(v) for v in law.eval(law.horizon + 1.0))
+    end = TWO_PI * law.nperiods
+    assert all(math.isfinite(v) for v in law.eval(end + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +684,8 @@ def test_plain_concatenation_keeps_periods(sys22, plan22):
                          joined.periods):
         for terms, folded in zip(p["channels"], q["channels"]):
             assert folded == [(a * law.scale, w, h) for a, w, h in terms]
-    for t in (0.3, 2.9, 7.1, law1.horizon + 0.4):
-        want = (law1 if t < law1.horizon else law2).eval(
-            t if t < law1.horizon else t - law1.horizon)
+    end1 = TWO_PI * law1.nperiods
+    for t in (0.3, 2.9, 7.1, end1 + 0.4):
+        want = (law1 if t < end1 else law2).eval(
+            t if t < end1 else t - end1)
         assert joined.eval(t) == pytest.approx(want, abs=1e-12)
