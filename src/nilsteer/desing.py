@@ -335,9 +335,6 @@ class LiftedSystem:
         return list(x) + [0] * len(self.fiber_order)
 
     def project(self, p):
-        if len(p) and (isinstance(p[0], (list, tuple))
-                       or hasattr(p[0], "__len__")):
-            return [list(row)[:self.n] for row in p]
         return list(p)[:self.n]
 
 

@@ -9,16 +9,21 @@ the designated one, so the net displacement of the class coordinates
 is exactly linear in the resonance amplitudes.
 
 Everything is integrated in closed form.  Controls are trigonometric
-polynomials with integer frequencies, so all state values at period
-boundaries live in the field of rational functions of pi; the small
-tower PiPoly/PiFrac/TrigPoly implements that field and the per-period
-propagation.  When inputs are floats the same code runs in floating
-point instead.
+polynomials with integer frequencies, so every state value at a period
+boundary lies in the field of rational functions of pi, which PiPoly
+and PiFrac implement.  A coordinate's value at the end of a period is
+its start plus the integral of its rate over the period.  The rate is
+a sum of terms t^p trig(w1 t) times control terms trig(w2 t), and each
+such pair integrates to a rational combination of powers of 2 pi, read
+from a kept table.  Trajectories, as TrigPoly, are built only for the
+coordinates that some rate reads.  In float mode the same sums run in
+floating point, for the float replay of a law.
 
 Laws are joined end to end by one routine, concatenate, which folds
 every law's scale into its amplitudes.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -57,10 +62,6 @@ class PiPoly:
     @classmethod
     def const(cls, q):
         return cls({0: Fraction(q)})
-
-    @classmethod
-    def pi_pow(cls, k, coeff=F1):
-        return cls({k: Fraction(coeff)})
 
     def is_zero(self):
         return not self.c
@@ -379,28 +380,26 @@ def _acc_sin(out, p, w, c):
 
 
 def _exact_sum(terms):
-    """Exact sum of c * (2 pi)^p over (p, c) pairs.
+    """Exact sum of c * k over (c, k) pairs, c exact and k a PiPoly,
+    as an unreduced PiFrac (or zero).
 
     Numerators are grouped by denominator before any division, so
     unreduced adds do not pile up denominator degree.
     """
     groups = {}
-    for p, c in terms:
+    for c, k in terms:
+        if k.is_zero():
+            continue
         if isinstance(c, PiFrac):
-            num, den = c.num, c.den
+            num, den = c.num.mul(k), c.den
         else:
-            num, den = PiPoly.const(c), _PP_ONE
-        if p:
-            num = num.mul(PiPoly.pi_pow(p, 2 ** p))
+            num, den = k.scale(c), _PP_ONE
         cur = groups.get(den)
         groups[den] = num if cur is None else cur.add(num)
-    total = None
+    total = F0
     for den, num in groups.items():
-        pf = PiFrac(num, den, reduce=False)
-        total = pf if total is None else total + pf
-    if total is None:
-        return F0
-    return simplify_value(total)
+        total = PiFrac(num, den, reduce=False) + total
+    return total
 
 
 class TrigPoly:
@@ -506,21 +505,7 @@ class TrigPoly:
                 if p == 0 and s == 0]
         if any(isinstance(c, float) for c in vals):
             return math.fsum(float(c) for c in vals)
-        return _exact_sum((0, c) for c in vals)
-
-    def value_2pi(self, float_mode=False):
-        """Exact value at t = 2 pi (or float when asked)."""
-        if float_mode:
-            total = 0.0
-            for (p, w, s), c in self.terms.items():
-                if s == 0:
-                    total += float(c) * (2.0 * math.pi) ** p
-            return total
-        return _exact_sum((p, c) for (p, w, s), c in self.terms.items()
-                          if s == 0)
-
-    def has_float(self):
-        return any(isinstance(c, float) for c in self.terms.values())
+        return simplify_value(_exact_sum((c, _PP_ONE) for c in vals))
 
     def __repr__(self):
         return "TrigPoly(%d terms)" % len(self.terms)
@@ -616,7 +601,8 @@ class ClassPlan:
 
     def solve_amps(self, delta_target):
         if self.B is None:
-            raise ValueError("class plan has no control matrix yet")
+            raise SpecError("class plan has no control matrix yet",
+                            class_id=self.class_id)
         raw = mat_vec(self.B, list(delta_target))
         out = []
         for g, a in zip(self.gains, raw):
@@ -830,31 +816,103 @@ def channel_trigpolys(channels):
     return out
 
 
-def propagate_period(system, channels, state, float_mode=None):
-    """Exact state after one 2 pi period of the given controls.
+def _moment(p, w, s):
+    """Integral of t^p cos(w t) (s = 0) or t^p sin(w t) (s = 1) over
+    one period [0, 2 pi], as {k: r} for the sum of r (2 pi)^k.
 
-    The canonical dynamics are triangular: coordinate j integrates
-    P_j(v(t)) times its channel.  Trajectories are TrigPoly in t, so
-    each antiderivative is closed form and period-end values are exact
-    elements of the pi-fraction field (or floats in float mode).
+    By parts, with T = 2 pi, sin(w T) = 0 and cos(w T) = 1:
+    C_q = -(q / w) S_(q-1) and S_q = -T^q / w + (q / w) C_(q-1), from
+    C_0 = S_0 = 0.  At w = 0 the cosine moment is T^(p+1) / (p + 1).
+    """
+    if w == 0:
+        return {p + 1: Fraction(1, p + 1)} if s == 0 else {}
+    cos, sin = {}, {}
+    for q in range(1, p + 1):
+        nxt = {k: r * Fraction(q, w) for k, r in cos.items()}
+        nxt[q] = Fraction(-1, w)
+        cos = {k: r * Fraction(-q, w) for k, r in sin.items()}
+        sin = nxt
+    return sin if s else cos
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(p, w1, s1, w2, s2):
+    """Integral of t^p trig(w1 t) trig(w2 t) over one period, where
+    trig is cos for s = 0 and sin for s = 1.
+
+    Returns the exact integral, a PiPoly, and its float value.  Product
+    to sum splits it into two single-frequency moments.  Kernels are
+    kept: periods read the same few hundred over and over.
+    """
+    if s1 == s2:
+        # cos(a - b) plus cos(a + b), or minus it for two sines
+        parts = ((w1 - w2, 0, HALF), (w1 + w2, 0, -HALF if s1 else HALF))
+    else:
+        # sin(a + b) plus sin(sine frequency - cosine frequency)
+        parts = ((w1 + w2, 1, HALF), (w1 - w2 if s1 else w2 - w1, 1, HALF))
+    total = {}
+    for w, s, half in parts:
+        if w < 0 and s:
+            half = -half
+        for k, r in _moment(p, abs(w), s).items():
+            total[k] = total.get(k, F0) + half * r
+    exact = PiPoly({k: r * 2 ** k for k, r in total.items()})
+    return exact, float(exact)
+
+
+def period_end(init, f, u, float_mode):
+    """init plus the integral of f(t) u(t) over one period [0, 2 pi],
+    where u is free of powers of t: each pair of a term of f and a
+    term of u reads its integral from _kernel.
+
+    Exact values sum in the pi-fraction field, floats by math.fsum.
+    """
+    us = [(w, s, c) for (_, w, s), c in u.terms.items()]
+    if float_mode:
+        us = [(w, s, float(c)) for w, s, c in us]
+        terms = [float(init)]
+        for (p, w1, s1), c1 in f.terms.items():
+            c1 = float(c1)
+            terms.extend(c1 * c2 * _kernel(p, w1, s1, w2, s2)[1]
+                         for w2, s2, c2 in us)
+        return math.fsum(terms)
+    total = [(init, _PP_ONE)]
+    for w2, s2, c2 in us:
+        inner = _exact_sum(
+            (c1, _kernel(p, w1, s1, w2, s2)[0])
+            for (p, w1, s1), c1 in f.terms.items())
+        total.append((inner * c2, _PP_ONE))
+    return simplify_value(_exact_sum(total))
+
+
+def propagate_period(system, channels, state, float_mode):
+    """State after one 2 pi period of the given controls, exact in the
+    pi-fraction field, or in floats when float_mode is set.
+
+    The canonical dynamics are triangular: coordinate j moves at rate
+    f_j(t) u_phi(j)(t), where f_j = P_j of the trajectories before j.
+    Its end value is x_j(0) plus the integral of that rate over the
+    period, in closed form (period_end).  The trajectory of a
+    coordinate, the TrigPoly x_j(0) plus the antiderivative of its
+    rate, is built only when some monomial reads that coordinate;
+    none reads the top-weight ones.
     """
     us = channel_trigpolys(channels)
-    if float_mode is None:
-        float_mode = (any(isinstance(v, float) for v in state)
-                      or any(u.has_float() for u in us))
+    read = {i for mono in system.monomials for expo in mono.terms
+            for i, a in enumerate(expo) if a}
     trajs = []
     out = []
     cache = {}
-    for j in range(1, system.n + 1):
-        mono = system.monomials[j - 1]
-        chan = system.basis.element(j).phi
-        integrand = poly_on_trigs(mono, trajs, cache).mul(us[chan - 1])
-        vj = integrand.antiderivative()
-        init = state[j - 1]
-        if init:
-            vj = vj.add(TrigPoly.const(init))
-        trajs.append(vj)
-        out.append(simplify_value(vj.value_2pi(float_mode)))
+    for j in range(system.n):
+        f = poly_on_trigs(system.monomials[j], trajs, cache)
+        u = us[system.basis.element(j + 1).phi - 1]
+        out.append(period_end(state[j], f, u, float_mode))
+        traj = None
+        if j in read:
+            traj = f.mul(u).antiderivative()
+            if state[j]:
+                traj = traj.add(TrigPoly.const(state[j]))
+        trajs.append(traj)
     return out
 
 

@@ -235,6 +235,7 @@ def test_lifted_trajectory_projects_onto_base():
     assert len(down) == 17
     assert down.times == up.times
     worst = 0.0
-    for drow, urow in zip(down.states, lift.project(up.states)):
-        worst = max(worst, max(abs(a - b) for a, b in zip(drow, urow)))
+    for drow, urow in zip(down.states, up.states):
+        worst = max(worst, max(abs(a - b)
+                               for a, b in zip(drow, lift.project(urow))))
     assert worst <= 1e-8

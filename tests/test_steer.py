@@ -1,6 +1,8 @@
 """Tests for exact sinusoidal steering of the canonical forms."""
 
 import copy
+import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -9,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.simplify.fu import TR8
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -19,8 +22,8 @@ from nilsteer.poly import det_matrix, invert_matrix, mat_vec
 from nilsteer.privcoord import dilate, pseudo_norm
 from nilsteer.steer import (
     ClassPlan, ControlLaw, FrequencyPlan, PiFrac, PiPoly, SlotPlan, TrigPoly,
-    _reduce_pairs, build_plan, channel_trigpolys, concatenate,
-    control_matrix, exact_steer, plan_class, plan_frequencies,
+    _kernel, _reduce_pairs, build_plan, channel_trigpolys, concatenate,
+    control_matrix, exact_steer, period_end, plan_class, plan_frequencies,
     TWO_PI, propagate_period, simplify_value, steer_class,
     template_channels, verify_nonresonance,
 )
@@ -29,7 +32,7 @@ F = Fraction
 
 
 def pi_times(q):
-    return PiFrac.lift(PiPoly.pi_pow(1, F(q)))
+    return PiFrac.lift(PiPoly({1: F(q)}))
 
 
 def assert_exact_zero(v, label=""):
@@ -49,6 +52,11 @@ def sys23():
 @pytest.fixture(scope="module")
 def sys24():
     return canonical_fields(2, 4)
+
+
+@pytest.fixture(scope="module")
+def sys33():
+    return canonical_fields(3, 3)
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +166,7 @@ def test_simplify_value_collapses_rational_fractions():
     three = PiFrac(PiPoly({1: 3}), PiPoly({1: 1}), reduce=False)
     out = simplify_value(three)
     assert isinstance(out, F) and out == 3
-    pi = PiFrac.lift(PiPoly.pi_pow(1))
+    pi = PiFrac.lift(PiPoly({1: 1}))
     assert isinstance(simplify_value(pi), PiFrac)
     assert simplify_value(F(5, 7)) == F(5, 7)
 
@@ -167,11 +175,11 @@ def test_coeff_is_zero_accepts_both_kinds():
     # Zero tests on coefficients are plain truthiness, for every kind.
     assert not F(0)
     assert not PiFrac(PiPoly(), None, reduce=False)
-    assert not PiFrac(PiPoly.pi_pow(1, F(1)).add(PiPoly.pi_pow(1, F(-1))))
+    assert not PiFrac(PiPoly({1: F(1)}).add(PiPoly({1: F(-1)})))
     assert not 0.0
     assert F(1, 9)
     assert pi_times(1)
-    assert PiFrac(PiPoly.pi_pow(2, F(-1, 3)), PiPoly.pi_pow(1, F(5)))
+    assert PiFrac(PiPoly({2: F(-1, 3)}), PiPoly({1: F(5)}))
     assert 1e-300
 
 
@@ -215,16 +223,56 @@ def test_antiderivative_matches_quadrature():
     top = max(w for _, w, _ in u.terms)
     ref = oracles.quad_over_periods(
         lambda t: oracles.trig_eval_float(u, t), horizon, top)
-    got = u.antiderivative().value_2pi(float_mode=True)
+    got = oracles.trig_eval_float(u.antiderivative(), horizon)
     assert got == pytest.approx(ref, abs=1e-10)
-    exact = u.antiderivative().value_2pi()
+    one = TrigPoly.const(F(1))
+    assert period_end(F(0), u, one, True) == pytest.approx(ref, abs=1e-10)
+    exact = period_end(F(0), u, one, False)
     assert float(exact) == pytest.approx(ref, abs=1e-10)
 
 
 def test_squared_cosine_integrates_to_pi_exactly():
     u = TrigPoly.sinusoid(F(1), 3, 0)
-    area = u.mul(u).antiderivative().value_2pi()
-    assert area == pi_times(1)
+    assert period_end(F(0), u, u, False) == pi_times(1)
+
+
+def sympy_period_integral(expr, t, moments):
+    """sympy's integral of expr, a sum of terms c t^p trig(j t) with
+    integer j >= 0, over [0, 2 pi].  moments caches sympy's integral of
+    t^p cos(k t) and t^p sin(k t) for a symbolic positive integer k
+    and for k = 0, keyed by (p, trig, k > 0)."""
+    k = sympy.Symbol("k", integer=True, positive=True)
+    total = 0
+    for term in sympy.Add.make_args(sympy.expand(expr)):
+        c, rest = term.as_independent(t)
+        trigs = rest.atoms(sympy.cos, sympy.sin)
+        trig, freq = sympy.cos, 0
+        if trigs:
+            (factor,) = trigs
+            trig, freq = factor.func, factor.args[0] / t
+            rest = rest / factor
+        key = (sympy.degree(rest, t), trig, freq != 0)
+        if key not in moments:
+            moments[key] = sympy.integrate(
+                t ** key[0] * trig((k if freq else 0) * t),
+                (t, 0, 2 * sympy.pi))
+        total += c * moments[key].subs(k, freq)
+    return sympy.expand(total)
+
+
+def test_kernels_match_sympy():
+    t = sympy.Symbol("t", real=True)
+    trigs = (sympy.cos, sympy.sin)
+    moments = {}
+    for p, w1, w2, s1, s2 in itertools.product(range(5), range(7), range(7),
+                                               (0, 1), (0, 1)):
+        expr = TR8(t ** p * trigs[s1](w1 * t) * trigs[s2](w2 * t))
+        want = sympy_period_integral(expr, t, moments)
+        exact, value = _kernel(p, w1, s1, w2, s2)
+        got = sum(sympy.Rational(r.numerator, r.denominator) * sympy.pi ** d
+                  for d, r in exact.c.items())
+        assert sympy.expand(got - want) == 0, (p, w1, s1, w2, s2)
+        assert value == pytest.approx(float(want), rel=1e-15, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +285,23 @@ def test_constant_controls_sweep_quadratic_area(sys22):
     end = propagate_period(sys22, channels, [F(0)] * 3, float_mode=False)
     assert end[0] == pi_times(2 * a)
     assert end[1] == pi_times(2 * b)
-    assert end[2] == PiFrac.lift(PiPoly.pi_pow(2, 2 * a * b))
+    assert end[2] == PiFrac.lift(PiPoly({2: 2 * a * b}))
+
+
+def test_float_period_matches_ode(sys33):
+    # the float route of the period integral, which a law's float
+    # replay runs, against scipy on the canonical fields
+    rng = oracles.seeded(59)
+    for _ in range(3):
+        state = oracles.random_rational_point(sys33.n, rng, lo=-1, hi=1)
+        channels = [[(rng.uniform(-1.0, 1.0), rng.randint(0, 6),
+                      rng.randint(0, 3)) for _ in range(3)]
+                    for _ in range(3)]
+        end = propagate_period(sys33, channels, state, float_mode=True)
+        law = ControlLaw(3, [{"channels": channels}])
+        want = ode_endpoint(sys33, law, state)
+        assert max(abs(a - b) for a, b in zip(end, want)) <= 1e-9
+        assert max(abs(a - b) for a, b in zip(end, state)) > 1e-2
 
 
 def test_zero_controls_fix_the_state(sys23):
@@ -475,6 +539,13 @@ def test_solved_amplitudes_realize_the_target(sys24, plan24):
     assert_exact_zero(end[6] - F(3, 7))
 
 
+def test_solving_without_a_control_matrix_raises(sys23):
+    entry = plan_frequencies(sys23.basis, 3)
+    with pytest.raises(SpecError) as info:
+        entry.solve_amps([F(1)])
+    assert info.value.payload == {"class_id": 3}
+
+
 def test_determinant_threshold_raises(sys23):
     entry = plan_frequencies(sys23.basis, 2)
     with pytest.raises(SingularMatrix, match="determinant"):
@@ -608,6 +679,39 @@ def test_steering_residual_survives_optimized_mode():
         "steering-residual [('class_id', 2), ('coordinate', 3)]")
 
 
+# Laws steered from a seeded start (seed None: x_i = (-1)^i / (3 + i)):
+# the scale, and the sha256 of the repr of the per-period amplitudes.
+PINNED_LAWS = [
+    (2, 4, 101, F(8116628700401871, 1125899906842624),
+     "d941f4b035d3943d505999aedc92056a3aa74a2b3654503e76767c49d2edc05b"),
+    (3, 3, 103, F(8440124290058575, 562949953421312),
+     "99216ff3a038b14388c14d4c3efc5fdf711301c3732f6b0474a63d6248ec7342"),
+    (2, 5, None, F(3991510689205017, 562949953421312),
+     "62a30d888685d5180640ebbbe3ccb9adb439c0bf6125dcfa0e59c1b639b6e039"),
+]
+
+
+@pytest.mark.parametrize("m,r,seed,scale,digest", PINNED_LAWS,
+                         ids=["2-4", "3-3", "2-5"])
+def test_pinned_laws(m, r, seed, scale, digest):
+    system = canonical_fields(m, r)
+    if seed is None:
+        x = [F((-1) ** i, 3 + i) for i in range(1, system.n + 1)]
+    else:
+        x = oracles.random_rational_point(system.n, oracles.seeded(seed))
+    law = exact_steer(x, system, build_plan(system))
+    amps = [p["amps"] for p in law.periods]
+    assert law.scale == scale
+    assert hashlib.sha256(repr(amps).encode()).hexdigest() == digest
+    if r == 5:
+        return
+    # the float replay of every period from z_init lands on the origin
+    z = [float(v) for v in law.meta["z_init"]]
+    for p in law.periods:
+        z = propagate_period(system, p["channels"], z, float_mode=True)
+    assert max(abs(v) for v in z) <= 1e-9
+
+
 def test_steer_three_generators():
     sys32 = canonical_fields(3, 2)
     plan = build_plan(sys32)
@@ -661,7 +765,10 @@ def junction_gaps(law):
                 diff = prev[c] - start
                 worst.append(simplify_value(diff)
                              if isinstance(diff, PiFrac) else diff)
-        prev = [simplify_value(u.value_2pi()) for u in us]
+        # the value at 2 pi: the start plus the period integral of u'
+        one = TrigPoly.const(F(1))
+        prev = [period_end(u.value_zero(), oracles.trig_derivative(u),
+                           one, False) for u in us]
     return worst
 
 
