@@ -34,14 +34,13 @@ class IdentificationFailure(NilsteerError):
     code = "identification-failure"
 
 
-class SearchBudgetExhausted(NilsteerError):
-    """Frequency search hit its configured cap before succeeding."""
-
-    code = "search-budget-exhausted"
-
-
 class SingularMatrix(NilsteerError):
-    """A matrix is singular or below its determinant threshold."""
+    """A matrix is singular or below its determinant threshold.
+
+    Exact steering also raises it for a class whose frequency plan is
+    resonant or whose control matrix fails the gate; the payload's
+    class_id then names the class.
+    """
 
     code = "singular-matrix"
 

@@ -84,33 +84,6 @@ class Expr:
     def __repr__(self):
         return "Expr(%s)" % expr_to_str(self, None)
 
-    def __add__(self, other):
-        return eadd(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return eadd(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return eadd(self, emul(erat(-1), _as_expr(other)))
-
-    def __rsub__(self, other):
-        return eadd(_as_expr(other), emul(erat(-1), self))
-
-    def __mul__(self, other):
-        return emul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return emul(_as_expr(other), self)
-
-    def __neg__(self):
-        return emul(erat(-1), self)
-
-
-def _as_expr(x):
-    if isinstance(x, Expr):
-        return x
-    return erat(_num(x))
-
 
 def erat(q):
     return Expr("rat", _num(q))
@@ -525,11 +498,6 @@ class Poly:
     def constant_term(self):
         return self.terms.get((0,) * self.n, F0)
 
-    def degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def add(self, other):
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -649,23 +617,6 @@ class Poly:
 
     def is_exact(self):
         return all(is_exact(c) for c in self.terms.values())
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return self.mul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __neg__(self):
-        return self.neg()
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.n == other.n

@@ -2,11 +2,13 @@
 
 The classes of the basis (grouped by generator content) are steered
 one per 2 pi period.  Within a period every class element gets a block
-of unit-amplitude cosines at carefully spaced integer frequencies plus
-one resonance sinusoid whose amplitude is solved for; the frequency
-spacing guarantees that the only integer combination hitting zero is
-the designated one, so the net displacement of the class coordinates
-is exactly linear in the resonance amplitudes.
+of unit-amplitude cosines at integer frequencies plus one resonance
+sinusoid whose amplitude is solved for.  Each class has one frequency
+plan, built by a chain rule that makes the designated combination the
+only integer one hitting zero, so the net displacement of the class
+coordinates is exactly linear in the resonance amplitudes; a plan that
+is resonant after all, or whose control matrix is too close to
+singular, raises SingularMatrix.
 
 Everything is integrated in closed form.  Controls are trigonometric
 polynomials with integer frequencies, so every state value at a period
@@ -17,7 +19,9 @@ a sum of terms t^p trig(w1 t) times control terms trig(w2 t), and each
 such pair integrates to a rational combination of powers of 2 pi, read
 from a kept table.  Trajectories, as TrigPoly, are built only for the
 coordinates that some rate reads.  In float mode the same sums run in
-floating point, for the float replay of a law.
+floating point, for the float replay of a law: the period's amplitudes
+and state become floats at its start, and exact values never meet
+floats (adding a float to a PiFrac raises TypeError).
 
 Laws are joined end to end by one routine, concatenate, which folds
 every law's scale into its amplitudes.
@@ -29,8 +33,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import (SearchBudgetExhausted, SingularMatrix, SpecError,
-                     SteeringResidual)
+from .errors import SingularMatrix, SpecError, SteeringResidual
 from .poly import det_matrix, invert_matrix, is_exact, mat_vec
 from .privcoord import dilate, pseudo_norm
 
@@ -40,6 +43,9 @@ HALF = Fraction(1, 2)
 _PI_HAT = Fraction(math.pi)
 # Length of one period of a law, in float time.
 TWO_PI = 2.0 * math.pi
+# Least |det| of a class's column-equilibrated control matrix, relative
+# to the geometric mean of its row norms.
+DET_THRESHOLD = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +245,11 @@ class PiFrac:
         return not self.is_zero()
 
     def __add__(self, o):
-        if isinstance(o, float):
-            return float(self) + o
         if isinstance(o, (int, Fraction)):
             if o == 0:
                 return self
             return PiFrac(self.num.add(self.den.scale(Fraction(o))),
                           self.den, reduce=False)
-        if isinstance(o, PiPoly):
-            o = PiFrac.lift(o)
         if not isinstance(o, PiFrac):
             return NotImplemented
         if self.den == o.den:
@@ -261,31 +263,21 @@ class PiFrac:
         return PiFrac(self.num.neg(), self.den, reduce=False)
 
     def __sub__(self, o):
-        if isinstance(o, float):
-            return float(self) - o
         if isinstance(o, (int, Fraction)):
             return self.__add__(-o)
-        if isinstance(o, PiPoly):
-            o = PiFrac.lift(o)
         if not isinstance(o, PiFrac):
             return NotImplemented
         return self.__add__(o.__neg__())
 
     def __rsub__(self, o):
-        if isinstance(o, float):
-            return o - float(self)
         return self.__neg__().__add__(o)
 
     def __mul__(self, o):
-        if isinstance(o, float):
-            return float(self) * o
         if isinstance(o, (int, Fraction)):
             if o == 0:
                 return PiFrac(PiPoly(), None, reduce=False)
             return PiFrac(self.num.scale(Fraction(o)), self.den,
                           reduce=False)
-        if isinstance(o, PiPoly):
-            o = PiFrac.lift(o)
         if not isinstance(o, PiFrac):
             return NotImplemented
         return PiFrac(self.num.mul(o.num), self.den.mul(o.den),
@@ -294,13 +286,9 @@ class PiFrac:
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        if isinstance(o, float):
-            return float(self) / o
         if isinstance(o, (int, Fraction)):
             return PiFrac(self.num.scale(F1 / Fraction(o)), self.den,
                           reduce=False)
-        if isinstance(o, PiPoly):
-            o = PiFrac.lift(o)
         if not isinstance(o, PiFrac):
             return NotImplemented
         if o.num.is_zero():
@@ -309,13 +297,9 @@ class PiFrac:
                       reduce=False)
 
     def __rtruediv__(self, o):
-        if isinstance(o, float):
-            return o / float(self)
         return PiFrac.lift(o).__truediv__(self)
 
     def __eq__(self, o):
-        if isinstance(o, float):
-            return float(self) == o
         if isinstance(o, (int, Fraction, PiPoly)):
             o = PiFrac.lift(o)
         if not isinstance(o, PiFrac):
@@ -329,9 +313,6 @@ class PiFrac:
         if den == 0:
             return float(self.num) / 0.0
         return float(self.num.eval_fraction(_PI_HAT) / den)
-
-    def __abs__(self):
-        return abs(float(self))
 
     def __repr__(self):
         r = self.reduced()
@@ -442,9 +423,6 @@ class TrigPoly:
             _acc_sin(out, 0, w, -amp)
         return cls(out)
 
-    def is_zero(self):
-        return not self.terms
-
     def add(self, o):
         out = dict(self.terms)
         for (p, w, s), c in o.terms.items():
@@ -511,10 +489,9 @@ class TrigPoly:
         return "TrigPoly(%d terms)" % len(self.terms)
 
 
-def poly_on_trigs(poly, trajs, cache=None):
-    """Evaluate a Poly on TrigPoly arguments."""
-    if cache is None:
-        cache = {}
+def poly_on_trigs(poly, trajs, cache):
+    """Evaluate a Poly on TrigPoly arguments; cache keeps the powers
+    of the arguments, keyed by (index, exponent)."""
 
     def power(i, k):
         key = (i, k)
@@ -582,14 +559,12 @@ class ClassPlan:
     actual resonance amplitudes.
     """
 
-    def __init__(self, class_id, elements, delta, epsilon, slots,
-                 spacing):
+    def __init__(self, class_id, elements, delta, epsilon, slots):
         self.class_id = class_id
         self.elements = tuple(elements)
         self.delta = tuple(delta)
         self.epsilon = epsilon
         self.slots = list(slots)
-        self.spacing = spacing
         self.A = None
         self.B = None
         self.det = None
@@ -627,7 +602,6 @@ class ClassPlan:
             "elements": list(self.elements),
             "delta": list(self.delta),
             "epsilon": self.epsilon,
-            "spacing": self.spacing,
             "slots": [s.to_json() for s in self.slots],
         }
         if self.A is not None:
@@ -649,18 +623,17 @@ class FrequencyPlan:
                 "classes": [c.to_json() for c in self.classes]}
 
 
-def plan_frequencies(basis, class_id, spacing=1, rotation=0):
+def plan_frequencies(basis, class_id):
     """Assign integer frequencies to the slots of one class.
 
     The chain rule keeps every new frequency strictly above sum(delta)
-    times everything assigned so far (scaled by ``spacing``), which
-    makes the designated per-slot resonances the only vanishing integer
-    combinations reachable with the multiplicities any coordinate can
-    produce; verify_nonresonance double-checks that combinatorially.
-    The channel fill order rotates with the slot position (plus
-    ``rotation``), giving each slot of a multi-element class a
-    different magnitude pattern; identical patterns make the probe
-    columns nearly parallel.
+    times everything assigned so far, which makes the designated
+    per-slot resonances the only vanishing integer combinations
+    reachable with the multiplicities any coordinate can produce;
+    verify_nonresonance double-checks that combinatorially.  The
+    channel fill order rotates with the slot position, giving each slot
+    of a multi-element class a different magnitude pattern; identical
+    patterns make the probe columns nearly parallel.
     """
     cls = basis.classes[class_id]
     delta = basis.element(cls[0]).delta
@@ -669,13 +642,13 @@ def plan_frequencies(basis, class_id, spacing=1, rotation=0):
     if total == 1:
         gen = delta.index(1) + 1
         slot = SlotPlan(cls[0], [()] * m, gen, 0, 0)
-        return ClassPlan(class_id, cls, delta, 0, [slot], spacing)
+        return ClassPlan(class_id, cls, delta, 0, [slot])
     eps = (total - 1) % 2
     vmax = 0
 
     def fresh():
         nonlocal vmax
-        val = spacing * total * vmax + 1
+        val = total * vmax + 1
         vmax = max(vmax, val)
         return val
 
@@ -686,14 +659,14 @@ def plan_frequencies(basis, class_id, spacing=1, rotation=0):
                   for c in range(1, m + 1)]
         channels = [[] for _ in range(m)]
         for step in range(m):
-            c = (pos + rotation + step) % m
+            c = (pos + step) % m
             channels[c] = [fresh() for _ in range(counts[c])]
         resonance = sum(sum(ch) for ch in channels)
         vmax = max(vmax, resonance)
         carrier = fresh() if not channels[res_ch - 1] else 0
         slots.append(SlotPlan(element, channels, res_ch, resonance,
                               carrier))
-    return ClassPlan(class_id, cls, delta, eps, slots, spacing)
+    return ClassPlan(class_id, cls, delta, eps, slots)
 
 
 def _signed_sums(pool, count):
@@ -820,19 +793,16 @@ def _moment(p, w, s):
     """Integral of t^p cos(w t) (s = 0) or t^p sin(w t) (s = 1) over
     one period [0, 2 pi], as {k: r} for the sum of r (2 pi)^k.
 
-    By parts, with T = 2 pi, sin(w T) = 0 and cos(w T) = 1:
-    C_q = -(q / w) S_(q-1) and S_q = -T^q / w + (q / w) C_(q-1), from
-    C_0 = S_0 = 0.  At w = 0 the cosine moment is T^(p+1) / (p + 1).
+    It is the antiderivative's value at 2 pi, where every sine vanishes
+    and every cosine is one, so its t^k cosine coefficients sum to r.
     """
-    if w == 0:
-        return {p + 1: Fraction(1, p + 1)} if s == 0 else {}
-    cos, sin = {}, {}
-    for q in range(1, p + 1):
-        nxt = {k: r * Fraction(q, w) for k, r in cos.items()}
-        nxt[q] = Fraction(-1, w)
-        cos = {k: r * Fraction(-q, w) for k, r in sin.items()}
-        sin = nxt
-    return sin if s else cos
+    term = {}
+    (_acc_sin if s else _acc_cos)(term, p, w, F1)
+    out = {}
+    for (k, _, trig), r in TrigPoly(term).antiderivative().terms.items():
+        if trig == 0:
+            out[k] = out.get(k, F0) + r
+    return {k: r for k, r in out.items() if r}
 
 
 @functools.lru_cache(maxsize=None)
@@ -869,10 +839,8 @@ def period_end(init, f, u, float_mode):
     """
     us = [(w, s, c) for (_, w, s), c in u.terms.items()]
     if float_mode:
-        us = [(w, s, float(c)) for w, s, c in us]
-        terms = [float(init)]
+        terms = [init]
         for (p, w1, s1), c1 in f.terms.items():
-            c1 = float(c1)
             terms.extend(c1 * c2 * _kernel(p, w1, s1, w2, s2)[1]
                          for w2, s2, c2 in us)
         return math.fsum(terms)
@@ -887,7 +855,9 @@ def period_end(init, f, u, float_mode):
 
 def propagate_period(system, channels, state, float_mode):
     """State after one 2 pi period of the given controls, exact in the
-    pi-fraction field, or in floats when float_mode is set.
+    pi-fraction field, or in floats when float_mode is set: the channel
+    amplitudes and the state are then made floats once, here, and every
+    TrigPoly of the period holds floats only.
 
     The canonical dynamics are triangular: coordinate j moves at rate
     f_j(t) u_phi(j)(t), where f_j = P_j of the trajectories before j.
@@ -897,6 +867,10 @@ def propagate_period(system, channels, state, float_mode):
     rate, is built only when some monomial reads that coordinate;
     none reads the top-weight ones.
     """
+    if float_mode:
+        channels = [[(float(a), w, q) for a, w, q in terms]
+                    for terms in channels]
+        state = [float(v) for v in state]
     us = channel_trigpolys(channels)
     read = {i for mono in system.monomials for expo in mono.terms
             for i, a in enumerate(expo) if a}
@@ -916,13 +890,13 @@ def propagate_period(system, channels, state, float_mode):
     return out
 
 
-def control_matrix(system, entry, det_threshold=1e-6):
+def control_matrix(system, entry):
     """Displacement matrix of one class: column k is the net change of
     the class coordinates under a unit probe on slot k's resonance.
 
     Also verifies that the basics alone produce exactly zero net
     change, fills entry.A / entry.B / entry.det, and raises
-    SingularMatrix below the determinant threshold.
+    SingularMatrix, with the class_id, below DET_THRESHOLD.
     """
     elements = entry.elements
     q = len(entry.slots)
@@ -946,7 +920,8 @@ def control_matrix(system, entry, det_threshold=1e-6):
             if v:
                 raise SingularMatrix(
                     "basics alone displace coordinate %d of class %d"
-                    % (j, entry.class_id), value=float(v))
+                    % (j, entry.class_id), class_id=entry.class_id,
+                    value=float(v))
         check_settled(base, "basics")
     cols = []
     for k in range(q):
@@ -971,10 +946,10 @@ def control_matrix(system, entry, det_threshold=1e-6):
         raise SingularMatrix("zero row in control matrix",
                              class_id=entry.class_id)
     geo = math.exp(math.fsum(math.log(n) for n in norms) / q)
-    if not det or det_f < det_threshold * geo:
+    if not det or det_f < DET_THRESHOLD * geo:
         raise SingularMatrix(
             "control matrix determinant %.3e below threshold %.3e"
-            % (det_f, det_threshold * geo), class_id=entry.class_id)
+            % (det_f, DET_THRESHOLD * geo), class_id=entry.class_id)
     entry.A = a
     entry.B = invert_matrix(a)
     entry.det = det
@@ -982,32 +957,23 @@ def control_matrix(system, entry, det_threshold=1e-6):
     return a
 
 
-def plan_class(system, class_id, budget=64, det_threshold=1e-6):
-    """Frequencies plus control matrix.  The rotation advances on every
-    retry (reseeding the candidate search and cycling the channel fill
-    order) and the spacing doubles every eight retries, until the
-    budget runs out."""
-    last = None
-    for attempt in range(budget):
-        spacing = 1 << (attempt // 8)
-        entry = plan_frequencies(system.basis, class_id, spacing,
-                                 rotation=attempt)
-        if not entry.is_generator and not verify_nonresonance(
-                system.basis, entry):
-            last = "resonant frequency combination (attempt %d)" % attempt
-            continue
-        try:
-            control_matrix(system, entry, det_threshold=det_threshold)
-            return entry
-        except SingularMatrix as exc:
-            last = exc
-    raise SearchBudgetExhausted(
-        "no usable frequencies for class %d after %d attempts"
-        % (class_id, budget), last_error=str(last))
+def plan_class(system, class_id):
+    """The frequency plan of one class, with its control matrix.
+
+    One chain plan per class: a resonant plan, or a control matrix
+    below DET_THRESHOLD, raises SingularMatrix with the class_id.
+    """
+    entry = plan_frequencies(system.basis, class_id)
+    if not entry.is_generator and not verify_nonresonance(
+            system.basis, entry):
+        raise SingularMatrix("resonant frequency combination in class %d"
+                             % class_id, class_id=class_id)
+    control_matrix(system, entry)
+    return entry
 
 
-def build_plan(system, budget=64, det_threshold=1e-6):
-    entries = [plan_class(system, ci, budget, det_threshold)
+def build_plan(system):
+    entries = [plan_class(system, ci)
                for ci in range(len(system.basis.classes))]
     return FrequencyPlan(system.m, system.r, entries)
 

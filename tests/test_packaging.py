@@ -4,7 +4,9 @@ every function in the package must be read, every function or class
 the package defines must be named somewhere in the package or the
 benchmark, and so must every attribute the package stores on self.
 Every parameter with a default must be passed by some call there,
-too: an option that only ever takes its default is a constant."""
+too: an option that only ever takes its default is a constant.  And
+every error class must be raised somewhere in the package: an error
+code nothing raises is dead."""
 
 import ast
 import importlib
@@ -36,9 +38,6 @@ NO_READER_NEEDED = {
 # (function, parameter) defaults that no call in src/ or bench/ passes.
 DEFAULT_NOT_PASSED = {
     ("growth_vector", "tol"): "growth_vector itself has no caller yet",
-    ("build_plan", "budget"): "the retry schedule is to be replaced",
-    ("build_plan", "det_threshold"): "the retry schedule is to be "
-                                     "replaced",
 }
 
 
@@ -247,3 +246,29 @@ def test_every_defaulted_parameter_is_passed():
     assert not found, found
     # a parameter that has gained a caller leaves the list
     assert set(DEFAULT_NOT_PASSED) == set(unpassed)
+
+
+def raised_names(package):
+    """Names of the exception classes a raise statement in the package
+    raises, as the called name or the bare name after raise."""
+    out = set()
+    for path in python_files(package):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                out.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return out
+
+
+def test_every_error_is_raised():
+    errors = importlib.import_module("nilsteer.errors")
+    codes = [name for name, obj in vars(errors).items()
+             if isinstance(obj, type)
+             and issubclass(obj, errors.NilsteerError)
+             and obj is not errors.NilsteerError]
+    assert codes
+    unraised = sorted(set(codes) - raised_names(PACKAGE))
+    assert not unraised, unraised

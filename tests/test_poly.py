@@ -11,9 +11,9 @@ import oracles
 from nilsteer.errors import SingularMatrix, SpecError
 from nilsteer.poly import (
     ExprField, Poly, TriangularMap, WeightedPolynomialField, det_matrix,
-    ecos, erat, esin, evar, expr_diff, expr_eval, expr_to_poly, expr_to_str,
-    invert_matrix, lie_bracket, nullspace, parse_expr, poly_to_expr,
-    solve_min_norm, taylor_poly, taylor_truncate,
+    ecos, emul, erat, esin, evar, expr_diff, expr_eval, expr_to_poly,
+    expr_to_str, invert_matrix, lie_bracket, nullspace, parse_expr,
+    poly_to_expr, solve_min_norm, taylor_poly, taylor_truncate,
 )
 from oracles import nonholonomic_order, weighted_components
 from nilsteer.steer import PiFrac, PiPoly
@@ -75,7 +75,7 @@ def test_double_star_power():
 
 
 def test_expr_diff_and_eval():
-    e = esin(X1 * X2)
+    e = esin(emul(X1, X2))
     d = expr_diff(e, 0)
     # d/dx1 sin(x1 x2) = x2 cos(x1 x2)
     val = expr_eval(d, [Fraction(0), Fraction(5)])

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -16,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from nilsteer.canonical import canonical_fields
-from nilsteer.errors import (SearchBudgetExhausted, SingularMatrix,
-                             SpecError, SteeringResidual)
+from nilsteer import steer
+from nilsteer.errors import SingularMatrix, SpecError, SteeringResidual
 from nilsteer.poly import det_matrix, invert_matrix, mat_vec
 from nilsteer.privcoord import dilate, pseudo_norm
 from nilsteer.steer import (
@@ -136,7 +137,10 @@ def test_pifrac_scalar_fast_paths():
     assert x * F(2) == PiPoly({1: 1})
     assert (x * 4) / 2 == PiPoly({1: 1})
     assert 1 / (x * 2) == PiFrac(PiPoly({0: 1}), PiPoly({1: 1}))
-    assert isinstance(x + 0.5, float)
+    # exact values never turn into floats: a float replay converts
+    # its inputs up front instead
+    with pytest.raises(TypeError):
+        x + 0.5
     assert float(x) == pytest.approx(math.pi / 2, abs=1e-15)
 
 
@@ -410,19 +414,33 @@ def test_chain_invariants(sys25):
             seen = max(seen, slot.resonance)
 
 
-def test_spacing_multiplies_the_chain(sys23):
-    entry = plan_frequencies(sys23.basis, 3, spacing=2)
-    slot = entry.slots[0]
-    assert slot.channels == ((1, 7), ())
-    assert slot.resonance == 8
-    assert slot.carrier == 49
-
-
 def test_rotation_permutes_channel_fill_order(sys25):
-    base = plan_frequencies(sys25.basis, 9, rotation=0)
-    rot = plan_frequencies(sys25.basis, 9, rotation=1)
-    assert base.slots[0].channels != rot.slots[0].channels
-    assert rot.slots[0].channels[1] == (1,)
+    # the two slots of a multi-slot class fill their channels in
+    # different orders: the first-filled channel holds the slot's
+    # smallest basic frequency
+    for ci in (9, 10):
+        entry = plan_frequencies(sys25.basis, ci)
+        first = [min(range(2), key=lambda c: min(slot.channels[c]))
+                 for slot in entry.slots]
+        assert first == [0, 1], ci
+
+
+def test_plan_and_basis_json(sys23, plan23):
+    blob = plan23.to_json()
+    assert json.loads(json.dumps(blob)) == blob
+    assert (blob["m"], blob["r"]) == (2, 3)
+    for entry in blob["classes"]:
+        assert set(entry) == {"class_id", "elements", "delta", "epsilon",
+                              "slots", "A", "det"}
+    slot_freqs = [w for entry in blob["classes"] for slot in entry["slots"]
+                  for w in [x for ch in slot["channels"] for x in ch]
+                  + [slot["resonance"], slot["carrier"]]]
+    assert max(c.max_frequency() for c in plan23.classes) == max(slot_freqs)
+    basis = sys23.basis.to_json()
+    assert json.loads(json.dumps(basis)) == basis
+    names = [e["name"] for e in basis["elements"]]
+    assert names[:3] == ["X1", "X2", "[X1,X2]"]
+    assert names == [sys23.basis.name(j) for j in range(1, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +464,7 @@ def test_verifier_accepts_all_planned_classes(sys24, plan24):
 def test_verifier_rejects_mismatched_resonance(sys22):
     # resonance 2 over a single basic 1 never closes a zero sum
     bad = ClassPlan(2, (3,), (1, 1), 1,
-                    [SlotPlan(3, [(1,), ()], 2, 2, 3)], 1)
+                    [SlotPlan(3, [(1,), ()], 2, 2, 3)])
     assert not verify_nonresonance(sys22.basis, bad)
 
 
@@ -456,7 +474,7 @@ def test_resonant_carrier_caught_by_both_gates(sys24):
     # must both reject the plan
     ci = sys24.basis.class_of[6]
     bad = ClassPlan(ci, (6,), (3, 1), 1,
-                    [SlotPlan(6, [(1, 2, 3), ()], 2, 6, 3)], 1)
+                    [SlotPlan(6, [(1, 2, 3), ()], 2, 6, 3)])
     assert not verify_nonresonance(sys24.basis, bad)
     with pytest.raises(SingularMatrix, match="settled coordinate 4"):
         control_matrix(sys24, bad)
@@ -546,18 +564,28 @@ def test_solving_without_a_control_matrix_raises(sys23):
     assert info.value.payload == {"class_id": 3}
 
 
-def test_determinant_threshold_raises(sys23):
+def test_determinant_threshold_raises(sys23, monkeypatch):
+    monkeypatch.setattr(steer, "DET_THRESHOLD", 1e9)
     entry = plan_frequencies(sys23.basis, 2)
-    with pytest.raises(SingularMatrix, match="determinant"):
-        control_matrix(sys23, entry, det_threshold=1e9)
+    with pytest.raises(SingularMatrix, match="determinant") as info:
+        control_matrix(sys23, entry)
+    assert info.value.payload == {"class_id": 2}
 
 
-def test_search_budget_exhaustion(sys23):
-    with pytest.raises(SearchBudgetExhausted):
-        plan_class(sys23, 2, budget=0)
-    with pytest.raises(SearchBudgetExhausted) as info:
-        plan_class(sys23, 2, budget=2, det_threshold=1e9)
-    assert "determinant" in info.value.payload["last_error"]
+def test_plan_class_raises_on_a_rejected_plan(sys23, monkeypatch):
+    # one plan per class: a control matrix below the gate, or a
+    # resonant plan, is a named error naming the class, not a retry
+    with monkeypatch.context() as patch:
+        patch.setattr(steer, "DET_THRESHOLD", 1e9)
+        with pytest.raises(SingularMatrix, match="determinant") as info:
+            plan_class(sys23, 2)
+        assert info.value.payload == {"class_id": 2}
+    monkeypatch.setattr(steer, "verify_nonresonance", lambda *a: False)
+    with pytest.raises(SingularMatrix, match="resonant") as info:
+        plan_class(sys23, 3)
+    assert info.value.payload == {"class_id": 3}
+    # generator classes have no frequencies to check
+    assert plan_class(sys23, 0).is_generator
 
 
 # ---------------------------------------------------------------------------
