@@ -38,8 +38,9 @@ class SingularMatrix(NilsteerError):
     """A matrix is singular or below its determinant threshold.
 
     Exact steering also raises it for a class whose frequency plan is
-    resonant or whose control matrix fails the gate; the payload's
-    class_id then names the class.
+    resonant, whose control matrix fails the gate, or whose control
+    matrix has an entry that is not a rational multiple of pi; the
+    payload's class_id then names the class.
     """
 
     code = "singular-matrix"

@@ -168,7 +168,6 @@ def build_hall_basis(m, r):
         while not cur.is_generator():
             counts[cur.left - 1] += 1
             cur = elements[cur.right - 1]
-        assert cur.gen == e.phi
         finished.append(HallElement(e.index, e.length, e.gen, e.left,
                                     e.right, e.phi, tuple(counts),
                                     e.delta))

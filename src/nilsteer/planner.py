@@ -5,10 +5,10 @@ the system exactly and replays the resulting law, whole, on the true
 system.  The global loop (global_free) walks dilation subgoals toward
 the goal, halving its step budget whenever the local step fails to
 cut the remaining pseudo-distance in half, or raises SingularFrame or
-StepFailure.  The modified loop, which the Planner always runs,
-additionally brackets the iterates inside the pseudo-norm ball of
-radius ||z(x0)|| / (1 - R), so no a priori compactness assumption is
-needed and no box confines a replay.
+StepFailure.  It is the modified loop: it also brackets the
+iterates inside the pseudo-norm ball of radius ||z(x0)|| / (1 - R),
+so no a priori compactness assumption is needed and no box confines a
+replay.
 Systems with singular points run through the covering machinery: the
 working box is split into cells carrying a fixed bracket frame, the
 planner lifts the system on each cell along the path, steers the
@@ -221,7 +221,7 @@ def subgoal(xbar, eta, j, chart):
     return chart.apply_inverse(dilate(z, t, weights))
 
 
-def global_free(x0, x1, e, local, config=None, modified=False):
+def global_free(x0, x1, e, local, config=None):
     """Iterative steering of a free system from x0 toward x1.
 
     local is the local method (a LocalSteering or anything with the
@@ -231,10 +231,9 @@ def global_free(x0, x1, e, local, config=None, modified=False):
     it at least halves the pseudo-distance to the subgoal, otherwise
     halve the step budget and restart the subgoal path at the current
     iterate.  A local step that meets a singular frame or stalls the
-    integrator counts as a failed attempt.  The modified loop
-    additionally rejects or charges steps against the expanding
-    bracket R_k, keeping every iterate's pseudo-norm below
-    ||z(x0)|| / (1 - R).
+    integrator counts as a failed attempt.  This is the modified loop:
+    it also rejects or charges steps against the expanding bracket
+    R_k, keeping every iterate's pseudo-norm below ||z(x0)|| / (1 - R).
     """
     config = config or PlannerConfig()
     chart1 = local.chart_at(x1)
@@ -253,7 +252,7 @@ def global_free(x0, x1, e, local, config=None, modified=False):
         report.status = "converged"
         return report
 
-    R = config.effective_R(local.basis.r) if modified else None
+    R = config.effective_R(local.basis.r)
 
     def bracket(k):
         # 1 + R + ... + R^k
@@ -298,8 +297,6 @@ def global_free(x0, x1, e, local, config=None, modified=False):
             xbar = list(xi)
             j = 1
             report.rejections += 1
-        elif not modified:
-            accept()
         else:
             nz = goal_norm(x)
             if nz >= bracket(k + 1) * n0:
@@ -691,7 +688,7 @@ class Planner:
             local = LocalSteering(lift.fields, self.system,
                                   self.steer_plan, config)
             leg = global_free(lift.lift_point(x), lift.lift_point(target),
-                              e, local, config, modified=True)
+                              e, local, config)
             report.legs.append(leg)
             laws.extend(leg.laws)
             x = lift.project(leg.iterates[-1])

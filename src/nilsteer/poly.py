@@ -1027,10 +1027,11 @@ def taylor_truncate(field, anchor, weights, wcap):
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra over any field: Fraction, pi-fractions or float
+# Linear algebra over Fraction or float
 #
-# Over an exact field (no float entry) the first nonzero entry is the
-# pivot and zero is tested by truthiness; over floats the pivot is the
+# On exact entries (no float) the first nonzero entry is the pivot and
+# zero is tested by truthiness, so Laurent polynomials of pi work too
+# wherever every pivot is a monomial; over floats the pivot is the
 # largest magnitude.  int entries become Fractions so that division
 # never degrades them to floats.
 

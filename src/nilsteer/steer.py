@@ -12,16 +12,18 @@ singular, raises SingularMatrix.
 
 Everything is integrated in closed form.  Controls are trigonometric
 polynomials with integer frequencies, so every state value at a period
-boundary lies in the field of rational functions of pi, which PiPoly
-and PiFrac implement.  A coordinate's value at the end of a period is
-its start plus the integral of its rate over the period.  The rate is
-a sum of terms t^p trig(w1 t) times control terms trig(w2 t), and each
-such pair integrates to a rational combination of powers of 2 pi, read
-from a kept table.  Trajectories, as TrigPoly, are built only for the
-coordinates that some rate reads.  In float mode the same sums run in
-floating point, for the float replay of a law: the period's amplitudes
-and state become floats at its start, and exact values never meet
-floats (adding a float to a PiFrac raises TypeError).
+boundary is a Laurent polynomial of pi with rational coefficients, a
+PiPoly: kernels are polynomials in pi, and the solved amplitudes
+divide only by powers of pi (see control_matrix).  A coordinate's
+value at the end of a period is its start plus the integral of its
+rate over the period.  The rate is a sum of terms t^p trig(w1 t) times
+control terms trig(w2 t), and each such pair integrates to a rational
+combination of powers of 2 pi, read from a kept table.  Trajectories,
+as TrigPoly, are built only for the coordinates that some rate reads.
+In float mode the same sums run in floating point, for the float
+replay of a law: the period's amplitudes and state become floats at
+its start, and exact values never meet floats (adding a float to a
+PiPoly raises TypeError).
 
 Laws are joined end to end by one routine, concatenate, which folds
 every law's scale into its amplitudes.
@@ -49,285 +51,130 @@ DET_THRESHOLD = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# Rational functions of pi
+# Laurent polynomials of pi
 
 
 class PiPoly:
-    """Polynomial in pi with rational coefficients."""
+    """Laurent polynomial in pi with rational coefficients: the sum of
+    c[k] pi^k over exponents k of either sign, zero coefficients left
+    out, so equal values have equal dicts.
 
-    __slots__ = ("c", "_hash")
-
-    def __init__(self, c=None):
-        self.c = {}
-        self._hash = None
-        if c:
-            for d, v in c.items():
-                if v != 0:
-                    self.c[d] = Fraction(v)
-
-    @classmethod
-    def const(cls, q):
-        return cls({0: Fraction(q)})
-
-    def is_zero(self):
-        return not self.c
-
-    def degree(self):
-        return max(self.c) if self.c else -1
-
-    def lead(self):
-        return self.c[self.degree()]
-
-    def add(self, o):
-        out = dict(self.c)
-        for d, v in o.c.items():
-            nv = out.get(d, F0) + v
-            if nv == 0:
-                out.pop(d, None)
-            else:
-                out[d] = nv
-        return PiPoly(out)
-
-    def neg(self):
-        return PiPoly({d: -v for d, v in self.c.items()})
-
-    def mul(self, o):
-        out = {}
-        for d1, v1 in self.c.items():
-            for d2, v2 in o.c.items():
-                d = d1 + d2
-                nv = out.get(d, F0) + v1 * v2
-                if nv == 0:
-                    out.pop(d, None)
-                else:
-                    out[d] = nv
-        return PiPoly(out)
-
-    def scale(self, q):
-        return PiPoly({d: v * q for d, v in self.c.items()})
-
-    def __eq__(self, o):
-        return isinstance(o, PiPoly) and self.c == o.c
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.c.items()))
-        return self._hash
-
-    def eval_fraction(self, x):
-        total = F0
-        for d, v in self.c.items():
-            total += v * x ** d
-        return total
-
-    def __float__(self):
-        # Evaluate at the exact Fraction value of math.pi so huge
-        # coefficient ratios cancel before float conversion.
-        return float(self.eval_fraction(_PI_HAT))
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        bits = []
-        for d in sorted(self.c):
-            v = self.c[d]
-            if d == 0:
-                bits.append(str(v))
-            elif d == 1:
-                bits.append("%s*pi" % v)
-            else:
-                bits.append("%s*pi^%d" % (v, d))
-        return " + ".join(bits)
-
-
-def _pp_divmod(a, b):
-    q = {}
-    r = dict(a.c)
-    db = b.degree()
-    lb = b.lead()
-    while r and max(r) >= db:
-        d = max(r)
-        qd = d - db
-        qc = r[d] / lb
-        q[qd] = q.get(qd, F0) + qc
-        for bd, bc in b.c.items():
-            nd = bd + qd
-            nv = r.get(nd, F0) - qc * bc
-            if nv == 0:
-                r.pop(nd, None)
-            else:
-                r[nd] = nv
-    return PiPoly(q), PiPoly(r)
-
-
-def _pp_primitive(p):
-    """Scale to coprime integer coefficients (primitive part)."""
-    num_gcd = 0
-    den_lcm = 1
-    for v in p.c.values():
-        num_gcd = math.gcd(num_gcd, v.numerator)
-        den_lcm = den_lcm * v.denominator // math.gcd(
-            den_lcm, v.denominator)
-    if num_gcd == 0:
-        return p
-    return p.scale(Fraction(den_lcm, num_gcd))
-
-
-def _pp_gcd(a, b):
-    # primitive remainder sequence keeps coefficient growth tame
-    a = _pp_primitive(a)
-    b = _pp_primitive(b)
-    while not b.is_zero():
-        _, r = _pp_divmod(a, b)
-        if not r.is_zero():
-            r = _pp_primitive(r)
-        a, b = b, r
-    if a.is_zero():
-        return PiPoly.const(1)
-    return a.scale(F1 / a.lead())
-
-
-def _as_pipoly(x):
-    if isinstance(x, PiPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return PiPoly.const(x)
-    raise TypeError("cannot lift %r into a pi-polynomial" % (x,))
-
-
-_PP_ONE = PiPoly.const(1)
-
-
-class PiFrac:
-    """Element of the field of rational functions of pi.
-
-    Arithmetic is lazy: results are not reduced to lowest terms, so
-    the hot propagation loops never run polynomial gcds.  Equality
-    cross-multiplies and zero tests look only at the numerator, both
-    of which are exact on unreduced values; reduced() gives the
-    canonical coprime monic-denominator form when it is worth having.
+    It is the one exact number type of steering besides Fraction.
+    + - * work with int, Fraction and PiPoly; / only by a nonzero
+    rational or a monomial c pi^k, the ring's units.  Any other
+    divisor, and any float operand, raises TypeError: exact values
+    never meet floats.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("c",)
 
-    def __init__(self, num, den=None, reduce=True):
-        num = _as_pipoly(num)
-        den = _PP_ONE if den is None else _as_pipoly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("pi-fraction with zero denominator")
-        if num.is_zero():
-            den = _PP_ONE
-        elif reduce and (den.degree() > 0 or den.lead() != 1):
-            g = _pp_gcd(num, den)
-            if g.degree() > 0:
-                num, _ = _pp_divmod(num, g)
-                den, _ = _pp_divmod(den, g)
-            lc = den.lead()
-            if lc != 1:
-                num = num.scale(F1 / lc)
-                den = den.scale(F1 / lc)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def lift(cls, x):
-        if isinstance(x, PiFrac):
-            return x
-        return cls(_as_pipoly(x), None, reduce=False)
-
-    def reduced(self):
-        return PiFrac(self.num, self.den)
-
-    def is_zero(self):
-        return self.num.is_zero()
+    def __init__(self, c):
+        self.c = {k: v if type(v) is Fraction else Fraction(v)
+                  for k, v in c.items() if v}
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.c)
 
     def __add__(self, o):
-        if isinstance(o, (int, Fraction)):
-            if o == 0:
-                return self
-            return PiFrac(self.num.add(self.den.scale(Fraction(o))),
-                          self.den, reduce=False)
-        if not isinstance(o, PiFrac):
-            return NotImplemented
-        if self.den == o.den:
-            return PiFrac(self.num.add(o.num), self.den, reduce=False)
-        return PiFrac(self.num.mul(o.den).add(o.num.mul(self.den)),
-                      self.den.mul(o.den), reduce=False)
+        out = dict(self.c)
+        for k, v in _terms(o):
+            out[k] = out.get(k, F0) + v
+        return PiPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PiFrac(self.num.neg(), self.den, reduce=False)
+        return PiPoly({k: -v for k, v in self.c.items()})
 
     def __sub__(self, o):
-        if isinstance(o, (int, Fraction)):
-            return self.__add__(-o)
-        if not isinstance(o, PiFrac):
-            return NotImplemented
-        return self.__add__(o.__neg__())
+        return self + -o
 
     def __rsub__(self, o):
-        return self.__neg__().__add__(o)
+        return -self + o
 
     def __mul__(self, o):
-        if isinstance(o, (int, Fraction)):
-            if o == 0:
-                return PiFrac(PiPoly(), None, reduce=False)
-            return PiFrac(self.num.scale(Fraction(o)), self.den,
-                          reduce=False)
-        if not isinstance(o, PiFrac):
-            return NotImplemented
-        return PiFrac(self.num.mul(o.num), self.den.mul(o.den),
-                      reduce=False)
+        out = {}
+        _mac(out, self, o)
+        return PiPoly(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        if isinstance(o, (int, Fraction)):
-            return PiFrac(self.num.scale(F1 / Fraction(o)), self.den,
-                          reduce=False)
-        if not isinstance(o, PiFrac):
+        if isinstance(o, PiPoly):
+            if len(o.c) != 1:
+                if not o.c:
+                    raise ZeroDivisionError("division by a zero PiPoly")
+                raise TypeError("%r is not a monomial, so it has no "
+                                "inverse among Laurent polynomials" % (o,))
+            ((shift, q),) = o.c.items()
+        elif isinstance(o, (int, Fraction)):
+            shift, q = 0, o
+        else:
             return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero pi-fraction")
-        return PiFrac(self.num.mul(o.den), self.den.mul(o.num),
-                      reduce=False)
+        inv = F1 / q
+        return PiPoly({k - shift: v * inv for k, v in self.c.items()})
 
     def __rtruediv__(self, o):
-        return PiFrac.lift(o).__truediv__(self)
+        return PiPoly(dict(_terms(o))) / self
 
     def __eq__(self, o):
-        if isinstance(o, (int, Fraction, PiPoly)):
-            o = PiFrac.lift(o)
-        if not isinstance(o, PiFrac):
+        if isinstance(o, (int, Fraction)):
+            o = PiPoly({0: o})
+        if not isinstance(o, PiPoly):
             return NotImplemented
-        if self.den == o.den:
-            return self.num == o.num
-        return self.num.mul(o.den) == o.num.mul(self.den)
+        return self.c == o.c
 
     def __float__(self):
-        den = self.den.eval_fraction(_PI_HAT)
-        if den == 0:
-            return float(self.num) / 0.0
-        return float(self.num.eval_fraction(_PI_HAT) / den)
+        # Evaluate at the exact Fraction value of math.pi so huge
+        # coefficient ratios cancel before float conversion.
+        return float(sum((v * _PI_HAT ** k for k, v in self.c.items()),
+                         F0))
 
     def __repr__(self):
-        r = self.reduced()
-        if r.den == _PP_ONE:
-            return "(%s)" % repr(r.num)
-        return "(%s)/(%s)" % (repr(r.num), repr(r.den))
+        # The reduced-fraction form (num)/(1*pi^k), num free of a
+        # factor of pi: pinned law digests hash it.
+        if not self.c:
+            return "(0)"
+        shift = max(0, -min(self.c))
+        num = " + ".join(_pi_term(v, k + shift)
+                         for k, v in sorted(self.c.items()))
+        if not shift:
+            return "(%s)" % num
+        return "(%s)/(%s)" % (num, _pi_term(1, shift))
+
+
+def _pi_term(v, k):
+    if k == 0:
+        return str(v)
+    if k == 1:
+        return "%s*pi" % v
+    return "%s*pi^%d" % (v, k)
+
+
+def _terms(v):
+    """(exponent, coefficient) pairs of an exact value."""
+    if isinstance(v, PiPoly):
+        return v.c.items()
+    if isinstance(v, (int, Fraction)):
+        return ((0, v),)
+    raise TypeError("%r is not an exact value" % (v,))
+
+
+def _mac(acc, a, b):
+    """Add the product of exact values a and b into acc, a dict from
+    exponents of pi to coefficients; a sum of many products builds no
+    PiPoly on the way."""
+    tb = _terms(b)
+    for i, x in _terms(a):
+        for j, y in tb:
+            acc[i + j] = acc.get(i + j, F0) + x * y
 
 
 def simplify_value(v):
-    """Canonicalise a PiFrac; one that is actually rational collapses
-    back to Fraction."""
-    if isinstance(v, PiFrac):
-        v = v.reduced()
-        if v.den == _PP_ONE and v.num.degree() <= 0:
-            return v.num.c.get(0, F0)
+    """A PiPoly with no power of pi but pi^0 collapses to its Fraction;
+    any other value is returned as it is."""
+    if isinstance(v, PiPoly) and not v.c.keys() - {0}:
+        return v.c.get(0, F0)
     return v
 
 
@@ -358,29 +205,6 @@ def _acc_sin(out, p, w, c):
         _acc(out, p, -w, 1, -c)
     else:
         _acc(out, p, w, 1, c)
-
-
-def _exact_sum(terms):
-    """Exact sum of c * k over (c, k) pairs, c exact and k a PiPoly,
-    as an unreduced PiFrac (or zero).
-
-    Numerators are grouped by denominator before any division, so
-    unreduced adds do not pile up denominator degree.
-    """
-    groups = {}
-    for c, k in terms:
-        if k.is_zero():
-            continue
-        if isinstance(c, PiFrac):
-            num, den = c.num.mul(k), c.den
-        else:
-            num, den = k.scale(c), _PP_ONE
-        cur = groups.get(den)
-        groups[den] = num if cur is None else cur.add(num)
-    total = F0
-    for den, num in groups.items():
-        total = PiFrac(num, den, reduce=False) + total
-    return total
 
 
 class TrigPoly:
@@ -483,7 +307,11 @@ class TrigPoly:
                 if p == 0 and s == 0]
         if any(isinstance(c, float) for c in vals):
             return math.fsum(float(c) for c in vals)
-        return simplify_value(_exact_sum((c, _PP_ONE) for c in vals))
+        acc = {}
+        for c in vals:
+            for k, v in _terms(c):
+                acc[k] = acc.get(k, F0) + v
+        return simplify_value(PiPoly(acc))
 
     def __repr__(self):
         return "TrigPoly(%d terms)" % len(self.terms)
@@ -579,13 +407,7 @@ class ClassPlan:
             raise SpecError("class plan has no control matrix yet",
                             class_id=self.class_id)
         raw = mat_vec(self.B, list(delta_target))
-        out = []
-        for g, a in zip(self.gains, raw):
-            a = a / g
-            if isinstance(a, PiFrac):
-                a = simplify_value(a)
-            out.append(a)
-        return out
+        return [simplify_value(a / g) for g, a in zip(self.gains, raw)]
 
     def max_frequency(self):
         top = 0
@@ -789,12 +611,16 @@ def channel_trigpolys(channels):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _moment(p, w, s):
     """Integral of t^p cos(w t) (s = 0) or t^p sin(w t) (s = 1) over
-    one period [0, 2 pi], as {k: r} for the sum of r (2 pi)^k.
+    one period [0, 2 pi], as pairs (k, r) for the sum of r (2 pi)^k.
 
     It is the antiderivative's value at 2 pi, where every sine vanishes
     and every cosine is one, so its t^k cosine coefficients sum to r.
+    Moments are kept, like kernels: each kernel reads two, and kernels
+    share most of them (building the (2,5) plan reads 15076 distinct
+    moments 41602 times).
     """
     term = {}
     (_acc_sin if s else _acc_cos)(term, p, w, F1)
@@ -802,7 +628,7 @@ def _moment(p, w, s):
     for (k, _, trig), r in TrigPoly(term).antiderivative().terms.items():
         if trig == 0:
             out[k] = out.get(k, F0) + r
-    return {k: r for k, r in out.items() if r}
+    return tuple((k, r) for k, r in out.items() if r)
 
 
 @functools.lru_cache(maxsize=None)
@@ -824,7 +650,7 @@ def _kernel(p, w1, s1, w2, s2):
     for w, s, half in parts:
         if w < 0 and s:
             half = -half
-        for k, r in _moment(p, abs(w), s).items():
+        for k, r in _moment(p, abs(w), s):
             total[k] = total.get(k, F0) + half * r
     exact = PiPoly({k: r * 2 ** k for k, r in total.items()})
     return exact, float(exact)
@@ -835,7 +661,8 @@ def period_end(init, f, u, float_mode):
     where u is free of powers of t: each pair of a term of f and a
     term of u reads its integral from _kernel.
 
-    Exact values sum in the pi-fraction field, floats by math.fsum.
+    Exact values sum as Laurent polynomials of pi, in one exponent to
+    coefficient dict; floats by math.fsum.
     """
     us = [(w, s, c) for (_, w, s), c in u.terms.items()]
     if float_mode:
@@ -844,20 +671,20 @@ def period_end(init, f, u, float_mode):
             terms.extend(c1 * c2 * _kernel(p, w1, s1, w2, s2)[1]
                          for w2, s2, c2 in us)
         return math.fsum(terms)
-    total = [(init, _PP_ONE)]
+    total = dict(_terms(init))
     for w2, s2, c2 in us:
-        inner = _exact_sum(
-            (c1, _kernel(p, w1, s1, w2, s2)[0])
-            for (p, w1, s1), c1 in f.terms.items())
-        total.append((inner * c2, _PP_ONE))
-    return simplify_value(_exact_sum(total))
+        inner = {}
+        for (p, w1, s1), c1 in f.terms.items():
+            _mac(inner, c1, _kernel(p, w1, s1, w2, s2)[0])
+        _mac(total, PiPoly(inner), c2)
+    return simplify_value(PiPoly(total))
 
 
 def propagate_period(system, channels, state, float_mode):
-    """State after one 2 pi period of the given controls, exact in the
-    pi-fraction field, or in floats when float_mode is set: the channel
-    amplitudes and the state are then made floats once, here, and every
-    TrigPoly of the period holds floats only.
+    """State after one 2 pi period of the given controls, exact as
+    Laurent polynomials of pi, or in floats when float_mode is set: the
+    channel amplitudes and the state are then made floats once, here,
+    and every TrigPoly of the period holds floats only.
 
     The canonical dynamics are triangular: coordinate j moves at rate
     f_j(t) u_phi(j)(t), where f_j = P_j of the trajectories before j.
@@ -891,12 +718,17 @@ def propagate_period(system, channels, state, float_mode):
 
 
 def control_matrix(system, entry):
-    """Displacement matrix of one class: column k is the net change of
-    the class coordinates under a unit probe on slot k's resonance.
+    """Fill entry.A, the displacement matrix of one class: column k is
+    the net change of the class coordinates under a unit probe on slot
+    k's resonance.  Also fills entry.B, its inverse, and entry.det.
 
-    Also verifies that the basics alone produce exactly zero net
-    change, fills entry.A / entry.B / entry.det, and raises
-    SingularMatrix, with the class_id, below DET_THRESHOLD.
+    From the zero state no secular term precedes the designed
+    resonance, so every probe entry is c pi with c rational: A is pi
+    times a rational matrix A0, det(A) is pi^q det(A0), and B is the
+    inverse of A0 over Q divided by pi.  Also verifies that the basics
+    alone produce exactly zero net change.  Raises SingularMatrix, with
+    the class_id, on a probe entry that is not c pi, and below
+    DET_THRESHOLD.
     """
     elements = entry.elements
     q = len(entry.slots)
@@ -904,9 +736,19 @@ def control_matrix(system, entry):
     earlier = [j for j in range(1, system.n + 1)
                if system.basis.class_of[j] < entry.class_id]
 
+    def over_pi(v, k):
+        if not v:
+            return F0
+        if isinstance(v, PiPoly) and v.c.keys() == {1}:
+            return v.c[1]
+        raise SingularMatrix(
+            "probe %d of class %d moves a class coordinate by %r, not by "
+            "a rational multiple of pi" % (k, entry.class_id, v),
+            class_id=entry.class_id)
+
     def check_settled(end, what):
         for j in earlier:
-            if simplify_value(end[j - 1]):
+            if end[j - 1]:
                 raise SingularMatrix(
                     "%s of class %d displaces settled coordinate %d"
                     % (what, entry.class_id, j), class_id=entry.class_id)
@@ -916,7 +758,7 @@ def control_matrix(system, entry):
             system, template_channels(entry, [F0] * q), zero_state,
             float_mode=False)
         for j in elements:
-            v = simplify_value(base[j - 1])
+            v = base[j - 1]
             if v:
                 raise SingularMatrix(
                     "basics alone displace coordinate %d of class %d"
@@ -929,17 +771,19 @@ def control_matrix(system, entry):
         end = propagate_period(system, template_channels(entry, amps),
                                zero_state, float_mode=False)
         check_settled(end, "probe %d" % k)
-        cols.append([PiFrac.lift(end[j - 1]) for j in elements])
+        cols.append([over_pi(end[j - 1], k) for j in elements])
     gains = []
     for k in range(q):
-        norm = math.sqrt(math.fsum(float(x) ** 2 for x in cols[k]))
+        norm = math.sqrt(math.fsum(float(x * _PI_HAT) ** 2
+                                   for x in cols[k]))
         if norm == 0.0:
             raise SingularMatrix("slot %d displaces nothing" % k,
                                  class_id=entry.class_id)
         gains.append(Fraction(2) ** round(math.log2(norm)))
-    a = [[cols[k][i] / gains[k] for k in range(q)] for i in range(q)]
-    det = det_matrix(a)
-    det_f = abs(float(det)) if det else 0.0
+    a0 = [[cols[k][i] / gains[k] for k in range(q)] for i in range(q)]
+    a = [[PiPoly({1: x}) for x in row] for row in a0]
+    det = PiPoly({q: det_matrix(a0)})
+    det_f = abs(float(det))
     norms = [math.sqrt(math.fsum(float(x) ** 2 for x in row))
              for row in a]
     if any(n == 0.0 for n in norms):
@@ -951,10 +795,9 @@ def control_matrix(system, entry):
             "control matrix determinant %.3e below threshold %.3e"
             % (det_f, DET_THRESHOLD * geo), class_id=entry.class_id)
     entry.A = a
-    entry.B = invert_matrix(a)
+    entry.B = [[PiPoly({-1: x}) for x in row] for row in invert_matrix(a0)]
     entry.det = det
     entry.gains = gains
-    return a
 
 
 def plan_class(system, class_id):
@@ -1087,7 +930,7 @@ def exact_steer(x_init, system, plan=None):
     """Steer the canonical system from x_init to the origin.
 
     Returns a ControlLaw on [0, 2 pi N].  The propagation always runs
-    in the pi-fraction field, so the canonical endpoint is exactly
+    as Laurent polynomials of pi, so the canonical endpoint is exactly
     zero: float coordinates are dyadic rationals already, and when the
     pseudo-norm of the state has no exact root the normalisation scale
     is rounded to a nearby dyadic (the scale only conditions the
@@ -1116,7 +959,7 @@ def exact_steer(x_init, system, plan=None):
         state = propagate_period(system, channels, state,
                                  float_mode=False)
         for j in entry.elements + tuple(done):
-            if simplify_value(state[j - 1]):
+            if state[j - 1]:
                 raise SteeringResidual(
                     "class %d left coordinate %d off zero"
                     % (entry.class_id, j),

@@ -22,7 +22,7 @@ from nilsteer.poly import (
     compile_field, ecos, eadd, emul, epow, erat, esin, evar,
 )
 from nilsteer.sim import input_sup_bound, integrate
-from nilsteer.steer import TWO_PI, ControlLaw, PiFrac, PiPoly, build_plan
+from nilsteer.steer import TWO_PI, ControlLaw, PiPoly, build_plan
 
 N = 3
 
@@ -210,12 +210,12 @@ def test_compile_rejects_other_fields():
 # ControlLaw.eval against the term-by-term formula
 
 
-def pi_frac(num, den):
-    return PiFrac(PiPoly({1: F(num)}), PiPoly({0: F(den), 2: F(1, 3)}))
+def laurent(num, den):
+    return PiPoly({1: F(num), -1: F(1, den)})
 
 
 amps = st.one_of(
-    st.builds(pi_frac, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(laurent, st.integers(-9, 9), st.integers(1, 9)),
     fractions,
     st.integers(-5, 5),
     st.floats(-20.0, 20.0, allow_nan=False),
@@ -265,7 +265,7 @@ def test_sup_bound_reads_the_float_table(law):
 
 
 def test_law_table_is_built_on_first_eval():
-    law = ControlLaw(1, [{"channels": [[(pi_frac(3, 2), 1, 0)]]}])
+    law = ControlLaw(1, [{"channels": [[(laurent(3, 2), 1, 0)]]}])
     assert law._floats is None
     law.eval(0.5)
     assert law._floats is not None

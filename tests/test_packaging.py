@@ -4,9 +4,10 @@ every function in the package must be read, every function or class
 the package defines must be named somewhere in the package or the
 benchmark, and so must every attribute the package stores on self.
 Every parameter with a default must be passed by some call there,
-too: an option that only ever takes its default is a constant.  And
-every error class must be raised somewhere in the package: an error
-code nothing raises is dead."""
+too: an option that only ever takes its default is a constant.  Every
+error class must be raised somewhere in the package: an error code
+nothing raises is dead.  And the package holds no assert statement:
+python -O strips them, so a check the library relies on must raise."""
 
 import ast
 import importlib
@@ -272,3 +273,14 @@ def test_every_error_is_raised():
     assert codes
     unraised = sorted(set(codes) - raised_names(PACKAGE))
     assert not unraised, unraised
+
+
+def test_no_assert_in_library():
+    found = []
+    for path in python_files(PACKAGE):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        found.extend("%s:%d" % (os.path.basename(path), node.lineno)
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Assert))
+    assert not found, found

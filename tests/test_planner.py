@@ -207,6 +207,11 @@ def test_global_free_unicycle_parking(local_uni):
     assert rep.iterations == 4
     assert rep.rejections == 1
     assert rep.total_length() == pytest.approx(10.774, rel=1e-2)
+    # strong contraction keeps every accepted step in the lowest
+    # branch, and every iterate inside the bracket ball
+    assert rep.k_final == 0
+    lim = float(rep.norms[0]) / (1.0 - PlannerConfig().effective_R(2))
+    assert all(float(v) <= lim for v in rep.norms)
 
 
 def test_global_free_replay_matches_iterates(local_uni):
@@ -233,22 +238,9 @@ def test_global_free_acceptance_halves_subgoal_distance(local_uni):
 
 def test_global_free_etas_never_increase(local_uni):
     rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
-                      local_uni, PlannerConfig(), modified=True)
+                      local_uni, PlannerConfig())
     assert all(b <= a for a, b in zip(rep.etas, rep.etas[1:]))
     assert rep.status == "converged"
-
-
-def test_global_free_modified_matches_plain_here(local_uni):
-    plain = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
-                        local_uni, PlannerConfig())
-    mod = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
-                      local_uni, PlannerConfig(), modified=True)
-    # strong contraction keeps every accepted step in the lowest branch
-    assert mod.iterations == plain.iterations
-    assert mod.k_final == 0
-    n0 = mod.norms[0]
-    lim = float(n0) / (1.0 - PlannerConfig().effective_R(2))
-    assert all(float(v) <= lim for v in mod.norms)
 
 
 def test_global_free_iteration_cap(local_uni):
@@ -311,8 +303,7 @@ def test_modified_branches_follow_the_bracket():
     # attempt 4: lands at 0.04, plain acceptance, loop converges
     ls = _ScriptLocal(endpoints=[0.9, 1.5, 2.8, 0.04],
                       away=[0.1, 0.2, 0.1, 0.2, 0.1, 0.2])
-    rep = global_free([1.0], [0.0], 0.05, ls,
-                      PlannerConfig(R=0.9), modified=True)
+    rep = global_free([1.0], [0.0], 0.05, ls, PlannerConfig(R=0.9))
     assert rep.status == "converged"
     assert rep.attempts == 4
     assert rep.iterations == 2
@@ -322,16 +313,6 @@ def test_modified_branches_follow_the_bracket():
     assert rep.etas == [1.0, 0.5, 0.25, 0.125, 0.125]
     lim = 1.0 / (1.0 - 0.9)
     assert all(v <= lim for v in rep.norms)
-
-
-def test_plain_loop_would_accept_the_drift():
-    # same first two attempts without the bracket: no extra halving
-    ls = _ScriptLocal(endpoints=[0.9, 1.5, 0.04],
-                      away=[0.1, 0.2, 0.1, 0.2])
-    rep = global_free([1.0], [0.0], 0.05, ls, PlannerConfig(R=0.9))
-    assert rep.attempts == 3
-    assert rep.iterations == 2
-    assert rep.etas == [1.0, 0.5, 0.5, 0.5]
 
 
 def test_step_failure_is_a_rejection():

@@ -22,7 +22,7 @@ from nilsteer.errors import SingularMatrix, SpecError, SteeringResidual
 from nilsteer.poly import det_matrix, invert_matrix, mat_vec
 from nilsteer.privcoord import dilate, pseudo_norm
 from nilsteer.steer import (
-    ClassPlan, ControlLaw, FrequencyPlan, PiFrac, PiPoly, SlotPlan, TrigPoly,
+    ClassPlan, ControlLaw, FrequencyPlan, PiPoly, SlotPlan, TrigPoly,
     _kernel, _reduce_pairs, build_plan, channel_trigpolys, concatenate,
     control_matrix, exact_steer, period_end, plan_class, plan_frequencies,
     TWO_PI, propagate_period, simplify_value, steer_class,
@@ -33,7 +33,7 @@ F = Fraction
 
 
 def pi_times(q):
-    return PiFrac.lift(PiPoly({1: F(q)}))
+    return PiPoly({1: F(q)})
 
 
 def assert_exact_zero(v, label=""):
@@ -95,52 +95,64 @@ def ode_endpoint(system, law, z0):
 
 
 # ---------------------------------------------------------------------------
-# Rational functions of pi
+# Laurent polynomials of pi
 
 
 def test_pipoly_product_and_evaluation():
     a = PiPoly({0: 2, 1: 3})
     b = PiPoly({0: 1, 1: -1})
-    assert a.mul(b) == PiPoly({0: 2, 1: 1, 2: -3})
-    assert a.eval_fraction(F(1, 2)) == F(7, 2)
+    assert a * b == PiPoly({0: 2, 1: 1, 2: -3})
+    assert a * PiPoly({-1: 1}) == PiPoly({-1: 2, 0: 3})
     assert float(b) == pytest.approx(1.0 - math.pi, abs=1e-15)
-    assert a.add(a.neg()).is_zero()
+    assert not a + -a
+    assert a - a == 0
 
 
 def test_pifrac_equality_without_reduction():
-    num = PiPoly({2: 1, 0: -1})
-    den = PiPoly({1: 1, 0: -1})
-    lazy = PiFrac(num, den, reduce=False)
-    assert lazy == PiPoly({1: 1, 0: 1})
-    red = lazy.reduced()
-    assert red.den == PiPoly({0: 1})
-    assert red.num == PiPoly({1: 1, 0: 1})
+    # zero coefficients are never stored, so equal values have equal
+    # dicts and compare equal to the rationals they are
+    assert PiPoly({1: 1, -1: 0}) == PiPoly({1: 1})
+    assert PiPoly({0: F(3, 2), 2: 0}) == F(3, 2)
+    assert F(3, 2) == PiPoly({0: F(3, 2)})
+    assert PiPoly({}) == 0
+    assert PiPoly({1: 1}) != PiPoly({-1: 1})
+    assert PiPoly({0: 1}) != 1.0 and not PiPoly({0: 1}) == "1"
 
 
 def test_pifrac_gcd_cancels_common_factor():
-    # (pi^2 - 1) / (pi + 1)^2 reduces to (pi - 1) / (pi + 1)
-    frac = PiFrac(PiPoly({2: 1, 0: -1}), PiPoly({2: 1, 1: 2, 0: 1}))
-    assert frac.num == PiPoly({1: 1, 0: -1})
-    assert frac.den == PiPoly({1: 1, 0: 1})
+    # (pi^3 + 2 pi) / (3 pi) = pi^2 / 3 + 2 / 3: division by a monomial
+    # is a shift, and only monomials are units of the ring
+    x = PiPoly({3: 1, 1: 2})
+    assert x / PiPoly({1: 3}) == PiPoly({2: F(1, 3), 0: F(2, 3)})
+    assert x / PiPoly({-2: 1}) == PiPoly({5: 1, 3: 2})
+    with pytest.raises(TypeError):
+        x / PiPoly({1: 1, 0: 1})
+    with pytest.raises(TypeError):
+        1 / PiPoly({1: 1, 0: 1})
 
 
 def test_pifrac_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        PiFrac(PiPoly({0: 1}), PiPoly())
+        PiPoly({0: 1}) / PiPoly({})
     with pytest.raises(ZeroDivisionError):
-        PiFrac.lift(1) / PiFrac(PiPoly(), None, reduce=False)
+        1 / PiPoly({1: 0})
+    with pytest.raises(ZeroDivisionError):
+        PiPoly({1: 1}) / F(0)
 
 
 def test_pifrac_scalar_fast_paths():
-    x = PiFrac(PiPoly({1: 1}), PiPoly({0: 2}))
-    assert (x + 0) is x
+    x = PiPoly({1: F(1, 2)})
+    assert x + 0 == x
     assert x * F(2) == PiPoly({1: 1})
     assert (x * 4) / 2 == PiPoly({1: 1})
-    assert 1 / (x * 2) == PiFrac(PiPoly({0: 1}), PiPoly({1: 1}))
+    assert 1 / (x * 2) == PiPoly({-1: 1})
+    assert 3 - x == PiPoly({0: 3, 1: F(-1, 2)})
     # exact values never turn into floats: a float replay converts
     # its inputs up front instead
-    with pytest.raises(TypeError):
-        x + 0.5
+    for op in (lambda: x + 0.5, lambda: 0.5 + x, lambda: x - 0.5,
+               lambda: 0.5 * x, lambda: x / 0.5, lambda: 0.5 / x):
+        with pytest.raises(TypeError):
+            op()
     assert float(x) == pytest.approx(math.pi / 2, abs=1e-15)
 
 
@@ -148,43 +160,75 @@ def small_fraction():
     return st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
 
-def pifrac_strategy():
-    return st.builds(
-        lambda a, b, c, d: PiFrac(PiPoly({0: a, 1: b}),
-                                  PiPoly({0: c, 1: d}), reduce=False),
-        small_fraction(), small_fraction(),
-        small_fraction().filter(lambda q: q != 0), small_fraction())
+def pipoly_strategy():
+    return st.dictionaries(st.integers(-3, 3), small_fraction(),
+                           max_size=4).map(PiPoly)
+
+
+def monomial_strategy():
+    return st.builds(lambda k, q: PiPoly({k: q}), st.integers(-3, 3),
+                     small_fraction().filter(bool))
 
 
 @settings(max_examples=50, deadline=None)
-@given(pifrac_strategy(), pifrac_strategy(), pifrac_strategy())
-def test_pifrac_field_axioms(a, b, c):
+@given(pipoly_strategy(), pipoly_strategy(), pipoly_strategy(),
+       monomial_strategy(), small_fraction())
+def test_pifrac_field_axioms(a, b, c, unit, q):
+    # ring axioms of Q[pi, 1/pi], with rationals mixed in, and division
+    # by its units, the monomials
     assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
     assert a * (b + c) == a * b + a * c
+    assert a * 1 == a and a + 0 == a
     assert_exact_zero(a - a)
-    if not b.is_zero():
-        assert (a / b) * b == a
+    assert q * a == a * PiPoly({0: q})
+    assert (a + q) - q == a
+    assert (a / unit) * unit == a
+    assert float(a * unit) == pytest.approx(float(a) * float(unit),
+                                            rel=1e-12, abs=1e-12)
 
 
 def test_simplify_value_collapses_rational_fractions():
-    three = PiFrac(PiPoly({1: 3}), PiPoly({1: 1}), reduce=False)
+    three = PiPoly({1: 3}) / PiPoly({1: 1})
     out = simplify_value(three)
     assert isinstance(out, F) and out == 3
-    pi = PiFrac.lift(PiPoly({1: 1}))
-    assert isinstance(simplify_value(pi), PiFrac)
+    out = simplify_value(PiPoly({}))
+    assert isinstance(out, F) and out == 0
+    pi = PiPoly({1: 1})
+    assert simplify_value(pi) is pi
+    assert isinstance(simplify_value(PiPoly({-1: 1})), PiPoly)
     assert simplify_value(F(5, 7)) == F(5, 7)
 
 
 def test_coeff_is_zero_accepts_both_kinds():
     # Zero tests on coefficients are plain truthiness, for every kind.
     assert not F(0)
-    assert not PiFrac(PiPoly(), None, reduce=False)
-    assert not PiFrac(PiPoly({1: F(1)}).add(PiPoly({1: F(-1)})))
+    assert not PiPoly({})
+    assert not PiPoly({1: F(1)}) + PiPoly({1: F(-1)})
     assert not 0.0
     assert F(1, 9)
     assert pi_times(1)
-    assert PiFrac(PiPoly({2: F(-1, 3)}), PiPoly({1: F(5)}))
+    assert PiPoly({-1: F(-1, 15)})
     assert 1e-300
+
+
+def test_pipoly_repr_is_the_reduced_fraction():
+    # pinned law digests hash this form: (num)/(1*pi^k), num free of
+    # a factor of pi
+    assert repr(PiPoly({1: F(3, 2)})) == "(3/2*pi)"
+    assert repr(PiPoly({-2: 1, -1: 2})) == "(1 + 2*pi)/(1*pi^2)"
+    assert repr(PiPoly({-1: F(-1, 3), 2: 5})) == "(-1/3 + 5*pi^3)/(1*pi)"
+    assert repr(PiPoly({0: 1, 2: -1})) == "(1 + -1*pi^2)"
+    assert repr(PiPoly({})) == "(0)"
+
+
+@settings(max_examples=50, deadline=None)
+@given(pipoly_strategy())
+def test_pipoly_float_is_the_exact_value_rounded(a):
+    exact = sum((c * steer._PI_HAT ** k for k, c in a.c.items()), F(0))
+    assert float(a) == float(exact)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +333,7 @@ def test_constant_controls_sweep_quadratic_area(sys22):
     end = propagate_period(sys22, channels, [F(0)] * 3, float_mode=False)
     assert end[0] == pi_times(2 * a)
     assert end[1] == pi_times(2 * b)
-    assert end[2] == PiFrac.lift(PiPoly({2: 2 * a * b}))
+    assert end[2] == PiPoly({2: 2 * a * b})
 
 
 def test_float_period_matches_ode(sys33):
@@ -580,6 +624,23 @@ def test_plan_class_raises_on_a_rejected_plan(sys23, monkeypatch):
         with pytest.raises(SingularMatrix, match="determinant") as info:
             plan_class(sys23, 2)
         assert info.value.payload == {"class_id": 2}
+    # a probe entry that is not c pi cannot be factored out of A
+    real = steer.propagate_period
+    calls = []
+
+    def skewed(system, channels, state, float_mode):
+        end = real(system, channels, state, float_mode)
+        calls.append(channels)
+        if len(calls) == 2:
+            # the first probe, after the basics-only period
+            end[2] = PiPoly({1: 1, 0: 1})
+        return end
+
+    with monkeypatch.context() as patch:
+        patch.setattr(steer, "propagate_period", skewed)
+        with pytest.raises(SingularMatrix, match="multiple of pi") as info:
+            plan_class(sys23, 2)
+        assert info.value.payload == {"class_id": 2}
     monkeypatch.setattr(steer, "verify_nonresonance", lambda *a: False)
     with pytest.raises(SingularMatrix, match="resonant") as info:
         plan_class(sys23, 3)
@@ -790,9 +851,7 @@ def junction_gaps(law):
             if prev is None:
                 worst.append(start)
             else:
-                diff = prev[c] - start
-                worst.append(simplify_value(diff)
-                             if isinstance(diff, PiFrac) else diff)
+                worst.append(simplify_value(prev[c] - start))
         # the value at 2 pi: the start plus the period integral of u'
         one = TrigPoly.const(F(1))
         prev = [period_end(u.value_zero(), oracles.trig_derivative(u),
