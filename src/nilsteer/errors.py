@@ -38,9 +38,12 @@ class SingularMatrix(NilsteerError):
     """A matrix is singular or below its determinant threshold.
 
     Exact steering also raises it for a class whose frequency plan is
-    resonant, whose control matrix fails the gate, or whose control
-    matrix has an entry that is not a rational multiple of pi; the
-    payload's class_id then names the class.
+    resonant, whose period moves a coordinate of an earlier class, or
+    whose control matrix fails the gate; and for a class coordinate
+    whose displacement has a term free of the resonance amplitudes, a
+    term of degree other than one in them, or an entry that is not a
+    rational multiple of pi.  The payload's class_id then names the
+    class.
     """
 
     code = "singular-matrix"

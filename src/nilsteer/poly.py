@@ -695,14 +695,13 @@ class WeightedPolynomialField:
 
     def __init__(self, comps, weights=None):
         comps = tuple(comps)
-        if not comps:
-            raise ValueError("a field needs at least one component")
-        self.n = comps[0].n
-        for c in comps:
-            if c.n != self.n:
-                raise ValueError("mismatched component variable counts")
-        if len(comps) != self.n:
-            raise ValueError("field must have one component per variable")
+        counts = sorted({c.n for c in comps})
+        if counts != [len(comps)]:
+            raise SpecError("a field needs one component per variable: "
+                            "%d components, polynomials in %s variables"
+                            % (len(comps), counts),
+                            components=len(comps), variables=counts)
+        self.n = len(comps)
         self.comps = comps
         self.weights = tuple(weights) if weights is not None else None
 
@@ -739,13 +738,30 @@ class WeightedPolynomialField:
 
 
 class ExprField:
-    """Vector field with general expression components."""
+    """Vector field with general expression components; one with no
+    component, or reading a variable outside it, raises SpecError."""
 
     __slots__ = ("n", "comps")
 
     def __init__(self, comps):
         self.comps = tuple(comps)
         self.n = len(self.comps)
+        if not self.comps:
+            raise SpecError("a field needs at least one component",
+                            components=0, variables=[])
+        stack = list(self.comps)
+        while stack:
+            node = stack.pop()
+            kind = node.kind
+            if kind == "var":
+                if not 0 <= node.a < self.n:
+                    raise SpecError("variable %d is outside a field on %d "
+                                    "variables" % (node.a, self.n),
+                                    components=self.n, variables=[node.a])
+            elif kind == "add" or kind == "mul":
+                stack += node.a
+            elif kind != "rat":
+                stack.append(node.a)
 
     def evaluate(self, point):
         return [expr_eval(c, point) for c in self.comps]

@@ -6,23 +6,27 @@ of unit-amplitude cosines at integer frequencies plus one resonance
 sinusoid whose amplitude is solved for.  Each class has one frequency
 plan, built by a chain rule that makes the designated combination the
 only integer one hitting zero, so the net displacement of the class
-coordinates is exactly linear in the resonance amplitudes; a plan that
-is resonant after all, or whose control matrix is too close to
-singular, raises SingularMatrix.
+coordinates is exactly linear in the resonance amplitudes.
+control_matrix enforces that: it runs the class's period once, with
+the amplitudes as symbols, and reads the linear map off the monomials
+of degree one.  A plan that is resonant after all, that moves a
+settled coordinate, whose displacement is not linear, or whose control
+matrix is too close to singular raises SingularMatrix.
 
-Everything is integrated in closed form.  Controls are trigonometric
-polynomials with integer frequencies, so every state value at a period
-boundary is a Laurent polynomial of pi with rational coefficients, a
-PiPoly: kernels are polynomials in pi, and the solved amplitudes
-divide only by powers of pi (see control_matrix).  A coordinate's
-value at the end of a period is its start plus the integral of its
-rate over the period.  The rate is a sum of terms t^p trig(w1 t) times
-control terms trig(w2 t), and each such pair integrates to a rational
-combination of powers of 2 pi, read from a kept table.  Trajectories,
-as TrigPoly, are built only for the coordinates that some rate reads.
-In float mode the same sums run in floating point, for the float
-replay of a law: the period's amplitudes and state become floats at
-its start, and exact values never meet floats (adding a float to a
+Everything is integrated in closed form, on one representation.  A
+TrigPoly is a sum of terms c t^p trig(w t) a^m pi^e with rational c,
+integer frequencies w, a monomial m of the symbolic amplitudes and a
+power e of pi, so every state value at a period boundary is a Laurent
+polynomial of pi (a PiPoly) in exact steering, and a polynomial in
+the amplitudes over those in control_matrix.  A coordinate's value at
+the end of a period is its start plus the integral of its rate over
+the period.  The rate is a sum of terms t^p trig(w1 t) times control
+terms trig(w2 t), and each such pair integrates to a rational
+combination of powers of 2 pi, read from a kept table.  Trajectories
+are built only for the coordinates that some rate reads.  In float
+mode the same code runs on float coefficients (m = e = 0), for the
+float replay of a law: the period's amplitudes and state become floats
+at its start, and exact values never meet floats (adding a float to a
 PiPoly raises TypeError).
 
 Laws are joined end to end by one routine, concatenate, which folds
@@ -94,7 +98,10 @@ class PiPoly:
 
     def __mul__(self, o):
         out = {}
-        _mac(out, self, o)
+        tb = _terms(o)
+        for i, x in self.c.items():
+            for j, y in tb:
+                _put(out, i + j, x * y)
         return PiPoly(out)
 
     __rmul__ = __mul__
@@ -160,16 +167,6 @@ def _terms(v):
     raise TypeError("%r is not an exact value" % (v,))
 
 
-def _mac(acc, a, b):
-    """Add the product of exact values a and b into acc, a dict from
-    exponents of pi to coefficients; a sum of many products builds no
-    PiPoly on the way."""
-    tb = _terms(b)
-    for i, x in _terms(a):
-        for j, y in tb:
-            acc[i + j] = acc.get(i + j, F0) + x * y
-
-
 def simplify_value(v):
     """A PiPoly with no power of pi but pi^0 collapses to its Fraction;
     any other value is returned as it is."""
@@ -182,136 +179,91 @@ def simplify_value(v):
 # Trigonometric polynomials with integer frequencies
 
 
-def _acc(out, p, w, s, c):
-    if not c:
-        return
-    key = (p, w, s)
-    cur = out.get(key)
-    nv = c if cur is None else cur + c
-    if not nv:
-        out.pop(key, None)
-    else:
-        out[key] = nv
+def _parts(v):
+    """The (m, e) -> coefficient items of a value: an exact number has
+    m = 0 and its powers of pi in e, a float has m = e = 0, and an
+    amplitude polynomial is such a dict already."""
+    if isinstance(v, dict):
+        return v.items()
+    if isinstance(v, PiPoly):
+        return [((0, k), c) for k, c in v.c.items()]
+    return [((0, 0), v)] if v else []
 
 
-def _acc_cos(out, p, w, c):
-    _acc(out, p, abs(w), 0, c)
-
-
-def _acc_sin(out, p, w, c):
-    if w == 0:
-        return
-    if w < 0:
-        _acc(out, p, -w, 1, -c)
-    else:
-        _acc(out, p, w, 1, c)
+def _put(out, key, c):
+    v = out.get(key)
+    out[key] = c if v is None else v + c
 
 
 class TrigPoly:
-    """Sums of t^p cos(w t) and t^p sin(w t), integer w >= 0.
+    """Sums of c t^p trig(w t) a^m pi^e, integer w >= 0, trig cos for
+    s = 0 and sin for s = 1 (never at w = 0).
 
-    Closed under products (by product-to-sum) and antiderivatives (by
-    parts), which is all the per-period propagation needs.  Values at
-    multiples of 2 pi are exact because every sine vanishes and every
-    cosine is one there.
+    terms maps the key (p, w, s, m, e) to c, a Fraction, or a float in
+    float mode; no c is zero.  m is a monomial of the resonance
+    amplitudes a_k with its exponents packed into one int (base r + 1,
+    so a product of monomials is one integer add), and e a power of pi.
+    Exact numbers have m = 0 and floats m = e = 0, so exact steering,
+    float replay and the symbolic period of control_matrix share one
+    product-to-sum, one antiderivative and one period integral.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for (p, w, s), c in terms.items():
-                _acc(self.terms, p, w, s, c)
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def const(cls, c):
-        return cls({(0, 0, 0): c})
-
-    @classmethod
-    def sinusoid(cls, amp, w, quarter):
-        """amp * cos(w t - quarter * pi / 2)."""
-        q = quarter % 4
-        out = {}
-        if q == 0:
-            _acc_cos(out, 0, w, amp)
-        elif q == 1:
-            _acc_sin(out, 0, w, amp)
-        elif q == 2:
-            _acc_cos(out, 0, w, -amp)
-        else:
-            _acc_sin(out, 0, w, -amp)
-        return cls(out)
+    def __init__(self, terms):
+        self.terms = {k: c for k, c in terms.items() if c}
 
     def add(self, o):
         out = dict(self.terms)
-        for (p, w, s), c in o.terms.items():
-            _acc(out, p, w, s, c)
+        for k, c in o.terms.items():
+            _put(out, k, c)
         return TrigPoly(out)
 
     def mul(self, o):
         out = {}
-        for (p1, w1, s1), c1 in self.terms.items():
-            for (p2, w2, s2), c2 in o.terms.items():
-                p = p1 + p2
-                c = c1 * c2 * HALF
-                if s1 == 0 and s2 == 0:
-                    _acc_cos(out, p, w1 - w2, c)
-                    _acc_cos(out, p, w1 + w2, c)
-                elif s1 == 1 and s2 == 1:
-                    _acc_cos(out, p, w1 - w2, c)
-                    _acc_cos(out, p, w1 + w2, -c)
-                elif s1 == 1:
-                    _acc_sin(out, p, w1 + w2, c)
-                    _acc_sin(out, p, w1 - w2, c)
-                else:
-                    _acc_sin(out, p, w1 + w2, c)
-                    _acc_sin(out, p, w2 - w1, c)
+        other = list(o.terms.items())
+        for (p1, w1, s1, m1, e1), c1 in self.terms.items():
+            h1 = c1 / 2
+            for (p2, w2, s2, m2, e2), c2 in other:
+                c = h1 * c2
+                p, m, e = p1 + p2, m1 + m2, e1 + e2
+                if s1 == s2:
+                    # cos(a - b) plus cos(a + b), or minus it for two sines
+                    _put(out, (p, abs(w1 - w2), 0, m, e), c)
+                    _put(out, (p, w1 + w2, 0, m, e), -c if s1 else c)
+                    continue
+                # sin(a + b) plus sin(sine frequency - cosine frequency)
+                _put(out, (p, w1 + w2, 1, m, e), c)
+                d = w1 - w2 if s1 else w2 - w1
+                if d > 0:
+                    _put(out, (p, d, 1, m, e), c)
+                elif d < 0:
+                    _put(out, (p, -d, 1, m, e), -c)
         return TrigPoly(out)
 
     def antiderivative(self):
-        """Primitive vanishing at t = 0."""
+        """Primitive vanishing at t = 0, by parts."""
         out = {}
-        for (p, w, s), c in self.terms.items():
+        for (p, w, s, m, e), c in self.terms.items():
             if w == 0:
-                _acc(out, p + 1, 0, 0, c * Fraction(1, p + 1))
+                _put(out, (p + 1, 0, 0, m, e), c / (p + 1))
                 continue
-            pp, cc, ss = p, c, s
             while True:
-                if ss == 0:
-                    _acc_sin(out, pp, w, cc * Fraction(1, w))
-                    if pp == 0:
+                if s == 0:
+                    _put(out, (p, w, 1, m, e), c / w)
+                    if p == 0:
                         break
-                    cc = cc * Fraction(-pp, w)
-                    ss = 1
-                    pp -= 1
+                    c = c * -p / w
                 else:
-                    _acc_cos(out, pp, w, cc * Fraction(-1, w))
-                    if pp == 0:
+                    c = -c / w
+                    _put(out, (p, w, 0, m, e), c)
+                    if p == 0:
+                        _put(out, (0, 0, 0, m, e), -c)
                         break
-                    cc = cc * Fraction(pp, w)
-                    ss = 0
-                    pp -= 1
-        prim = TrigPoly(out)
-        v0 = prim.value_zero()
-        if v0:
-            prim = prim.add(TrigPoly.const(-v0))
-        return prim
-
-    def value_zero(self):
-        vals = [c for (p, w, s), c in self.terms.items()
-                if p == 0 and s == 0]
-        if any(isinstance(c, float) for c in vals):
-            return math.fsum(float(c) for c in vals)
-        acc = {}
-        for c in vals:
-            for k, v in _terms(c):
-                acc[k] = acc.get(k, F0) + v
-        return simplify_value(PiPoly(acc))
+                    c = c * -p
+                s = 1 - s
+                p -= 1
+        return TrigPoly(out)
 
     def __repr__(self):
         return "TrigPoly(%d terms)" % len(self.terms)
@@ -332,14 +284,22 @@ def poly_on_trigs(poly, trajs, cache):
             cache[key] = hit
         return hit
 
-    total = TrigPoly.zero()
+    total = {}
     for expo, coef in poly.terms.items():
-        term = TrigPoly.const(coef)
+        term = None
         for i, a in enumerate(expo):
-            if a:
+            if not a:
+                continue
+            if term is None:
+                # the first factor carries the coefficient
+                term = TrigPoly({k: coef * c
+                                 for k, c in power(i, a).terms.items()})
+            else:
                 term = term.mul(power(i, a))
-        total = total.add(term)
-    return total
+        for k, c in (term.terms.items() if term else
+                     [((0, 0, 0, 0, 0), coef)]):
+            _put(total, k, c)
+    return TrigPoly(total)
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +562,18 @@ def template_channels(entry, amps):
 
 
 def channel_trigpolys(channels):
+    """One TrigPoly per channel: the sum of its terms (amp, w, q), each
+    amp cos(w t - q pi / 2)."""
     out = []
     for terms in channels:
-        u = TrigPoly.zero()
+        acc = {}
         for amp, w, q in terms:
-            u = u.add(TrigPoly.sinusoid(amp, w, q))
-        out.append(u)
+            s = q % 2
+            if s and not w:
+                continue
+            for (m, e), c in _parts(amp):
+                _put(acc, (0, w, s, m, e), -c if q % 4 >= 2 else c)
+        out.append(TrigPoly(acc))
     return out
 
 
@@ -622,12 +588,13 @@ def _moment(p, w, s):
     share most of them (building the (2,5) plan reads 15076 distinct
     moments 41602 times).
     """
-    term = {}
-    (_acc_sin if s else _acc_cos)(term, p, w, F1)
+    if s and not w:
+        return ()
+    prim = TrigPoly({(p, w, s, 0, 0): F1}).antiderivative()
     out = {}
-    for (k, _, trig), r in TrigPoly(term).antiderivative().terms.items():
+    for (k, _, trig, _, _), r in prim.terms.items():
         if trig == 0:
-            out[k] = out.get(k, F0) + r
+            _put(out, k, r)
     return tuple((k, r) for k, r in out.items() if r)
 
 
@@ -636,9 +603,10 @@ def _kernel(p, w1, s1, w2, s2):
     """Integral of t^p trig(w1 t) trig(w2 t) over one period, where
     trig is cos for s = 0 and sin for s = 1.
 
-    Returns the exact integral, a PiPoly, and its float value.  Product
-    to sum splits it into two single-frequency moments.  Kernels are
-    kept: periods read the same few hundred over and over.
+    Returns the exact integral, as pairs (e, c) for the sum of c pi^e,
+    and its float value.  Product to sum splits it into two
+    single-frequency moments.  Kernels are kept: periods read the same
+    few hundred over and over.
     """
     if s1 == s2:
         # cos(a - b) plus cos(a + b), or minus it for two sines
@@ -651,9 +619,9 @@ def _kernel(p, w1, s1, w2, s2):
         if w < 0 and s:
             half = -half
         for k, r in _moment(p, abs(w), s):
-            total[k] = total.get(k, F0) + half * r
-    exact = PiPoly({k: r * 2 ** k for k, r in total.items()})
-    return exact, float(exact)
+            _put(total, k, half * r * 2 ** k)
+    exact = PiPoly(total)
+    return tuple(exact.c.items()), float(exact)
 
 
 def period_end(init, f, u, float_mode):
@@ -661,117 +629,129 @@ def period_end(init, f, u, float_mode):
     where u is free of powers of t: each pair of a term of f and a
     term of u reads its integral from _kernel.
 
-    Exact values sum as Laurent polynomials of pi, in one exponent to
-    coefficient dict; floats by math.fsum.
+    Floats sum by math.fsum.  Otherwise the end value comes back as
+    (m, e) -> coefficient, zero coefficients left out; the terms of u
+    are grouped by trig(w t), so that f meets each kernel once.
     """
-    us = [(w, s, c) for (_, w, s), c in u.terms.items()]
     if float_mode:
         terms = [init]
-        for (p, w1, s1), c1 in f.terms.items():
+        us = [(w, s, c) for (_, w, s, _, _), c in u.terms.items()]
+        for (p, w1, s1, _, _), c1 in f.terms.items():
             terms.extend(c1 * c2 * _kernel(p, w1, s1, w2, s2)[1]
                          for w2, s2, c2 in us)
         return math.fsum(terms)
-    total = dict(_terms(init))
-    for w2, s2, c2 in us:
+    groups = {}
+    for (_, w2, s2, m2, e2), c2 in u.terms.items():
+        groups.setdefault((w2, s2), []).append((m2, e2, c2))
+    total = dict(_parts(init))
+    for (w2, s2), us in groups.items():
         inner = {}
-        for (p, w1, s1), c1 in f.terms.items():
-            _mac(inner, c1, _kernel(p, w1, s1, w2, s2)[0])
-        _mac(total, PiPoly(inner), c2)
-    return simplify_value(PiPoly(total))
+        for (p, w1, s1, m1, e1), c1 in f.terms.items():
+            for k, r in _kernel(p, w1, s1, w2, s2)[0]:
+                _put(inner, (m1, e1 + k), c1 * r)
+        for (m1, e1), c1 in inner.items():
+            for m2, e2, c2 in us:
+                _put(total, (m1 + m2, e1 + e2), c1 * c2)
+    return {k: c for k, c in total.items() if c}
+
+
+def _period(system, us, state, stop, float_mode):
+    """End values of coordinates 1..stop after one period of the
+    channel TrigPolys us from state, as period_end gives them.
+
+    The canonical dynamics are triangular: coordinate j moves at rate
+    f_j(t) u_phi(j)(t), where f_j = P_j of the trajectories before j,
+    so no coordinate after stop is needed.  The trajectory of a
+    coordinate, the TrigPoly x_j(0) plus the antiderivative of its
+    rate, is built only when some monomial reads that coordinate;
+    none reads the top-weight ones.
+    """
+    read = {i for mono in system.monomials[:stop] for expo in mono.terms
+            for i, a in enumerate(expo) if a}
+    trajs = []
+    out = []
+    cache = {}
+    for j in range(stop):
+        f = poly_on_trigs(system.monomials[j], trajs, cache)
+        u = us[system.basis.element(j + 1).phi - 1]
+        out.append(period_end(state[j], f, u, float_mode))
+        traj = None
+        if j in read:
+            traj = f.mul(u).antiderivative().add(TrigPoly(
+                {(0, 0, 0, m, e): c for (m, e), c in _parts(state[j])}))
+        trajs.append(traj)
+    return out
 
 
 def propagate_period(system, channels, state, float_mode):
     """State after one 2 pi period of the given controls, exact as
     Laurent polynomials of pi, or in floats when float_mode is set: the
     channel amplitudes and the state are then made floats once, here,
-    and every TrigPoly of the period holds floats only.
-
-    The canonical dynamics are triangular: coordinate j moves at rate
-    f_j(t) u_phi(j)(t), where f_j = P_j of the trajectories before j.
-    Its end value is x_j(0) plus the integral of that rate over the
-    period, in closed form (period_end).  The trajectory of a
-    coordinate, the TrigPoly x_j(0) plus the antiderivative of its
-    rate, is built only when some monomial reads that coordinate;
-    none reads the top-weight ones.
+    and every TrigPoly of the period holds floats only.  Each end
+    value is x_j(0) plus the integral of its rate over the period, in
+    closed form (period_end).
     """
     if float_mode:
         channels = [[(float(a), w, q) for a, w, q in terms]
                     for terms in channels]
         state = [float(v) for v in state]
-    us = channel_trigpolys(channels)
-    read = {i for mono in system.monomials for expo in mono.terms
-            for i, a in enumerate(expo) if a}
-    trajs = []
-    out = []
-    cache = {}
-    for j in range(system.n):
-        f = poly_on_trigs(system.monomials[j], trajs, cache)
-        u = us[system.basis.element(j + 1).phi - 1]
-        out.append(period_end(state[j], f, u, float_mode))
-        traj = None
-        if j in read:
-            traj = f.mul(u).antiderivative()
-            if state[j]:
-                traj = traj.add(TrigPoly.const(state[j]))
-        trajs.append(traj)
-    return out
+    end = _period(system, channel_trigpolys(channels), state, system.n,
+                  float_mode)
+    if float_mode:
+        return end
+    return [simplify_value(PiPoly({e: c for (_, e), c in v.items()}))
+            for v in end]
 
 
 def control_matrix(system, entry):
     """Fill entry.A, the displacement matrix of one class: column k is
-    the net change of the class coordinates under a unit probe on slot
-    k's resonance.  Also fills entry.B, its inverse, and entry.det.
+    the net change of the class coordinates per unit of slot k's
+    resonance amplitude.  Also fills entry.B, its inverse, and
+    entry.det.
 
-    From the zero state no secular term precedes the designed
-    resonance, so every probe entry is c pi with c rational: A is pi
-    times a rational matrix A0, det(A) is pi^q det(A0), and B is the
-    inverse of A0 over Q divided by pi.  Also verifies that the basics
-    alone produce exactly zero net change.  Raises SingularMatrix, with
-    the class_id, on a probe entry that is not c pi, and below
-    DET_THRESHOLD.
+    One period runs with the resonance amplitudes a_k as symbols, up to
+    the last coordinate read: the last class coordinate, or the last
+    coordinate of an earlier class if that comes later.  A is read off
+    the monomials a_k of the class coordinates.  From the zero state no
+    secular term precedes the designed resonance, so every entry is
+    c pi with c rational: A is pi times a rational matrix A0, det(A) is
+    pi^q det(A0), and B is the inverse of A0 over Q divided by pi.
+    Raises SingularMatrix, with the class_id, when a settled coordinate
+    moves, when a class coordinate has a constant term (the basics
+    alone displace it), a monomial of degree other than one, or an
+    entry that is not c pi, and below DET_THRESHOLD.
     """
     elements = entry.elements
     q = len(entry.slots)
-    zero_state = [F0] * system.n
+    base = system.r + 1
+    unit = {base ** k: k for k in range(q)}
     earlier = [j for j in range(1, system.n + 1)
                if system.basis.class_of[j] < entry.class_id]
-
-    def over_pi(v, k):
-        if not v:
-            return F0
-        if isinstance(v, PiPoly) and v.c.keys() == {1}:
-            return v.c[1]
-        raise SingularMatrix(
-            "probe %d of class %d moves a class coordinate by %r, not by "
-            "a rational multiple of pi" % (k, entry.class_id, v),
-            class_id=entry.class_id)
-
-    def check_settled(end, what):
-        for j in earlier:
-            if end[j - 1]:
+    channels = template_channels(entry, [{(base ** k, 0): F1}
+                                         for k in range(q)])
+    end = _period(system, channel_trigpolys(channels), [F0] * system.n,
+                  max(elements + tuple(earlier)), float_mode=False)
+    for j in earlier:
+        if end[j - 1]:
+            raise SingularMatrix(
+                "the period of class %d displaces settled coordinate %d"
+                % (entry.class_id, j), class_id=entry.class_id)
+    cols = [[F0] * q for _ in range(q)]
+    for i, j in enumerate(elements):
+        for (mono, e), c in end[j - 1].items():
+            if mono not in unit:
                 raise SingularMatrix(
-                    "%s of class %d displaces settled coordinate %d"
-                    % (what, entry.class_id, j), class_id=entry.class_id)
-
-    if not entry.is_generator:
-        base = propagate_period(
-            system, template_channels(entry, [F0] * q), zero_state,
-            float_mode=False)
-        for j in elements:
-            v = base[j - 1]
-            if v:
+                    ("coordinate %d of class %d is not linear in the "
+                     "resonance amplitudes" if mono else "basics alone "
+                     "displace coordinate %d of class %d")
+                    % (j, entry.class_id), class_id=entry.class_id)
+            if e != 1:
                 raise SingularMatrix(
-                    "basics alone displace coordinate %d of class %d"
-                    % (j, entry.class_id), class_id=entry.class_id,
-                    value=float(v))
-        check_settled(base, "basics")
-    cols = []
-    for k in range(q):
-        amps = [F1 if i == k else F0 for i in range(q)]
-        end = propagate_period(system, template_channels(entry, amps),
-                               zero_state, float_mode=False)
-        check_settled(end, "probe %d" % k)
-        cols.append([over_pi(end[j - 1], k) for j in elements])
+                    "slot %d of class %d moves coordinate %d by a term "
+                    "that is not a rational multiple of pi"
+                    % (unit[mono], entry.class_id, j),
+                    class_id=entry.class_id)
+            cols[unit[mono]][i] = c
     gains = []
     for k in range(q):
         norm = math.sqrt(math.fsum(float(x * _PI_HAT) ** 2

@@ -22,7 +22,7 @@ from nilsteer.poly import (
     Expr, Poly, WeightedPolynomialField, as_expr_field, expr_eval, is_exact,
     poly_to_expr, wdeg,
 )
-from nilsteer.steer import TrigPoly, _acc, _acc_cos, _acc_sin
+from nilsteer.steer import PiPoly, TrigPoly, simplify_value
 
 
 # ---------------------------------------------------------------------------
@@ -503,23 +503,36 @@ def nonholonomic_order(f, fields, anchor, cap, tol=1e-12):
 
 
 def trig_derivative(u):
-    """Exact derivative of a TrigPoly, term by term."""
+    """Exact derivative of a TrigPoly, term by term: keys (p, w, s, m,
+    e) as TrigPoly keeps them, s = 0 for cos and s = 1 for sin."""
     out = {}
-    for (p, w, s), c in u.terms.items():
+
+    def put(key, c):
+        out[key] = out.get(key, 0) + c
+
+    for (p, w, s, m, e), c in u.terms.items():
         if p > 0:
-            _acc(out, p - 1, w, s, c * p)
+            put((p - 1, w, s, m, e), c * p)
         if w > 0:
-            if s == 0:
-                _acc_sin(out, p, w, c * (-w))
-            else:
-                _acc_cos(out, p, w, c * w)
+            put((p, w, 1 - s, m, e), c * (-w if s == 0 else w))
     return TrigPoly(out)
 
 
+def trig_value_zero(u):
+    """A numeric TrigPoly's exact value at t = 0: its t^0 cosines."""
+    out = {}
+    for (p, w, s, m, e), c in u.terms.items():
+        assert m == 0, "an amplitude monomial has no number value"
+        if p == 0 and s == 0:
+            out[e] = out.get(e, 0) + c
+    return simplify_value(PiPoly(out))
+
+
 def trig_eval_float(u, t):
-    """A TrigPoly's value at t, in floats."""
+    """A numeric TrigPoly's value at t, in floats."""
     total = 0.0
-    for (p, w, s), c in u.terms.items():
+    for (p, w, s, m, e), c in u.terms.items():
+        assert m == 0, "an amplitude monomial has no number value"
         base = math.cos(w * t) if s == 0 else math.sin(w * t)
-        total += float(c) * t ** p * base
+        total += float(c) * math.pi ** e * t ** p * base
     return total

@@ -70,6 +70,28 @@ def test_parse_errors_carry_position():
         parse_expr("x1 x2", ["x1", "x2"])
 
 
+def test_field_specs_fail_with_spec_error():
+    y = parse_expr("y", ["x", "y"])
+    cases = [
+        (lambda: ExprField([]), {"components": 0, "variables": []}),
+        # y is variable 1, outside a field on one variable
+        (lambda: ExprField([y]), {"components": 1, "variables": [1]}),
+        (lambda: ExprField([esin(emul(X1, X3)), X2]),
+         {"components": 2, "variables": [2]}),
+        (lambda: WeightedPolynomialField([]),
+         {"components": 0, "variables": []}),
+        (lambda: WeightedPolynomialField([Poly.var(2, 0), Poly.var(3, 1)]),
+         {"components": 2, "variables": [2, 3]}),
+        (lambda: WeightedPolynomialField([Poly.var(3, 0), Poly.var(3, 1)]),
+         {"components": 2, "variables": [3]}),
+    ]
+    for build, payload in cases:
+        with pytest.raises(SpecError) as exc:
+            build()
+        assert exc.value.payload == payload
+    assert ExprField([y, X1]).evaluate([1.0, 2.0]) == [2.0, 1.0]
+
+
 def test_double_star_power():
     assert parse_expr("x1**3", ["x1"]) == parse_expr("x1^3", ["x1"])
 

@@ -235,18 +235,36 @@ def test_pipoly_float_is_the_exact_value_rounded(a):
 # Trigonometric polynomials
 
 
+ONE = TrigPoly({(0, 0, 0, 0, 0): F(1)})
+
+
+def sinusoid(amp, w, q):
+    """amp cos(w t - q pi / 2) as a TrigPoly."""
+    return channel_trigpolys([[(amp, w, q)]])[0]
+
+
+def end_value(d):
+    """The number an exact period_end result stands for."""
+    assert all(m == 0 for m, _ in d), d
+    return simplify_value(PiPoly({e: c for (_, e), c in d.items()}))
+
+
 def test_sinusoid_quarter_convention():
     for q in range(4):
-        u = TrigPoly.sinusoid(F(3, 2), 5, q)
+        u = sinusoid(F(3, 2), 5, q)
         for t in (0.0, 0.37, 1.9, 4.4):
             want = 1.5 * math.cos(5 * t - q * math.pi / 2)
             assert oracles.trig_eval_float(u, t) == pytest.approx(
                 want, abs=1e-12)
+    # a Laurent amplitude splits into one term per power of pi
+    u = sinusoid(PiPoly({1: 2, -1: F(1, 3)}), 4, 2)
+    assert u.terms == {(0, 4, 0, 0, 1): -2, (0, 4, 0, 0, -1): F(-1, 3)}
+    assert not sinusoid(F(1), 0, 1).terms
 
 
 def test_product_matches_pointwise_values():
-    a = TrigPoly.sinusoid(F(1), 3, 0).add(TrigPoly.sinusoid(F(2), 5, 1))
-    b = TrigPoly.sinusoid(F(1), 1, 1).add(TrigPoly.sinusoid(F(-1), 2, 0))
+    a = sinusoid(F(1), 3, 0).add(sinusoid(F(2), 5, 1))
+    b = sinusoid(F(1), 1, 1).add(sinusoid(PiPoly({1: -1}), 2, 0))
     ab = a.mul(b)
     for t in (0.0, 0.21, 1.3, 2.8, 5.9):
         assert oracles.trig_eval_float(ab, t) == pytest.approx(
@@ -254,34 +272,52 @@ def test_product_matches_pointwise_values():
             abs=1e-12)
 
 
+def test_amplitude_monomials_multiply_by_adding_keys():
+    # a0 cos t times a0 a1 sin 2t (base 3: a0 = 1, a0 a1 = 4) is
+    # a0^2 a1 (key 5) times (sin 3t + sin t) / 2
+    a = TrigPoly({(0, 1, 0, 1, 0): F(1)})
+    b = TrigPoly({(0, 2, 1, 4, 1): F(3)})
+    assert a.mul(b).terms == {(0, 3, 1, 5, 1): F(3, 2),
+                              (0, 1, 1, 5, 1): F(3, 2)}
+
+
 def test_antiderivative_inverts_derivative():
-    u = TrigPoly({(1, 3, 0): F(2), (0, 1, 1): F(-1, 3), (2, 0, 0): F(1, 5)})
+    u = TrigPoly({(1, 3, 0, 0, 0): F(2), (0, 1, 1, 0, 1): F(-1, 3),
+                  (2, 0, 0, 0, -2): F(1, 5), (1, 2, 1, 7, 0): F(4)})
     back = oracles.trig_derivative(u.antiderivative())
     diff = back.add(TrigPoly({k: -c for k, c in u.terms.items()}))
-    assert not any(simplify_value(c) for c in diff.terms.values())
-    assert_exact_zero(u.antiderivative().value_zero())
+    assert not diff.terms
+    # the primitive vanishes at t = 0 for every (m, e)
+    at_zero = {}
+    for (p, _, s, m, e), c in u.antiderivative().terms.items():
+        if p == 0 and s == 0:
+            at_zero[m, e] = at_zero.get((m, e), 0) + c
+    assert at_zero and not any(at_zero.values())
 
 
 @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 def test_antiderivative_matches_quadrature():
-    u = TrigPoly({(1, 4, 0): F(1), (0, 2, 1): F(3), (0, 0, 0): F(1, 7)})
+    u = TrigPoly({(1, 4, 0, 0, 0): F(1), (0, 2, 1, 0, 0): F(3),
+                  (0, 0, 0, 0, 0): F(1, 7)})
     horizon = 2 * math.pi
     # one quad piece per oscillation of the top frequency; a whole
     # period in one piece trips quad's roundoff detection
-    top = max(w for _, w, _ in u.terms)
+    top = max(w for _, w, _, _, _ in u.terms)
     ref = oracles.quad_over_periods(
         lambda t: oracles.trig_eval_float(u, t), horizon, top)
     got = oracles.trig_eval_float(u.antiderivative(), horizon)
     assert got == pytest.approx(ref, abs=1e-10)
-    one = TrigPoly.const(F(1))
-    assert period_end(F(0), u, one, True) == pytest.approx(ref, abs=1e-10)
-    exact = period_end(F(0), u, one, False)
+    assert period_end(F(0), u, ONE, True) == pytest.approx(ref, abs=1e-10)
+    exact = end_value(period_end(F(0), u, ONE, False))
     assert float(exact) == pytest.approx(ref, abs=1e-10)
 
 
 def test_squared_cosine_integrates_to_pi_exactly():
-    u = TrigPoly.sinusoid(F(1), 3, 0)
-    assert period_end(F(0), u, u, False) == pi_times(1)
+    u = sinusoid(F(1), 3, 0)
+    assert period_end(F(0), u, u, False) == {(0, 1): F(1)}
+    # amplitude monomials ride along: (a0 cos 3t)^2 integrates to a0^2 pi
+    a = TrigPoly({(0, 3, 0, 1, 0): F(1)})
+    assert period_end(F(0), a, a, False) == {(2, 1): F(1)}
 
 
 def sympy_period_integral(expr, t, moments):
@@ -318,7 +354,7 @@ def test_kernels_match_sympy():
         want = sympy_period_integral(expr, t, moments)
         exact, value = _kernel(p, w1, s1, w2, s2)
         got = sum(sympy.Rational(r.numerator, r.denominator) * sympy.pi ** d
-                  for d, r in exact.c.items())
+                  for d, r in exact)
         assert sympy.expand(got - want) == 0, (p, w1, s1, w2, s2)
         assert value == pytest.approx(float(want), rel=1e-15, abs=1e-15)
 
@@ -616,6 +652,23 @@ def test_determinant_threshold_raises(sys23, monkeypatch):
     assert info.value.payload == {"class_id": 2}
 
 
+def skew_period_end(patch, coordinate, key):
+    """Make period_end add one unit of the (m, e) term key to the end
+    value of coordinate (1-based) in the next period that runs."""
+    real = steer.period_end
+    calls = []
+
+    def skewed(init, f, u, float_mode):
+        end = real(init, f, u, float_mode)
+        calls.append(key)
+        if len(calls) == coordinate:
+            end = dict(end)
+            end[key] = end.get(key, 0) + 1
+        return end
+
+    patch.setattr(steer, "period_end", skewed)
+
+
 def test_plan_class_raises_on_a_rejected_plan(sys23, monkeypatch):
     # one plan per class: a control matrix below the gate, or a
     # resonant plan, is a named error naming the class, not a retry
@@ -624,20 +677,10 @@ def test_plan_class_raises_on_a_rejected_plan(sys23, monkeypatch):
         with pytest.raises(SingularMatrix, match="determinant") as info:
             plan_class(sys23, 2)
         assert info.value.payload == {"class_id": 2}
-    # a probe entry that is not c pi cannot be factored out of A
-    real = steer.propagate_period
-    calls = []
-
-    def skewed(system, channels, state, float_mode):
-        end = real(system, channels, state, float_mode)
-        calls.append(channels)
-        if len(calls) == 2:
-            # the first probe, after the basics-only period
-            end[2] = PiPoly({1: 1, 0: 1})
-        return end
-
+    # an entry that is not c pi cannot be factored out of A: a0 alone
+    # (monomial 1), without pi, on class coordinate 3
     with monkeypatch.context() as patch:
-        patch.setattr(steer, "propagate_period", skewed)
+        skew_period_end(patch, 3, (1, 0))
         with pytest.raises(SingularMatrix, match="multiple of pi") as info:
             plan_class(sys23, 2)
         assert info.value.payload == {"class_id": 2}
@@ -647,6 +690,62 @@ def test_plan_class_raises_on_a_rejected_plan(sys23, monkeypatch):
     assert info.value.payload == {"class_id": 3}
     # generator classes have no frequencies to check
     assert plan_class(sys23, 0).is_generator
+
+
+# (2,3) class 2 is coordinate 3 alone: its one amplitude a0 is the
+# monomial 1 (base r + 1 = 4), a0^2 is 2.
+@pytest.mark.parametrize("coordinate,key,match,payload", [
+    (3, (2, 1), "not linear", {}),
+    (3, (0, 1), "basics alone displace coordinate 3", {}),
+    (1, (1, 1), "settled coordinate 1", {}),
+    (2, (0, 0), "settled coordinate 2", {}),
+], ids=["degree-2", "constant", "settled-a0", "settled-constant"])
+def test_control_matrix_checks_every_monomial(sys23, monkeypatch,
+                                              coordinate, key, match,
+                                              payload):
+    skew_period_end(monkeypatch, coordinate, key)
+    with pytest.raises(SingularMatrix, match=match) as info:
+        plan_class(sys23, 2)
+    assert info.value.payload == dict(payload, class_id=2)
+
+
+def test_plan_class_runs_one_period_per_class(sys33, monkeypatch):
+    # one symbolic period per class, cut at the last coordinate read:
+    # (3,3) class 10 is coordinate 11, but class 9 owns coordinate 12
+    real = steer._period
+    stops = []
+
+    def spy(system, us, state, stop, float_mode):
+        stops.append(stop)
+        return real(system, us, state, stop, float_mode)
+
+    def forbidden(*args):
+        raise AssertionError("a numeric probe period")
+
+    monkeypatch.setattr(steer, "_period", spy)
+    monkeypatch.setattr(steer, "propagate_period", forbidden)
+    for ci in range(len(sys33.basis.classes)):
+        plan_class(sys33, ci)
+        assert len(stops) == ci + 1
+    assert stops == [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 12, 13, 14]
+
+
+@pytest.mark.parametrize("m,r", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3),
+                                 (4, 2)])
+def test_control_matrix_matches_unit_probes(m, r):
+    # the reference definition of A: one exact period per unit probe,
+    # and the basics alone leave the class coordinates at zero
+    system = canonical_fields(m, r)
+    zero = [F(0)] * system.n
+    for entry in build_plan(system).classes:
+        q = len(entry.slots)
+        for k in range(-1, q):
+            amps = [F(int(i == k)) for i in range(q)]
+            end = propagate_period(system, template_channels(entry, amps),
+                                   zero, float_mode=False)
+            for i, j in enumerate(entry.elements):
+                want = entry.A[i][k] * entry.gains[k] if k >= 0 else 0
+                assert end[j - 1] == want, (entry.class_id, k, j)
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +879,27 @@ PINNED_LAWS = [
 ]
 
 
+# sha256 of the sorted-key JSON of build_plan(...).to_json().
+PINNED_PLANS = [
+    (2, 4,
+     "67e9ac23c7ea96d782a0ed5187a2b10f8bae155138bb9263fc528378842c9d91"),
+    (3, 3,
+     "da08b70a8056df25fc6f4a2562a7140211fab11df7828d3c21b58e71af35e70f"),
+    (4, 2,
+     "5065192ea49ef276d1d67e425a79a53b49808ba9fae389cae427fc411cd3ee12"),
+    (2, 5,
+     "2bdbc070c89ccc151f358c7bc2031a8bf0be277350630f180d18242d7523cd91"),
+]
+
+
+@pytest.mark.parametrize("m,r,digest", PINNED_PLANS,
+                         ids=["2-4", "3-3", "4-2", "2-5"])
+def test_pinned_plans(m, r, digest):
+    blob = json.dumps(build_plan(canonical_fields(m, r)).to_json(),
+                      sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("m,r,seed,scale,digest", PINNED_LAWS,
                          ids=["2-4", "3-3", "2-5"])
 def test_pinned_laws(m, r, seed, scale, digest):
@@ -847,15 +967,15 @@ def junction_gaps(law):
     for p in law.periods:
         us = channel_trigpolys(p["channels"])
         for c, u in enumerate(us):
-            start = simplify_value(u.value_zero())
+            start = oracles.trig_value_zero(u)
             if prev is None:
                 worst.append(start)
             else:
                 worst.append(simplify_value(prev[c] - start))
         # the value at 2 pi: the start plus the period integral of u'
-        one = TrigPoly.const(F(1))
-        prev = [period_end(u.value_zero(), oracles.trig_derivative(u),
-                           one, False) for u in us]
+        prev = [end_value(period_end(oracles.trig_value_zero(u),
+                                     oracles.trig_derivative(u), ONE,
+                                     False)) for u in us]
     return worst
 
 
