@@ -13,6 +13,7 @@ any float anywhere poisons the computation to float, and
 ``Poly.is_exact`` reads which of the two a result is.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -140,7 +141,8 @@ def emul(*children):
 def epow(base, k):
     k = int(k)
     if k < 0:
-        raise ValueError("negative exponents are not supported")
+        raise SpecError("negative exponents are not supported",
+                        exponent=k)
     if k == 0:
         return erat(1)
     if k == 1:
@@ -611,7 +613,8 @@ class Poly:
         if new_n == self.n:
             return self
         if new_n < self.n:
-            raise ValueError("cannot shrink variable count")
+            raise SpecError("cannot shrink variable count",
+                            n=self.n, new_n=new_n)
         return Poly(new_n, {e + (0,) * (new_n - self.n): c
                             for e, c in self.terms.items()})
 
@@ -904,25 +907,44 @@ def _emit_poly(p, kern):
     return name or "0.0"
 
 
+def emit_fields(fields):
+    """Straight-line source evaluating ExprFields and
+    WeightedPolynomialFields at the point p: its lines, and per field
+    the local name or float literal of each component."""
+    kern = _Kernel()
+    cols = []
+    for field in fields:
+        if isinstance(field, ExprField):
+            memo = {}
+            outs = [_emit_expr(c, kern, memo) for c in field.comps]
+            cols.append([v if isinstance(v, str) else _lit(v)
+                         for v in outs])
+        elif isinstance(field, WeightedPolynomialField):
+            cols.append([_emit_poly(c, kern) for c in field.comps])
+        else:
+            raise TypeError("cannot compile %r" % (field,))
+    return kern.lines, cols
+
+
+@functools.lru_cache(maxsize=256)
+def load_kernel(src):
+    """The function named kernel that the source src defines, with sin
+    and cos as its only globals: the library's one compiler.  Each of
+    the 256 sources last used stays compiled, so a replay or covering
+    that rebuilds its source reuses the compiled function."""
+    ns = {"sin": math.sin, "cos": math.cos, "__builtins__": {}}
+    exec(compile(src, "<compiled kernel>", "exec"), ns)
+    # Popped, so the kernel and its globals form no reference cycle.
+    return ns.pop("kernel")
+
+
 def compile_field(field):
     """Float kernel point -> list of floats of an ExprField or a
     WeightedPolynomialField, equal to [float(v) for v in
-    field.evaluate(point)] on float points."""
-    kern = _Kernel()
-    if isinstance(field, ExprField):
-        memo = {}
-        outs = [_emit_expr(c, kern, memo) for c in field.comps]
-        outs = [v if isinstance(v, str) else _lit(v) for v in outs]
-    elif isinstance(field, WeightedPolynomialField):
-        outs = [_emit_poly(c, kern) for c in field.comps]
-    else:
-        raise TypeError("cannot compile %r" % (field,))
-    src = "def kernel(p):\n%s    return [%s]\n" % (
-        "".join("    %s\n" % line for line in kern.lines), ", ".join(outs))
-    ns = {"sin": math.sin, "cos": math.cos, "__builtins__": {}}
-    exec(compile(src, "<compiled field>", "exec"), ns)
-    # Popped, so the kernel and its globals form no reference cycle.
-    return ns.pop("kernel")
+    field.evaluate(point)] on float points, loaded by load_kernel."""
+    lines, (outs,) = emit_fields([field])
+    return load_kernel("def kernel(p):\n%s    return [%s]\n" % (
+        "".join("    %s\n" % line for line in lines), ", ".join(outs)))
 
 
 def lie_bracket(v, w, weights=None, wcap=None):
@@ -1173,6 +1195,8 @@ def solve_min_norm(rows, rhs):
     kernel component, so repeated runs give one canonical answer.
     Raises ValueError when the system is inconsistent: a leftover
     residual is nonzero on exact data and above 1e-9 on float data.
+    It stays internal, so the ValueError stays too: desing, its one
+    caller, maps it to IdentificationFailure.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0

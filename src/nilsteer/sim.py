@@ -3,12 +3,14 @@
 integrate replays a whole law from its start: one adaptive high-order
 Runge-Kutta solve per period, restarted at each period edge, where the
 inputs jump, and one output row per edge.  Inputs are evaluated
-straight from their term lists, never resampled onto a grid.  Each
-replay compiles its fields to float kernels (``poly.compile_field``)
-once, and a law turns its exact amplitudes into floats on its first
-evaluation, so the right-hand side runs in plain floats, with the
-values the exact evaluation would round to.  Input length is the time
-integral of the euclidean norm of the control vector.
+straight from their term lists, never resampled onto a grid.  A
+period's right-hand side is one straight-line source holding its
+terms and fields, with the law's values as arguments, so all periods
+of one shape (fields and term counts) share code compiled once per
+process (poly.load_kernel).  A law turns its exact amplitudes into
+floats on first use, so the right-hand side runs in plain floats,
+with the values the exact evaluation would round to.  Input length is
+the time integral of the euclidean norm of the control vector.
 """
 
 import math
@@ -16,7 +18,7 @@ import math
 from scipy.integrate import quad, solve_ivp
 
 from .errors import SpecError, StepFailure
-from .poly import compile_field
+from .poly import emit_fields, load_kernel
 from .steer import TWO_PI
 
 
@@ -51,22 +53,27 @@ class Trajectory:
         return len(self.times)
 
 
-def _period_rhs(kernels, u, k):
-    """Right-hand side sum_i u_i(t) X_i(x) of the driftless system
-    under period k of the law u, at every t, taking the state as a
-    numpy array."""
-    value = u.period_value
-
-    def rhs(t, x):
-        pt = x.tolist()
-        out = [0.0] * len(pt)
-        for ui, kernel in zip(value(k, t), kernels):
-            if ui == 0.0:
-                continue
-            out = [o + ui * v for o, v in zip(out, kernel(pt))]
-        return out
-
-    return rhs
+def _rhs_source(live, n):
+    """Source of kernel(gain, base, a0, w0, h0, a1, ...) -> rhs(t, x),
+    the right-hand side sum_i u_i(t) X_i(x) of one law period, over
+    the (field, channel terms) pairs of live, each term (amp, w, phase)
+    an argument triple.  It runs ControlLaw.eval's and the field
+    kernels' float operations in their order, summed from 0.0."""
+    lines, cols = emit_fields([f for f, _ in live])
+    params, src = [], ["    def rhs(t, x):", "        tau = t - base"]
+    for i, (_, terms) in enumerate(live):
+        val = "0.0"
+        for j in range(len(params), len(params) + len(terms)):
+            params.append(", a%d, w%d, h%d" % (j, j, j))
+            val += " + a%d * cos(w%d * tau - h%d)" % (j, j, j)
+        src.append("        u%d = gain * (%s)" % (i, val))
+    src.append("        p = x.tolist()")
+    src.extend("        " + line for line in lines)
+    src.append("        return [%s]" % ", ".join(
+        "0.0" + "".join(" + u%d * %s" % (i, col[j])
+                        for i, col in enumerate(cols)) for j in range(n)))
+    return "def kernel(gain, base%s):\n%s\n    return rhs\n" % (
+        "".join(params), "\n".join(src))
 
 
 def integrate(fields, x0, u, tol=1e-10):
@@ -77,21 +84,26 @@ def integrate(fields, x0, u, tol=1e-10):
     jumps at each period edge, and an explicit Runge-Kutta scheme that
     steps across a jump of its right-hand side shrinks its step there
     and misses by more than its tolerance; restarted at the edge, it
-    sees a smooth right-hand side in every period.  Each solve
-    evaluates only its own period's terms (ControlLaw.period_value),
-    its end included, and a period whose channels are all empty holds
-    the state without a solve.  A solve that stops early raises
-    StepFailure, whose payload["trajectory"] holds the rows of the
-    periods before it (None in the first period).
+    sees a smooth right-hand side in every period.  Each solve runs
+    the compiled _rhs_source of its period's shape, on that period's
+    terms up to and including its end, and a period whose channels
+    are all empty holds the state without a solve.  A solve that stops
+    early raises StepFailure, whose payload["trajectory"] holds the
+    rows of the periods before it (None in the first period).
     """
-    kernels = [compile_field(f) for f in fields]
+    gain, periods = u.float_table()
     times, states = [0.0], [[float(v) for v in x0]]
-    for k, channels in enumerate(u.float_table()[1]):
+    for k, channels in enumerate(periods):
         end = (k + 1) * TWO_PI
         state = states[-1]
         if any(channels):
-            sol = solve_ivp(_period_rhs(kernels, u, k), (k * TWO_PI, end),
-                            state, method="DOP853", rtol=tol, atol=tol,
+            live = [(f, terms) for f, terms in zip(fields, channels)
+                    if terms]
+            rhs = load_kernel(_rhs_source(live, len(state)))(
+                gain, k * TWO_PI,
+                *[v for _, terms in live for term in terms for v in term])
+            sol = solve_ivp(rhs, (k * TWO_PI, end), state,
+                            method="DOP853", rtol=tol, atol=tol,
                             max_step=math.pi)
             if not sol.success:
                 raise StepFailure("integrator stopped: %s" % sol.message,

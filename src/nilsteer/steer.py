@@ -845,17 +845,12 @@ class ControlLaw:
         return self._floats
 
     def eval(self, t):
-        """Control values at time t, as floats."""
+        """Control values at time t, as floats, from the terms of period
+        k holding t (clamped) at tau = t - 2 pi k."""
         if not self.periods:
             return [0.0] * self.m
-        k = min(max(int(t // TWO_PI), 0), len(self.periods) - 1)
-        return self.period_value(k, t)
-
-    def period_value(self, k, t):
-        """Values at time t of period k's terms, as floats: the period's
-        sum at tau = t - 2 pi k, also where t lies outside period k, so
-        that a replay can hold one period up to and including its end."""
         gain, periods = self.float_table()
+        k = min(max(int(t // TWO_PI), 0), len(periods) - 1)
         tau = t - k * TWO_PI
         cos = math.cos
         out = []

@@ -2,7 +2,8 @@
 
 Every check is bit for bit (== on floats) against the per-call exact
 evaluation the kernels replace: field.evaluate() followed by float(),
-and the law's term list with float() on each amplitude.
+and the law's term list with float() on each amplitude.  The one
+loader behind all kernels compiles each source once.
 """
 
 import math
@@ -12,14 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from nilsteer import sim
+from nilsteer import poly, sim
 from nilsteer.canonical import canonical_fields
 from nilsteer.desing import desingularize
 from nilsteer.hall import build_hall_basis
-from nilsteer.planner import LocalSteering
+from nilsteer.planner import LocalSteering, Planner, PlannerConfig
 from nilsteer.poly import (
     Expr, ExprField, Poly, WeightedPolynomialField, as_expr_field,
-    compile_field, ecos, eadd, emul, epow, erat, esin, evar,
+    compile_field, ecos, eadd, emul, epow, erat, esin, evar, load_kernel,
 )
 from nilsteer.sim import input_sup_bound, integrate
 from nilsteer.steer import TWO_PI, ControlLaw, PiPoly, build_plan
@@ -318,3 +319,82 @@ def test_martinet_lifted_leg_matches_reference_replay(monkeypatch,
     goal = martinet_lift.lift_point([0.0, 0.0, 0.0])
     _, law = local.steer(x0, goal)
     assert assert_same_replay(monkeypatch, fields, x0, law) > 100
+
+
+def dense_fields():
+    """Three fields that each move every coordinate, so that the order
+    of the sum over channels reaches the last bit."""
+    x1, x2, x3 = evar(0), evar(1), evar(2)
+    return [ExprField([ecos(x3), esin(x3), x1]),
+            ExprField([x2, erat(1), emul(x1, x2)]),
+            ExprField([esin(x1), emul(x2, x3), erat(F(1, 3))])]
+
+
+def shape_law(m, scale=F(3, 2)):
+    """The first m channels of four periods: channel 1 empty in period
+    0 and live in period 1, a two-term channel in each of them, an
+    exactly-zero amplitude in period 1, a period with no terms, and a
+    period where every channel is live."""
+    periods = [
+        [[(F(1, 2), 1, 0), (F(-1, 3), 2, 1)], [], [(F(1, 7), 4, 2)]],
+        [[(0, 1, 0)], [(F(1, 4), 1, 0), (F(1, 5), 3, 1)], []],
+        [[], [], []],
+        [[(F(1, 3), 0, 0)], [(F(2, 3), 2, 3)], [(F(-1, 5), 1, 1)]],
+    ]
+    return ControlLaw(m, [{"channels": p[:m]} for p in periods],
+                      scale=scale)
+
+
+@pytest.mark.parametrize("fields", [unicycle_fields(), martinet_fields(),
+                                    dense_fields()])
+def test_period_shapes_match_reference_replay(monkeypatch, fields):
+    law = shape_law(len(fields))
+    x0 = [0.1, -0.2, 0.3]
+    assert assert_same_replay(monkeypatch, fields, x0, law) > 100
+
+
+# ---------------------------------------------------------------------------
+# One compiled function per source
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The sources the kernel loader compiles while the test runs, with
+    the loader's cache emptied first."""
+    seen = []
+
+    def spy(src, *args):
+        seen.append(src)
+        return compile(src, *args)
+
+    load_kernel.cache_clear()
+    monkeypatch.setattr(poly, "compile", spy, raising=False)
+    return seen
+
+
+def test_replay_of_one_period_shape_compiles_once(compiled):
+    # periods 0, 1 and 3 have three shapes; other values, other fields
+    # objects and another law share them
+    x0 = [0.1, -0.2, 0.3]
+    first = integrate(unicycle_fields(), x0, shape_law(2)).endpoint
+    assert len(compiled) == 3
+    again = integrate(unicycle_fields(), x0, shape_law(2, F(5, 4))).endpoint
+    assert len(compiled) == 3
+    assert again != first
+
+
+def test_second_planner_compiles_no_screen_kernel(compiled):
+    box = ([-1.0, -1.0, -2.0], [1.0, 1.0, 2.0])
+    Planner(unicycle_fields(), box, PlannerConfig(grid=4), r=2)
+    assert compiled
+    seen = len(compiled)
+    Planner(unicycle_fields(), box, PlannerConfig(grid=4), r=2)
+    assert len(compiled) == seen
+
+
+def test_kernel_cache_keeps_at_most_its_size(compiled):
+    size = load_kernel.cache_info().maxsize
+    for i in range(size + 3):
+        assert load_kernel("def kernel():\n    return %d\n" % i)() == i
+    assert len(compiled) == size + 3
+    assert load_kernel.cache_info().currsize <= size

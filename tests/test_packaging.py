@@ -6,8 +6,10 @@ benchmark, and so must every attribute the package stores on self.
 Every parameter with a default must be passed by some call there,
 too: an option that only ever takes its default is a constant.  Every
 error class must be raised somewhere in the package: an error code
-nothing raises is dead.  And the package holds no assert statement:
-python -O strips them, so a check the library relies on must raise."""
+nothing raises is dead.  The package holds no assert statement:
+python -O strips them, so a check the library relies on must raise.
+And one cached loader compiles all the package's generated code, so
+no caller compiles a source anew on every call."""
 
 import ast
 import importlib
@@ -284,3 +286,37 @@ def test_no_assert_in_library():
                      for node in ast.walk(tree)
                      if isinstance(node, ast.Assert))
     assert not found, found
+
+
+def compiling_functions(package):
+    """(file, function, decorators) for each function of the package
+    whose own body, nested functions aside, calls the builtin compile,
+    exec or eval; code outside every function counts as function None,
+    and decorators are source text."""
+    out = []
+
+    def visit(node, fn, fname):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child, fname)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id in ("compile", "exec", "eval")):
+                out.append((fname, fn and fn.name,
+                            [ast.unparse(d) for d in fn.decorator_list]
+                            if fn else []))
+            visit(child, fn, fname)
+
+    for path in python_files(package):
+        with open(path) as fh:
+            visit(ast.parse(fh.read()), None, os.path.basename(path))
+    return out
+
+
+def test_one_cached_loader_compiles_code():
+    found = compiling_functions(PACKAGE)
+    assert len({(fname, name) for fname, name, _ in found}) == 1, found
+    fname, name, decorators = found[0]
+    assert (fname, name) == ("poly.py", "load_kernel")
+    assert any(d.startswith("functools.lru_cache(") for d in decorators)

@@ -11,7 +11,7 @@ import oracles
 from nilsteer.errors import SingularMatrix, SpecError
 from nilsteer.poly import (
     ExprField, Poly, TriangularMap, WeightedPolynomialField, det_matrix,
-    ecos, emul, erat, esin, evar, expr_diff, expr_eval, expr_to_poly,
+    ecos, emul, epow, erat, esin, evar, expr_diff, expr_eval, expr_to_poly,
     expr_to_str, invert_matrix, lie_bracket, nullspace, parse_expr,
     poly_to_expr, solve_min_norm, taylor_poly, taylor_truncate,
 )
@@ -90,6 +90,20 @@ def test_field_specs_fail_with_spec_error():
             build()
         assert exc.value.payload == payload
     assert ExprField([y, X1]).evaluate([1.0, 2.0]) == [2.0, 1.0]
+
+
+def test_negative_exponent_fails_with_spec_error():
+    with pytest.raises(SpecError) as exc:
+        epow(X1, -2)
+    assert exc.value.payload == {"exponent": -2}
+
+
+def test_shrinking_pad_fails_with_spec_error():
+    p = Poly.var(3, 0)
+    with pytest.raises(SpecError) as exc:
+        p.pad(2)
+    assert exc.value.payload == {"n": 3, "new_n": 2}
+    assert p.pad(4).terms == {(1, 0, 0, 0): 1}
 
 
 def test_double_star_power():
