@@ -45,7 +45,7 @@ from .errors import (
 from .hall import build_hall_basis, evaluate_bracket
 from .poly import WeightedPolynomialField, compile_field
 from .privcoord import dilate, first_order_approx, pseudo_norm
-from .sim import input_length, integrate
+from .sim import check_tol, input_length, integrate
 from .steer import build_plan, concatenate, exact_steer
 
 
@@ -61,7 +61,8 @@ class PlannerConfig:
     Nothing else is a knob: the covering and the lift share the frame
     determinant gate desing.DET_THRESHOLD, and no box confines a
     replay, since the modified loop already keeps every iterate in
-    its pseudo-norm ball.
+    its pseudo-norm ball.  An integrator_tol that sim.check_tol
+    refuses raises SpecError.
     """
 
     __slots__ = ("integrator_tol", "R", "iteration_cap", "grid")
@@ -70,6 +71,7 @@ class PlannerConfig:
                  grid=8):
         if iteration_cap < 1:
             raise SpecError("iteration cap must be at least 1")
+        check_tol(integrator_tol)
         self.integrator_tol = integrator_tol
         self.R = R
         self.iteration_cap = iteration_cap

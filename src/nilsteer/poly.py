@@ -817,18 +817,12 @@ def _lit(v):
 
 
 class _Kernel:
-    """Source lines of one kernel; point coordinates load on first use."""
+    """Source lines of one kernel.  Coordinate i is read from the local
+    xi, which the enclosing source binds."""
 
     def __init__(self):
         self.lines = []
-        self.loaded = set()
         self.count = 0
-
-    def var(self, i):
-        if i not in self.loaded:
-            self.loaded.add(i)
-            self.lines.append("x%d = p[%d]" % (i, i))
-        return "x%d" % i
 
     def fresh(self):
         self.count += 1
@@ -844,7 +838,7 @@ def _emit_expr(e, kern, memo):
     if k == "rat":
         out = e.a
     elif k == "var":
-        out = kern.var(e.a)
+        out = "x%d" % e.a
     elif k in ("add", "mul"):
         add = k == "add"
         out = F0 if add else F1
@@ -894,7 +888,7 @@ def _emit_poly(p, kern):
         factors = []
         for i, a in enumerate(e):
             if a:
-                x = kern.var(i)
+                x = "x%d" % i
                 factors.append(x if a == 1 else "%s ** %d" % (x, a))
         if c != 1 or not factors:
             factors.insert(0, _lit(c))
@@ -909,8 +903,9 @@ def _emit_poly(p, kern):
 
 def emit_fields(fields):
     """Straight-line source evaluating ExprFields and
-    WeightedPolynomialFields at the point p: its lines, and per field
-    the local name or float literal of each component."""
+    WeightedPolynomialFields at the point whose coordinates are the
+    locals x0, x1, ...: its lines, and per field the local name or
+    float literal of each component."""
     kern = _Kernel()
     cols = []
     for field in fields:
@@ -943,6 +938,7 @@ def compile_field(field):
     WeightedPolynomialField, equal to [float(v) for v in
     field.evaluate(point)] on float points, loaded by load_kernel."""
     lines, (outs,) = emit_fields([field])
+    lines.insert(0, "%s, = p" % ", ".join("x%d" % i for i in range(field.n)))
     return load_kernel("def kernel(p):\n%s    return [%s]\n" % (
         "".join("    %s\n" % line for line in lines), ", ".join(outs)))
 

@@ -6,17 +6,20 @@ inversion, brackets and jets from sympy, integrals from scipy
 quadrature, ODE propagation from scipy's integrators.  Tests compare
 package output against these routes; the two sides share no code,
 except for the reference replay, which drives the package's own exact
-evaluate() to judge the compiled float kernels against it, and the
-exact checks at the end of this file, which work on the package's own
-Poly, TrigPoly and TriangularMap values.
+evaluate() to judge the compiled float kernels against it and runs a
+plain-loop DOP853 on scipy's tableau to judge the compiled solver, and
+the exact checks at the end of this file, which work on the package's
+own Poly, TrigPoly and TriangularMap values.
 """
 
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import sympy
 from scipy.integrate import quad, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from nilsteer.poly import (
     Expr, Poly, WeightedPolynomialField, as_expr_field, expr_eval, is_exact,
@@ -250,7 +253,100 @@ def propagate_ode(rhs, z0, t_end, rtol=1e-12, atol=1e-12):
 # The per-call evaluation the package's compiled kernels replace: each
 # amplitude goes through float() and each field through its exact
 # evaluate() on every call.  The package's replay must agree bit for
-# bit, with the same number of rhs evaluations in each period.
+# bit with this rhs under dop853_reference, a plain loop over the
+# stages of the package's solver, with the same number of rhs
+# evaluations in each period.  scipy's DOP853 judges the solver's
+# algorithm: it sums its stages in BLAS dot products, so its bits
+# differ, but its endpoints and step counts must agree closely.
+
+Run = namedtuple("Run", "ok nfev y")
+
+
+def _seq_sum(terms):
+    """Sum of terms in order, from the first one."""
+    terms = iter(terms)
+    acc = next(terms)
+    for v in terms:
+        acc += v
+    return acc
+
+
+def dop853_reference(rhs, t0, t1, y0, tol):
+    """DOP853 from y0 at t0 to t1 on ydot = rhs(t, *y), as scipy's
+    solve_ivp(method="DOP853", rtol=tol, atol=tol, max_step=pi) runs
+    it, with every stage combination summed in stage order over the
+    nonzero tableau entries.  Three guards keep it in plain floats
+    where scipy's numpy floats warn: a NaN step fails as a step below
+    the float spacing, the start-step rule takes max(d1, d2) and never
+    divides by a zero h0, and an error vector whose fifth-order part is
+    zero has norm zero."""
+    A, B, C = dop853.A, dop853.B, dop853.C
+    n = len(y0)
+    rn = math.sqrt(n)
+
+    def combo(coeffs, ks, j):
+        return _seq_sum(c * k[j] for c, k in zip(coeffs, ks) if c)
+
+    def norm(v, sc):
+        return math.sqrt(_seq_sum((v[j] / sc[j]) * (v[j] / sc[j])
+                                  for j in range(n))) / rn
+
+    t, y = t0, [float(v) for v in y0]
+    f = rhs(t, *y)
+    sc = [tol + abs(v) * tol for v in y]
+    d0, d1 = norm(y, sc), norm(f, sc)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t1 - t)
+    f1 = rhs(t + h0, *[y[j] + h0 * f[j] for j in range(n)])
+    d2 = norm([f1[j] - f[j] for j in range(n)], sc) / h0 if h0 else d1
+    d = max(d1, d2)
+    h_abs = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** 0.125
+    h_abs = min(100 * h0, h_abs, t1 - t, math.pi)
+    nfev = 2
+    while True:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs > math.pi:
+            h_abs = math.pi
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                return Run(False, nfev, y)
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            ks = [f]
+            for s in range(1, dop853.N_STAGES):
+                ks.append(rhs(t + C[s] * h, *[
+                    y[j] + combo(A[s], ks, j) * h for j in range(n)]))
+            z = [y[j] + h * combo(B, ks, j) for j in range(n)]
+            ks.append(rhs(t + h, *z))
+            nfev += dop853.N_STAGES
+            sc = [tol + max(abs(a), abs(b)) * tol for a, b in zip(y, z)]
+            e5 = [combo(dop853.E5, ks, j) / sc[j] for j in range(n)]
+            e3 = [combo(dop853.E3, ks, j) / sc[j] for j in range(n)]
+            s5 = _seq_sum(v * v for v in e5)
+            s3 = _seq_sum(v * v for v in e3)
+            err = 0.0 if s5 == 0.0 else h * s5 / math.sqrt((s5 + 0.01 * s3)
+                                                          * n)
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0,
+                                                     0.9 * err ** -0.125)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        t, y, f = t_new, z, ks[-1]
+        if t >= t1:
+            return Run(True, nfev, y)
+
+
+def scipy_dop853(rhs, t0, t1, y0, tol):
+    """scipy's DOP853 with the settings of the package's solver."""
+    sol = solve_ivp(lambda t, x: rhs(t, *x), (t0, t1),
+                    [float(v) for v in y0], method="DOP853", rtol=tol,
+                    atol=tol, max_step=math.pi)
+    return Run(sol.success, sol.nfev, sol.y[:, -1].tolist())
 
 
 def law_value(law, t, k=None):
@@ -272,37 +368,72 @@ def law_value(law, t, k=None):
     return out
 
 
-def replay_reference(fields, x0, law, tol):
-    """The law's whole horizon replayed with the integrator settings of
-    sim.integrate, one solve_ivp run per period from the end of the
-    one before, driven by evaluate() and law_value() on that period's
-    terms up to and including its end; a period with no terms leaves
-    the state where it is.  Returns the runs, one per solve."""
+def reference_rhs(fields, law, k):
+    """rhs(t, *x) of period k of the law from law_value() and the
+    fields' exact evaluate(), summed from 0.0 over the nonzero inputs."""
+    def rhs(t, *x):
+        u = law_value(law, t, k)
+        out = [0.0] * len(x)
+        for ui, field in zip(u, fields):
+            if ui == 0.0:
+                continue
+            for j, v in enumerate(field.evaluate(list(x))):
+                out[j] += ui * float(v)
+        return tuple(out)
+    return rhs
 
-    def rhs_of(k):
-        def rhs(t, x):
-            u = law_value(law, t, k)
-            out = [0.0] * len(x)
-            for ui, field in zip(u, fields):
-                if ui == 0.0:
-                    continue
-                for j, v in enumerate(field.evaluate(x.tolist())):
-                    out[j] += ui * float(v)
-            return out
-        return rhs
 
+def replay_reference(fields, x0, law, tol, solve=scipy_dop853):
+    """The law's whole horizon replayed as sim.integrate does, one
+    solve run per period from the end of the one before, driven by
+    reference_rhs on that period's terms up to and including its end;
+    a period with no terms leaves the state where it is.  Returns the
+    Runs, one per solve."""
     base = 2.0 * math.pi
-    edges = [k * base for k in range(law.nperiods + 1)]
     x = [float(v) for v in x0]
     runs = []
-    for k, (a, b) in enumerate(zip(edges, edges[1:])):
+    for k in range(law.nperiods):
         if not any(law.periods[k]["channels"]):
             continue
-        sol = solve_ivp(rhs_of(k), (a, b), x, method="DOP853", rtol=tol,
-                        atol=tol, max_step=math.pi)
-        runs.append(sol)
-        x = sol.y[:, -1].tolist()
+        run = solve(reference_rhs(fields, law, k), k * base,
+                    (k + 1) * base, x, tol)
+        runs.append(run)
+        x = run.y
     return runs
+
+
+def assert_same_replay(monkeypatch, fields, x0, law, tol):
+    """Replay the law with sim.integrate and judge it: endpoint and
+    per-solve nfev bit for bit those of dop853_reference on the
+    reference rhs; each solve's endpoint within 0.1 tol max(1, |y|)
+    of scipy's DOP853 run from the same start on the same compiled
+    rhs, and its nfev equal to scipy's on at least 98% of the solves.
+    Returns the rhs evaluations of the replay."""
+    from nilsteer import sim
+
+    calls = []
+    solve = sim.solve_ivp
+
+    def spy(*args):
+        sol = solve(*args)
+        calls.append((args, sol))
+        return sol
+
+    monkeypatch.setattr(sim, "solve_ivp", spy)
+    end = sim.integrate(fields, x0, law, tol=tol).endpoint
+    plain = replay_reference(fields, x0, law, tol, dop853_reference)
+    assert all(run.ok for run in plain)
+    assert [sol.nfev for _, sol in calls] == [run.nfev for run in plain]
+    assert end == plain[-1].y
+    same = 0
+    for args, sol in calls:
+        ref = scipy_dop853(*args)
+        assert ref.ok
+        bound = 0.1 * tol * max(1.0, max(abs(v) for v in ref.y))
+        assert max(abs(a - b) for a, b in zip(sol.y, ref.y)) <= bound
+        same += sol.nfev == ref.nfev
+    assert same >= 0.98 * len(calls)
+    return sum(sol.nfev for _, sol in calls)
 
 
 # ---------------------------------------------------------------------------

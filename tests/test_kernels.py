@@ -2,8 +2,10 @@
 
 Every check is bit for bit (== on floats) against the per-call exact
 evaluation the kernels replace: field.evaluate() followed by float(),
-and the law's term list with float() on each amplitude.  The one
-loader behind all kernels compiles each source once.
+and the law's term list with float() on each amplitude.  Replays run
+that evaluation through the plain-loop DOP853 of oracles.py, and
+scipy's DOP853 judges each solve within a tolerance.  The one loader
+behind all kernels compiles each source once.
 """
 
 import math
@@ -276,38 +278,14 @@ def test_law_table_is_built_on_first_eval():
 # Replay against the reference rhs
 
 
-def compiled_replay(monkeypatch, fields, x0, law, tol):
-    """sim.integrate's endpoint and the rhs evaluation count of each of
-    its solver runs."""
-    seen = []
-    solve = sim.solve_ivp
-
-    def counting(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        seen.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(sim, "solve_ivp", counting)
-    traj = integrate(fields, x0, law, tol=tol)
-    return traj.endpoint, seen
-
-
-def assert_same_replay(monkeypatch, fields, x0, law, tol=1e-10):
-    end, nfevs = compiled_replay(monkeypatch, fields, x0, law, tol)
-    ref = oracles.replay_reference(fields, x0, law, tol)
-    assert all(run.success for run in ref)
-    assert nfevs == [run.nfev for run in ref]
-    assert end == ref[-1].y[:, -1].tolist()
-    return sum(nfevs)
-
-
 def test_unicycle_leg_matches_reference_replay(monkeypatch):
     fields = unicycle_fields()
     model = canonical_fields(2, 2)
     local = LocalSteering(fields, model, build_plan(model))
     x0 = [0.1, -0.15, 0.3]
     _, law = local.steer(x0, [0.0, 0.0, 0.0])
-    assert assert_same_replay(monkeypatch, fields, x0, law) > 100
+    assert oracles.assert_same_replay(monkeypatch, fields, x0, law,
+                                      1e-10) > 100
 
 
 def test_martinet_lifted_leg_matches_reference_replay(monkeypatch,
@@ -318,7 +296,8 @@ def test_martinet_lifted_leg_matches_reference_replay(monkeypatch,
     x0 = martinet_lift.lift_point([0.05, -0.04, 0.02])
     goal = martinet_lift.lift_point([0.0, 0.0, 0.0])
     _, law = local.steer(x0, goal)
-    assert assert_same_replay(monkeypatch, fields, x0, law) > 100
+    assert oracles.assert_same_replay(monkeypatch, fields, x0, law,
+                                      1e-10) > 100
 
 
 def dense_fields():
@@ -350,7 +329,51 @@ def shape_law(m, scale=F(3, 2)):
 def test_period_shapes_match_reference_replay(monkeypatch, fields):
     law = shape_law(len(fields))
     x0 = [0.1, -0.2, 0.3]
-    assert assert_same_replay(monkeypatch, fields, x0, law) > 100
+    assert oracles.assert_same_replay(monkeypatch, fields, x0, law,
+                                      1e-10) > 100
+
+
+@pytest.fixture(scope="module")
+def period_rhs():
+    """Per fields family: the fields, shape_law, and the rhs of each
+    solve of its replay from (0.1, -0.2, 0.3) with the period it runs."""
+    out = []
+    solve = sim.solve_ivp
+    for fields in (unicycle_fields(), martinet_fields(), dense_fields()):
+        seen = []
+
+        def spy(rhs, *args):
+            seen.append(rhs)
+            return solve(rhs, *args)
+
+        law = shape_law(len(fields))
+        sim.solve_ivp = spy
+        try:
+            integrate(fields, [0.1, -0.2, 0.3], law)
+        finally:
+            sim.solve_ivp = solve
+        # period 2 has no terms and no solve
+        out.append((fields, law, list(zip((0, 1, 3), seen))))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(points, st.floats(0.0, 1.0))
+def test_replay_rhs_matches_reference_rhs(period_rhs, x, frac):
+    for fields, law, solves in period_rhs:
+        for k, rhs in solves:
+            t = (k + frac) * TWO_PI
+            want = oracles.reference_rhs(fields, law, k)(t, *x)
+            assert rhs(t, *x) == want
+
+
+def test_rhs_source_leaves_out_literal_products(compiled):
+    # the unicycle's fields hold three 0s and one 1 among six components
+    integrate(unicycle_fields(), [0.1, -0.2, 0.3], shape_law(2))
+    sources = [src for src in compiled if src.startswith("def kernel(gain,")]
+    assert len(sources) == 3
+    for src in sources:
+        assert "* 0.0" not in src and "* 1.0" not in src
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +396,15 @@ def compiled(monkeypatch):
 
 
 def test_replay_of_one_period_shape_compiles_once(compiled):
-    # periods 0, 1 and 3 have three shapes; other values, other fields
-    # objects and another law share them
+    # periods 0, 1 and 3 have three rhs shapes and one solver for their
+    # one state dimension; other values, other fields objects and
+    # another law share them
     x0 = [0.1, -0.2, 0.3]
     first = integrate(unicycle_fields(), x0, shape_law(2)).endpoint
-    assert len(compiled) == 3
+    assert len(compiled) == 4
+    assert sum(src.startswith("def kernel(rhs,") for src in compiled) == 1
     again = integrate(unicycle_fields(), x0, shape_law(2, F(5, 4))).endpoint
-    assert len(compiled) == 3
+    assert len(compiled) == 4
     assert again != first
 
 

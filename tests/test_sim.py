@@ -2,8 +2,9 @@
 
 Closed-form endpoints come from one-dimensional flows and the
 quadratic area integral; replays of planned laws are judged against
-the reference replay of oracles.py, bit for bit at the same tolerance
-and within a bound of a tighter run.
+the reference replay of oracles.py, bit for bit through its
+plain-loop DOP853 at the same tolerance, within 0.1 tol of scipy's
+DOP853 from the same start, and within a bound of a tighter run.
 """
 
 import math
@@ -18,7 +19,7 @@ from nilsteer.canonical import canonical_fields
 from nilsteer.desing import desingularize
 from nilsteer.errors import SpecError, StepFailure
 from nilsteer.hall import build_hall_basis
-from nilsteer.planner import LocalSteering
+from nilsteer.planner import LocalSteering, PlannerConfig
 from nilsteer.poly import (
     ExprField, Poly, WeightedPolynomialField, ecos, erat, esin, evar,
 )
@@ -82,23 +83,12 @@ def test_grid_has_each_period_edge_once(monkeypatch, periods):
     period = {"channels": [[(F(1, 2), 1, 0)], [(F(1, 3), 2, 1)]]}
     law = ControlLaw(2, [period] * periods)
     base = TWO_PI
-    seen = []
-    solve = sim.solve_ivp
-
-    def counting(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        seen.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(sim, "solve_ivp", counting)
     x0 = [0.1, -0.2, 0.3]
     traj = integrate(cs.fields, x0, law, tol=1e-10)
     assert len(traj) == periods + 1
     for a, b in zip(traj.times, traj.times[1:]):
         assert b - a > 1e-9 * base
-    ref = oracles.replay_reference(cs.fields, x0, law, 1e-10)
-    assert seen == [run.nfev for run in ref]
-    assert traj.endpoint == ref[-1].y[:, -1].tolist()
+    oracles.assert_same_replay(monkeypatch, cs.fields, x0, law, 1e-10)
 
 
 def unicycle_fields():
@@ -117,7 +107,7 @@ def test_replay_is_accurate_across_period_jumps(x0):
     _, law = LocalSteering(fields, model, build_plan(model)).steer(
         x0, [0.0, 0.0, 0.0])
     assert law.nperiods > 1
-    tight = oracles.replay_reference(fields, x0, law, 1e-13)[-1].y[:, -1]
+    tight = oracles.replay_reference(fields, x0, law, 1e-13)[-1].y
     end = integrate(fields, x0, law, tol=1e-10).endpoint
     assert max(abs(a - b) for a, b in zip(end, tight)) <= 1e-9
 
@@ -239,3 +229,95 @@ def test_lifted_trajectory_projects_onto_base():
         worst = max(worst, max(abs(a - b)
                                for a, b in zip(drow, lift.project(urow))))
     assert worst <= 1e-8
+
+
+def square_field():
+    # xdot = x^2, whose kernel computes x0 ** 2
+    return WeightedPolynomialField([Poly.monomial(1, (2,), F(1))])
+
+
+def test_overflowing_rhs_raises_step_failure():
+    # x0 ** 2 overflows at x0 = 1e200; the first period holds the state
+    law = ControlLaw(1, [{"channels": [[(1, 0, 0)]]}])
+    with pytest.raises(StepFailure) as info:
+        integrate([square_field()], [1e200], law, tol=1e-10)
+    assert info.value.payload["trajectory"] is None
+    law = ControlLaw(1, [{"channels": [[]]}, {"channels": [[(1, 0, 0)]]}])
+    with pytest.raises(StepFailure) as info:
+        integrate([square_field()], [1e200], law, tol=1e-10)
+    partial = info.value.payload["trajectory"]
+    assert partial.times == [0.0, TWO_PI]
+    assert partial.endpoint == [1e200]
+
+
+def test_state_overflow_raises_step_failure():
+    # a rate of 1e308 takes the state past the largest float in the
+    # first step
+    f = WeightedPolynomialField([Poly.const(1, 1e308)])
+    law = ControlLaw(1, [{"channels": [[(1, 0, 0)]]}])
+    with pytest.raises(StepFailure):
+        integrate([f], [0.0], law, tol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                 -float("inf")])
+def test_non_finite_start_raises_spec_error(bad):
+    with pytest.raises(SpecError):
+        integrate(canonical_fields(2, 2).fields, [0.1, bad, 0.2],
+                  circle_law(), tol=1e-10)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10,
+                                 1e-15, 99 * 2.0 ** -52])
+def test_unusable_tolerance_raises_spec_error(tol):
+    with pytest.raises(SpecError) as info:
+        integrate(canonical_fields(2, 2).fields, [0.0] * 3, circle_law(),
+                  tol=tol)
+    assert info.value.payload["tol"] is tol
+    with pytest.raises(SpecError) as info:
+        PlannerConfig(integrator_tol=tol)
+    assert info.value.payload["tol"] is tol
+
+
+def test_tolerance_floor_is_usable():
+    # 100 machine epsilons, where scipy clamps its relative tolerance
+    traj = integrate(canonical_fields(2, 2).fields, [0.0] * 3,
+                     circle_law(), tol=100 * 2.0 ** -52)
+    assert abs(traj.endpoint[2] - math.pi) <= 1e-12
+
+
+def sharp(t, x):
+    # a bump of width 0.01 at t = 2, which the step control meets with
+    # rejections
+    return (x / (1.0 + 1e4 * (t - 2.0) * (t - 2.0)),)
+
+
+def spiral(t, x1, x2):
+    return (-0.3 * x1 + math.cos(3.0 * t) * x2, -x1 - 0.1 * x2)
+
+
+def chain(t, *x):
+    return tuple(math.sin(t) * x[(j + 1) % 5] - 0.5 * x[j]
+                 for j in range(5))
+
+
+@pytest.mark.parametrize("rhs, t0, t1, y0, tol", [
+    (sharp, 0.0, TWO_PI, (1.0,), 1e-10),
+    (spiral, 0.5, 0.5 + math.pi, (1.0, -2.0), 1e-8),
+    (chain, TWO_PI, 2 * TWO_PI, (0.1, -0.2, 0.3, 0.4, -0.5), 1e-12),
+    (lambda t, x: (x * x,), 0.0, 2.0, (1.0,), 1e-10),
+    (lambda t, x: (0.0,), 0.0, 1.0, (3.0,), 1e-10),
+])
+def test_solver_matches_plain_loop_reference(rhs, t0, t1, y0, tol):
+    # bit for bit, in success and in failure (xdot = x^2 blows up at
+    # t = 1); scipy's run on the same problem judges the algorithm
+    sol = sim.solve_ivp(rhs, t0, t1, y0, tol)
+    ref = oracles.dop853_reference(rhs, t0, t1, y0, tol)
+    assert (sol.success, sol.nfev, list(sol.y)) == (ref.ok, ref.nfev, ref.y)
+    assert (sol.nfev - 2) % 12 == 0
+    judge = oracles.scipy_dop853(rhs, t0, t1, y0, tol)
+    assert judge.ok == sol.success
+    if sol.success:
+        assert sol.nfev == judge.nfev
+        assert max(abs(a - b) for a, b in zip(sol.y, judge.y)) \
+            <= 0.1 * tol * max(1.0, max(abs(v) for v in judge.y))
