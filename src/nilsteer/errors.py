@@ -37,13 +37,11 @@ class IdentificationFailure(NilsteerError):
 class SingularMatrix(NilsteerError):
     """A matrix is singular or below its determinant threshold.
 
-    Exact steering also raises it for a class whose frequency plan is
-    resonant, whose period moves a coordinate of an earlier class, or
-    whose control matrix fails the gate; and for a class coordinate
-    whose displacement has a term free of the resonance amplitudes, a
-    term of degree other than one in them, or an entry that is not a
-    rational multiple of pi.  The payload's class_id then names the
-    class.
+    Exact steering also raises it for a class whose period moves a
+    coordinate of an earlier class, or moves a class coordinate by a
+    term free of the resonance amplitudes, of degree other than one in
+    them, or that is not a rational multiple of pi.  The payload's
+    class_id then names the class.
     """
 
     code = "singular-matrix"

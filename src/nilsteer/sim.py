@@ -36,34 +36,25 @@ TOL_FLOOR = 100 * sys.float_info.epsilon
 
 
 class Trajectory:
-    """Time grid plus state rows."""
+    """State rows of a replay, one per period edge: row k, a list of
+    floats, is the state at time 2 pi k.  integrate checks each row
+    before it stores it, so the rows are not checked again here."""
 
-    __slots__ = ("times", "states")
+    __slots__ = ("states",)
 
-    def __init__(self, times, states):
-        times = [float(t) for t in times]
-        states = [[float(v) for v in row] for row in states]
-        if len(times) != len(states):
-            raise SpecError("time grid and state rows disagree in length")
-        for a, b in zip(times, times[1:]):
-            if not b > a:
-                raise SpecError("times must increase strictly")
-        for t in times:
-            if not math.isfinite(t):
-                raise SpecError("non-finite time value")
-        for row in states:
-            for v in row:
-                if not math.isfinite(v):
-                    raise SpecError("non-finite state value")
-        self.times = times
+    def __init__(self, states):
         self.states = states
+
+    @property
+    def times(self):
+        return [k * TWO_PI for k in range(len(self.states))]
 
     @property
     def endpoint(self):
         return self.states[-1]
 
     def __len__(self):
-        return len(self.times)
+        return len(self.states)
 
 
 def _rhs_source(live, n):
@@ -229,8 +220,8 @@ def solve_ivp(rhs, t0, t1, y0, tol):
     rtol = atol = tol and a largest step of pi.  Returns a Solution:
     the endpoint y, the rhs evaluation count nfev as scipy counts it,
     and success with a message where the step shrank below the float
-    spacing or the state left the finite floats.  An OverflowError of
-    rhs propagates."""
+    spacing or the state left the finite floats.  An OverflowError or
+    ValueError of rhs propagates."""
     ok, nfev, t, y = load_kernel(_dop853_source(len(y0)))(
         rhs, t0, t1, tol, math.sqrt, math.nextafter, abs, min, max, *y0)
     if not ok:
@@ -266,7 +257,8 @@ def integrate(fields, x0, u, tol=1e-10):
 
     A non-finite start, or a tolerance check_tol refuses, raises
     SpecError.  A solve that stops early, or whose right-hand side
-    overflows, raises StepFailure, whose payload["trajectory"] holds
+    overflows or leaves its domain (sin or cos of an infinite
+    coordinate), raises StepFailure, whose payload["trajectory"] holds
     the rows of the periods before it (None in the first period).
     """
     check_tol(tol)
@@ -274,9 +266,8 @@ def integrate(fields, x0, u, tol=1e-10):
     if not all(map(math.isfinite, state)):
         raise SpecError("non-finite start %r" % (state,), x0=state)
     gain, periods = u.float_table()
-    times, states = [0.0], [state]
+    states = [state]
     for k, channels in enumerate(periods):
-        end = (k + 1) * TWO_PI
         if any(channels):
             live = [(f, terms) for f, terms in zip(fields, channels)
                     if terms]
@@ -284,19 +275,20 @@ def integrate(fields, x0, u, tol=1e-10):
                 gain, k * TWO_PI,
                 *[v for _, terms in live for term in terms for v in term])
             try:
-                sol = solve_ivp(rhs, k * TWO_PI, end, state, tol)
+                sol = solve_ivp(rhs, k * TWO_PI, (k + 1) * TWO_PI, state,
+                                tol)
                 failure = None if sol.success else sol.message
-            except OverflowError as ex:
-                failure = "right-hand side overflowed: %s" % ex
+            except (OverflowError, ValueError) as ex:
+                failure = "right-hand side raised %s: %s" % (
+                    type(ex).__name__, ex)
             if failure is not None:
                 raise StepFailure("integrator stopped in period %d: %s"
                                   % (k, failure),
-                                  trajectory=Trajectory(times, states)
-                                  if len(times) > 1 else None)
-            state = sol.y
-        times.append(end)
+                                  trajectory=Trajectory(states)
+                                  if len(states) > 1 else None)
+            state = list(sol.y)
         states.append(state)
-    return Trajectory(times, states)
+    return Trajectory(states)
 
 
 def _quad_halving(f, a, b, depth):

@@ -4,13 +4,13 @@ The classes of the basis (grouped by generator content) are steered
 one per 2 pi period.  Within a period every class element gets a block
 of unit-amplitude cosines at integer frequencies plus one resonance
 sinusoid whose amplitude is solved for.  Each class has one frequency
-plan, built by a chain rule that makes the designated combination the
-only integer one hitting zero, so the net displacement of the class
-coordinates is exactly linear in the resonance amplitudes.
-control_matrix enforces that: it runs the class's period once, with
-the amplitudes as symbols, and reads the linear map off the monomials
-of degree one.  A plan that is resonant after all, that moves a
-settled coordinate, whose displacement is not linear, or whose control
+plan, built by a chain rule meant to make the designated combination
+the only integer one hitting zero, so that the net displacement of the
+class coordinates is linear in the resonance amplitudes.
+control_matrix is the one gate on a plan: it runs the class's period
+once, with the amplitudes as symbols, and reads the linear map off the
+monomials of degree one.  A plan that moves a settled coordinate,
+whose displacement is not linear in the amplitudes, or whose control
 matrix is too close to singular raises SingularMatrix.
 
 Everything is integrated in closed form, on one representation.  A
@@ -34,7 +34,6 @@ every law's scale into its amplitudes.
 """
 
 import functools
-import itertools
 import json
 import math
 from fractions import Fraction
@@ -358,10 +357,6 @@ class ClassPlan:
         self.det = None
         self.gains = None
 
-    @property
-    def is_generator(self):
-        return self.delta and sum(self.delta) == 1
-
     def solve_amps(self, delta_target):
         if self.B is None:
             raise SpecError("class plan has no control matrix yet",
@@ -412,7 +407,7 @@ def plan_frequencies(basis, class_id):
     times everything assigned so far, which makes the designated
     per-slot resonances the only vanishing integer combinations
     reachable with the multiplicities any coordinate can produce;
-    verify_nonresonance double-checks that combinatorially.  The
+    control_matrix checks the outcome exactly.  The
     channel fill order rotates with the slot position, giving each slot
     of a multi-element class a different magnitude pattern; identical
     patterns make the probe columns nearly parallel.
@@ -451,99 +446,6 @@ def plan_frequencies(basis, class_id):
     return ClassPlan(class_id, cls, delta, eps, slots)
 
 
-def _signed_sums(pool, count):
-    """All achievable (sum, multiset) pairs using ``count`` signed
-    factors drawn with repetition from ``pool``."""
-    signed = []
-    for w in sorted(set(pool)):
-        signed.append((w, 1))
-        signed.append((w, -1))
-    out = []
-    for combo in itertools.combinations_with_replacement(signed, count):
-        total = sum(w * s for w, s in combo)
-        out.append((total, combo))
-    return out
-
-
-def _reduce_pairs(combo):
-    """Cancel matched +/- occurrences of the same frequency in the same
-    channel; such pairs only produce phase-quadrature terms with no net
-    period displacement."""
-    out = {}
-    freqs = {(c, w) for c, w, _s in combo}
-    for c, w in freqs:
-        k = combo.get((c, w, 1), 0) - combo.get((c, w, -1), 0)
-        if k > 0:
-            out[(c, w, 1)] = k
-        elif k < 0:
-            out[(c, w, -1)] = -k
-    return frozenset(out.items())
-
-
-def _negate(sig):
-    return frozenset(((c, w, -s), k) for (c, w, s), k in sig)
-
-
-def verify_nonresonance(basis, entry):
-    """Check that the only vanishing integer frequency combinations in
-    this class's period are the designated slot resonances.
-
-    A settled coordinate of an earlier class would be displaced by a
-    zero-sum signed combination matching its generator counts, so up to
-    matched-pair cancellation none may exist; for the class itself the
-    combinations must be exactly the designed one per slot, keeping the
-    endpoint linear in the resonance amplitudes.  Later classes are
-    free to drift.
-    """
-    m = basis.m
-    pools = [[] for _ in range(m)]
-    for slot in entry.slots:
-        for c in range(m):
-            pools[c].extend(slot.channels[c])
-        pools[slot.resonance_channel - 1].append(slot.resonance)
-        if slot.carrier:
-            pools[slot.resonance_channel - 1].append(slot.carrier)
-    designed = set()
-    for slot in entry.slots:
-        combo = {}
-        for c in range(m):
-            for w in slot.channels[c]:
-                key = (c, w, -1)
-                combo[key] = combo.get(key, 0) + 1
-        key = (slot.resonance_channel - 1, slot.resonance, 1)
-        combo[key] = combo.get(key, 0) + 1
-        designed.add(frozenset(combo.items()))
-    allowed = {frozenset()} | designed | {_negate(s) for s in designed}
-    per_channel = {}
-    for ci in range(entry.class_id + 1):
-        delta_j = basis.element(basis.classes[ci][0]).delta
-        if sum(delta_j) == 1:
-            continue
-        own = ci == entry.class_id
-        lists = []
-        for c in range(m):
-            key = (c, delta_j[c])
-            if key not in per_channel:
-                per_channel[key] = _signed_sums(pools[c], delta_j[c])
-            lists.append(per_channel[key])
-        found = set()
-        for parts in itertools.product(*lists):
-            if sum(p[0] for p in parts) != 0:
-                continue
-            combo = {}
-            for c, (_total, factors) in enumerate(parts):
-                for w, s in factors:
-                    key = (c, w, s)
-                    combo[key] = combo.get(key, 0) + 1
-            found.add(_reduce_pairs(combo))
-        if own:
-            if not found <= allowed or not designed <= found:
-                return False
-        elif found - {frozenset()}:
-            return False
-    return True
-
-
 def template_channels(entry, amps):
     """Per-channel term lists (amp, freq, quarter) for one period."""
     m = len(entry.delta)
@@ -552,9 +454,8 @@ def template_channels(entry, amps):
         for c in range(m):
             for w in slot.channels[c]:
                 channels[c].append((F1, w, 0))
-        quarter = 0 if entry.is_generator else entry.epsilon
         channels[slot.resonance_channel - 1].append(
-            (amp, slot.resonance, quarter))
+            (amp, slot.resonance, entry.epsilon))
         if slot.carrier:
             channels[slot.resonance_channel - 1].append(
                 (F1, slot.carrier, 0))
@@ -720,6 +621,13 @@ def control_matrix(system, entry):
     moves, when a class coordinate has a constant term (the basics
     alone displace it), a monomial of degree other than one, or an
     entry that is not c pi, and below DET_THRESHOLD.
+
+    It is the one gate on a plan, and a complete one: the class and
+    settled coordinates move at rates that read only strictly shorter
+    coordinates, which exact_steer has set to exact zero when the
+    class's period starts.  So the zero-state period is their true
+    displacement from any start, as a polynomial identity in the a_k.
+    exact_steer's SteeringResidual check stays as the run-time guarantee.
     """
     elements = entry.elements
     q = len(entry.slots)
@@ -783,14 +691,10 @@ def control_matrix(system, entry):
 def plan_class(system, class_id):
     """The frequency plan of one class, with its control matrix.
 
-    One chain plan per class: a resonant plan, or a control matrix
-    below DET_THRESHOLD, raises SingularMatrix with the class_id.
+    One chain plan per class, gated by control_matrix alone: a plan it
+    rejects raises SingularMatrix with the class_id, and is not retried.
     """
     entry = plan_frequencies(system.basis, class_id)
-    if not entry.is_generator and not verify_nonresonance(
-            system.basis, entry):
-        raise SingularMatrix("resonant frequency combination in class %d"
-                             % class_id, class_id=class_id)
     control_matrix(system, entry)
     return entry
 
@@ -799,12 +703,6 @@ def build_plan(system):
     entries = [plan_class(system, ci)
                for ci in range(len(system.basis.classes))]
     return FrequencyPlan(system.m, system.r, entries)
-
-
-def steer_class(delta_target, entry):
-    """Channel terms realising a prescribed net change of one class."""
-    amps = entry.solve_amps(delta_target)
-    return template_channels(entry, amps), amps
 
 
 # ---------------------------------------------------------------------------
@@ -930,7 +828,8 @@ def exact_steer(x_init, system, plan=None):
     done = []
     for entry in plan.classes:
         target = [-(state[j - 1]) for j in entry.elements]
-        channels, amps = steer_class(target, entry)
+        amps = entry.solve_amps(target)
+        channels = template_channels(entry, amps)
         state = propagate_period(system, channels, state,
                                  float_mode=False)
         for j in entry.elements + tuple(done):

@@ -6,8 +6,9 @@ benchmark, and so must every attribute the package stores on self.
 Every parameter with a default must be passed by some call there,
 too: an option that only ever takes its default is a constant.  Every
 error class must be raised somewhere in the package: an error code
-nothing raises is dead.  The package holds no assert statement:
-python -O strips them, so a check the library relies on must raise.
+nothing raises is dead, and every steering error names its class.
+The package holds no assert statement: python -O strips them, so a
+check the library relies on must raise.
 And one cached loader compiles all the package's generated code, so
 no caller compiles a source anew on every call."""
 
@@ -275,6 +276,26 @@ def test_every_error_is_raised():
     assert codes
     unraised = sorted(set(codes) - raised_names(PACKAGE))
     assert not unraised, unraised
+
+
+def test_steering_errors_name_their_class():
+    # errors.py promises a class_id in the payload of every
+    # SingularMatrix and SteeringResidual that exact steering raises
+    with open(os.path.join(PACKAGE, "steer.py")) as fh:
+        tree = ast.parse(fh.read())
+    raises = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            if getattr(exc, "id", None) in ("SingularMatrix",
+                                            "SteeringResidual"):
+                raises.append(node)
+    assert raises
+    found = [node.lineno for node in raises
+             if "class_id" not in {k.arg for k in
+                                   getattr(node.exc, "keywords", ())}]
+    assert not found, found
 
 
 def test_no_assert_in_library():

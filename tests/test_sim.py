@@ -21,7 +21,7 @@ from nilsteer.errors import SpecError, StepFailure
 from nilsteer.hall import build_hall_basis
 from nilsteer.planner import LocalSteering, PlannerConfig
 from nilsteer.poly import (
-    ExprField, Poly, WeightedPolynomialField, ecos, erat, esin, evar,
+    ExprField, Poly, WeightedPolynomialField, ecos, emul, erat, esin, evar,
 )
 from nilsteer.sim import (
     Trajectory, input_length, input_sup_bound, integrate,
@@ -112,13 +112,31 @@ def test_replay_is_accurate_across_period_jumps(x0):
     assert max(abs(a - b) for a, b in zip(end, tight)) <= 1e-9
 
 
+def assert_valid_trajectory(traj):
+    # one time per row, times increasing strictly, every state a list
+    # of finite floats
+    assert isinstance(traj, Trajectory)
+    assert len(traj.times) == len(traj.states) == len(traj)
+    assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
+    for row in traj.states:
+        assert type(row) is list
+        assert all(type(v) is float and math.isfinite(v) for v in row)
+
+
 def test_trajectory_validation():
-    with pytest.raises(SpecError):
-        Trajectory([0.0, 0.0], [[1.0], [1.0]])
-    with pytest.raises(SpecError):
-        Trajectory([0.0, 1.0], [[1.0], [float("nan")]])
-    with pytest.raises(SpecError):
-        Trajectory([0.0], [[1.0], [2.0]])
+    traj = integrate(canonical_fields(2, 2).fields, [0.1, -0.2, 0.3],
+                     wiggle_law(), tol=1e-10)
+    assert_valid_trajectory(traj)
+    assert traj.times == [0.0, TWO_PI, 2 * TWO_PI]
+    # xdot = u x^2 from x = 1 blows up in the second period
+    f = WeightedPolynomialField([Poly.monomial(1, (2,), F(1))])
+    law = ControlLaw(1, [{"channels": [[(F(-1, 10), 0, 0)]]},
+                         {"channels": [[(1, 0, 0)]]}])
+    with pytest.raises(StepFailure) as info:
+        integrate([f], [1], law, tol=1e-10)
+    partial = info.value.payload["trajectory"]
+    assert_valid_trajectory(partial)
+    assert len(partial) == 2
 
 
 def test_input_length_values():
@@ -248,6 +266,15 @@ def test_overflowing_rhs_raises_step_failure():
     partial = info.value.payload["trajectory"]
     assert partial.times == [0.0, TWO_PI]
     assert partial.endpoint == [1e200]
+    # x0 ** 4 overflows to inf in floats, and then sin(x0) raises
+    # ValueError inside the field kernel
+    x = evar(0)
+    field = ExprField([emul(x, x, x, x), esin(x)])
+    with pytest.raises(StepFailure, match="ValueError") as info:
+        integrate([field], [1e80, 0.0], law, tol=1e-10)
+    partial = info.value.payload["trajectory"]
+    assert partial.times == [0.0, TWO_PI]
+    assert partial.endpoint == [1e80, 0.0]
 
 
 def test_state_overflow_raises_step_failure():
