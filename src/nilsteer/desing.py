@@ -16,6 +16,10 @@ the trajectory projected back down, and the privileged chart
 upstairs comes from privcoord.first_order_approx, which runs the same
 round once on the lifted fields.
 
+The lifted fields keep the base type: polynomial fields lift to
+polynomial fields, terms in sorted exponent order (desingularize says
+why), and any other base lifts to expression fields.
+
 Chart coefficients come from rational arithmetic on truncated jets:
 with an exact anchor at which every trig argument of the base fields
 vanishes, every coefficient is a Fraction; trig values elsewhere and
@@ -32,9 +36,8 @@ from .canonical import canonical_monomials
 from .errors import IdentificationFailure, SingularFrame, SpecError
 from .hall import evaluate_bracket
 from .poly import (ExprField, Poly, TriangularMap, WeightedPolynomialField,
-                   as_expr_field, det_matrix, erat, expr_to_poly,
-                   invert_matrix, is_exact, poly_to_expr, solve_min_norm,
-                   taylor_truncate)
+                   as_expr_field, det_matrix, invert_matrix, is_exact,
+                   poly_to_expr, solve_min_norm, taylor_truncate)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -316,7 +319,7 @@ class LiftedSystem:
     first, fiber variables in order of creation (fiber_order holds
     their basis indices), and the first n components of every field
     are the original field untouched.  They are polynomial fields when
-    the base fields are polynomial, expression fields otherwise.  At
+    every base field is one, expression fields otherwise.  At
     the lifted anchor lift_point(anchor) the brackets of the fields
     in basis order are a frame, so first_order_approx gives the
     privileged chart there, in which canonical_fields(m, r) is the
@@ -407,20 +410,22 @@ def desingularize(fields, basis, indices, anchor):
             shadows, basis, coords, s, cap)
         chart = identify.compose(correct).compose(align).compose(chart)
 
-    base_expr = [as_expr_field(f) for f in fields]
-    xi = []
-    for i in range(m):
-        comps = list(base_expr[i].comps)
-        for k in fiber_order:
-            if basis.element(k).phi == i + 1:
-                comps.append(poly_to_expr(fiber_rate[k]))
-            else:
-                comps.append(erat(0))
-        xi.append(ExprField(comps))
-    if all(f.is_polynomial() for f in base_expr):
-        N = len(basis)
-        xi = [WeightedPolynomialField([expr_to_poly(c, N) for c in f.comps])
-              for f in xi]
+    N = n + len(fiber_order)
+    rates = [[fiber_rate[k] if basis.element(k).phi == i + 1
+              else Poly.zero(N) for k in fiber_order] for i in range(m)]
+    if all(isinstance(f, WeightedPolynomialField) for f in fields):
+        # Terms go in sorted exponent order: the replay kernels
+        # (emit_fields) and the chart arithmetic of first_order_approx
+        # sum terms in dict order, and every pinned law was computed
+        # with the terms in this order.
+        xi = [WeightedPolynomialField(
+            [Poly(N, dict(sorted(c.pad(N).terms.items())))
+             for c in list(f.comps) + rate])
+            for f, rate in zip(fields, rates)]
+    else:
+        xi = [ExprField(list(as_expr_field(f).comps)
+                        + [poly_to_expr(c) for c in rate])
+              for f, rate in zip(fields, rates)]
     return LiftedSystem(n, xi, fiber_order)
 
 

@@ -166,12 +166,12 @@ class LocalSteering:
     what keeps exact-input runs exact.
     """
 
-    def __init__(self, fields, system, plan, config=None):
+    def __init__(self, fields, system, plan, config):
         self.fields = list(fields)
         self.system = system
         self.plan = plan
         self.basis = system.basis
-        self.config = config or PlannerConfig()
+        self.config = config
         self._charts = {}
         self.exact_model = self._matches_model()
 
@@ -223,7 +223,7 @@ def subgoal(xbar, eta, j, chart):
     return chart.apply_inverse(dilate(z, t, weights))
 
 
-def global_free(x0, x1, e, local, config=None):
+def global_free(x0, x1, e, local):
     """Iterative steering of a free system from x0 toward x1.
 
     local is the local method (a LocalSteering or anything with the
@@ -236,8 +236,8 @@ def global_free(x0, x1, e, local, config=None):
     integrator counts as a failed attempt.  This is the modified loop:
     it also rejects or charges steps against the expanding bracket
     R_k, keeping every iterate's pseudo-norm below ||z(x0)|| / (1 - R).
+    R and the iteration cap come from local.config.
     """
-    config = config or PlannerConfig()
     chart1 = local.chart_at(x1)
     weights = chart1.weights
 
@@ -254,7 +254,7 @@ def global_free(x0, x1, e, local, config=None):
         report.status = "converged"
         return report
 
-    R = config.effective_R(local.basis.r)
+    R = local.config.effective_R(local.basis.r)
 
     def bracket(k):
         # 1 + R + ... + R^k
@@ -266,7 +266,7 @@ def global_free(x0, x1, e, local, config=None):
     j = 1
     k = 0
     while goal_norm(xi) > e:
-        if report.attempts >= config.iteration_cap:
+        if report.attempts >= local.config.iteration_cap:
             report.status = "cap-exceeded"
             raise IterationCapExceeded(
                 "no convergence after %d attempts (%.3g > %.3g left)"
@@ -569,20 +569,19 @@ def _screen_frames(fields, basis, grid):
             for k, idx in enumerate(grid.boxes()) if ok[k]}
 
 
-def build_covering(fields, K, basis, config=None):
+def build_covering(fields, K, basis, grid):
     """Split the box K into frame cells: the covering atlas.
 
-    Every grid box gets the lowest-level frame whose determinant
-    passes the gate at all box corners, preferring the largest worst
-    determinant within a level; per-frame box sets are split into
-    face-connected cells; cells touching each other are graph
+    Each of the grid**n boxes gets the lowest-level frame whose
+    determinant passes the gate at all box corners, preferring the
+    largest worst determinant within a level; per-frame box sets are
+    split into face-connected cells; cells touching each other are graph
     neighbors with a deterministic waypoint in their intersection.
     The float screen (_screen_frames) assigns most boxes; the rest go,
     in grid order, through cheapest_frame on exact corner values, so
     ties and the CoverageGap box are those of the exact search.
     """
-    config = config or PlannerConfig()
-    grid = Grid(K[0], K[1], config.grid)
+    grid = Grid(K[0], K[1], grid)
     screened = _screen_frames(fields, basis, grid)
     assigned = {}
     memo = {}
@@ -643,7 +642,7 @@ class Planner:
                 basis = build_hall_basis(m, cand)
                 try:
                     atlas = build_covering(self.fields, K, basis,
-                                           self.config)
+                                           self.config.grid)
                 except CoverageGap as ex:
                     last = ex
                     continue
@@ -653,7 +652,7 @@ class Planner:
                 raise last
         else:
             basis = build_hall_basis(m, r)
-            atlas = build_covering(self.fields, K, basis, self.config)
+            atlas = build_covering(self.fields, K, basis, self.config.grid)
         self.r = r
         self.basis = basis
         self.atlas = atlas
@@ -674,7 +673,6 @@ class Planner:
         if not (e > 0 and math.isfinite(e)):
             raise SpecError("tolerance must be positive and finite, got %r"
                             % (e,))
-        config = self.config
         if len(x_final) != len(x_init):
             raise SpecError("endpoints disagree in dimension")
         path = self.atlas.path_between(x_init, x_final)
@@ -688,9 +686,9 @@ class Planner:
             lift = desingularize(self.fields, self.basis,
                                  self.atlas.cells[cell_id].frame, target)
             local = LocalSteering(lift.fields, self.system,
-                                  self.steer_plan, config)
+                                  self.steer_plan, self.config)
             leg = global_free(lift.lift_point(x), lift.lift_point(target),
-                              e, local, config)
+                              e, local)
             report.legs.append(leg)
             laws.extend(leg.laws)
             x = lift.project(leg.iterates[-1])

@@ -227,16 +227,6 @@ def _trig(kind, value):
     return s if kind == "sin" else c
 
 
-def expr_is_polynomial(e):
-    if e.kind in ("sin", "cos"):
-        return False
-    if e.kind in ("add", "mul"):
-        return all(expr_is_polynomial(c) for c in e.a)
-    if e.kind == "pow":
-        return expr_is_polynomial(e.a)
-    return True
-
-
 def _fmt_coeff(c):
     if isinstance(c, Fraction):
         return str(c)
@@ -776,9 +766,6 @@ class ExprField:
                 continue
             terms.append(emul(comp, expr_diff(e, i)))
         return eadd(*terms) if terms else erat(0)
-
-    def is_polynomial(self):
-        return all(expr_is_polynomial(c) for c in self.comps)
 
     def to_poly_field(self):
         return WeightedPolynomialField(

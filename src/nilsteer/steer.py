@@ -799,8 +799,8 @@ class ControlLaw:
         return cls(blob["m"], periods, scale)
 
 
-def exact_steer(x_init, system, plan=None):
-    """Steer the canonical system from x_init to the origin.
+def exact_steer(x_init, system, plan):
+    """Steer the canonical system from x_init to the origin by plan.
 
     Returns a ControlLaw on [0, 2 pi N].  The propagation always runs
     as Laurent polynomials of pi, so the canonical endpoint is exactly
@@ -808,20 +808,23 @@ def exact_steer(x_init, system, plan=None):
     pseudo-norm of the state has no exact root the normalisation scale
     is rounded to a nearby dyadic (the scale only conditions the
     amplitude magnitudes, so exactness of the root is not needed).
+    A start of the wrong dimension or not finite raises SpecError.
     """
     if len(x_init) != system.n:
         raise SpecError("state has dimension %d, expected %d"
                         % (len(x_init), system.n))
     weights = system.weights
-    x = [Fraction(v) for v in x_init]
+    try:
+        x = [Fraction(v) for v in x_init]
+    except (ValueError, OverflowError):
+        raise SpecError("non-finite start %r" % (list(x_init),),
+                        x_init=list(x_init))
     lam = pseudo_norm(x, weights)
     if lam == 0:
         return ControlLaw(system.m, [], F1,
                           meta={"z_init": [F0] * system.n})
     if not is_exact(lam):
         lam = Fraction(float(lam))
-    if plan is None:
-        plan = build_plan(system)
     state = dilate(x, F1 / lam, weights)
     z_init = list(state)
     periods = []

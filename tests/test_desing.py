@@ -29,7 +29,7 @@ from nilsteer.errors import SingularFrame, SpecError
 from nilsteer.hall import build_hall_basis, evaluate_bracket
 from nilsteer.poly import (
     ExprField, Poly, WeightedPolynomialField, det_matrix,
-    ecos, erat, esin, evar, wdeg,
+    eadd, ecos, emul, erat, esin, evar, wdeg,
 )
 from nilsteer.privcoord import first_order_approx
 
@@ -50,6 +50,16 @@ def unicycle_fields():
     th = evar(2)
     f1 = ExprField([ecos(th), esin(th), erat(0)])
     f2 = ExprField([erat(0), erat(0), erat(1)])
+    return [f1, f2]
+
+
+def cosine_fields():
+    """X1 = d1, X2 = d2 + (1 - cos x1) d3: Martinet's singular plane
+    with a trig field, so the lift keeps expression fields."""
+    x1 = evar(0)
+    f1 = ExprField([erat(1), erat(0), erat(0)])
+    f2 = ExprField([erat(0), erat(1),
+                    eadd(erat(1), emul(erat(-1), ecos(x1)))])
     return [f1, f2]
 
 
@@ -94,6 +104,11 @@ def martinet_lift():
 @pytest.fixture(scope="module")
 def unicycle_lift():
     return lift_at(unicycle_fields(), build_hall_basis(2, 2), origin(3))
+
+
+@pytest.fixture(scope="module")
+def cosine_lift():
+    return lift_at(cosine_fields(), build_hall_basis(2, 3), origin(3))
 
 
 @pytest.fixture(scope="module")
@@ -253,11 +268,22 @@ def test_martinet_lift_matches_the_hand_computation(martinet_lift,
     assert chart.apply(lift.lift_point(origin(3))) == [F(0)] * 5
 
 
-def test_lifted_fields_project_onto_the_base(martinet_lift, unicycle_lift):
+def test_lifted_fields_project_onto_the_base(martinet_lift, unicycle_lift,
+                                             cosine_lift):
     for xi, X in zip(martinet_lift.fields, martinet_fields()):
         assert list(xi.comps[:3]) == [c.pad(5) for c in X.comps]
     for xi, X in zip(unicycle_lift.fields, unicycle_fields()):
         assert list(xi.comps) == list(X.comps)
+    # a trig base lifts to expression fields with the fibers appended;
+    # only X2 carries the fibers of [X1, X2] and [X2, [X1, X2]]
+    assert frame_at(cosine_fields(), build_hall_basis(2, 3),
+                    origin(3))[0] == (1, 2, 4)
+    assert cosine_lift.fiber_order == (3, 5)
+    for xi, X in zip(cosine_lift.fields, cosine_fields()):
+        assert isinstance(xi, ExprField) and xi.n == 5
+        assert list(xi.comps[:3]) == list(X.comps)
+    assert list(cosine_lift.fields[0].comps[3:]) == [erat(0)] * 2
+    assert all(c != erat(0) for c in cosine_lift.fields[1].comps[3:])
 
 
 def test_projection_inverts_lifting(martinet_lift):
@@ -270,17 +296,19 @@ def test_projection_inverts_lifting(martinet_lift):
         martinet_lift.lift_point([1.0, 2.0])
 
 
-def test_lifted_growth_vector_is_free(martinet_lift):
-    rng = oracles.seeded(11)
+def test_lifted_growth_vector_is_free(martinet_lift, cosine_lift):
     basis = build_hall_basis(2, 3)
-    hits = 0
-    for _ in range(100):
-        p = [rng.uniform(-1.0, 1.0) for _ in range(5)]
-        if not gate_holds(martinet_fields(), basis, (1, 2, 4), p[:3]):
-            continue
-        assert growth_vector(martinet_lift.fields, basis, p) == (2, 3, 5)
-        hits += 1
-    assert hits == 100  # the frame cell covers the whole sample box
+    for fields, lift in ((martinet_fields(), martinet_lift),
+                         (cosine_fields(), cosine_lift)):
+        rng = oracles.seeded(11)
+        hits = 0
+        for _ in range(100):
+            p = [rng.uniform(-1.0, 1.0) for _ in range(5)]
+            if not gate_holds(fields, basis, (1, 2, 4), p[:3]):
+                continue
+            assert growth_vector(lift.fields, basis, p) == (2, 3, 5)
+            hits += 1
+        assert hits == 100  # the frame cell covers the whole sample box
 
 
 def test_base_growth_vector_shows_the_singular_plane():

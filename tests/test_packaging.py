@@ -7,6 +7,8 @@ Every parameter with a default must be passed by some call there,
 too: an option that only ever takes its default is a constant.  Every
 error class must be raised somewhere in the package: an error code
 nothing raises is dead, and every steering error names its class.
+The package's defaulted parameters stay within a budget, so a change
+that adds an option raises the budget in its own diff.
 The package holds no assert statement: python -O strips them, so a
 check the library relies on must raise.
 And one cached loader compiles all the package's generated code, so
@@ -250,6 +252,21 @@ def test_every_defaulted_parameter_is_passed():
     assert not found, found
     # a parameter that has gained a caller leaves the list
     assert set(DEFAULT_NOT_PASSED) == set(unpassed)
+
+
+# Defaulted parameters the package may have, counted as
+# defaulted_parameters counts them.
+OPTIONAL_PARAMETER_BUDGET = 39
+
+
+def test_optional_parameter_budget():
+    found = []
+    for path in python_files(PACKAGE):
+        with open(path) as fh:
+            found.extend("%s: %s(%s)" % (os.path.basename(path), name, param)
+                         for name, _, param in
+                         defaulted_parameters(ast.parse(fh.read())))
+    assert len(found) <= OPTIONAL_PARAMETER_BUDGET, found
 
 
 def raised_names(package):

@@ -1,5 +1,6 @@
 """Local steps, the global loop, box coverings, and the full pipeline."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -64,9 +65,10 @@ def parabola_fields():
 BOX3 = ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
 
 
-def local_for(fields, m, r):
+def local_for(fields, m, r, config=None):
     model = canonical_fields(m, r)
-    return LocalSteering(fields, model, build_plan(model))
+    return LocalSteering(fields, model, build_plan(model),
+                         config or PlannerConfig())
 
 
 def norm_at(local, a, x):
@@ -180,8 +182,7 @@ def test_local_step_contracts_on_unicycle(local_uni):
 
 
 def test_global_free_already_there(local22):
-    rep = global_free([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 1e-6,
-                      local22, PlannerConfig())
+    rep = global_free([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 1e-6, local22)
     assert rep.status == "converged"
     assert rep.iterations == 0
     assert rep.laws == []
@@ -189,9 +190,10 @@ def test_global_free_already_there(local22):
 
 def test_global_free_canonical_single_exact_step():
     sys23 = canonical_fields(2, 3)
-    ls = LocalSteering(list(sys23.fields), sys23, build_plan(sys23))
+    ls = LocalSteering(list(sys23.fields), sys23, build_plan(sys23),
+                       PlannerConfig())
     x0 = [F(3, 7), F(-2, 5), F(1, 3), F(-1, 4), F(2, 9)]
-    rep = global_free(x0, [F(0)] * 5, 1e-6, ls, PlannerConfig())
+    rep = global_free(x0, [F(0)] * 5, 1e-6, ls)
     assert rep.status == "converged"
     assert rep.iterations == 1
     assert rep.norms[-1] == 0
@@ -200,7 +202,7 @@ def test_global_free_canonical_single_exact_step():
 
 def test_global_free_unicycle_parking(local_uni):
     rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
-                      local_uni, PlannerConfig())
+                      local_uni)
     assert rep.status == "converged"
     assert float(rep.final_norm) <= 1e-3
     # reference run: 4 accepted steps, one rejection
@@ -217,7 +219,7 @@ def test_global_free_unicycle_parking(local_uni):
 def test_global_free_replay_matches_iterates(local_uni):
     uni = unicycle_fields()
     rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
-                      local_uni, PlannerConfig())
+                      local_uni)
     law = concatenate(rep.laws, 2)
     traj = integrate(uni, [0.0, 0.0, 0.0], law, tol=1e-10)
     err = max(abs(a - b) for a, b in zip(traj.endpoint, rep.iterates[-1]))
@@ -226,7 +228,7 @@ def test_global_free_replay_matches_iterates(local_uni):
 
 def test_global_free_acceptance_halves_subgoal_distance(local_uni):
     rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
-                      local_uni, PlannerConfig())
+                      local_uni)
     # replays the acceptance predicate from the recorded trace
     accepted = list(zip(rep.iterates, rep.iterates[1:], rep.subgoals))
     assert accepted
@@ -238,15 +240,16 @@ def test_global_free_acceptance_halves_subgoal_distance(local_uni):
 
 def test_global_free_etas_never_increase(local_uni):
     rep = global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
-                      local_uni, PlannerConfig())
+                      local_uni)
     assert all(b <= a for a, b in zip(rep.etas, rep.etas[1:]))
     assert rep.status == "converged"
 
 
 def test_global_free_iteration_cap(local_uni):
+    local = local_for(unicycle_fields(), 2, 2,
+                      PlannerConfig(iteration_cap=2))
     with pytest.raises(IterationCapExceeded) as exc:
-        global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3,
-                    local_uni, PlannerConfig(iteration_cap=2))
+        global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, local)
     rep = exc.value.report
     assert rep.attempts == 2
     assert rep.status == "cap-exceeded"
@@ -279,7 +282,8 @@ class _ScriptLocal:
 
     basis = _Basis()
 
-    def __init__(self, endpoints, away):
+    def __init__(self, endpoints, away, config):
+        self.config = config
         self.endpoints = list(endpoints)
         self.away = list(away)
         self.goal_chart = _ScriptChart([0.0], None)
@@ -302,8 +306,9 @@ def test_modified_branches_follow_the_bracket():
     # attempt 3: lands at 2.8 above the next bracket, rejected
     # attempt 4: lands at 0.04, plain acceptance, loop converges
     ls = _ScriptLocal(endpoints=[0.9, 1.5, 2.8, 0.04],
-                      away=[0.1, 0.2, 0.1, 0.2, 0.1, 0.2])
-    rep = global_free([1.0], [0.0], 0.05, ls, PlannerConfig(R=0.9))
+                      away=[0.1, 0.2, 0.1, 0.2, 0.1, 0.2],
+                      config=PlannerConfig(R=0.9))
+    rep = global_free([1.0], [0.0], 0.05, ls)
     assert rep.status == "converged"
     assert rep.attempts == 4
     assert rep.iterations == 2
@@ -320,8 +325,8 @@ def test_step_failure_is_a_rejection():
     # attempt 2 reaches its subgoal 0.5, attempt 3 the goal
     ls = _ScriptLocal(endpoints=[StepFailure("step size too small"),
                                  0.5, 0.0],
-                      away=[0.5])
-    rep = global_free([1.0], [0.0], 0.05, ls, PlannerConfig())
+                      away=[0.5], config=PlannerConfig())
+    rep = global_free([1.0], [0.0], 0.05, ls)
     assert rep.status == "converged"
     assert rep.attempts == 3
     assert rep.rejections == 1
@@ -334,16 +339,14 @@ def test_step_failure_is_a_rejection():
 
 
 def test_unicycle_covers_with_one_cell():
-    atlas = build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2),
-                           PlannerConfig(grid=4))
+    atlas = build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2), 4)
     assert len(atlas.cells) == 1
     assert atlas.cells[0].frame == (1, 2, 3)
     assert atlas.path_between([0.0, 0.0, 0.0], [0.5, 0.5, 0.5]) == [0]
 
 
 def test_martinet_covering_splits_at_the_plane():
-    atlas = build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3),
-                           PlannerConfig())
+    atlas = build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3), 8)
     assert len(atlas.cells) == 3
     frames = sorted({c.frame for c in atlas.cells})
     assert frames == [(1, 2, 3), (1, 2, 4)]
@@ -358,20 +361,17 @@ def test_martinet_covering_splits_at_the_plane():
 
 def test_martinet_covering_needs_length_three():
     with pytest.raises(CoverageGap):
-        build_covering(martinet_fields(), BOX3, build_hall_basis(2, 2),
-                       PlannerConfig(grid=4))
+        build_covering(martinet_fields(), BOX3, build_hall_basis(2, 2), 4)
 
 
 def test_covering_rejects_outside_endpoints():
-    atlas = build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2),
-                           PlannerConfig(grid=2))
+    atlas = build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2), 2)
     with pytest.raises(SpecError):
         atlas.path_between([5.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 def test_covering_json_roundtrip():
-    atlas = build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3),
-                           PlannerConfig(grid=4))
+    atlas = build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3), 4)
     blob = json.dumps(atlas.to_json())
     back = json.loads(blob)
     assert len(back["cells"]) == len(atlas.cells)
@@ -410,10 +410,10 @@ ATLAS_CASES = {
 }
 
 
-def exact_frames(fields, K, basis, config):
+def exact_frames(fields, K, basis, res):
     """Every box's frame from the exact search, in grid order, or the
     first box it finds no frame for."""
-    grid = Grid(K[0], K[1], config.grid)
+    grid = Grid(K[0], K[1], res)
     memo = {}
     frames = {}
     for idx in grid.boxes():
@@ -437,14 +437,13 @@ def test_atlas_matches_exact_frame_search(case):
     make, K, r, res = ATLAS_CASES[case]
     fields = make()
     basis = build_hall_basis(len(fields), r)
-    config = PlannerConfig(grid=res)
-    want = exact_frames(fields, K, basis, config)
+    want = exact_frames(fields, K, basis, res)
     if isinstance(want, list):
         with pytest.raises(CoverageGap) as exc:
-            build_covering(fields, K, basis, config)
+            build_covering(fields, K, basis, res)
         assert exc.value.payload["box"] == want
         return
-    atlas = build_covering(fields, K, basis, config)
+    atlas = build_covering(fields, K, basis, res)
     got = {idx: cell.frame for cell in atlas.cells for idx in cell.boxes}
     assert got == want
     # edges against the scan of every box pair of every cell pair
@@ -466,15 +465,23 @@ def test_screen_leaves_few_boxes_to_the_exact_search(monkeypatch):
         return desing._bracket_values(*args)
 
     monkeypatch.setattr(planner, "_bracket_values", counting)
-    build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2),
-                   PlannerConfig(grid=4))
+    build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2), 4)
     assert calls == []
-    build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3),
-                   PlannerConfig(grid=8))
+    build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3), 8)
     # the boxes touching x1 = 0, where [X1, X2] vanishes, go exact:
     # at most their 3 * 81 of the 729 corners
     assert 0 < len(calls) <= 243
     assert all(abs(corner[0]) <= 0.25 + 1e-12 for corner in calls)
+
+
+# sha256 of the sorted-key JSON of each one-shot law's to_json(), taken
+# when the lift still built its Polys through expressions: the direct
+# build must keep the term order, and with it every float sum.
+ONE_SHOT_LAWS = [
+    "65caf1204e8fb4c354e6a6a56e761ff04e741fc1816cf906f649beccbb199d86",
+    "bac262b70a058a617a9a0cc6490874619b64be0c0ac2a1fcde7a55d001915d13",
+    "fba57e520b2e009578ed779b92a882258ebde5b7993075cc344ed9aa550c70c7",
+]
 
 
 def test_session_matches_one_shot_plans(monkeypatch):
@@ -483,6 +490,10 @@ def test_session_matches_one_shot_plans(monkeypatch):
                ([-0.4, -0.2, 0.1], [0.6, 0.1, -0.3])]
     one_shot = [global_plan(martinet_fields(), a, b, 1e-3, BOX3,
                             PlannerConfig()) for a, b in queries]
+    digests = [hashlib.sha256(json.dumps(law.to_json(), sort_keys=True)
+                              .encode()).hexdigest()
+               for law, _ in one_shot]
+    assert digests == ONE_SHOT_LAWS
     counts = Counter()
     for name in ("build_covering", "build_plan", "desingularize"):
         def counting(*args, _fn=getattr(planner, name), _name=name,

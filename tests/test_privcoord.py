@@ -25,7 +25,7 @@ from nilsteer.privcoord import (
     dilate, first_order_approx, nth_root_fraction, pseudo_norm,
 )
 from nilsteer.sim import input_length
-from nilsteer.steer import exact_steer
+from nilsteer.steer import build_plan, exact_steer
 
 F = Fraction
 
@@ -301,6 +301,7 @@ def test_pseudo_norm_bounded_by_steering_length(martinet_lifted):
     xi, basis = martinet_lifted
     chart = first_order_approx(xi, [F(0)] * 5, basis)
     model = canonical_fields(basis.m, basis.r)
+    plan = build_plan(model)
     rng = random.Random(7)
     checked = 0
     for _ in range(15):
@@ -309,7 +310,7 @@ def test_pseudo_norm_bounded_by_steering_length(martinet_lifted):
         nz = pseudo_norm(z, chart.weights)
         if nz == 0:
             continue
-        law = exact_steer(z, model)
+        law = exact_steer(z, model, plan)
         ell = input_length(law)
         assert float(nz) <= 0.1 * ell
         checked += 1

@@ -104,8 +104,8 @@ def test_replay_is_accurate_across_period_jumps(x0):
     # horizon missed the tight run by 1.7e-9 to 4.9e-9 on these legs.
     fields = unicycle_fields()
     model = canonical_fields(2, 2)
-    _, law = LocalSteering(fields, model, build_plan(model)).steer(
-        x0, [0.0, 0.0, 0.0])
+    local = LocalSteering(fields, model, build_plan(model), PlannerConfig())
+    _, law = local.steer(x0, [0.0, 0.0, 0.0])
     assert law.nperiods > 1
     tight = oracles.replay_reference(fields, x0, law, 1e-13)[-1].y
     end = integrate(fields, x0, law, tol=1e-10).endpoint
@@ -187,7 +187,7 @@ def test_input_length_of_fast_laws_needs_no_quad_warning():
     x33 = [F(1, 2), F(-1, 3), F(1, 4), F(-1, 5), F(1, 6), F(-1, 7),
            F(-2, 7), F(-1, 7), F(0), F(1, 7), F(2, 7), F(-2, 7),
            F(-1, 7), F(0)]
-    laws = [exact_steer(x33, s33), fast_law()]
+    laws = [exact_steer(x33, s33, build_plan(s33)), fast_law()]
     assert max(w for p in laws[1].periods for terms in p["channels"]
                for _, w, _ in terms) >= 13653
     for law in laws:

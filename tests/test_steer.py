@@ -820,6 +820,18 @@ def test_steer_checks_dimension(sys23, plan23):
         exact_steer([F(1)] * 4, sys23, plan23)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_steer_rejects_a_non_finite_start(sys23, plan23, bad):
+    # Fraction(v) raised a bare ValueError or OverflowError
+    start = [0.5, bad, 0.0, 0.0, 0.0]
+    with pytest.raises(SpecError) as exc:
+        exact_steer(start, sys23, plan23)
+    got = exc.value.payload["x_init"]
+    assert got[0] == 0.5 and got[2:] == [0.0] * 3
+    assert repr(got[1]) == repr(bad)
+
+
 def corrupted_plan(plan, class_id):
     """A copy of plan whose class_id entry solves for twice the
     amplitudes it should; the original plan is left untouched."""
