@@ -37,7 +37,7 @@ from .errors import IdentificationFailure, SingularFrame, SpecError
 from .hall import evaluate_bracket
 from .poly import (ExprField, Poly, TriangularMap, WeightedPolynomialField,
                    as_expr_field, det_matrix, invert_matrix, is_exact,
-                   poly_to_expr, solve_min_norm, taylor_truncate)
+                   poly_to_expr, solve_unique, taylor_truncate)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -46,6 +46,9 @@ F1 = Fraction(1)
 # covering, the frame check of desingularize and every chart round
 # call a frame singular below this fraction of its column scale.
 DET_THRESHOLD = 1e-9
+
+# Relative rank tolerance of growth_vector's float bracket flag.
+RANK_TOL = 1e-8
 
 
 def _ones(n):
@@ -244,7 +247,10 @@ def _chart_round(shadows, basis, coords, s, cap):
 
     # Homogeneous identification: for every chart coordinate solve the
     # weighted-degree-matching correction that turns the leading part
-    # of each field component into its canonical monomial.
+    # of each field component into its canonical monomial.  The
+    # correction is unique: a homogeneous psi that every leading field
+    # annihilates would be a first integral of a bracket-generating
+    # system.
     mons = canonical_monomials(basis)
     fields_w = [f.with_weights(wt) for f in shadows]
     psi_shifts = [None] * dim
@@ -294,11 +300,11 @@ def _chart_round(shadows, basis, coords, s, cap):
         psi = Poly.zero(dim)
         if rows_m:
             try:
-                sol = solve_min_norm(rows_m, rhs_v)
+                sol = solve_unique(rows_m, rhs_v)
             except ValueError:
                 raise IdentificationFailure(
-                    "no homogeneous correction matches the canonical "
-                    "monomial of coordinate %d at level %d"
+                    "no unique homogeneous correction matches the "
+                    "canonical monomial of coordinate %d at level %d"
                     % (pos + 1, s), coordinate=pos + 1, level=s)
             for t, expo in enumerate(ansatz):
                 if sol[t] != 0:
@@ -429,7 +435,7 @@ def desingularize(fields, basis, indices, anchor):
     return LiftedSystem(n, xi, fiber_order)
 
 
-def growth_vector(fields, basis, point, tol=1e-8):
+def growth_vector(fields, basis, point):
     """Ranks of the bracket flag at a point, one entry per length."""
     values = np.array(_bracket_values(fields, basis,
                                       range(1, len(basis) + 1), point),
@@ -438,5 +444,5 @@ def growth_vector(fields, basis, point, tol=1e-8):
     for k in basis.level_dims:
         mat = values[:, :k]
         scale = max(1.0, float(np.abs(mat).max()))
-        out.append(int(np.linalg.matrix_rank(mat, tol=tol * scale)))
+        out.append(int(np.linalg.matrix_rank(mat, tol=RANK_TOL * scale)))
     return tuple(out)

@@ -25,7 +25,7 @@ class SingularFrame(NilsteerError):
 
 
 class IdentificationFailure(NilsteerError):
-    """The homogeneous-correction linear system is inconsistent.
+    """The homogeneous-correction linear system has no unique solution.
 
     This indicates an internal inconsistency (the construction guarantees
     solvability), so it is raised loudly instead of being papered over.

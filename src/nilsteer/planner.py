@@ -8,24 +8,28 @@ cut the remaining pseudo-distance in half, or raises SingularFrame or
 StepFailure.  It is the modified loop: it also brackets the
 iterates inside the pseudo-norm ball of radius ||z(x0)|| / (1 - R),
 so no a priori compactness assumption is needed and no box confines a
-replay.
+replay.  The loop has no knobs: the bracketing ratio R follows from
+the step r (bracket_ratio), and the attempt cap (ITERATION_CAP) and
+the replay tolerance (REPLAY_TOL) are constants.
 Systems with singular points run through the covering machinery: the
 working box is split into cells carrying a fixed bracket frame, the
 planner lifts the system on each cell along the path, steers the
 lifted free system between waypoints, and projects back down; the
 accepted per-step laws are chained into one by steer.concatenate.
 
-The covering atlas depends only on the fields, the box, the config
-and the step r, never on the endpoints, so a Planner builds it once,
-together with the canonical model and its frequency plan, and each
-query only searches a cell path through it (CoveringAtlas.path_between).
+The covering atlas depends only on the fields, the box, the grid
+resolution and the step r, never on the endpoints, so a Planner builds
+it once, together with the canonical model and its frequency plan, and
+each query only searches a cell path through it
+(CoveringAtlas.path_between).
 build_covering decides most boxes with one float screen over compiled
 bracket fields; a box whose outcome could turn on rounding goes
 through the exact frame search instead (see _screen_frames).
 
 A practical note on tolerances: an endpoint whose coordinates carry
 integrator noise of size tau has pseudo-norm around tau**(1/r), so
-asking the loop for a tolerance below that floor cannot converge.
+asking the loop for a tolerance below REPLAY_TOL**(1/r) cannot
+converge.
 The canonical model itself is exempt: steering it is exact by
 construction, so its local step skips integration entirely.
 """
@@ -45,54 +49,48 @@ from .errors import (
 from .hall import build_hall_basis, evaluate_bracket
 from .poly import WeightedPolynomialField, compile_field
 from .privcoord import dilate, first_order_approx, pseudo_norm
-from .sim import check_tol, input_length, integrate
+from .sim import input_length, integrate
 from .steer import build_plan, concatenate, exact_steer
 
 
-class PlannerConfig:
-    """Knobs for the iterative planner.
+# Replay tolerance of every local step.  The integrator noise it
+# leaves in a replayed endpoint puts a floor of about REPLAY_TOL**(1/r)
+# under the loop's pseudo-norm: 1e-5 at r = 2, 4.6e-4 at r = 3.
+REPLAY_TOL = 1e-10
 
-    integrator_tol is the replay tolerance of every local step.  R is
-    the bracketing ratio of the modified loop and must sit in
-    ((1/2)**(1/(r+1)**2), 1); leaving it None picks the midpoint of
-    that interval once r is known.  The iteration cap counts loop
-    attempts, accepted or not, and exists because termination carries
-    no explicit rate bound.  grid is the covering's boxes per axis.
-    Nothing else is a knob: the covering and the lift share the frame
-    determinant gate desing.DET_THRESHOLD, and no box confines a
-    replay, since the modified loop already keeps every iterate in
-    its pseudo-norm ball.  An integrator_tol that sim.check_tol
-    refuses raises SpecError.
+# Loop attempts, accepted or not, before global_free gives up.
+ITERATION_CAP = 10000
+
+
+def bracket_ratio(r):
+    """The bracketing ratio R of the modified loop at step r.
+
+    Convergence holds for every R in ((1/2)**(1/(r+1)**2), 1); this is
+    the midpoint of that interval, so R follows from r alone.
+    """
+    lo = 0.5 ** (1.0 / (r + 1) ** 2)
+    return (lo + 1.0) / 2.0
+
+
+class PlannerConfig:
+    """The planner's one setting: grid, the covering's boxes per axis.
+
+    Everything else is fixed.  The bracketing ratio is bracket_ratio(r):
+    the loop converges for every admissible ratio, so r picks one.  The
+    attempt cap is ITERATION_CAP: convergence carries no explicit rate
+    bound, so a fixed cap is all that stops a run that cannot converge.
+    The replay tolerance is REPLAY_TOL: what it must give, a noise
+    floor REPLAY_TOL**(1/r) below the loop tolerance e, depends on each
+    query's e, so a session setting is the wrong place for it.  The
+    covering and the lift share the frame determinant gate
+    desing.DET_THRESHOLD, and no box confines a replay, since the
+    modified loop already keeps every iterate in its pseudo-norm ball.
     """
 
-    __slots__ = ("integrator_tol", "R", "iteration_cap", "grid")
+    __slots__ = ("grid",)
 
-    def __init__(self, integrator_tol=1e-10, R=None, iteration_cap=10000,
-                 grid=8):
-        if iteration_cap < 1:
-            raise SpecError("iteration cap must be at least 1")
-        check_tol(integrator_tol)
-        self.integrator_tol = integrator_tol
-        self.R = R
-        self.iteration_cap = iteration_cap
+    def __init__(self, grid=8):
         self.grid = grid
-
-    def effective_R(self, r):
-        lo = 0.5 ** (1.0 / (r + 1) ** 2)
-        if self.R is None:
-            return (lo + 1.0) / 2.0
-        if not lo < self.R < 1.0:
-            raise SpecError("R=%g outside the admissible interval "
-                            "(%g, 1) for r=%d" % (self.R, lo, r))
-        return self.R
-
-    def to_json(self):
-        return {
-            "integrator_tol": self.integrator_tol,
-            "R": self.R,
-            "iteration_cap": self.iteration_cap,
-            "grid": self.grid,
-        }
 
 
 class PlannerReport:
@@ -166,12 +164,11 @@ class LocalSteering:
     what keeps exact-input runs exact.
     """
 
-    def __init__(self, fields, system, plan, config):
+    def __init__(self, fields, system, plan):
         self.fields = list(fields)
         self.system = system
         self.plan = plan
         self.basis = system.basis
-        self.config = config
         self._charts = {}
         self.exact_model = self._matches_model()
 
@@ -201,7 +198,7 @@ class LocalSteering:
         law = exact_steer(z, self.system, self.plan)
         if self.exact_model:
             return list(a), law
-        traj = integrate(self.fields, x, law, self.config.integrator_tol)
+        traj = integrate(self.fields, x, law, REPLAY_TOL)
         return traj.endpoint, law
 
 
@@ -235,8 +232,8 @@ def global_free(x0, x1, e, local):
     iterate.  A local step that meets a singular frame or stalls the
     integrator counts as a failed attempt.  This is the modified loop:
     it also rejects or charges steps against the expanding bracket
-    R_k, keeping every iterate's pseudo-norm below ||z(x0)|| / (1 - R).
-    R and the iteration cap come from local.config.
+    R_k, keeping every iterate's pseudo-norm below ||z(x0)|| / (1 - R),
+    with R = bracket_ratio(r); it gives up after ITERATION_CAP attempts.
     """
     chart1 = local.chart_at(x1)
     weights = chart1.weights
@@ -254,7 +251,7 @@ def global_free(x0, x1, e, local):
         report.status = "converged"
         return report
 
-    R = local.config.effective_R(local.basis.r)
+    R = bracket_ratio(local.basis.r)
 
     def bracket(k):
         # 1 + R + ... + R^k
@@ -266,7 +263,7 @@ def global_free(x0, x1, e, local):
     j = 1
     k = 0
     while goal_norm(xi) > e:
-        if report.attempts >= local.config.iteration_cap:
+        if report.attempts >= ITERATION_CAP:
             report.status = "cap-exceeded"
             raise IterationCapExceeded(
                 "no convergence after %d attempts (%.3g > %.3g left)"
@@ -321,7 +318,7 @@ def global_free(x0, x1, e, local):
 
 
 class Grid:
-    """Uniform box decomposition of a compact box."""
+    """Uniform box decomposition of a compact box, res boxes per axis."""
 
     __slots__ = ("lo", "hi", "res", "n", "step")
 
@@ -331,12 +328,12 @@ class Grid:
         self.n = len(self.lo)
         if len(self.hi) != self.n:
             raise SpecError("box corners disagree in dimension")
-        if isinstance(res, int):
-            res = [res] * self.n
-        self.res = [int(r) for r in res]
-        for r, a, b in zip(self.res, self.lo, self.hi):
-            if r < 1 or not b > a:
-                raise SpecError("degenerate grid box")
+        if not isinstance(res, int) or res < 1:
+            raise SpecError("grid resolution must be a positive int, got %r"
+                            % (res,), res=res)
+        self.res = [res] * self.n
+        if not all(b > a for a, b in zip(self.lo, self.hi)):
+            raise SpecError("degenerate grid box")
         self.step = [(b - a) / r for a, b, r in
                      zip(self.lo, self.hi, self.res)]
 
@@ -634,15 +631,14 @@ class Planner:
         n, = dims
         if len(K) != 2 or any(len(corner) != n for corner in K):
             raise SpecError("box corners must have %d coordinates" % n)
-        self.config = config or PlannerConfig()
+        grid = (config or PlannerConfig()).grid
         m = len(self.fields)
         if r is None:
             last = None
             for cand in range(2, 6):
                 basis = build_hall_basis(m, cand)
                 try:
-                    atlas = build_covering(self.fields, K, basis,
-                                           self.config.grid)
+                    atlas = build_covering(self.fields, K, basis, grid)
                 except CoverageGap as ex:
                     last = ex
                     continue
@@ -652,7 +648,7 @@ class Planner:
                 raise last
         else:
             basis = build_hall_basis(m, r)
-            atlas = build_covering(self.fields, K, basis, self.config.grid)
+            atlas = build_covering(self.fields, K, basis, grid)
         self.r = r
         self.basis = basis
         self.atlas = atlas
@@ -685,8 +681,7 @@ class Planner:
         for cell_id, target in zip(path, targets):
             lift = desingularize(self.fields, self.basis,
                                  self.atlas.cells[cell_id].frame, target)
-            local = LocalSteering(lift.fields, self.system,
-                                  self.steer_plan, self.config)
+            local = LocalSteering(lift.fields, self.system, self.steer_plan)
             leg = global_free(lift.lift_point(x), lift.lift_point(target),
                               e, local)
             report.legs.append(leg)

@@ -1154,55 +1154,24 @@ def invert_matrix(rows):
     return [r[n:] for r in a]
 
 
-def nullspace(rows):
-    """Basis of the kernel, one vector per free column."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    a, pivots, _ = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [F0] * n
-        v[fc] = F1
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(v)
-    return basis
+def solve_unique(rows, rhs):
+    """The one exact solution of a consistent linear system.
 
-
-def solve_min_norm(rows, rhs):
-    """Least-norm exact solution of a consistent linear system.
-
-    Finds any particular solution by elimination, then removes its
-    kernel component, so repeated runs give one canonical answer.
-    Raises ValueError when the system is inconsistent: a leftover
+    Raises ValueError when a column has no pivot, so the solution is
+    not unique, or when the system is inconsistent: a leftover
     residual is nonzero on exact data and above 1e-9 on float data.
     It stays internal, so the ValueError stays too: desing, its one
     caller, maps it to IdentificationFailure.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a, pivots, b = rref(rows, rhs)
+    n = len(rows[0])
+    _, pivots, b = rref(rows, rhs)
+    if pivots != list(range(n)):
+        raise ValueError("linear system has no unique solution")
     exact = not any(isinstance(x, float) for r in [*rows, rhs] for x in r)
-    for r in range(len(pivots), m):
-        resid = b[r]
+    for resid in b[n:]:
         if (resid != 0 if exact else abs(resid) > 1e-9):
             raise ValueError("inconsistent linear system")
-    x0 = [F0] * n
-    for r, pc in enumerate(pivots):
-        x0[pc] = b[r]
-    kern = nullspace(rows)
-    if not kern:
-        return x0
-    g = [[sum((u[i] * v[i] for i in range(n)), F0) for v in kern]
-         for u in kern]
-    h = [sum((u[i] * x0[i] for i in range(n)), F0) for u in kern]
-    coeffs = mat_vec(invert_matrix(g), h)
-    for c, u in zip(coeffs, kern):
-        for i in range(n):
-            x0[i] = x0[i] - c * u[i]
-    return x0
+    return b[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,7 @@ class SlotPlan:
                  "carrier")
 
     def __init__(self, element, channels, resonance_channel, resonance,
-                 carrier=0):
+                 carrier):
         self.element = element
         self.channels = tuple(tuple(c) for c in channels)
         self.resonance_channel = resonance_channel

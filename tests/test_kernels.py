@@ -281,8 +281,7 @@ def test_law_table_is_built_on_first_eval():
 def test_unicycle_leg_matches_reference_replay(monkeypatch):
     fields = unicycle_fields()
     model = canonical_fields(2, 2)
-    local = LocalSteering(fields, model, build_plan(model),
-                          PlannerConfig())
+    local = LocalSteering(fields, model, build_plan(model))
     x0 = [0.1, -0.15, 0.3]
     _, law = local.steer(x0, [0.0, 0.0, 0.0])
     assert oracles.assert_same_replay(monkeypatch, fields, x0, law,
@@ -293,8 +292,7 @@ def test_martinet_lifted_leg_matches_reference_replay(monkeypatch,
                                                       martinet_lift):
     fields = list(martinet_lift.fields)
     model = canonical_fields(2, 3)
-    local = LocalSteering(fields, model, build_plan(model),
-                          PlannerConfig())
+    local = LocalSteering(fields, model, build_plan(model))
     x0 = martinet_lift.lift_point([0.05, -0.04, 0.02])
     goal = martinet_lift.lift_point([0.0, 0.0, 0.0])
     _, law = local.steer(x0, goal)

@@ -42,9 +42,7 @@ NO_READER_NEEDED = {
 }
 
 # (function, parameter) defaults that no call in src/ or bench/ passes.
-DEFAULT_NOT_PASSED = {
-    ("growth_vector", "tol"): "growth_vector itself has no caller yet",
-}
+DEFAULT_NOT_PASSED = {}
 
 
 def resolve(target):
@@ -256,7 +254,7 @@ def test_every_defaulted_parameter_is_passed():
 
 # Defaulted parameters the package may have, counted as
 # defaulted_parameters counts them.
-OPTIONAL_PARAMETER_BUDGET = 39
+OPTIONAL_PARAMETER_BUDGET = 34
 
 
 def test_optional_parameter_budget():

@@ -65,10 +65,9 @@ def parabola_fields():
 BOX3 = ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
 
 
-def local_for(fields, m, r, config=None):
+def local_for(fields, m, r):
     model = canonical_fields(m, r)
-    return LocalSteering(fields, model, build_plan(model),
-                         config or PlannerConfig())
+    return LocalSteering(fields, model, build_plan(model))
 
 
 def norm_at(local, a, x):
@@ -190,8 +189,7 @@ def test_global_free_already_there(local22):
 
 def test_global_free_canonical_single_exact_step():
     sys23 = canonical_fields(2, 3)
-    ls = LocalSteering(list(sys23.fields), sys23, build_plan(sys23),
-                       PlannerConfig())
+    ls = LocalSteering(list(sys23.fields), sys23, build_plan(sys23))
     x0 = [F(3, 7), F(-2, 5), F(1, 3), F(-1, 4), F(2, 9)]
     rep = global_free(x0, [F(0)] * 5, 1e-6, ls)
     assert rep.status == "converged"
@@ -212,7 +210,7 @@ def test_global_free_unicycle_parking(local_uni):
     # strong contraction keeps every accepted step in the lowest
     # branch, and every iterate inside the bracket ball
     assert rep.k_final == 0
-    lim = float(rep.norms[0]) / (1.0 - PlannerConfig().effective_R(2))
+    lim = float(rep.norms[0]) / (1.0 - planner.bracket_ratio(2))
     assert all(float(v) <= lim for v in rep.norms)
 
 
@@ -245,11 +243,10 @@ def test_global_free_etas_never_increase(local_uni):
     assert rep.status == "converged"
 
 
-def test_global_free_iteration_cap(local_uni):
-    local = local_for(unicycle_fields(), 2, 2,
-                      PlannerConfig(iteration_cap=2))
+def test_global_free_iteration_cap(local_uni, monkeypatch):
+    monkeypatch.setattr(planner, "ITERATION_CAP", 2)
     with pytest.raises(IterationCapExceeded) as exc:
-        global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, local)
+        global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, local_uni)
     rep = exc.value.report
     assert rep.attempts == 2
     assert rep.status == "cap-exceeded"
@@ -282,8 +279,7 @@ class _ScriptLocal:
 
     basis = _Basis()
 
-    def __init__(self, endpoints, away, config):
-        self.config = config
+    def __init__(self, endpoints, away):
         self.endpoints = list(endpoints)
         self.away = list(away)
         self.goal_chart = _ScriptChart([0.0], None)
@@ -305,9 +301,9 @@ def test_modified_branches_follow_the_bracket():
     # attempt 2: lands at 1.5 = between brackets, accepted and charged
     # attempt 3: lands at 2.8 above the next bracket, rejected
     # attempt 4: lands at 0.04, plain acceptance, loop converges
+    # under R = bracket_ratio(1) ~ 0.920 the brackets are 1, 1.92, 2.77
     ls = _ScriptLocal(endpoints=[0.9, 1.5, 2.8, 0.04],
-                      away=[0.1, 0.2, 0.1, 0.2, 0.1, 0.2],
-                      config=PlannerConfig(R=0.9))
+                      away=[0.1, 0.2, 0.1, 0.2, 0.1, 0.2])
     rep = global_free([1.0], [0.0], 0.05, ls)
     assert rep.status == "converged"
     assert rep.attempts == 4
@@ -316,7 +312,7 @@ def test_modified_branches_follow_the_bracket():
     assert rep.k_final == 1
     assert rep.iterates == [[1.0], [1.5], [0.04]]
     assert rep.etas == [1.0, 0.5, 0.25, 0.125, 0.125]
-    lim = 1.0 / (1.0 - 0.9)
+    lim = 1.0 / (1.0 - planner.bracket_ratio(1))
     assert all(v <= lim for v in rep.norms)
 
 
@@ -325,7 +321,7 @@ def test_step_failure_is_a_rejection():
     # attempt 2 reaches its subgoal 0.5, attempt 3 the goal
     ls = _ScriptLocal(endpoints=[StepFailure("step size too small"),
                                  0.5, 0.0],
-                      away=[0.5], config=PlannerConfig())
+                      away=[0.5])
     rep = global_free([1.0], [0.0], 0.05, ls)
     assert rep.status == "converged"
     assert rep.attempts == 3
@@ -529,11 +525,11 @@ def test_planner_validates_dimensions():
             Planner(fields, BOX3)
 
 
-def test_plan_rejects_a_tolerance_it_cannot_reach():
+def test_plan_rejects_a_tolerance_it_cannot_reach(monkeypatch):
     # a tolerance of zero or below ran until the iteration cap, and a
     # NaN or infinite one returned at once without steering
-    session = Planner(unicycle_fields(), BOX3,
-                      PlannerConfig(grid=1, iteration_cap=3), r=2)
+    monkeypatch.setattr(planner, "ITERATION_CAP", 3)
+    session = Planner(unicycle_fields(), BOX3, PlannerConfig(grid=1), r=2)
     for e in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(SpecError):
             session.plan([0.0, 0.0, 0.0], [0.0, 0.5, 0.0], e)
@@ -546,6 +542,12 @@ def test_grid_validation():
         Grid([0.0], [0.0], 4)
     with pytest.raises(SpecError):
         Grid([0.0], [1.0], 0)
+    # the resolution is one positive int for every axis
+    for res in (2.5, "4", [4, 4]):
+        with pytest.raises(SpecError):
+            Grid([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], res)
+        with pytest.raises(SpecError):
+            Planner(unicycle_fields(), BOX3, PlannerConfig(grid=res), r=2)
 
 
 # ---------------------------------------------------------------------------
@@ -628,14 +630,12 @@ def test_plan_auto_depth_matches_explicit(martinet_plan):
 # configuration and law plumbing
 
 
-def test_config_validation():
-    with pytest.raises(SpecError):
-        PlannerConfig(iteration_cap=0)
-    with pytest.raises(SpecError):
-        PlannerConfig(R=0.9).effective_R(3)
-    lo = 0.5 ** (1.0 / 16)
-    assert lo < PlannerConfig().effective_R(3) < 1.0
-    assert PlannerConfig(R=0.98).effective_R(3) == 0.98
+def test_bracket_ratio_is_admissible():
+    # inside ((1/2)**(1/(r+1)**2), 1), the interval on which the
+    # modified loop converges
+    for r in range(1, 6):
+        lo = 0.5 ** (1.0 / (r + 1) ** 2)
+        assert lo < planner.bracket_ratio(r) < 1.0
 
 
 def test_concatenate_laws_guards():

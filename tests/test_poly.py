@@ -12,8 +12,8 @@ from nilsteer.errors import SingularMatrix, SpecError
 from nilsteer.poly import (
     ExprField, Poly, TriangularMap, WeightedPolynomialField, det_matrix,
     ecos, emul, epow, erat, esin, evar, expr_diff, expr_eval, expr_to_poly,
-    expr_to_str, invert_matrix, lie_bracket, nullspace, parse_expr,
-    poly_to_expr, solve_min_norm, taylor_poly, taylor_truncate,
+    expr_to_str, invert_matrix, lie_bracket, parse_expr, poly_to_expr,
+    solve_unique, taylor_poly, taylor_truncate,
 )
 from oracles import nonholonomic_order, weighted_components
 from nilsteer.steer import PiPoly
@@ -436,29 +436,24 @@ def test_linear_algebra_core_on_pi_fractions():
     assert all(isinstance(x, Fraction) for r in inv for x in r)
 
 
-def test_nullspace_dimension_and_membership():
-    rows = [[Fraction(1), Fraction(2), Fraction(3)],
-            [Fraction(2), Fraction(4), Fraction(6)]]
-    basis = nullspace(rows)
-    assert len(basis) == 2
-    for v in basis:
-        for r in rows:
-            assert sum(a * b for a, b in zip(r, v)) == 0
-
-
-def test_solve_min_norm_matches_pinv():
-    rows = [[Fraction(1), Fraction(1), Fraction(0)],
-            [Fraction(0), Fraction(1), Fraction(1)]]
-    rhs = [Fraction(2), Fraction(3)]
-    got = solve_min_norm(rows, rhs)
-    a = sympy.Matrix([[1, 1, 0], [0, 1, 1]])
-    want = a.pinv() * sympy.Matrix([2, 3])
-    for g, w in zip(got, want):
-        assert sympy.Rational(g.numerator, g.denominator) == w
+def test_solve_unique():
+    # three equations in two unknowns, consistent: the exact solution
+    rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)],
+            [Fraction(5), Fraction(-6)]]
+    want = [Fraction(1, 3), Fraction(-2, 7)]
+    rhs = [r[0] * want[0] + r[1] * want[1] for r in rows]
+    got = solve_unique(rows, rhs)
+    assert got == want
+    assert all(isinstance(x, Fraction) for x in got)
+    # dependent columns: the second is twice the first, so the solution
+    # of a consistent right-hand side is not unique
     with pytest.raises(ValueError):
-        solve_min_norm([[Fraction(1), Fraction(1)],
-                        [Fraction(1), Fraction(1)]],
-                       [Fraction(0), Fraction(1)])
+        solve_unique([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(6)],
+                      [Fraction(-1), Fraction(-2)]],
+                     [Fraction(1), Fraction(3), Fraction(-1)])
+    # independent columns, inconsistent right-hand side
+    with pytest.raises(ValueError):
+        solve_unique(rows, rhs[:2] + [rhs[2] + 1])
 
 
 # ---------------------------------------------------------------------------

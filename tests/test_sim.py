@@ -19,7 +19,7 @@ from nilsteer.canonical import canonical_fields
 from nilsteer.desing import desingularize
 from nilsteer.errors import SpecError, StepFailure
 from nilsteer.hall import build_hall_basis
-from nilsteer.planner import LocalSteering, PlannerConfig
+from nilsteer.planner import LocalSteering
 from nilsteer.poly import (
     ExprField, Poly, WeightedPolynomialField, ecos, emul, erat, esin, evar,
 )
@@ -104,7 +104,7 @@ def test_replay_is_accurate_across_period_jumps(x0):
     # horizon missed the tight run by 1.7e-9 to 4.9e-9 on these legs.
     fields = unicycle_fields()
     model = canonical_fields(2, 2)
-    local = LocalSteering(fields, model, build_plan(model), PlannerConfig())
+    local = LocalSteering(fields, model, build_plan(model))
     _, law = local.steer(x0, [0.0, 0.0, 0.0])
     assert law.nperiods > 1
     tight = oracles.replay_reference(fields, x0, law, 1e-13)[-1].y
@@ -300,9 +300,6 @@ def test_unusable_tolerance_raises_spec_error(tol):
     with pytest.raises(SpecError) as info:
         integrate(canonical_fields(2, 2).fields, [0.0] * 3, circle_law(),
                   tol=tol)
-    assert info.value.payload["tol"] is tol
-    with pytest.raises(SpecError) as info:
-        PlannerConfig(integrator_tol=tol)
     assert info.value.payload["tol"] is tol
 
 
