@@ -436,8 +436,9 @@ def test_linear_algebra_core_on_pi_fractions():
     assert all(isinstance(x, Fraction) for r in inv for x in r)
 
 
-def test_solve_unique():
-    # three equations in two unknowns, consistent: the exact solution
+def test_solve_unique_matches_pinv():
+    # three equations in two unknowns, consistent: the exact solution,
+    # which is also the pseudo-inverse's
     rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)],
             [Fraction(5), Fraction(-6)]]
     want = [Fraction(1, 3), Fraction(-2, 7)]
@@ -445,15 +446,30 @@ def test_solve_unique():
     got = solve_unique(rows, rhs)
     assert got == want
     assert all(isinstance(x, Fraction) for x in got)
-    # dependent columns: the second is twice the first, so the solution
-    # of a consistent right-hand side is not unique
-    with pytest.raises(ValueError):
-        solve_unique([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(6)],
-                      [Fraction(-1), Fraction(-2)]],
-                     [Fraction(1), Fraction(3), Fraction(-1)])
+    a = sympy.Matrix([[int(x) for x in r] for r in rows])
+    pinv = a.pinv() * sympy.Matrix([sympy.Rational(b.numerator, b.denominator)
+                                    for b in rhs])
+    assert [sympy.Rational(g.numerator, g.denominator) for g in got] \
+        == list(pinv)
     # independent columns, inconsistent right-hand side
     with pytest.raises(ValueError):
         solve_unique(rows, rhs[:2] + [rhs[2] + 1])
+
+
+def test_solve_unique_rejects_a_nontrivial_nullspace():
+    # dependent columns: the second is twice the first, so (2, -1) is in
+    # the kernel and the solution of a consistent right-hand side is not
+    # unique
+    rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(6)],
+            [Fraction(-1), Fraction(-2)]]
+    assert all(2 * r[0] - r[1] == 0 for r in rows)
+    with pytest.raises(ValueError):
+        solve_unique(rows, [Fraction(1), Fraction(3), Fraction(-1)])
+    # fewer equations than unknowns: a two-dimensional kernel
+    with pytest.raises(ValueError):
+        solve_unique([[Fraction(1), Fraction(2), Fraction(3)],
+                      [Fraction(2), Fraction(4), Fraction(6)]],
+                     [Fraction(1), Fraction(2)])
 
 
 # ---------------------------------------------------------------------------
