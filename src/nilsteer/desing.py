@@ -181,7 +181,9 @@ def _chart_round(shadows, basis, coords, s, cap):
     are chart coordinates proper; longer entries are frame
     placeholders whose low-order functionals are cleared but which
     get no homogeneous identification yet.  Returns the three maps,
-    the shadows pushed through them, and the frame determinant.
+    the shadows pushed through the first two (a caller that reads the
+    shadows again pushes them through identify itself), and the frame
+    determinant.
     """
     m = len(shadows)
     dim = len(coords)
@@ -314,7 +316,6 @@ def _chart_round(shadows, basis, coords, s, cap):
             psi_shifts[pos] = psi
         zvars.append(Poly.var(dim, pos).add(psi))
     identify = TriangularMap.shear(psi_shifts)
-    shadows = [identify.pushforward(f, w1, cap) for f in shadows]
     return align, correct, identify, shadows, det
 
 
@@ -414,6 +415,10 @@ def desingularize(fields, basis, indices, anchor):
                 shadows[i] = WeightedPolynomialField(comps, _ones(dim))
         align, correct, identify, shadows, _ = _chart_round(
             shadows, basis, coords, s, cap)
+        if s + 1 < top:
+            # the next round reads the shadows in this round's chart
+            shadows = [identify.pushforward(f, _ones(dim), cap)
+                       for f in shadows]
         chart = identify.compose(correct).compose(align).compose(chart)
 
     N = n + len(fiber_order)

@@ -58,10 +58,6 @@ class IterationCapExceeded(NilsteerError):
 
     code = "iteration-cap-exceeded"
 
-    def __init__(self, message, report=None, **payload):
-        super().__init__(message, **payload)
-        self.report = report
-
 
 class CoverageGap(NilsteerError):
     """Some grid box admits no frame above threshold."""

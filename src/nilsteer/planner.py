@@ -46,7 +46,7 @@ from .errors import (
     CoverageGap, IterationCapExceeded, NoPath, SingularFrame, SpecError,
     StepFailure,
 )
-from .hall import build_hall_basis, evaluate_bracket
+from .hall import evaluate_bracket
 from .poly import WeightedPolynomialField, compile_field
 from .privcoord import dilate, first_order_approx, pseudo_norm
 from .sim import input_length, integrate
@@ -225,7 +225,7 @@ def global_free(x0, x1, e, local):
 
     local is the local method (a LocalSteering or anything with the
     same steer/chart_at surface); x0 and x1 must lie where its charts
-    hold, which global_plan ensures by taking them in one covering
+    hold, which Planner.plan ensures by taking them in one covering
     cell.  Per attempt: aim at the current subgoal, accept the step if
     it at least halves the pseudo-distance to the subgoal, otherwise
     halve the step budget and restart the subgoal path at the current
@@ -241,33 +241,28 @@ def global_free(x0, x1, e, local):
     def goal_norm(pt):
         return pseudo_norm(chart1.apply(list(pt)), weights)
 
-    report = PlannerReport(weights)
-    n0 = goal_norm(x0)
-    report.iterates.append(list(x0))
-    report.norms.append(n0)
-    eta = n0
-    report.etas.append(eta)
-    if n0 <= e:
-        report.status = "converged"
-        return report
-
     R = bracket_ratio(local.basis.r)
 
     def bracket(k):
         # 1 + R + ... + R^k
         return (1.0 - R ** (k + 1)) / (1.0 - R)
 
+    report = PlannerReport(weights)
+    n0 = norm = goal_norm(x0)
+    report.iterates.append(list(x0))
+    report.norms.append(n0)
+    eta = n0
+    report.etas.append(eta)
     xi = list(x0)
     xbar = list(x0)
-    i = 0
     j = 1
     k = 0
-    while goal_norm(xi) > e:
+    while norm > e:
         if report.attempts >= ITERATION_CAP:
             report.status = "cap-exceeded"
             raise IterationCapExceeded(
                 "no convergence after %d attempts (%.3g > %.3g left)"
-                % (report.attempts, float(goal_norm(xi)), float(e)),
+                % (report.attempts, float(norm), float(e)),
                 report=report)
         report.attempts += 1
         xd = subgoal(xbar, eta, j, chart1)
@@ -279,18 +274,6 @@ def global_free(x0, x1, e, local):
             failed = away > before / 2
         except (SingularFrame, StepFailure):
             failed = True
-            x = law = None
-
-        def accept():
-            nonlocal i, j, xi
-            i += 1
-            j += 1
-            xi = list(x)
-            report.iterates.append(list(x))
-            report.subgoals.append(list(xd))
-            report.norms.append(goal_norm(x))
-            report.laws.append(law)
-
         if failed:
             eta = eta / 2
             xbar = list(xi)
@@ -301,12 +284,17 @@ def global_free(x0, x1, e, local):
             if nz >= bracket(k + 1) * n0:
                 eta = eta / 2
                 report.rejections += 1
-            elif bracket(k) * n0 <= nz:
-                accept()
-                eta = eta / 2
-                k += 1
             else:
-                accept()
+                if bracket(k) * n0 <= nz:
+                    eta = eta / 2
+                    k += 1
+                j += 1
+                xi = list(x)
+                norm = nz
+                report.iterates.append(list(x))
+                report.subgoals.append(list(xd))
+                report.norms.append(nz)
+                report.laws.append(law)
         report.etas.append(eta)
     report.status = "converged"
     report.k_final = k
@@ -331,14 +319,13 @@ class Grid:
         if not isinstance(res, int) or res < 1:
             raise SpecError("grid resolution must be a positive int, got %r"
                             % (res,), res=res)
-        self.res = [res] * self.n
+        self.res = res
         if not all(b > a for a, b in zip(self.lo, self.hi)):
             raise SpecError("degenerate grid box")
-        self.step = [(b - a) / r for a, b, r in
-                     zip(self.lo, self.hi, self.res)]
+        self.step = [(b - a) / res for a, b in zip(self.lo, self.hi)]
 
     def boxes(self):
-        return itertools.product(*[range(r) for r in self.res])
+        return itertools.product(range(self.res), repeat=self.n)
 
     def bounds(self, idx):
         blo = [a + i * s for a, i, s in zip(self.lo, idx, self.step)]
@@ -475,8 +462,8 @@ def _cell_edges(grid, cells):
     pairs = {}
     for cell in cells:
         for ia in cell.boxes:
-            near = [range(max(i - 1, 0), min(i + 2, r))
-                    for i, r in zip(ia, grid.res)]
+            near = [range(max(i - 1, 0), min(i + 2, grid.res))
+                    for i in ia]
             for ib in itertools.product(*near):
                 b = cell_of[ib]
                 if b > cell.index:
@@ -534,17 +521,17 @@ def _screen_frames(fields, basis, grid):
     cols = sorted({j for c in combos for j in c})
     kernels = [compile_field(evaluate_bracket(basis, j, fields))
                for j in cols]
-    axes = [[a + i * s for i in range(r + 1)]
-            for a, s, r in zip(grid.lo, grid.step, grid.res)]
+    res = grid.res
+    axes = [[a + i * s for i in range(res + 1)]
+            for a, s in zip(grid.lo, grid.step)]
     # values[corner grid index..., bracket, coordinate]
     values = np.array([[kern(list(p)) for kern in kernels]
                        for p in itertools.product(*axes)], dtype=float)
-    values = values.reshape([r + 1 for r in grid.res]
-                            + [len(cols), n])
+    values = values.reshape([res + 1] * n + [len(cols), n])
     # box_vals[box, corner, bracket, coordinate], boxes in grid.boxes()
     # order and corners in Grid.corners() order
     box_vals = np.stack(
-        [values[tuple(slice(o, o + r) for o, r in zip(off, grid.res))]
+        [values[tuple(slice(o, o + res) for o in off)]
          .reshape(-1, len(cols), n)
          for off in itertools.product((0, 1), repeat=n)], axis=1)
     clear, scores = [], []
@@ -636,9 +623,10 @@ class Planner:
         if r is None:
             last = None
             for cand in range(2, 6):
-                basis = build_hall_basis(m, cand)
+                system = canonical_fields(m, cand)
                 try:
-                    atlas = build_covering(self.fields, K, basis, grid)
+                    atlas = build_covering(self.fields, K, system.basis,
+                                           grid)
                 except CoverageGap as ex:
                     last = ex
                     continue
@@ -647,13 +635,12 @@ class Planner:
             else:
                 raise last
         else:
-            basis = build_hall_basis(m, r)
-            atlas = build_covering(self.fields, K, basis, grid)
+            system = canonical_fields(m, r)
+            atlas = build_covering(self.fields, K, system.basis, grid)
         self.r = r
-        self.basis = basis
         self.atlas = atlas
-        self.system = canonical_fields(m, r)
-        self.steer_plan = build_plan(self.system)
+        self.system = system
+        self.steer_plan = build_plan(system)
 
     def plan(self, x_init, x_final, e):
         """Plan inputs steering the system from x_init to x_final.
@@ -663,8 +650,9 @@ class Planner:
         runs the modified free-system loop to tolerance e on the
         lifted system, and projects back.  Returns the concatenated
         law together with a report whose legs hold the per-cell
-        traces.  e must be positive and finite: no loop gets below a
-        tolerance of zero.
+        traces and whose attempts and rejections are their sums.  e
+        must be positive and finite: no loop gets below a tolerance of
+        zero.
         """
         if not (e > 0 and math.isfinite(e)):
             raise SpecError("tolerance must be positive and finite, got %r"
@@ -679,7 +667,7 @@ class Planner:
         x = [float(v) for v in x_init]
         laws = []
         for cell_id, target in zip(path, targets):
-            lift = desingularize(self.fields, self.basis,
+            lift = desingularize(self.fields, self.system.basis,
                                  self.atlas.cells[cell_id].frame, target)
             local = LocalSteering(lift.fields, self.system, self.steer_plan)
             leg = global_free(lift.lift_point(x), lift.lift_point(target),
@@ -688,6 +676,8 @@ class Planner:
             laws.extend(leg.laws)
             x = lift.project(leg.iterates[-1])
         report.status = "converged"
+        report.attempts = sum(leg.attempts for leg in report.legs)
+        report.rejections = sum(leg.rejections for leg in report.legs)
         report.iterates = [[float(v) for v in x_init], list(x)]
         law = concatenate(laws, len(self.fields))
         law.meta.update(legs=len(path), path=list(path))

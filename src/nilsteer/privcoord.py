@@ -87,19 +87,16 @@ class PrivilegedChart:
     shear matching the leading field parts to the canonical
     monomials.  Forward and inverse maps are both polynomial, so the
     chart is a bijection of the whole space and evaluation never
-    needs root-finding.  fields_chart keeps the input system's jets
-    in the chart coordinates, so the quality of the approximation by
-    the canonical model can be inspected directly.
+    needs root-finding.
     """
 
-    __slots__ = ("anchor", "weights", "map", "det_value", "fields_chart")
+    __slots__ = ("anchor", "weights", "map", "det_value")
 
-    def __init__(self, anchor, weights, chart_map, det_value, fields_chart):
+    def __init__(self, anchor, weights, chart_map, det_value):
         self.anchor = tuple(anchor)
         self.weights = tuple(weights)
         self.map = chart_map
         self.det_value = det_value
-        self.fields_chart = tuple(fields_chart)
 
     @property
     def n(self):
@@ -136,8 +133,8 @@ def first_order_approx(fields, a, basis):
     meaning the first len(basis) bracket fields are a frame there;
     otherwise the alignment step raises SingularFrame and the caller
     should lift first.  The whole chart chain runs in one pass since
-    no fiber coordinates are needed.  In the returned chart the
-    leading parts of the fields are the canonical fields of
+    no fiber coordinates are needed.  Pushed through the returned
+    chart, the leading parts of the fields are the canonical fields of
     (basis.m, basis.r), the system's first-order model at every anchor.
     """
     n = len(basis)
@@ -154,11 +151,9 @@ def first_order_approx(fields, a, basis):
     cap = 2 * basis.r + 1
     shadows = [taylor_truncate(f, a, (1,) * n, cap) for f in fields]
     coords = list(range(1, n + 1))
-    align, correct, identify, shadows, det = _chart_round(
+    align, correct, identify, _, det = _chart_round(
         shadows, basis, coords, basis.r, cap)
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     affine = align.compose(TriangularMap.affine(ident, a))
     chart_map = identify.compose(correct).compose(affine)
-    weights = basis.free_weights
-    return PrivilegedChart(a, weights, chart_map, det,
-                           [f.with_weights(weights) for f in shadows])
+    return PrivilegedChart(a, basis.free_weights, chart_map, det)

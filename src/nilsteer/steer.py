@@ -853,18 +853,13 @@ def exact_steer(x_init, system, plan):
                       meta={"z_init": z_init})
 
 
-def concatenate(laws, m=None):
-    """Join laws end to end.
+def concatenate(laws, m):
+    """Join laws of m channels end to end.
 
     Every law's scale is folded into its amplitudes, so the joined law
-    has scale 1; laws with different channel counts raise SpecError.
-    m is the channel count, needed only when laws is empty (the join
-    is then the empty law).
+    has scale 1; a law with another channel count raises SpecError.
+    An empty join is the empty law.
     """
-    if m is None:
-        if not laws:
-            raise SpecError("an empty join needs its channel count")
-        m = laws[0].m
     if any(law.m != m for law in laws):
         raise SpecError("laws disagree on the number of channels")
     periods = []

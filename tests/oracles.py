@@ -9,7 +9,8 @@ except for the reference replay, which drives the package's own exact
 evaluate() to judge the compiled float kernels against it and runs a
 plain-loop DOP853 on scipy's tableau to judge the compiled solver, and
 the exact checks at the end of this file, which work on the package's
-own Poly, TrigPoly and TriangularMap values.
+own Poly, TrigPoly and TriangularMap values (chart_fields also takes
+the package's Taylor jets).
 """
 
 import math
@@ -22,8 +23,8 @@ from scipy.integrate import quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from nilsteer.poly import (
-    Expr, Poly, WeightedPolynomialField, as_expr_field, expr_eval, is_exact,
-    poly_to_expr, wdeg,
+    Expr, Poly, TriangularMap, WeightedPolynomialField, as_expr_field,
+    expr_eval, is_exact, poly_to_expr, taylor_truncate, wdeg,
 )
 from nilsteer.steer import PiPoly, TrigPoly, simplify_value
 
@@ -554,6 +555,25 @@ def check_inverse(tmap):
     back = [c.subst(list(tmap.inv)) for c in tmap.comps]
     forth = [c.subst(list(tmap.comps)) for c in tmap.inv]
     return back == ident and forth == ident
+
+
+def chart_fields(fields, chart, basis):
+    """The fields in the coordinates of a privileged chart.
+
+    Their jets at the chart's anchor (weights 1, cap 2r + 1) go once
+    through chart.map recentred at the anchor, so this judges the map
+    the planner steers in, not the steps that built it.  The result
+    carries the free weights of basis.
+    """
+    n = chart.n
+    a = list(chart.anchor)
+    w1 = (1,) * n
+    cap = 2 * basis.r + 1
+    centred = TriangularMap(
+        [c.shift(a) for c in chart.map.comps],
+        [c.sub(Poly.const(n, a[j])) for j, c in enumerate(chart.map.inv)])
+    return [centred.pushforward(taylor_truncate(f, a, w1, cap), w1, cap)
+            .with_weights(basis.free_weights) for f in fields]
 
 
 def poly_graded_part(p, weights, d):

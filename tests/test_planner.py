@@ -247,7 +247,7 @@ def test_global_free_iteration_cap(local_uni, monkeypatch):
     monkeypatch.setattr(planner, "ITERATION_CAP", 2)
     with pytest.raises(IterationCapExceeded) as exc:
         global_free([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, local_uni)
-    rep = exc.value.report
+    rep = exc.value.payload["report"]
     assert rep.attempts == 2
     assert rep.status == "cap-exceeded"
 
@@ -590,6 +590,11 @@ def test_plan_martinet_crosses_the_plane(martinet_plan):
     assert rep.status == "converged"
     assert len(rep.legs) == 3
     assert [leg.iterations for leg in rep.legs] == [1, 1, 1]
+    # the session counts every leg's attempts and rejections
+    assert [leg.attempts for leg in rep.legs] == [1, 1, 1]
+    assert (rep.attempts, rep.rejections) == (3, 0)
+    blob = rep.to_json()
+    assert (blob["attempts"], blob["rejections"]) == (3, 0)
     for leg in rep.legs:
         assert float(leg.final_norm) <= 1e-3
     err = max(abs(a - b) for a, b in
@@ -642,8 +647,6 @@ def test_concatenate_laws_guards():
     law = ControlLaw(2, [])
     with pytest.raises(SpecError):
         concatenate([law], 3)
-    with pytest.raises(SpecError):
-        concatenate([])
     empty = concatenate([], 2)
     assert empty.m == 2 and empty.nperiods == 0 and empty.scale == 1
 
@@ -652,7 +655,7 @@ def test_concatenate_folds_scales():
     p1 = {"channels": [[(F(2), 1, 0)], []]}
     a = ControlLaw(2, [p1], scale=F(3))
     b = ControlLaw(2, [p1], scale=F(1, 2))
-    law = concatenate([a, b])
+    law = concatenate([a, b], 2)
     assert law.nperiods == 2
     assert law.scale == 1
     assert law.periods[0]["channels"][0][0][0] == F(6)

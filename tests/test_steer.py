@@ -1067,7 +1067,7 @@ def test_unsmoothed_law_has_an_input_jump(sys23, plan23):
 def test_plain_concatenation_keeps_periods(sys22, plan22):
     law1 = exact_steer([F(1, 2), F(-1, 3), F(1, 4)], sys22, plan22)
     law2 = exact_steer([F(-1, 5), F(1, 7), F(2, 3)], sys22, plan22)
-    joined = concatenate([law1, law2])
+    joined = concatenate([law1, law2], 2)
     assert joined.nperiods == law1.nperiods + law2.nperiods
     assert joined.scale == 1
     laws = [law1] * law1.nperiods + [law2] * law2.nperiods
