@@ -68,12 +68,11 @@ def canonical_fields(m, r):
     basis = build_hall_basis(m, r)
     mons = canonical_monomials(basis)
     n = len(basis)
-    weights = basis.free_weights
     fields = []
     for i in range(1, m + 1):
         comps = [Poly.zero(n)] * n
         for e in basis.elements:
             if e.phi == i:
                 comps[e.index - 1] = mons[e.index - 1]
-        fields.append(WeightedPolynomialField(comps, weights))
+        fields.append(WeightedPolynomialField(comps))
     return CanonicalSystem(m, r, basis, mons, fields)

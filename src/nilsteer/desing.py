@@ -51,10 +51,6 @@ DET_THRESHOLD = 1e-9
 RANK_TOL = 1e-8
 
 
-def _ones(n):
-    return (1,) * n
-
-
 def _reindex(p, n_new):
     """Rewrite a Poly on a different variable count; dropped variables
     must be unused."""
@@ -100,12 +96,11 @@ def _bracket_values(fields, basis, indices, point):
     """Matrix of bracket direction values: rows are coordinates,
     columns follow ``indices``."""
     n = len(fields[0].comps)
-    w1 = _ones(n)
     cap = max(basis.element(j).length for j in indices)
-    shadows = [taylor_truncate(f, point, w1, cap) for f in fields]
+    shadows = [taylor_truncate(f, point, cap) for f in fields]
     cols = []
     for j in indices:
-        fld = evaluate_bracket(basis, j, shadows, weights=w1, wcap=cap)
+        fld = evaluate_bracket(basis, j, shadows, cap)
         cols.append([c.constant_term() for c in fld.comps])
     return [[cols[k][i] for k in range(len(cols))] for i in range(n)]
 
@@ -180,20 +175,20 @@ def _chart_round(shadows, basis, coords, s, cap):
     the target coordinates, in basis order.  Entries of length <= s
     are chart coordinates proper; longer entries are frame
     placeholders whose low-order functionals are cleared but which
-    get no homogeneous identification yet.  Returns the three maps,
+    get no homogeneous identification yet.  Brackets and pushforwards
+    are cut at total degree cap, as the jets are; only the
+    identification grades by bracket length.  Returns the three maps,
     the shadows pushed through the first two (a caller that reads the
     shadows again pushes them through identify itself), and the frame
     determinant.
     """
     m = len(shadows)
     dim = len(coords)
-    w1 = _ones(dim)
     wt = tuple(basis.element(j).length for j in coords)
     n_low = sum(1 for L in wt if L <= s)
 
     # Linear alignment: put the frame values on the coordinate axes.
-    table = [evaluate_bracket(basis, j, shadows, weights=w1, wcap=cap)
-             for j in coords]
+    table = [evaluate_bracket(basis, j, shadows, cap) for j in coords]
     rows = [[table[k].comps[i].constant_term() for k in range(dim)]
             for i in range(dim)]
     det = det_matrix(rows)
@@ -202,12 +197,11 @@ def _chart_round(shadows, basis, coords, s, cap):
                             "(level %d)" % s, level=s,
                             det=float(det) if det else 0.0)
     align = TriangularMap.affine(invert_matrix(rows), [0] * dim)
-    shadows = [align.pushforward(f, w1, cap) for f in shadows]
+    shadows = [align.pushforward(f, cap) for f in shadows]
 
     # Frame fields in the aligned coordinates drive the derivative
     # functionals; only lengths <= s ever act as operators.
-    frame = {pos: evaluate_bracket(basis, coords[pos], shadows,
-                                   weights=w1, wcap=cap)
+    frame = {pos: evaluate_bracket(basis, coords[pos], shadows, cap)
              for pos in range(n_low)}
 
     shifts = [None] * dim
@@ -245,16 +239,21 @@ def _chart_round(shadows, basis, coords, s, cap):
         if not shift.is_zero():
             shifts[pos] = shift
     correct = TriangularMap.shear(shifts)
-    shadows = [correct.pushforward(f, w1, cap) for f in shadows]
+    shadows = [correct.pushforward(f, cap) for f in shadows]
 
     # Homogeneous identification: for every chart coordinate solve the
     # weighted-degree-matching correction that turns the leading part
     # of each field component into its canonical monomial.  The
     # correction is unique: a homogeneous psi that every leading field
     # annihilates would be a first integral of a bracket-generating
-    # system.
+    # system.  Only here are fields graded by bracket length: low[i][k]
+    # is component k of field i below weighted degree wt[k].  d_k of an
+    # ansatz monomial of weighted degree wj is one monomial of weighted
+    # degree wj - wt[k], so low[i][k] times it is exactly the product's
+    # part below wj, with no two terms merged.
     mons = canonical_monomials(basis)
-    fields_w = [f.with_weights(wt) for f in shadows]
+    low = [[f.comps[k].truncate(wt, wt[k] - 1) for k in range(n_low)]
+           for f in shadows]
     psi_shifts = [None] * dim
     zvars = []
     for pos in range(n_low):
@@ -274,7 +273,7 @@ def _chart_round(shadows, basis, coords, s, cap):
                     d = mono.diff(k)
                     if d.is_zero():
                         continue
-                    acc = acc.add(fields_w[i].comps[k].mul(d, wt, wj - 1))
+                    acc = acc.add(low[i][k].mul(d))
                 contrib[i][t] = acc
 
         eqs = {}
@@ -288,8 +287,7 @@ def _chart_round(shadows, basis, coords, s, cap):
 
         for i in range(m):
             want = goal if phi == i + 1 else Poly.zero(dim)
-            fixed = fields_w[i].comps[pos].truncate(wt, wj - 1)
-            for expo, c in fixed.sub(want).terms.items():
+            for expo, c in low[i][pos].sub(want).terms.items():
                 row = row_for(i, expo)
                 row[1] = row[1] - c
             for t in range(cols):
@@ -385,7 +383,7 @@ def desingularize(fields, basis, indices, anchor):
     ident = [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
     chart = TriangularMap.affine(ident, anchor)
     # Only the chart rounds, at levels below top, read these jets.
-    shadows = ([taylor_truncate(f, anchor, _ones(n), cap) for f in fields]
+    shadows = ([taylor_truncate(f, anchor, cap) for f in fields]
                if top > 1 else None)
     coords = sorted(J)
     fiber_order = []
@@ -407,18 +405,17 @@ def desingularize(fields, basis, indices, anchor):
         if s == top:
             break
         if new:
-            shadows = [f.pad(dim, _ones(dim)) for f in shadows]
+            shadows = [f.pad(dim) for f in shadows]
             for t, (k, rate) in enumerate(zip(new, rates)):
                 i = basis.element(k).phi - 1
                 comps = list(shadows[i].comps)
                 comps[prev_dim + t] = rate
-                shadows[i] = WeightedPolynomialField(comps, _ones(dim))
+                shadows[i] = WeightedPolynomialField(comps)
         align, correct, identify, shadows, _ = _chart_round(
             shadows, basis, coords, s, cap)
         if s + 1 < top:
             # the next round reads the shadows in this round's chart
-            shadows = [identify.pushforward(f, _ones(dim), cap)
-                       for f in shadows]
+            shadows = [identify.pushforward(f, cap) for f in shadows]
         chart = identify.compose(correct).compose(align).compose(chart)
 
     N = n + len(fiber_order)

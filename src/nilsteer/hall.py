@@ -174,12 +174,13 @@ def build_hall_basis(m, r):
     return HallBasis(m, r, finished, level_dims)
 
 
-def evaluate_bracket(basis, j, fields, weights=None, wcap=None):
+def evaluate_bracket(basis, j, fields, cap=None):
     """Evaluate element j on concrete vector fields.
 
     fields lists one field per generator; nested brackets are expanded
     recursively with memoisation, so sharing inside the basis is
-    exploited.
+    exploited.  On polynomial fields every product is cut at total
+    degree cap (lie_bracket).
     """
     if len(fields) != basis.m:
         raise SpecError("expected %d fields, got %d"
@@ -194,7 +195,7 @@ def evaluate_bracket(basis, j, fields, weights=None, wcap=None):
         if e.is_generator():
             out = fields[e.gen - 1]
         else:
-            out = lie_bracket(ev(e.left), ev(e.right), weights, wcap)
+            out = lie_bracket(ev(e.left), ev(e.right), cap)
         memo[k] = out
         return out
 

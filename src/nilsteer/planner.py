@@ -94,17 +94,17 @@ class PlannerConfig:
 
 
 class PlannerReport:
-    """Trace of one planning run.
+    """Trace of one leg: one global_free run.
 
     iterates holds the accepted points starting with the initial one;
     norms the goal-chart pseudo-norms alongside; subgoals and laws the
     accepted per-iteration targets and inputs.  etas records the step
     budget after every attempt, so rejections are visible as halvings
-    without an accompanying iterate.
+    without an accompanying iterate.  weights are the goal chart's.
     """
 
-    def __init__(self, weights=None):
-        self.weights = tuple(weights) if weights else None
+    def __init__(self, weights):
+        self.weights = tuple(weights)
         self.iterates = []
         self.subgoals = []
         self.norms = []
@@ -114,7 +114,6 @@ class PlannerReport:
         self.attempts = 0
         self.rejections = 0
         self.status = "pending"
-        self.legs = None
 
     @property
     def iterations(self):
@@ -125,8 +124,6 @@ class PlannerReport:
         return self.norms[-1] if self.norms else None
 
     def total_length(self):
-        if self.legs is not None:
-            return sum(leg.total_length() for leg in self.legs)
         return sum(input_length(law) for law in self.laws)
 
     def to_json(self):
@@ -142,14 +139,34 @@ class PlannerReport:
             "subgoals": [[float(v) for v in p] for p in self.subgoals],
             "norms": [float(v) for v in self.norms],
             "etas": [float(v) for v in self.etas],
+            "weights": list(self.weights),
         }
-        if self.weights:
-            out["weights"] = list(self.weights)
         if self.k_final:
             out["k_final"] = self.k_final
-        if self.legs is not None:
-            out["legs"] = [leg.to_json() for leg in self.legs]
         return out
+
+
+class SessionReport:
+    """Trace of one Planner.plan query: the cell path, one leg report
+    per cell along it, and the base point the last leg reached.  Its
+    JSON sums the legs' counts."""
+
+    def __init__(self, path, legs, endpoint):
+        self.path = list(path)
+        self.legs = list(legs)
+        self.endpoint = list(endpoint)
+
+    def to_json(self):
+        legs = self.legs
+        return {
+            "path": self.path,
+            "endpoint": [float(v) for v in self.endpoint],
+            "iterations": sum(leg.iterations for leg in legs),
+            "attempts": sum(leg.attempts for leg in legs),
+            "rejections": sum(leg.rejections for leg in legs),
+            "total_length": sum(leg.total_length() for leg in legs),
+            "legs": [leg.to_json() for leg in legs],
+        }
 
 
 class LocalSteering:
@@ -316,7 +333,7 @@ class Grid:
         self.n = len(self.lo)
         if len(self.hi) != self.n:
             raise SpecError("box corners disagree in dimension")
-        if not isinstance(res, int) or res < 1:
+        if isinstance(res, bool) or not isinstance(res, int) or res < 1:
             raise SpecError("grid resolution must be a positive int, got %r"
                             % (res,), res=res)
         self.res = res
@@ -620,24 +637,16 @@ class Planner:
             raise SpecError("box corners must have %d coordinates" % n)
         grid = (config or PlannerConfig()).grid
         m = len(self.fields)
-        if r is None:
-            last = None
-            for cand in range(2, 6):
-                system = canonical_fields(m, cand)
-                try:
-                    atlas = build_covering(self.fields, K, system.basis,
-                                           grid)
-                except CoverageGap as ex:
-                    last = ex
-                    continue
-                r = cand
+        for cand in [r] if r is not None else range(2, 6):
+            system = canonical_fields(m, cand)
+            try:
+                atlas = build_covering(self.fields, K, system.basis, grid)
                 break
-            else:
-                raise last
+            except CoverageGap as ex:
+                gap = ex
         else:
-            system = canonical_fields(m, r)
-            atlas = build_covering(self.fields, K, system.basis, grid)
-        self.r = r
+            raise gap
+        self.r = cand
         self.atlas = atlas
         self.system = system
         self.steer_plan = build_plan(system)
@@ -649,8 +658,8 @@ class Planner:
         target (SingularFrame if the cell frame degenerates there),
         runs the modified free-system loop to tolerance e on the
         lifted system, and projects back.  Returns the concatenated
-        law together with a report whose legs hold the per-cell
-        traces and whose attempts and rejections are their sums.  e
+        law together with a SessionReport holding the cell path, the
+        per-cell leg reports and the base endpoint reached.  e
         must be positive and finite: no loop gets below a tolerance of
         zero.
         """
@@ -661,28 +670,21 @@ class Planner:
             raise SpecError("endpoints disagree in dimension")
         path = self.atlas.path_between(x_init, x_final)
 
-        report = PlannerReport()
-        report.legs = []
         targets = self.atlas.waypoints(path) + [list(x_final)]
         x = [float(v) for v in x_init]
-        laws = []
+        legs = []
         for cell_id, target in zip(path, targets):
             lift = desingularize(self.fields, self.system.basis,
                                  self.atlas.cells[cell_id].frame, target)
             local = LocalSteering(lift.fields, self.system, self.steer_plan)
             leg = global_free(lift.lift_point(x), lift.lift_point(target),
                               e, local)
-            report.legs.append(leg)
-            laws.extend(leg.laws)
+            legs.append(leg)
             x = lift.project(leg.iterates[-1])
-        report.status = "converged"
-        report.attempts = sum(leg.attempts for leg in report.legs)
-        report.rejections = sum(leg.rejections for leg in report.legs)
-        report.iterates = [[float(v) for v in x_init], list(x)]
-        law = concatenate(laws, len(self.fields))
+        law = concatenate([step for leg in legs for step in leg.laws],
+                          len(self.fields))
         law.meta.update(legs=len(path), path=list(path))
-        report.norms = [leg.final_norm for leg in report.legs]
-        return law, report
+        return law, SessionReport(path, legs, x)
 
 
 def global_plan(fields, x_init, x_final, e, K, config=None, r=None):

@@ -4,9 +4,9 @@ Two representations are used side by side.  ``Expr`` is a small general
 expression tree (rationals, variables, sums, products, integer powers,
 sin, cos) that covers arbitrary smooth inputs.  ``Poly`` is a sparse
 multivariate polynomial over exact rationals (or floats, when an input
-was only available numerically) and carries all the weighted-degree
-machinery: weighted truncation, triangular coordinate changes with
-exact inverses, and pushforwards.
+was only available numerically) and carries the truncation machinery:
+products cut at one total degree, triangular coordinate changes with
+exact inverses, and pushforwards.  Only Poly.truncate grades by weights.
 
 Coefficients are ``fractions.Fraction`` whenever the inputs allow it;
 any float anywhere poisons the computation to float, and
@@ -512,12 +512,13 @@ class Poly:
             return Poly.zero(self.n)
         return Poly(self.n, {e: c * v for e, v in self.terms.items()})
 
-    def mul(self, other, weights=None, wcap=None):
+    def mul(self, other, cap=None):
+        """The product, without the terms of total degree above cap."""
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if wcap is not None and wdeg(e, weights) > wcap:
+                if cap is not None and sum(e) > cap:
                     continue
                 acc = terms.get(e, 0) + c1 * c2
                 if acc == 0:
@@ -526,16 +527,16 @@ class Poly:
                     terms[e] = acc
         return Poly(self.n, terms)
 
-    def pow(self, k, weights=None, wcap=None):
+    def pow(self, k, cap=None):
         k = int(k)
         result = Poly.const(self.n, 1)
         base = self
         while k > 0:
             if k & 1:
-                result = result.mul(base, weights, wcap)
+                result = result.mul(base, cap)
             k >>= 1
             if k:
-                base = base.mul(base, weights, wcap)
+                base = base.mul(base, cap)
         return result
 
     def diff(self, i):
@@ -558,8 +559,9 @@ class Poly:
             total = total + v
         return total
 
-    def subst(self, reps, weights=None, wcap=None):
-        """Substitute variable i by reps[i] (a Poly in the new variables)."""
+    def subst(self, reps, cap=None):
+        """Substitute variable i by reps[i] (a Poly in the new variables),
+        cutting every product at total degree cap."""
         if not self.terms:
             return Poly.zero(reps[0].n if reps else self.n)
         new_n = reps[0].n
@@ -569,7 +571,7 @@ class Poly:
             key = (i, k)
             hit = cache.get(key)
             if hit is None:
-                hit = reps[i].pow(k, weights, wcap)
+                hit = reps[i].pow(k, cap)
                 cache[key] = hit
             return hit
 
@@ -578,7 +580,7 @@ class Poly:
             term = Poly.const(new_n, c)
             for i, a in enumerate(e):
                 if a:
-                    term = term.mul(rep_pow(i, a), weights, wcap)
+                    term = term.mul(rep_pow(i, a), cap)
                     if term.is_zero():
                         break
             total = total.add(term)
@@ -678,15 +680,17 @@ def poly_to_expr(p):
 
 
 class WeightedPolynomialField:
-    """Polynomial vector field with an optional weight vector.
+    """Polynomial vector field: comps[j] is the coefficient of the j-th
+    coordinate direction.
 
-    comps[j] is the coefficient of the j-th coordinate direction.  The
-    weighted degree of a term c*z^a d/dz_j is w(a) - w_j.
+    A field carries no weights.  Under weights w the weighted degree of
+    a term c*z^a d/dz_j is w(a) - w_j; a caller that grades a field
+    passes its weights to Poly.truncate or wdeg.
     """
 
-    __slots__ = ("n", "comps", "weights")
+    __slots__ = ("n", "comps")
 
-    def __init__(self, comps, weights=None):
+    def __init__(self, comps):
         comps = tuple(comps)
         counts = sorted({c.n for c in comps})
         if counts != [len(comps)]:
@@ -696,7 +700,6 @@ class WeightedPolynomialField:
                             components=len(comps), variables=counts)
         self.n = len(comps)
         self.comps = comps
-        self.weights = tuple(weights) if weights is not None else None
 
     def is_zero(self):
         return all(c.is_zero() for c in self.comps)
@@ -713,13 +716,10 @@ class WeightedPolynomialField:
             total = total.add(comp.mul(p.diff(i)))
         return total
 
-    def with_weights(self, weights):
-        return WeightedPolynomialField(self.comps, weights)
-
-    def pad(self, new_n, weights=None):
+    def pad(self, new_n):
         comps = [c.pad(new_n) for c in self.comps]
         comps += [Poly.zero(new_n) for _ in range(new_n - self.n)]
-        return WeightedPolynomialField(comps, weights)
+        return WeightedPolynomialField(comps)
 
     def __eq__(self, other):
         return (isinstance(other, WeightedPolynomialField)
@@ -930,11 +930,11 @@ def compile_field(field):
         "".join("    %s\n" % line for line in lines), ", ".join(outs)))
 
 
-def lie_bracket(v, w, weights=None, wcap=None):
+def lie_bracket(v, w, cap=None):
     """Lie bracket [v, w] = v(w) - w(v), componentwise.
 
-    Polynomial fields stay polynomial (with optional weighted
-    truncation); anything involving an ExprField goes symbolic.
+    Polynomial fields stay polynomial, each product cut at total
+    degree cap; anything involving an ExprField goes symbolic.
     """
     if isinstance(v, WeightedPolynomialField) and \
             isinstance(w, WeightedPolynomialField):
@@ -944,12 +944,12 @@ def lie_bracket(v, w, weights=None, wcap=None):
             for i in range(v.n):
                 dwj = w.comps[j].diff(i)
                 if not dwj.is_zero() and not v.comps[i].is_zero():
-                    acc = acc.add(v.comps[i].mul(dwj, weights, wcap))
+                    acc = acc.add(v.comps[i].mul(dwj, cap))
                 dvj = v.comps[j].diff(i)
                 if not dvj.is_zero() and not w.comps[i].is_zero():
-                    acc = acc.sub(w.comps[i].mul(dvj, weights, wcap))
+                    acc = acc.sub(w.comps[i].mul(dvj, cap))
             comps.append(acc)
-        return WeightedPolynomialField(comps, weights or v.weights)
+        return WeightedPolynomialField(comps)
     ev = as_expr_field(v)
     ew = as_expr_field(w)
     comps = []
@@ -960,14 +960,14 @@ def lie_bracket(v, w, weights=None, wcap=None):
 
 
 # ---------------------------------------------------------------------------
-# Taylor expansion with weighted truncation
+# Taylor expansion cut at a total degree
 
 
-def taylor_poly(e, anchor, weights, wcap):
-    """Weighted Taylor polynomial of an expression about an anchor.
+def taylor_poly(e, anchor, cap):
+    """Taylor polynomial of an expression about an anchor.
 
     The result is written in the centred variables h_i = x_i - anchor_i
-    and keeps monomials of weighted degree at most wcap.  sin and cos
+    and keeps monomials of total degree at most cap.  sin and cos
     of a nonzero constant term are taken in floating point, so the
     coefficients stay rational (``Poly.is_exact``) only when every
     trig argument vanishes at the anchor.
@@ -981,23 +981,22 @@ def taylor_poly(e, anchor, weights, wcap):
         a = _num(anchor[e.a])
         if a != 0:
             p = p.add(Poly.const(n, a))
-        return p.truncate(weights, wcap)
+        return p.truncate((1,) * n, cap)
     if k == "add":
         total = Poly.zero(n)
         for c in e.a:
-            total = total.add(taylor_poly(c, anchor, weights, wcap))
+            total = total.add(taylor_poly(c, anchor, cap))
         return total
     if k == "mul":
         total = Poly.const(n, 1)
         for c in e.a:
-            total = total.mul(taylor_poly(c, anchor, weights, wcap),
-                              weights, wcap)
+            total = total.mul(taylor_poly(c, anchor, cap), cap)
         return total
     if k == "pow":
-        p = taylor_poly(e.a, anchor, weights, wcap)
-        return p.pow(e.b, weights, wcap)
+        p = taylor_poly(e.a, anchor, cap)
+        return p.pow(e.b, cap)
     if k in ("sin", "cos"):
-        p = taylor_poly(e.a, anchor, weights, wcap)
+        p = taylor_poly(e.a, anchor, cap)
         c0 = p.constant_term()
         h = p.sub(Poly.const(n, c0))
         s0, cv0 = _sincos(c0)
@@ -1009,8 +1008,8 @@ def taylor_poly(e, anchor, weights, wcap):
         fact = F1
         j = 1
         while True:
-            h_pow = h_pow.mul(h, weights, wcap)
-            if h_pow.is_zero() or j > wcap:
+            h_pow = h_pow.mul(h, cap)
+            if h_pow.is_zero() or j > cap:
                 break
             fact = fact * j
             coeff = Fraction(1) / fact
@@ -1029,22 +1028,21 @@ def taylor_poly(e, anchor, weights, wcap):
     raise ValueError("unknown expression kind %r" % k)
 
 
-def taylor_truncate(field, anchor, weights, wcap):
-    """Weighted Taylor approximation of a vector field about anchor.
+def taylor_truncate(field, anchor, cap):
+    """Taylor jet of a vector field about anchor.
 
     The result is a WeightedPolynomialField in the centred coordinates,
-    with component j truncated at weighted degree wcap + w_j so that
-    field terms up to weighted degree wcap survive.  Its coefficients
+    every component cut at total degree cap + 1, so that field terms
+    c*h^a d/dh_j of degree |a| - 1 up to cap survive.  Its coefficients
     are floats wherever taylor_poly had to take a trig value in floats.
     """
-    weights = tuple(weights)
+    n = len(anchor)
     if isinstance(field, WeightedPolynomialField):
-        comps = [comp.shift(anchor).truncate(weights, wcap + weights[j])
-                 for j, comp in enumerate(field.comps)]
+        comps = [comp.shift(anchor).truncate((1,) * n, cap + 1)
+                 for comp in field.comps]
     else:
-        comps = [taylor_poly(comp, anchor, weights, wcap + weights[j])
-                 for j, comp in enumerate(field.comps)]
-    return WeightedPolynomialField(comps, weights)
+        comps = [taylor_poly(comp, anchor, cap + 1) for comp in field.comps]
+    return WeightedPolynomialField(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -1253,10 +1251,12 @@ class TriangularMap:
         inv = [c.subst(list(self.inv)) for c in inner.inv]
         return TriangularMap(comps, inv)
 
-    def pushforward(self, field, weights=None, wcap=None):
-        """Transport a field through the map: (dPhi . V) o Phi^-1."""
+    def pushforward(self, field, cap=None):
+        """Transport a field through the map: (dPhi . V) o Phi^-1, each
+        component cut at total degree cap + 1 as in taylor_truncate."""
         comps = []
         inv_list = list(self.inv)
+        top = None if cap is None else cap + 1
         for j in range(self.n):
             acc = Poly.zero(self.n)
             for i in range(self.n):
@@ -1264,14 +1264,8 @@ class TriangularMap:
                 if d.is_zero() or field.comps[i].is_zero():
                     continue
                 acc = acc.add(field.comps[i].mul(d))
-            acc = acc.subst(inv_list, weights,
-                            None if wcap is None else wcap + (
-                                weights[j] if weights else 0))
-            comps.append(acc)
-        w = weights if weights is not None else (
-            field.weights if isinstance(field, WeightedPolynomialField)
-            else None)
-        return WeightedPolynomialField(comps, w)
+            comps.append(acc.subst(inv_list, top))
+        return WeightedPolynomialField(comps)
 
     def __repr__(self):
         return "TriangularMap(n=%d)" % self.n

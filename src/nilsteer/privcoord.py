@@ -149,7 +149,7 @@ def first_order_approx(fields, a, basis):
         raise SpecError("%d fields for a basis with %d generators"
                         % (len(fields), basis.m))
     cap = 2 * basis.r + 1
-    shadows = [taylor_truncate(f, a, (1,) * n, cap) for f in fields]
+    shadows = [taylor_truncate(f, a, cap) for f in fields]
     coords = list(range(1, n + 1))
     align, correct, identify, _, det = _chart_round(
         shadows, basis, coords, basis.r, cap)

@@ -560,20 +560,19 @@ def check_inverse(tmap):
 def chart_fields(fields, chart, basis):
     """The fields in the coordinates of a privileged chart.
 
-    Their jets at the chart's anchor (weights 1, cap 2r + 1) go once
+    Their jets at the chart's anchor (total degree cap 2r + 1) go once
     through chart.map recentred at the anchor, so this judges the map
-    the planner steers in, not the steps that built it.  The result
-    carries the free weights of basis.
+    the planner steers in, not the steps that built it.  Grade the
+    result by basis.free_weights.
     """
     n = chart.n
     a = list(chart.anchor)
-    w1 = (1,) * n
     cap = 2 * basis.r + 1
     centred = TriangularMap(
         [c.shift(a) for c in chart.map.comps],
         [c.sub(Poly.const(n, a[j])) for j, c in enumerate(chart.map.inv)])
-    return [centred.pushforward(taylor_truncate(f, a, w1, cap), w1, cap)
-            .with_weights(basis.free_weights) for f in fields]
+    return [centred.pushforward(taylor_truncate(f, a, cap), cap)
+            for f in fields]
 
 
 def poly_graded_part(p, weights, d):
@@ -582,36 +581,33 @@ def poly_graded_part(p, weights, d):
                       if wdeg(e, weights) == d})
 
 
-def field_graded_part(field, d):
-    """Terms of a weighted field of weighted degree exactly d
-    (w(a) - w_j == d)."""
-    comps = []
-    for j, comp in enumerate(field.comps):
-        comps.append(poly_graded_part(comp, field.weights,
-                                      d + field.weights[j]))
-    return WeightedPolynomialField(comps, field.weights)
+def field_graded_part(field, weights, d):
+    """Terms of a polynomial field of weighted degree exactly d
+    (w(a) - w_j == d) under weights w."""
+    return WeightedPolynomialField(
+        [poly_graded_part(comp, weights, d + weights[j])
+         for j, comp in enumerate(field.comps)])
 
 
 def field_sub(a, b):
-    """The field a - b, component by component, with a's weights."""
+    """The field a - b, component by component."""
     return WeightedPolynomialField(
-        [p.sub(q) for p, q in zip(a.comps, b.comps)], a.weights)
+        [p.sub(q) for p, q in zip(a.comps, b.comps)])
 
 
-def weighted_components(field):
-    """Split a weighted polynomial field into its graded parts.
+def weighted_components(field, weights):
+    """Split a polynomial field into its graded parts under weights.
 
     Returns {degree: field}, smallest degree first.  The degree of a
     term c*z^a d/dz_j is w(a) - w_j, so for a frame adapted to the
     filtration the leading block sits at degree -1.
     """
-    if field.weights is None:
-        raise ValueError("field carries no weights")
     degrees = set()
     for j, comp in enumerate(field.comps):
         for e in comp.terms:
-            degrees.add(wdeg(e, field.weights) - field.weights[j])
-    return {d: field_graded_part(field, d) for d in sorted(degrees)}
+            degrees.add(wdeg(e, weights) - weights[j])
+    return {d: field_graded_part(field, weights, d)
+            for d in sorted(degrees)}
 
 
 def nonholonomic_order(f, fields, anchor, cap, tol=1e-12):

@@ -80,8 +80,7 @@ def test_brackets_at_origin_are_coordinate_directions(m, r):
     sys = canonical_fields(m, r)
     origin = [Fraction(0)] * sys.n
     for j in range(1, sys.n + 1):
-        vals = evaluate_bracket(sys.basis, j, sys.fields,
-                                weights=sys.weights).evaluate(origin)
+        vals = evaluate_bracket(sys.basis, j, sys.fields).evaluate(origin)
         expect = [Fraction(1) if k == j - 1 else Fraction(0)
                   for k in range(sys.n)]
         assert vals == expect, j
@@ -102,8 +101,7 @@ def test_bracket_components_homogeneous():
     w = sys.weights
     for k in range(1, sys.n + 1):
         wk = w[k - 1]
-        fld = evaluate_bracket(sys.basis, k, sys.fields,
-                               weights=sys.weights)
+        fld = evaluate_bracket(sys.basis, k, sys.fields)
         for j, comp in enumerate(fld.comps):
             for expo in comp.terms:
                 assert wdeg(expo, w) == w[j] - wk, (k, j)
@@ -114,8 +112,7 @@ def test_growth_vector_at_random_points(m, r):
     sys = canonical_fields(m, r)
     rng = oracles.seeded(23)
     dims = oracles.cumulative_dims(m, r)
-    brackets = [evaluate_bracket(sys.basis, j, sys.fields,
-                                 weights=sys.weights)
+    brackets = [evaluate_bracket(sys.basis, j, sys.fields)
                 for j in range(1, sys.n + 1)]
     lengths = sys.weights
     for _ in range(20):

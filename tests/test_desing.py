@@ -126,12 +126,10 @@ def low_order_words(basis, lift, chart, tol=None):
     """Check every sorted derivative word of weighted degree below a
     coordinate's weight kills that coordinate at the chart's anchor."""
     dim = len(basis)
-    w1 = (1,) * dim
     wt = basis.free_weights
     cap = 2 * basis.r + 1
-    jets = [f.with_weights(w1)
-            for f in oracles.chart_fields(lift.fields, chart, basis)]
-    frames = [evaluate_bracket(basis, j, jets, weights=w1, wcap=cap)
+    jets = oracles.chart_fields(lift.fields, chart, basis)
+    frames = [evaluate_bracket(basis, j, jets, cap)
               for j in range(1, dim + 1)]
     for j in range(dim):
         target = Poly.var(dim, j)
@@ -382,7 +380,7 @@ def test_disguised_canonical_system_lands_on_canonical():
     fields = list(cs.fields)
     comps = list(fields[1].comps)
     comps[3] = comps[3].add(Poly.var(cs.n, 1))
-    fields[1] = WeightedPolynomialField(comps, cs.weights)
+    fields[1] = WeightedPolynomialField(comps)
     lift = lift_at(fields, cs.basis, origin(cs.n))
     chart = lift_chart(lift, cs.basis, origin(cs.n))
     expect = Poly.var(cs.n, 3).sub(Poly.monomial(cs.n, (0, 2, 0, 0, 0),
@@ -469,9 +467,9 @@ def test_rounds_stop_below_the_last_fiber_level(monkeypatch):
 def test_jets_are_truncated_only_for_chart_rounds(monkeypatch):
     caps = []
 
-    def counting(field, point, weights, cap):
+    def counting(field, point, cap):
         caps.append(cap)
-        return real(field, point, weights, cap)
+        return real(field, point, cap)
 
     real = desing.taylor_truncate
     monkeypatch.setattr(desing, "taylor_truncate", counting)
@@ -524,7 +522,8 @@ def test_lift_is_a_first_order_model(martinet_lift, martinet_chart,
                                  model.basis)
     for i in range(2):
         diff = oracles.field_sub(moved[i], model.fields[i])
-        assert all(d >= 0 for d in oracles.weighted_components(diff))
+        assert all(d >= 0 for d in oracles.weighted_components(
+            diff, model.basis.free_weights))
 
 
 def test_unicycle_chart_is_exact_at_a_rational_anchor(unicycle_chart):

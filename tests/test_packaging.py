@@ -252,7 +252,7 @@ def test_every_defaulted_parameter_is_passed():
 
 # Defaulted parameters the package may have, counted as
 # defaulted_parameters counts them.
-OPTIONAL_PARAMETER_BUDGET = 32
+OPTIONAL_PARAMETER_BUDGET = 23
 
 
 def test_optional_parameter_budget():

@@ -543,7 +543,7 @@ def test_grid_validation():
     with pytest.raises(SpecError):
         Grid([0.0], [1.0], 0)
     # the resolution is one positive int for every axis
-    for res in (2.5, "4", [4, 4]):
+    for res in (2.5, "4", [4, 4], True):
         with pytest.raises(SpecError):
             Grid([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], res)
         with pytest.raises(SpecError):
@@ -559,21 +559,18 @@ def test_plan_canonical_single_cell_exact():
     box = ([-2.0] * 5, [2.0] * 5)
     law, rep = global_plan(list(sys23.fields), [0.5, -0.2, 0.1, 0.0, 0.3],
                            [0.0] * 5, 1e-4, box, PlannerConfig(grid=1), r=3)
-    assert rep.status == "converged"
-    assert len(rep.legs) == 1
+    assert [leg.status for leg in rep.legs] == ["converged"]
     assert rep.legs[0].iterations == 1
-    assert rep.iterates[-1] == [0.0] * 5
+    assert rep.endpoint == [0.0] * 5
 
 
 def test_plan_unicycle_parking_single_cell():
     law, rep = global_plan(unicycle_fields(), [0.0, 0.0, 0.0],
                            [0.0, 1.0, 0.0], 1e-3, BOX3,
                            PlannerConfig(grid=4), r=2)
-    assert rep.status == "converged"
-    assert len(rep.legs) == 1
+    assert [leg.status for leg in rep.legs] == ["converged"]
     assert float(rep.legs[0].final_norm) <= 1e-3
-    err = max(abs(a - b) for a, b in
-              zip(rep.iterates[-1], [0.0, 1.0, 0.0]))
+    err = max(abs(a - b) for a, b in zip(rep.endpoint, [0.0, 1.0, 0.0]))
     assert err <= 1e-4
 
 
@@ -587,25 +584,25 @@ def martinet_plan():
 
 def test_plan_martinet_crosses_the_plane(martinet_plan):
     law, rep = martinet_plan
-    assert rep.status == "converged"
-    assert len(rep.legs) == 3
+    assert [leg.status for leg in rep.legs] == ["converged"] * 3
     assert [leg.iterations for leg in rep.legs] == [1, 1, 1]
-    # the session counts every leg's attempts and rejections
+    # the session sums every leg's iterations, attempts and rejections
     assert [leg.attempts for leg in rep.legs] == [1, 1, 1]
-    assert (rep.attempts, rep.rejections) == (3, 0)
     blob = rep.to_json()
+    assert blob["iterations"] == 3
     assert (blob["attempts"], blob["rejections"]) == (3, 0)
+    assert blob["path"] == rep.path == law.meta["path"]
+    assert len(rep.path) == 3
     for leg in rep.legs:
         assert float(leg.final_norm) <= 1e-3
-    err = max(abs(a - b) for a, b in
-              zip(rep.iterates[-1], [0.5, 0.2, 0.1]))
+    err = max(abs(a - b) for a, b in zip(rep.endpoint, [0.5, 0.2, 0.1]))
     assert err <= 1e-4
 
 
 def test_plan_martinet_replay_reaches_endpoint(martinet_plan):
     law, rep = martinet_plan
     traj = integrate(martinet_fields(), [-0.5, 0.0, 0.0], law, tol=1e-11)
-    err = max(abs(a - b) for a, b in zip(traj.endpoint, rep.iterates[-1]))
+    err = max(abs(a - b) for a, b in zip(traj.endpoint, rep.endpoint))
     assert err <= 2e-8
     # the physical crossing: x1 really sweeps from negative to positive
     xs = [row[0] for row in traj.states]
@@ -615,9 +612,9 @@ def test_plan_martinet_replay_reaches_endpoint(martinet_plan):
 def test_plan_report_serializes(martinet_plan):
     law, rep = martinet_plan
     blob = json.loads(json.dumps(rep.to_json()))
-    assert blob["status"] == "converged"
-    assert len(blob["legs"]) == 3
-    assert blob["total_length"] == pytest.approx(rep.total_length())
+    assert [leg["status"] for leg in blob["legs"]] == ["converged"] * 3
+    assert blob["total_length"] == pytest.approx(
+        sum(leg.total_length() for leg in rep.legs))
     lawblob = json.loads(json.dumps(law.to_json()))
     assert lawblob["m"] == 2
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from nilsteer.errors import SingularMatrix, SpecError
@@ -13,7 +13,7 @@ from nilsteer.poly import (
     ExprField, Poly, TriangularMap, WeightedPolynomialField, det_matrix,
     ecos, emul, epow, erat, esin, evar, expr_diff, expr_eval, expr_to_poly,
     expr_to_str, invert_matrix, lie_bracket, parse_expr, poly_to_expr,
-    solve_unique, taylor_poly, taylor_truncate,
+    solve_unique, taylor_poly, taylor_truncate, wdeg,
 )
 from oracles import nonholonomic_order, weighted_components
 from nilsteer.steer import PiPoly
@@ -173,9 +173,36 @@ def test_weighted_truncation():
     t = p.truncate(w, 3)
     assert (3, 0) in t.terms and (1, 1) in t.terms
     assert (0, 2) not in t.terms
-    prod = p.mul(p, w, 4)
-    for e in prod.terms:
+    # a product cut at total degree 3, then graded by w
+    q = Poly.var(2, 0).add(Poly.var(2, 1))
+    prod = p.mul(q, 3)
+    assert prod == p.mul(q).truncate((1, 1), 3)
+    assert prod.terms == {(2, 1): 1, (1, 2): 2, (0, 3): 1}
+    assert prod.truncate(w, 4).terms == {(2, 1): 1}
+    # with weights of at least 1, a total cap of 4 keeps every term of
+    # weighted degree 4 or less
+    cut = p.mul(q, 4).truncate(w, 4)
+    assert cut == p.mul(q).truncate(w, 4)
+    assert cut.terms == {(2, 1): 1, (4, 0): 1}
+    for e in cut.terms:
         assert e[0] * 1 + e[1] * 2 <= 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(max_deg=3, max_terms=6),
+       st.tuples(*[st.integers(1, 4)] * 3),
+       st.tuples(*[st.integers(0, 3)] * 3), st.integers(0, 2))
+def test_low_part_times_a_monomial_derivative(p, wt, expo, k):
+    # the identity the homogeneous identification of a chart round
+    # rests on: d_k m is one monomial of weighted degree wdeg(m) - wt[k],
+    # so cutting p below wt[k] before the product keeps exactly the
+    # product's terms below wdeg(m), in the same order
+    assume(expo[k] > 0)
+    d = Poly.monomial(3, expo).diff(k)
+    got = p.truncate(wt, wt[k] - 1).mul(d)
+    want = p.mul(d).truncate(wt, wdeg(expo, wt) - 1)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
 
 
 def test_expr_poly_round_trip():
@@ -191,7 +218,7 @@ def test_taylor_polynomial_recentre_exact():
     # polynomial input: weighted Taylor is exact recentering
     e = parse_expr("x1^2*x2 + x2^3", ["x1", "x2"])
     anchor = [Fraction(1), Fraction(-1)]
-    p = taylor_poly(e, anchor, (1, 1), 10)
+    p = taylor_poly(e, anchor, 10)
     assert p.is_exact()
     for h1, h2 in [(0, 0), (Fraction(1, 3), Fraction(1, 2))]:
         direct = expr_eval(e, [anchor[0] + h1, anchor[1] + h2])
@@ -199,14 +226,14 @@ def test_taylor_polynomial_recentre_exact():
 
 
 def test_taylor_sin_at_zero_exact():
-    p = taylor_poly(esin(X1), [Fraction(0)], (1,), 5)
+    p = taylor_poly(esin(X1), [Fraction(0)], 5)
     assert p.is_exact()
     assert p.terms == {(1,): Fraction(1), (3,): Fraction(-1, 6),
                        (5,): Fraction(1, 120)}
 
 
 def test_taylor_float_fallback_flagged():
-    p = taylor_poly(esin(X1), [Fraction(1, 3)], (1,), 3)
+    p = taylor_poly(esin(X1), [Fraction(1, 3)], 3)
     assert not p.is_exact()
     assert abs(float(p.terms[(0,)]) - math.sin(1 / 3)) < 1e-15
 
@@ -217,7 +244,7 @@ def test_taylor_jets_match_finite_differences():
              ["cos(x3)*x1 + x2^2", "sin(x3)", "x1*x2"]]
     anchor = [0.4, -0.3, 0.7]
     field = ExprField(comps)
-    approx = taylor_truncate(field, anchor, (1, 1, 1), 2)
+    approx = taylor_truncate(field, anchor, 2)
     assert not any(c.is_exact() for c in approx.comps)
     for j, comp in enumerate(comps):
         def fun(pt, comp=comp):
@@ -232,7 +259,9 @@ def test_taylor_jets_match_finite_differences():
 
 def test_taylor_weighted_cap_respects_weights():
     e = parse_expr("x2^2 + x1^5", ["x1", "x2"])
-    p = taylor_poly(e, [Fraction(0), Fraction(0)], (1, 3), 5)
+    jet = taylor_poly(e, [Fraction(0), Fraction(0)], 5)
+    assert jet.terms == {(0, 2): 1, (5, 0): 1}
+    p = jet.truncate((1, 3), 5)
     assert (0, 1) not in p.terms
     assert p.terms.get((5, 0)) == 1
     assert (0, 2) not in p.terms  # weighted degree 6 > 5
@@ -245,7 +274,7 @@ def test_taylor_weighted_cap_respects_weights():
 def field_strategy(n=3):
     return st.tuples(*[poly_strategy(n, max_deg=1, max_terms=3)
                        for _ in range(n)]).map(
-        lambda comps: WeightedPolynomialField(comps, (1,) * n))
+        lambda comps: WeightedPolynomialField(comps))
 
 
 def test_bracket_hand_value():
@@ -302,15 +331,15 @@ def test_weighted_components_split_and_reassemble():
     comps = [Poly.const(3, 1),
              Poly(3, {(1, 0, 0): Fraction(2)}),
              Poly(3, {(2, 0, 0): Fraction(1), (0, 0, 1): Fraction(1)})]
-    f = WeightedPolynomialField(comps, w)
-    parts = weighted_components(f)
+    f = WeightedPolynomialField(comps)
+    parts = weighted_components(f, w)
     # degrees present: d/dx1 is -1; x1 d/dx2 is 0; x1^2 d/dx3 is 0;
     # x3 d/dx3 is 0 as well
     assert set(parts) == {-1, 0}
     total = [Poly.zero(3)] * 3
     for part in parts.values():
         total = [p.add(q) for p, q in zip(total, part.comps)]
-    assert WeightedPolynomialField(total, w) == f
+    assert WeightedPolynomialField(total) == f
     lead = parts[-1]
     assert lead.comps[0].terms == {(0, 0, 0): Fraction(1)}
 
@@ -346,8 +375,8 @@ def test_pushforward_matches_sympy():
     n = 2
     shear = TriangularMap.shear([None, Poly(2, {(2, 0): Fraction(1, 2)})])
     field = WeightedPolynomialField(
-        [Poly.const(n, 1), Poly(n, {(1, 0): Fraction(1)})], (1, 2))
-    got = shear.pushforward(field, (1, 2))
+        [Poly.const(n, 1), Poly(n, {(1, 0): Fraction(1)})])
+    got = shear.pushforward(field)
     xs = sympy.symbols("x1:3")
     phi = [xs[0], xs[1] + xs[0] ** 2 / 2]
     phi_inv = [xs[0], xs[1] - xs[0] ** 2 / 2]
