@@ -20,8 +20,10 @@ The lifted fields keep the base type: polynomial fields lift to
 polynomial fields, terms in sorted exponent order (desingularize says
 why), and any other base lifts to expression fields.
 
-Chart coefficients come from rational arithmetic on truncated jets:
-with an exact anchor at which every trig argument of the base fields
+Bracket values at a point (frame_values) are read off the bracket
+fields themselves; only the chart rounds take Taylor jets.  Chart
+coefficients come from rational arithmetic on those jets: with an
+exact anchor at which every trig argument of the base fields
 vanishes, every coefficient is a Fraction; trig values elsewhere and
 float anchors flow through the same code paths in floats.
 """
@@ -34,7 +36,7 @@ import numpy as np
 
 from .canonical import canonical_monomials
 from .errors import IdentificationFailure, SingularFrame, SpecError
-from .hall import evaluate_bracket
+from .hall import evaluate_brackets
 from .poly import (ExprField, Poly, TriangularMap, WeightedPolynomialField,
                    as_expr_field, det_matrix, invert_matrix, is_exact,
                    poly_to_expr, solve_unique, taylor_truncate)
@@ -92,17 +94,11 @@ def _det_gate(det, rows):
     return abs(float(det)) > DET_THRESHOLD * _column_scale(rows)
 
 
-def _bracket_values(fields, basis, indices, point):
-    """Matrix of bracket direction values: rows are coordinates,
-    columns follow ``indices``."""
-    n = len(fields[0].comps)
-    cap = max(basis.element(j).length for j in indices)
-    shadows = [taylor_truncate(f, point, cap) for f in fields]
-    cols = []
-    for j in indices:
-        fld = evaluate_bracket(basis, j, shadows, cap)
-        cols.append([c.constant_term() for c in fld.comps])
-    return [[cols[k][i] for k in range(len(cols))] for i in range(n)]
+def frame_values(brackets, point):
+    """Matrix of bracket field values at a point: rows are coordinates,
+    columns follow brackets (a table from evaluate_brackets)."""
+    return [list(row) for row in zip(*(b.evaluate(point)
+                                        for b in brackets))]
 
 
 def frame_combos(basis, n):
@@ -188,7 +184,7 @@ def _chart_round(shadows, basis, coords, s, cap):
     n_low = sum(1 for L in wt if L <= s)
 
     # Linear alignment: put the frame values on the coordinate axes.
-    table = [evaluate_bracket(basis, j, shadows, cap) for j in coords]
+    table = evaluate_brackets(basis, coords, shadows, cap)
     rows = [[table[k].comps[i].constant_term() for k in range(dim)]
             for i in range(dim)]
     det = det_matrix(rows)
@@ -201,8 +197,7 @@ def _chart_round(shadows, basis, coords, s, cap):
 
     # Frame fields in the aligned coordinates drive the derivative
     # functionals; only lengths <= s ever act as operators.
-    frame = {pos: evaluate_bracket(basis, coords[pos], shadows, cap)
-             for pos in range(n_low)}
+    frame = evaluate_brackets(basis, coords[:n_low], shadows, cap)
 
     shifts = [None] * dim
     for pos in range(dim):
@@ -367,7 +362,7 @@ def desingularize(fields, basis, indices, anchor):
     if basis.m != m:
         raise SpecError("frame basis is for %d inputs, got %d fields"
                         % (basis.m, m))
-    rows = _bracket_values(fields, basis, indices, anchor)
+    rows = frame_values(evaluate_brackets(basis, indices, fields), anchor)
     if not _det_gate(det_matrix(rows), rows):
         raise SingularFrame("bracket frame degenerates at the anchor",
                             frame=list(indices),
@@ -439,9 +434,8 @@ def desingularize(fields, basis, indices, anchor):
 
 def growth_vector(fields, basis, point):
     """Ranks of the bracket flag at a point, one entry per length."""
-    values = np.array(_bracket_values(fields, basis,
-                                      range(1, len(basis) + 1), point),
-                      dtype=float)
+    values = np.array(frame_values(evaluate_brackets(
+        basis, range(1, len(basis) + 1), fields), point), dtype=float)
     out = []
     for k in basis.level_dims:
         mat = values[:, :k]

@@ -174,13 +174,14 @@ def build_hall_basis(m, r):
     return HallBasis(m, r, finished, level_dims)
 
 
-def evaluate_bracket(basis, j, fields, cap=None):
-    """Evaluate element j on concrete vector fields.
+def evaluate_brackets(basis, indices, fields, cap=None):
+    """The fields of the elements named by indices, one per index, on
+    concrete vector fields.
 
-    fields lists one field per generator; nested brackets are expanded
-    recursively with memoisation, so sharing inside the basis is
-    exploited.  On polynomial fields every product is cut at total
-    degree cap (lie_bracket).
+    fields lists one field per generator.  The whole table shares one
+    memo, so every element is bracketed once however many listed
+    elements contain it.  On polynomial fields every product is cut at
+    total degree cap (lie_bracket).
     """
     if len(fields) != basis.m:
         raise SpecError("expected %d fields, got %d"
@@ -199,4 +200,4 @@ def evaluate_bracket(basis, j, fields, cap=None):
         memo[k] = out
         return out
 
-    return ev(j)
+    return [ev(j) for j in indices]

@@ -22,9 +22,11 @@ resolution and the step r, never on the endpoints, so a Planner builds
 it once, together with the canonical model and its frequency plan, and
 each query only searches a cell path through it
 (CoveringAtlas.path_between).
-build_covering decides most boxes with one float screen over compiled
-bracket fields; a box whose outcome could turn on rounding goes
-through the exact frame search instead (see _screen_frames).
+build_covering builds the system's bracket fields once and decides
+most boxes with one float screen over their compiled kernels; a box
+whose outcome could turn on the screen's margins goes through
+cheapest_frame on the same fields' values at its corners instead (see
+_screen_frames).
 
 A practical note on tolerances: an endpoint whose coordinates carry
 integrator noise of size tau has pseudo-norm around tau**(1/r), so
@@ -40,13 +42,13 @@ import math
 import numpy as np
 
 from .canonical import canonical_fields
-from .desing import DET_THRESHOLD, _bracket_values, cheapest_frame, \
-    desingularize, frame_combos
+from .desing import DET_THRESHOLD, cheapest_frame, desingularize, \
+    frame_combos, frame_values
 from .errors import (
     CoverageGap, IterationCapExceeded, NoPath, SingularFrame, SpecError,
     StepFailure,
 )
-from .hall import evaluate_bracket
+from .hall import evaluate_brackets
 from .poly import WeightedPolynomialField, compile_field
 from .privcoord import dilate, first_order_approx, pseudo_norm
 from .sim import input_length, integrate
@@ -157,15 +159,15 @@ class SessionReport:
         self.endpoint = list(endpoint)
 
     def to_json(self):
-        legs = self.legs
+        legs = [leg.to_json() for leg in self.legs]
         return {
             "path": self.path,
             "endpoint": [float(v) for v in self.endpoint],
-            "iterations": sum(leg.iterations for leg in legs),
-            "attempts": sum(leg.attempts for leg in legs),
-            "rejections": sum(leg.rejections for leg in legs),
-            "total_length": sum(leg.total_length() for leg in legs),
-            "legs": [leg.to_json() for leg in legs],
+            "iterations": sum(leg["iterations"] for leg in legs),
+            "attempts": sum(leg["attempts"] for leg in legs),
+            "rejections": sum(leg["rejections"] for leg in legs),
+            "total_length": sum(leg["total_length"] for leg in legs),
+            "legs": legs,
         }
 
 
@@ -510,24 +512,26 @@ def _overlap_waypoint(grid, box_pairs):
 # Margin of the float screen, relative to the column scale of a
 # bracket matrix.  Float rounding moves a determinant by a few ulps
 # of that scale; a box whose frame choice could flip within this
-# margin goes to the exact search.
+# margin goes to the fallback search (cheapest_frame).
 SCREEN_SLACK = 1e-6
 
 
-def _screen_frames(fields, basis, grid):
+def _screen_frames(brackets, basis, grid):
     """{box index: frame} for the boxes the float screen decides.
 
+    brackets holds the field of every basis element, in basis order.
     Only the cheapest level of n-subsets is screened.  Each bracket it
     uses is compiled once and evaluated once per grid corner, and
     every (box, corner) determinant of a subset is one numpy batch.  A
     box is decided when every subset of the level clears the gate
     (|det| > DET_THRESHOLD * scale) by SCREEN_SLACK * scale at every
     corner, and the largest worst |det| beats every other by the
-    factor 1 + SCREEN_SLACK.  Under those margins the exact search
-    (cheapest_frame on _bracket_values, exact or float) picks the same
-    frame; a failing or nearly tied subset leaves the box undecided,
-    because an exact determinant passes the gate whenever it is
-    nonzero.
+    factor 1 + SCREEN_SLACK.  The compiled kernels equal
+    float(evaluate()) bit for bit up to the sign of a zero (see
+    poly.compile_field), so under those margins the fallback
+    search, cheapest_frame on frame_values of the same bracket fields
+    at the same float corners, picks the same frame; a failing or
+    nearly tied subset leaves the box to that search.
     """
     n = grid.n
     combos = frame_combos(basis, n)
@@ -536,8 +540,7 @@ def _screen_frames(fields, basis, grid):
     level = combos[0][0]
     combos = [c for lv, c in combos if lv == level]
     cols = sorted({j for c in combos for j in c})
-    kernels = [compile_field(evaluate_bracket(basis, j, fields))
-               for j in cols]
+    kernels = [compile_field(brackets[j - 1]) for j in cols]
     res = grid.res
     axes = [[a + i * s for i in range(res + 1)]
             for a, s in zip(grid.lo, grid.step)]
@@ -578,12 +581,15 @@ def build_covering(fields, K, basis, grid):
     largest worst determinant within a level; per-frame box sets are
     split into face-connected cells; cells touching each other are graph
     neighbors with a deterministic waypoint in their intersection.
-    The float screen (_screen_frames) assigns most boxes; the rest go,
-    in grid order, through cheapest_frame on exact corner values, so
-    ties and the CoverageGap box are those of the exact search.
+    The bracket fields are built once.  The float screen
+    (_screen_frames) compiles them and assigns most boxes; the rest go,
+    in grid order, through cheapest_frame on the same fields evaluated
+    at the float corners, so ties and the CoverageGap box are those of
+    that search.
     """
     grid = Grid(K[0], K[1], grid)
-    screened = _screen_frames(fields, basis, grid)
+    brackets = evaluate_brackets(basis, range(1, len(basis) + 1), fields)
+    screened = _screen_frames(brackets, basis, grid)
     assigned = {}
     memo = {}
     for idx in grid.boxes():
@@ -593,9 +599,7 @@ def build_covering(fields, K, basis, grid):
             for corner in grid.corners(idx):
                 key = tuple(corner)
                 if key not in memo:
-                    memo[key] = _bracket_values(fields, basis,
-                                                range(1, len(basis) + 1),
-                                                corner)
+                    memo[key] = frame_values(brackets, corner)
                 values.append(memo[key])
             found = cheapest_frame(basis, values)
             if found is None:
@@ -683,7 +687,6 @@ class Planner:
             x = lift.project(leg.iterates[-1])
         law = concatenate([step for leg in legs for step in leg.laws],
                           len(self.fields))
-        law.meta.update(legs=len(path), path=list(path))
         return law, SessionReport(path, legs, x)
 
 

@@ -481,7 +481,7 @@ class Poly:
         return cls(n, {tuple(expo): F1})
 
     @classmethod
-    def monomial(cls, n, expo, c=F1):
+    def monomial(cls, n, expo, c):
         return cls(n, {tuple(expo): _num(c)})
 
     def is_zero(self):

@@ -242,7 +242,7 @@ def check_tol(tol):
                         "%r, got %r" % (TOL_FLOOR, tol), tol=tol)
 
 
-def integrate(fields, x0, u, tol=1e-10):
+def integrate(fields, x0, u, tol):
     """Solve xdot = sum_i u_i(t) X_i(x) from x0 under the whole law u.
 
     The output holds one row per period edge, from t = 0 to the law's

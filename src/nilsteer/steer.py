@@ -44,7 +44,6 @@ from .privcoord import dilate, pseudo_norm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-HALF = Fraction(1, 2)
 _PI_HAT = Fraction(math.pi)
 # Length of one period of a law, in float time.
 TWO_PI = 2.0 * math.pi
@@ -505,22 +504,16 @@ def _kernel(p, w1, s1, w2, s2):
     trig is cos for s = 0 and sin for s = 1.
 
     Returns the exact integral, as pairs (e, c) for the sum of c pi^e,
-    and its float value.  Product to sum splits it into two
+    and its float value.  TrigPoly.mul's product to sum splits it into
     single-frequency moments.  Kernels are kept: periods read the same
     few hundred over and over.
     """
-    if s1 == s2:
-        # cos(a - b) plus cos(a + b), or minus it for two sines
-        parts = ((w1 - w2, 0, HALF), (w1 + w2, 0, -HALF if s1 else HALF))
-    else:
-        # sin(a + b) plus sin(sine frequency - cosine frequency)
-        parts = ((w1 + w2, 1, HALF), (w1 - w2 if s1 else w2 - w1, 1, HALF))
+    prod = TrigPoly({(p, w1, s1, 0, 0): F1}).mul(
+        TrigPoly({(0, w2, s2, 0, 0): F1}))
     total = {}
-    for w, s, half in parts:
-        if w < 0 and s:
-            half = -half
-        for k, r in _moment(p, abs(w), s):
-            _put(total, k, half * r * 2 ** k)
+    for (q, w, s, _, _), c in prod.terms.items():
+        for k, r in _moment(q, w, s):
+            _put(total, k, c * r * 2 ** k)
     exact = PiPoly(total)
     return tuple(exact.c.items()), float(exact)
 

@@ -9,8 +9,8 @@ except for the reference replay, which drives the package's own exact
 evaluate() to judge the compiled float kernels against it and runs a
 plain-loop DOP853 on scipy's tableau to judge the compiled solver, and
 the exact checks at the end of this file, which work on the package's
-own Poly, TrigPoly and TriangularMap values (chart_fields also takes
-the package's Taylor jets).
+own Poly, TrigPoly and TriangularMap values (chart_fields and
+jet_bracket_values also take the package's Taylor jets).
 """
 
 import math
@@ -22,6 +22,7 @@ import sympy
 from scipy.integrate import quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop853
 
+from nilsteer.hall import evaluate_brackets
 from nilsteer.poly import (
     Expr, Poly, TriangularMap, WeightedPolynomialField, as_expr_field,
     expr_eval, is_exact, poly_to_expr, taylor_truncate, wdeg,
@@ -573,6 +574,20 @@ def chart_fields(fields, chart, basis):
         [c.sub(Poly.const(n, a[j])) for j, c in enumerate(chart.map.inv)])
     return [centred.pushforward(taylor_truncate(f, a, cap), cap)
             for f in fields]
+
+
+def jet_bracket_values(fields, basis, indices, point):
+    """Bracket values at point read off Taylor jets: every field cut
+    at the longest listed bracket length about point, the jets
+    bracketed, and the constant terms kept.  Rows are coordinates,
+    columns follow indices, as in desing.frame_values, which reads the
+    same numbers off the bracket fields themselves.
+    """
+    cap = max(basis.element(j).length for j in indices)
+    jets = [taylor_truncate(f, point, cap) for f in fields]
+    cols = [[c.constant_term() for c in b.comps]
+            for b in evaluate_brackets(basis, indices, jets, cap)]
+    return [list(row) for row in zip(*cols)]
 
 
 def poly_graded_part(p, weights, d):

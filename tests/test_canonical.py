@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from nilsteer.canonical import canonical_fields
-from nilsteer.hall import build_hall_basis, evaluate_bracket
+from nilsteer.hall import build_hall_basis, evaluate_brackets
 from nilsteer.poly import Poly, wdeg
 
 
@@ -79,8 +79,9 @@ def test_monomial_depends_only_on_earlier_vars():
 def test_brackets_at_origin_are_coordinate_directions(m, r):
     sys = canonical_fields(m, r)
     origin = [Fraction(0)] * sys.n
-    for j in range(1, sys.n + 1):
-        vals = evaluate_bracket(sys.basis, j, sys.fields).evaluate(origin)
+    brackets = evaluate_brackets(sys.basis, range(1, sys.n + 1), sys.fields)
+    for j, bracket in enumerate(brackets, 1):
+        vals = bracket.evaluate(origin)
         expect = [Fraction(1) if k == j - 1 else Fraction(0)
                   for k in range(sys.n)]
         assert vals == expect, j
@@ -90,18 +91,17 @@ def test_brackets_at_origin_are_coordinate_directions(m, r):
 def test_long_brackets_vanish_symbolically(m, r):
     sys = canonical_fields(m, r)
     deeper = build_hall_basis(m, r + 1)
-    for e in deeper.elements:
-        if e.length == r + 1:
-            got = evaluate_bracket(deeper, e.index, sys.fields)
-            assert got.is_zero(), e.index
+    top = [e.index for e in deeper.elements if e.length == r + 1]
+    for j, got in zip(top, evaluate_brackets(deeper, top, sys.fields)):
+        assert got.is_zero(), j
 
 
 def test_bracket_components_homogeneous():
     sys = canonical_fields(2, 4)
     w = sys.weights
-    for k in range(1, sys.n + 1):
+    brackets = evaluate_brackets(sys.basis, range(1, sys.n + 1), sys.fields)
+    for k, fld in enumerate(brackets, 1):
         wk = w[k - 1]
-        fld = evaluate_bracket(sys.basis, k, sys.fields)
         for j, comp in enumerate(fld.comps):
             for expo in comp.terms:
                 assert wdeg(expo, w) == w[j] - wk, (k, j)
@@ -112,8 +112,7 @@ def test_growth_vector_at_random_points(m, r):
     sys = canonical_fields(m, r)
     rng = oracles.seeded(23)
     dims = oracles.cumulative_dims(m, r)
-    brackets = [evaluate_bracket(sys.basis, j, sys.fields)
-                for j in range(1, sys.n + 1)]
+    brackets = evaluate_brackets(sys.basis, range(1, sys.n + 1), sys.fields)
     lengths = sys.weights
     for _ in range(20):
         point = oracles.random_rational_point(sys.n, rng)

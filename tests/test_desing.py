@@ -23,11 +23,10 @@ import oracles
 from nilsteer import desing, privcoord
 from nilsteer.canonical import canonical_fields
 from nilsteer.desing import (
-    _bracket_values, _det_gate, cheapest_frame, desingularize,
-    growth_vector,
+    _det_gate, cheapest_frame, desingularize, frame_values, growth_vector,
 )
 from nilsteer.errors import SingularFrame, SpecError
-from nilsteer.hall import build_hall_basis, evaluate_bracket
+from nilsteer.hall import build_hall_basis, evaluate_brackets
 from nilsteer.poly import (
     ExprField, Poly, WeightedPolynomialField, det_matrix,
     eadd, ecos, emul, erat, esin, evar, wdeg,
@@ -71,7 +70,8 @@ def origin(n):
 def frame_at(fields, basis, a):
     """The cheapest spanning bracket frame at a point, as (indices,
     det), or None when no frame spans there."""
-    values = _bracket_values(fields, basis, range(1, len(basis) + 1), a)
+    values = frame_values(
+        evaluate_brackets(basis, range(1, len(basis) + 1), fields), a)
     found = cheapest_frame(basis, [values])
     if found is None:
         return None
@@ -81,7 +81,7 @@ def frame_at(fields, basis, a):
 
 def gate_holds(fields, basis, indices, point):
     """Whether the frame's determinant clears the gate at point."""
-    rows = _bracket_values(fields, basis, indices, point)
+    rows = frame_values(evaluate_brackets(basis, indices, fields), point)
     return _det_gate(det_matrix(rows), rows)
 
 
@@ -129,8 +129,7 @@ def low_order_words(basis, lift, chart, tol=None):
     wt = basis.free_weights
     cap = 2 * basis.r + 1
     jets = oracles.chart_fields(lift.fields, chart, basis)
-    frames = [evaluate_bracket(basis, j, jets, cap)
-              for j in range(1, dim + 1)]
+    frames = evaluate_brackets(basis, range(1, dim + 1), jets, cap)
     for j in range(dim):
         target = Poly.var(dim, j)
         for k in range(1, wt[j]):
@@ -322,10 +321,10 @@ def test_lift_preserves_nilpotency(martinet_lift):
     # every length-4 bracket of the lifted fields vanishes as a
     # polynomial, not just at sampled points
     b4 = build_hall_basis(2, 4)
-    for j in range(1, len(b4) + 1):
-        if b4.element(j).length == 4:
-            fld = evaluate_bracket(b4, j, list(martinet_lift.fields))
-            assert fld.is_zero(), b4.name(j)
+    top = [e.index for e in b4.elements if e.length == 4]
+    for j, fld in zip(top, evaluate_brackets(b4, top,
+                                             list(martinet_lift.fields))):
+        assert fld.is_zero(), b4.name(j)
 
 
 def test_projection_commutes_with_the_flow(martinet_lift):
@@ -473,17 +472,45 @@ def test_jets_are_truncated_only_for_chart_rounds(monkeypatch):
 
     real = desing.taylor_truncate
     monkeypatch.setattr(desing, "taylor_truncate", counting)
-    # the frame gate truncates each field once, to the longest frame
-    # bracket; a unicycle lift runs no round, so nothing else is
-    # truncated
+    # the frame gate evaluates the bracket fields themselves, and a
+    # unicycle lift runs no round, so nothing is truncated
     desingularize(unicycle_fields(), build_hall_basis(2, 2), (1, 2, 3),
                   origin(3))
-    assert caps == [2, 2]
-    # Martinet's rounds take one more truncation per field, to 2r + 1
-    del caps[:]
+    assert caps == []
+    # Martinet's rounds truncate each field once, to 2r + 1
     desingularize(martinet_fields(), build_hall_basis(2, 3), (1, 2, 4),
                   origin(3))
-    assert caps == [3, 3, 7, 7]
+    assert caps == [7, 7]
+
+
+def test_frame_values_match_the_jet_route():
+    # bracket fields evaluated at a point against the constant terms of
+    # bracketed Taylor jets: exact at rational points, and within
+    # rounding where the unicycle's trig values are floats
+    rng = oracles.seeded(31)
+    cubic = [martinet_fields()[0], WeightedPolynomialField(
+        [Poly.zero(3), Poly.const(3, 1), Poly.monomial(3, (3, 0, 0), F(1))])]
+    for fields, r in ((martinet_fields(), 3),
+                      (list(canonical_fields(2, 3).fields), 3),
+                      (cubic, 4)):
+        basis = build_hall_basis(2, r)
+        indices = range(1, len(basis) + 1)
+        table = evaluate_brackets(basis, indices, fields)
+        n = fields[0].n
+        for p in [origin(n)] + [oracles.random_rational_point(n, rng)
+                                for _ in range(4)]:
+            assert frame_values(table, p) == \
+                oracles.jet_bracket_values(fields, basis, indices, p)
+    basis = build_hall_basis(2, 3)
+    indices = range(1, len(basis) + 1)
+    table = evaluate_brackets(basis, indices, unicycle_fields())
+    for _ in range(5):
+        p = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+        got = frame_values(table, p)
+        want = oracles.jet_bracket_values(unicycle_fields(), basis,
+                                          indices, p)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

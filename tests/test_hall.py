@@ -6,8 +6,10 @@ import pytest
 import sympy
 
 import oracles
+from nilsteer import hall
+from nilsteer.canonical import canonical_fields
 from nilsteer.errors import SpecError
-from nilsteer.hall import build_hall_basis, evaluate_bracket
+from nilsteer.hall import build_hall_basis, evaluate_brackets
 from nilsteer.poly import Poly, WeightedPolynomialField
 
 
@@ -143,13 +145,27 @@ def martinet_fields():
 
 def test_evaluate_bracket_hand_values():
     basis = build_hall_basis(2, 3)
-    v1, v2 = martinet_fields()
-    b3 = evaluate_bracket(basis, 3, [v1, v2])
+    b3, b4, b5 = evaluate_brackets(basis, [3, 4, 5], martinet_fields())
     assert b3.comps[2].terms == {(1, 0, 0): Fraction(2)}
-    b4 = evaluate_bracket(basis, 4, [v1, v2])
     assert b4.comps[2].terms == {(0, 0, 0): Fraction(2)}
-    b5 = evaluate_bracket(basis, 5, [v1, v2])
     assert b5.is_zero()
+
+
+def test_bracket_table_brackets_each_element_once(monkeypatch):
+    calls = []
+
+    def counting(v, w, cap=None):
+        calls.append(cap)
+        return real(v, w, cap)
+
+    real = hall.lie_bracket
+    monkeypatch.setattr(hall, "lie_bracket", counting)
+    system = canonical_fields(2, 4)
+    table = evaluate_brackets(system.basis, range(1, 9), system.fields)
+    # six brackets among the eight (2,4) elements, one call each: one
+    # memo per element would redo [X1,X2] for every longer element
+    assert len(calls) == 6
+    assert table[:2] == list(system.fields)
 
 
 def test_evaluate_bracket_matches_sympy_oracle():
@@ -189,8 +205,8 @@ def test_evaluate_bracket_matches_sympy_oracle():
         return oracles.sym_bracket(sym_eval(e.left), sym_eval(e.right),
                                    xs)
 
-    for j in range(3, len(basis) + 1):
-        got = evaluate_bracket(basis, j, fields)
+    indices = range(3, len(basis) + 1)
+    for j, got in zip(indices, evaluate_brackets(basis, indices, fields)):
         want = sym_eval(j)
         for g, s in zip(to_sym(got), want):
             assert sympy.simplify(g - s) == 0
@@ -203,4 +219,4 @@ def test_rejects_bad_sizes():
         build_hall_basis(2, 0)
     basis = build_hall_basis(2, 3)
     with pytest.raises(SpecError):
-        evaluate_bracket(basis, 3, [martinet_fields()[0]])
+        evaluate_brackets(basis, [3], [martinet_fields()[0]])

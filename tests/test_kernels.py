@@ -349,7 +349,7 @@ def period_rhs():
         law = shape_law(len(fields))
         sim.solve_ivp = spy
         try:
-            integrate(fields, [0.1, -0.2, 0.3], law)
+            integrate(fields, [0.1, -0.2, 0.3], law, tol=1e-10)
         finally:
             sim.solve_ivp = solve
         # period 2 has no terms and no solve
@@ -369,7 +369,8 @@ def test_replay_rhs_matches_reference_rhs(period_rhs, x, frac):
 
 def test_rhs_source_leaves_out_literal_products(compiled):
     # the unicycle's fields hold three 0s and one 1 among six components
-    integrate(unicycle_fields(), [0.1, -0.2, 0.3], shape_law(2))
+    integrate(unicycle_fields(), [0.1, -0.2, 0.3], shape_law(2),
+              tol=1e-10)
     sources = [src for src in compiled if src.startswith("def kernel(gain,")]
     assert len(sources) == 3
     for src in sources:
@@ -400,10 +401,12 @@ def test_replay_of_one_period_shape_compiles_once(compiled):
     # one state dimension; other values, other fields objects and
     # another law share them
     x0 = [0.1, -0.2, 0.3]
-    first = integrate(unicycle_fields(), x0, shape_law(2)).endpoint
+    first = integrate(unicycle_fields(), x0, shape_law(2),
+                      tol=1e-10).endpoint
     assert len(compiled) == 4
     assert sum(src.startswith("def kernel(rhs,") for src in compiled) == 1
-    again = integrate(unicycle_fields(), x0, shape_law(2, F(5, 4))).endpoint
+    again = integrate(unicycle_fields(), x0, shape_law(2, F(5, 4)),
+                      tol=1e-10).endpoint
     assert len(compiled) == 4
     assert again != first
 

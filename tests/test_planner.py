@@ -11,11 +11,11 @@ import pytest
 
 from nilsteer import desing, planner
 from nilsteer.canonical import canonical_fields
-from nilsteer.desing import _bracket_values, cheapest_frame
+from nilsteer.desing import cheapest_frame, frame_values
 from nilsteer.errors import (
     CoverageGap, IterationCapExceeded, SpecError, StepFailure,
 )
-from nilsteer.hall import build_hall_basis
+from nilsteer.hall import build_hall_basis, evaluate_brackets
 from nilsteer.planner import (
     Grid, LocalSteering, Planner, PlannerConfig, PlannerReport,
     _overlap_waypoint, build_covering, global_free, global_plan, subgoal,
@@ -407,9 +407,11 @@ ATLAS_CASES = {
 
 
 def exact_frames(fields, K, basis, res):
-    """Every box's frame from the exact search, in grid order, or the
-    first box it finds no frame for."""
+    """Every box's frame from cheapest_frame on the bracket values at
+    its corners, with no screen, in grid order, or the first box it
+    finds no frame for."""
     grid = Grid(K[0], K[1], res)
+    brackets = evaluate_brackets(basis, range(1, len(basis) + 1), fields)
     memo = {}
     frames = {}
     for idx in grid.boxes():
@@ -417,9 +419,7 @@ def exact_frames(fields, K, basis, res):
         for corner in grid.corners(idx):
             key = tuple(corner)
             if key not in memo:
-                memo[key] = _bracket_values(fields, basis,
-                                            range(1, len(basis) + 1),
-                                            corner)
+                memo[key] = frame_values(brackets, corner)
             values.append(memo[key])
         found = cheapest_frame(basis, values)
         if found is None:
@@ -458,13 +458,14 @@ def test_screen_leaves_few_boxes_to_the_exact_search(monkeypatch):
 
     def counting(*args):
         calls.append(args[-1])
-        return desing._bracket_values(*args)
+        return desing.frame_values(*args)
 
-    monkeypatch.setattr(planner, "_bracket_values", counting)
+    monkeypatch.setattr(planner, "frame_values", counting)
     build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2), 4)
     assert calls == []
     build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3), 8)
-    # the boxes touching x1 = 0, where [X1, X2] vanishes, go exact:
+    # the boxes touching x1 = 0, where [X1, X2] vanishes, go to the
+    # fallback search:
     # at most their 3 * 81 of the 729 corners
     assert 0 < len(calls) <= 243
     assert all(abs(corner[0]) <= 0.25 + 1e-12 for corner in calls)
@@ -506,7 +507,7 @@ def test_session_matches_one_shot_plans(monkeypatch):
         assert json.dumps(rep2.to_json()) == json.dumps(rep.to_json())
     # the r = 2 covering has a gap, the r = 3 one is kept for every
     # query; each query lifts once per leg of its path
-    legs = [law.meta["legs"] for law, _ in one_shot]
+    legs = [len(rep.legs) for _, rep in one_shot]
     assert legs == [3, 3, 3]
     assert counts == {"build_covering": 2, "build_plan": 1,
                       "desingularize": sum(legs)}
@@ -591,7 +592,7 @@ def test_plan_martinet_crosses_the_plane(martinet_plan):
     blob = rep.to_json()
     assert blob["iterations"] == 3
     assert (blob["attempts"], blob["rejections"]) == (3, 0)
-    assert blob["path"] == rep.path == law.meta["path"]
+    assert blob["path"] == rep.path
     assert len(rep.path) == 3
     for leg in rep.legs:
         assert float(leg.final_norm) <= 1e-3

@@ -198,7 +198,7 @@ def test_low_part_times_a_monomial_derivative(p, wt, expo, k):
     # so cutting p below wt[k] before the product keeps exactly the
     # product's terms below wdeg(m), in the same order
     assume(expo[k] > 0)
-    d = Poly.monomial(3, expo).diff(k)
+    d = Poly.monomial(3, expo, Fraction(1)).diff(k)
     got = p.truncate(wt, wt[k] - 1).mul(d)
     want = p.mul(d).truncate(wt, wdeg(expo, wt) - 1)
     assert got == want

@@ -19,7 +19,7 @@ import oracles
 from nilsteer.canonical import canonical_fields
 from nilsteer.desing import desingularize
 from nilsteer.errors import SingularFrame, SpecError
-from nilsteer.hall import build_hall_basis, evaluate_bracket
+from nilsteer.hall import build_hall_basis, evaluate_brackets
 from nilsteer.poly import (
     ExprField, Poly, WeightedPolynomialField, ecos, erat, esin, evar,
 )
@@ -224,8 +224,7 @@ def check_orders(fields, chart, basis, tol=None):
     wt = chart.weights
     cap = 2 * basis.r + 1
     jets = oracles.chart_fields(fields, chart, basis)
-    frames = [evaluate_bracket(basis, j, jets, cap)
-              for j in range(1, dim + 1)]
+    frames = evaluate_brackets(basis, range(1, dim + 1), jets, cap)
     for j in range(dim):
         target = Poly.var(dim, j)
         for k in range(1, wt[j]):

@@ -895,27 +895,6 @@ PINNED_LAWS = [
 ]
 
 
-# sha256 of the sorted-key JSON of build_plan(...).to_json().
-PINNED_PLANS = [
-    (2, 4,
-     "67e9ac23c7ea96d782a0ed5187a2b10f8bae155138bb9263fc528378842c9d91"),
-    (3, 3,
-     "da08b70a8056df25fc6f4a2562a7140211fab11df7828d3c21b58e71af35e70f"),
-    (4, 2,
-     "5065192ea49ef276d1d67e425a79a53b49808ba9fae389cae427fc411cd3ee12"),
-    (2, 5,
-     "2bdbc070c89ccc151f358c7bc2031a8bf0be277350630f180d18242d7523cd91"),
-]
-
-
-@pytest.mark.parametrize("m,r,digest", PINNED_PLANS,
-                         ids=["2-4", "3-3", "4-2", "2-5"])
-def test_pinned_plans(m, r, digest):
-    blob = json.dumps(build_plan(canonical_fields(m, r)).to_json(),
-                      sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest() == digest
-
-
 # sha256 of the sorted-key JSON of each plan's to_json() together with
 # the repr of every class's B and det and the str of its gains, taken
 # while a combinatorial non-resonance check also gated every plan: equal
