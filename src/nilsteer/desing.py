@@ -26,13 +26,13 @@ coefficients come from rational arithmetic on those jets: with an
 exact anchor at which every trig argument of the base fields
 vanishes, every coefficient is a Fraction; trig values elsewhere and
 float anchors flow through the same code paths in floats.
+growth_vector takes its ranks with numpy, which loads at its first
+call, not with the module.
 """
 
 import itertools
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .canonical import canonical_monomials
 from .errors import IdentificationFailure, SingularFrame, SpecError
@@ -192,7 +192,7 @@ def _chart_round(shadows, basis, coords, s, cap):
         raise SingularFrame("bracket frame degenerates at the anchor "
                             "(level %d)" % s, level=s,
                             det=float(det) if det else 0.0)
-    align = TriangularMap.affine(invert_matrix(rows), [0] * dim)
+    align = TriangularMap.affine(invert_matrix(rows), rows, [0] * dim)
     shadows = [align.pushforward(f, cap) for f in shadows]
 
     # Frame fields in the aligned coordinates drive the derivative
@@ -376,7 +376,7 @@ def desingularize(fields, basis, indices, anchor):
                if j not in J), default=0)
 
     ident = [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
-    chart = TriangularMap.affine(ident, anchor)
+    chart = TriangularMap.affine(ident, ident, anchor)
     # Only the chart rounds, at levels below top, read these jets.
     shadows = ([taylor_truncate(f, anchor, cap) for f in fields]
                if top > 1 else None)
@@ -434,6 +434,11 @@ def desingularize(fields, basis, indices, anchor):
 
 def growth_vector(fields, basis, point):
     """Ranks of the bracket flag at a point, one entry per length."""
+    # Imported here, not with the module: numpy leaves some 7k objects
+    # that every full garbage collection would scan, and nothing on the
+    # steering path takes a rank.
+    import numpy as np
+
     values = np.array(frame_values(evaluate_brackets(
         basis, range(1, len(basis) + 1), fields), point), dtype=float)
     out = []

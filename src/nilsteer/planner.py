@@ -26,7 +26,9 @@ build_covering builds the system's bracket fields once and decides
 most boxes with one float screen over their compiled kernels; a box
 whose outcome could turn on the screen's margins goes through
 cheapest_frame on the same fields' values at its corners instead (see
-_screen_frames).
+_screen_frames).  The screen is the package's one numpy user next to
+growth_vector, so numpy loads at the first covering, not with the
+module.
 
 A practical note on tolerances: an endpoint whose coordinates carry
 integrator noise of size tau has pseudo-norm around tau**(1/r), so
@@ -38,8 +40,6 @@ construction, so its local step skips integration entirely.
 
 import itertools
 import math
-
-import numpy as np
 
 from .canonical import canonical_fields
 from .desing import DET_THRESHOLD, cheapest_frame, desingularize, \
@@ -533,6 +533,11 @@ def _screen_frames(brackets, basis, grid):
     at the same float corners, picks the same frame; a failing or
     nearly tied subset leaves the box to that search.
     """
+    # Imported here, not with the module: numpy leaves some 7k objects
+    # that every full garbage collection would scan, and exact steering
+    # never builds a covering.
+    import numpy as np
+
     n = grid.n
     combos = frame_combos(basis, n)
     if not combos:

@@ -1194,11 +1194,14 @@ class TriangularMap:
         self.n = len(self.comps)
 
     @classmethod
-    def affine(cls, matrix, anchor):
-        """z = M (x - anchor); inverse x = anchor + M^-1 z."""
+    def affine(cls, matrix, inverse, anchor):
+        """z = M (x - anchor); inverse x = anchor + M^-1 z.
+
+        inverse is M^-1, which every caller already holds; it is taken
+        as given, not checked.
+        """
         n = len(matrix)
         anchor = [_num(v) for v in anchor]
-        minv = invert_matrix(matrix)
         comps = []
         for j in range(n):
             p = Poly.zero(n)
@@ -1212,7 +1215,7 @@ class TriangularMap:
         for j in range(n):
             p = Poly.const(n, anchor[j])
             for i in range(n):
-                c = minv[j][i]
+                c = _num(inverse[j][i])
                 if c != 0:
                     p = p.add(Poly.var(n, i).scale(c))
             inv.append(p)

@@ -154,6 +154,6 @@ def first_order_approx(fields, a, basis):
     align, correct, identify, _, det = _chart_round(
         shadows, basis, coords, basis.r, cap)
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    affine = align.compose(TriangularMap.affine(ident, a))
+    affine = align.compose(TriangularMap.affine(ident, ident, a))
     chart_map = identify.compose(correct).compose(affine)
     return PrivilegedChart(a, basis.free_weights, chart_map, det)

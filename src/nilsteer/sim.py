@@ -13,10 +13,14 @@ right-hand side runs in plain floats, with the values the exact
 evaluation would round to.  The solver is compiled the same way, once
 per state dimension: scipy's DOP853 tableau, initial step and step
 control, unrolled over the stages and the state coordinates in plain
-floats.  Its stage sums run in stage order where scipy's run in BLAS
-dot products, so its endpoints differ from scipy's in the last bits.
+floats.  The tableau's nonzero entries are copied from scipy
+(scipy.integrate._ivp.dop853_coefficients) into this module, so that
+neither replay nor importing the package loads scipy or numpy.  Its
+stage sums run in stage order where scipy's run in BLAS dot products,
+so its endpoints differ from scipy's in the last bits.
 Input length is the time integral of the euclidean norm of the
-control vector.
+control vector, by scipy's quad, which loads at the first
+input_length.
 """
 
 import collections
@@ -24,15 +28,64 @@ import functools
 import math
 import sys
 
-from scipy.integrate import quad
-from scipy.integrate._ivp import dop853_coefficients as dop853
-
 from .errors import SpecError, StepFailure
 from .poly import emit_fields, load_kernel
 from .steer import TWO_PI
 
 MAX_STEP = math.pi
 TOL_FLOOR = 100 * sys.float_info.epsilon
+
+# DOP853's tableau as scipy holds it, Hairer's coefficients rounded to
+# floats: the nodes C and the rows A of stages 1 to 11, and the weights
+# B of the solution and E5, E3 of the two error estimates over stages
+# 0 to 12, each {stage: coefficient} over its nonzero entries in stage
+# order.  Stage 12 is the solution's own rhs, which the next step
+# reuses as its stage 0.
+STAGES = 12
+C = {1: 0.05260015195876773, 2: 0.0789002279381516, 3: 0.1183503419072274,
+     4: 0.2816496580927726, 5: 0.3333333333333333, 6: 0.25,
+     7: 0.3076923076923077, 8: 0.6512820512820513, 9: 0.6,
+     10: 0.8571428571428571, 11: 1.0}
+A = {
+    1: {0: 0.05260015195876773},
+    2: {0: 0.0197250569845379, 1: 0.0591751709536137},
+    3: {0: 0.02958758547680685, 2: 0.08876275643042054},
+    4: {0: 0.2413651341592667, 2: -0.8845494793282861,
+        3: 0.924834003261792},
+    5: {0: 0.037037037037037035, 3: 0.17082860872947386,
+        4: 0.12546768756682242},
+    6: {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+        5: -0.017578125},
+    7: {0: 0.03709200011850479, 3: 0.17038392571223998,
+        4: 0.10726203044637328, 5: -0.015319437748624402,
+        6: 0.008273789163814023},
+    8: {0: 0.6241109587160757, 3: -3.3608926294469414,
+        4: -0.868219346841726, 5: 27.59209969944671, 6: 20.154067550477894,
+        7: -43.48988418106996},
+    9: {0: 0.47766253643826434, 3: -2.4881146199716677,
+        4: -0.590290826836843, 5: 21.230051448181193, 6: 15.279233632882423,
+        7: -33.28821096898486, 8: -0.020331201708508627},
+    10: {0: -0.9371424300859873, 3: 5.186372428844064,
+         4: 1.0914373489967295, 5: -8.149787010746927,
+         6: -18.52006565999696, 7: 22.739487099350505,
+         8: 2.4936055526796523, 9: -3.0467644718982196},
+    11: {0: 2.273310147516538, 3: -10.53449546673725,
+         4: -2.0008720582248625, 5: -17.9589318631188,
+         6: 27.94888452941996, 7: -2.8589982771350235,
+         8: -8.87285693353063, 9: 12.360567175794303,
+         10: 0.6433927460157636},
+}
+B = {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+     7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+     10: 0.20136540080403034, 11: 0.04471061572777259}
+E5 = {0: 0.01312004499419488, 5: -1.2251564463762044,
+      6: -0.4957589496572502, 7: 1.6643771824549864,
+      8: -0.35032884874997366, 9: 0.3341791187130175,
+      10: 0.08192320648511571, 11: -0.022355307863886294}
+E3 = {0: -0.18980075407240762, 5: 4.450312892752409,
+      6: 1.8915178993145003, 7: -5.801203960010585,
+      8: -0.4226823213237919, 9: -0.1521609496625161,
+      10: 0.20136540080403034, 11: 0.02265179219836082}
 
 
 class Trajectory:
@@ -91,9 +144,9 @@ def _rhs_source(live, n):
 
 
 def _sum(coeffs, names):
-    """Source of the sum of the nonzero coeffs times names, in order."""
-    return " + ".join("%r * %s" % (float(c), v)
-                      for c, v in zip(coeffs, names) if c)
+    """Source of the sum of coeffs[s] times names[s] over the stages s
+    of the tableau entry coeffs, in its order."""
+    return " + ".join("%r * %s" % (c, names[s]) for s, c in coeffs.items())
 
 
 @functools.cache
@@ -111,8 +164,6 @@ def _dop853_source(n):
     the rhs calls, 2 to start and 12 per step attempt.  No operation
     of the solver raises on a float: a square is v * v, and no divisor
     can be zero (see the comments)."""
-    A, B, C = dop853.A, dop853.B, dop853.C
-    stages = dop853.N_STAGES
     ys = ["y%d" % j for j in range(n)]
 
     def row(s):
@@ -127,7 +178,7 @@ def _dop853_source(n):
             "(%s / sc%d) * (%s / sc%d)" % (v, j, v, j)
             for j, v in enumerate(values)), math.sqrt(n))
 
-    k = [row(s) for s in range(stages + 1)]
+    k = [row(s) for s in range(STAGES + 1)]
     src = ["def kernel(rhs, t, t_end, tol, sqrt, nextafter, abs, min, "
            "max, %s):" % ", ".join(ys),
            "    %s = rhs(t, %s)" % (lhs(k[0]), ", ".join(ys))]
@@ -166,19 +217,19 @@ def _dop853_source(n):
             "            if t_new - t_end > 0:",
             "                t_new = t_end",
             "            h = t_new - t"]
-    for s in range(1, stages):
+    for s in range(1, STAGES):
         src.append("            %s = rhs(t + %r * h, %s)" % (
-            lhs(k[s]), float(C[s]), ", ".join(
+            lhs(k[s]), C[s], ", ".join(
                 "y%d + (%s) * h" % (j, _sum(A[s], [r[j] for r in k]))
                 for j in range(n))))
     src += ["            z%d = y%d + h * (%s)" % (
         j, j, _sum(B, [r[j] for r in k])) for j in range(n)]
     src += ["            %s = rhs(t + h, %s)" % (
-                lhs(k[stages]), ", ".join("z%d" % j for j in range(n))),
+                lhs(k[STAGES]), ", ".join("z%d" % j for j in range(n))),
             "            nfev += 12"]
     src += ["            sc%d = tol + max(abs(y%d), abs(z%d)) * tol"
             % (j, j, j) for j in range(n)]
-    for name, coeffs in (("e", dop853.E5), ("g", dop853.E3)):
+    for name, coeffs in (("e", E5), ("g", E3)):
         src += ["            %s%d = (%s) / sc%d" % (
             name, j, _sum(coeffs, [r[j] for r in k]), j) for j in range(n)]
     src += ["            s5 = " + " + ".join(
@@ -206,7 +257,7 @@ def _dop853_source(n):
             "            rejected = True",
             "        t = t_new",
             "        %s = %s" % (", ".join(ys + k[0]), ", ".join(
-                ["z%d" % j for j in range(n)] + k[stages])),
+                ["z%d" % j for j in range(n)] + k[STAGES])),
             "        if t - t_end >= 0:",
             "            return True, nfev, t, (%s,)" % ", ".join(ys)]
     return "\n".join(src) + "\n"
@@ -296,6 +347,11 @@ def _quad_halving(f, a, b, depth):
     reports a failure (subdivision limit, roundoff) the interval is
     halved and each half retried, at most depth times deep, after
     which quad's own warning stands."""
+    # Imported here, not with the module: scipy.integrate leaves some
+    # 31k objects that every full garbage collection of a steering
+    # process would scan, and only input lengths need it.
+    from scipy.integrate import quad
+
     if depth == 0:
         return quad(f, a, b, epsabs=1e-14, epsrel=1e-10, limit=200)[0]
     out = quad(f, a, b, epsabs=1e-14, epsrel=1e-10, limit=200,

@@ -12,11 +12,16 @@ that adds an option raises the budget in its own diff.
 The package holds no assert statement: python -O strips them, so a
 check the library relies on must raise.
 And one cached loader compiles all the package's generated code, so
-no caller compiles a source anew on every call."""
+no caller compiles a source anew on every call.
+Importing the package and steering load neither numpy nor scipy, whose
+import-time objects every full garbage collection would scan."""
 
 import ast
 import importlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -353,3 +358,55 @@ def test_one_cached_loader_compiles_code():
     fname, name, decorators = found[0]
     assert (fname, name) == ("poly.py", "load_kernel")
     assert any(d.startswith("functools.lru_cache(") for d in decorators)
+
+
+# Run in a fresh interpreter, since pytest's own imports load scipy.
+# It steers canonical (2,3) exactly, takes one float period, replays
+# one local step on the unicycle, and then takes that law's length.
+FOOTPRINT_SCRIPT = """
+import importlib, json, pkgutil, sys
+
+import nilsteer
+
+for info in pkgutil.iter_modules(nilsteer.__path__):
+    importlib.import_module("nilsteer." + info.name)
+from nilsteer import canonical, planner, poly, sim, steer
+
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.partition(".")[0] in ("numpy", "scipy"))
+
+
+system = canonical.canonical_fields(2, 3)
+law = steer.exact_steer([0.3, -0.2, 0.1, 0.4, -0.5], system,
+                        steer.build_plan(system))
+z = [float(v) for v in law.meta["z_init"]]
+steer.propagate_period(system, law.periods[0]["channels"], z,
+                       float_mode=True)
+out = {"steer": loaded()}
+names = ["x", "y", "th"]
+fields = [poly.ExprField([poly.parse_expr(c, names) for c in comps])
+          for comps in (["cos(th)", "sin(th)", "0"], ["0", "0", "1"])]
+model = canonical.canonical_fields(2, 2)
+local = planner.LocalSteering(fields, model, steer.build_plan(model))
+_, law = local.steer([0.1, -0.15, 0.3], [0.0, 0.0, 0.0])
+sim.integrate(fields, [0.1, -0.15, 0.3], law, tol=1e-10)
+out["replay"] = [m for m in loaded() if m.startswith("scipy")]
+out["length"] = sim.input_length(law)
+print(json.dumps(out))
+"""
+
+
+def test_steering_loads_neither_numpy_nor_scipy():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.join(HERE, os.pardir, "src"))
+    run = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout.splitlines()[-1])
+    assert out["steer"] == []
+    assert out["replay"] == []
+    # scipy's quad, loaded only now, gives the length it gave when
+    # scipy loaded with the package
+    assert out["length"] == 5.3372635004762685

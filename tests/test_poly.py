@@ -361,7 +361,8 @@ def test_shear_inverse_exact():
 
 def test_affine_map_and_compose():
     m = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(1)]]
-    t = TriangularMap.affine(m, [Fraction(1), Fraction(0)])
+    t = TriangularMap.affine(m, invert_matrix(m), [Fraction(1), Fraction(0)])
+    assert oracles.check_inverse(t)
     assert t.apply([Fraction(1), Fraction(0)]) == [0, 0]
     assert t.apply([Fraction(2), Fraction(3)]) == [5, 3]
     shear = TriangularMap.shear([None, Poly(2, {(2, 0): Fraction(1)})])

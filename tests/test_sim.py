@@ -7,6 +7,7 @@ plain-loop DOP853 at the same tolerance, within 0.1 tol of scipy's
 DOP853 from the same start, and within a bound of a tighter run.
 """
 
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -345,3 +346,37 @@ def test_solver_matches_plain_loop_reference(rhs, t0, t1, y0, tol):
         assert sol.nfev == judge.nfev
         assert max(abs(a - b) for a, b in zip(sol.y, judge.y)) \
             <= 0.1 * tol * max(1.0, max(abs(v) for v in judge.y))
+
+
+def nonzero(row, stop):
+    return {s: c for s, c in enumerate(row[:stop]) if c}
+
+
+def test_tableau_is_scipys():
+    # every entry equal to scipy's float, and none of scipy's missing
+    tab = oracles.dop853
+    assert sim.STAGES == tab.N_STAGES
+    assert sim.C == nonzero(tab.C, sim.STAGES)
+    assert sim.A == {s: nonzero(tab.A[s], sim.STAGES + 1)
+                     for s in range(1, sim.STAGES)}
+    for mine, theirs in ((sim.B, tab.B), (sim.E5, tab.E5),
+                         (sim.E3, tab.E3)):
+        assert mine == nonzero(theirs, sim.STAGES + 1)
+    assert sum(map(len, (sim.C, *sim.A.values(), sim.B, sim.E5,
+                         sim.E3))) == 85
+
+
+# sha256 of the solver source for state dimensions 2 to 5, taken while
+# the tableau was read from scipy
+SOLVER_DIGESTS = {
+    2: "7d2bfdd4a6ed8a8e5e3f9a135fb106ba926057b3ce46ef384a06b08737f05cca",
+    3: "cb55dea16014d1f5d2e25efc6f049fe2daa44cbb54ed3493719b5c562ffa1013",
+    4: "d9e30ee4072a6efa394dfacc02eb098d608c687eb75a1a26b4645d1d4d321f77",
+    5: "db6667309b90aaa5023db77e54119185430b472a5c6a733981d28948beb4f217",
+}
+
+
+def test_solver_source_is_pinned():
+    got = {n: hashlib.sha256(sim._dop853_source(n).encode()).hexdigest()
+           for n in SOLVER_DIGESTS}
+    assert got == SOLVER_DIGESTS
