@@ -21,11 +21,12 @@ polynomial fields, terms in sorted exponent order (desingularize says
 why), and any other base lifts to expression fields.
 
 Bracket values at a point (frame_values) are read off the bracket
-fields themselves; only the chart rounds take Taylor jets.  Chart
-coefficients come from rational arithmetic on those jets: with an
-exact anchor at which every trig argument of the base fields
-vanishes, every coefficient is a Fraction; trig values elsewhere and
-float anchors flow through the same code paths in floats.
+fields themselves (the covering compiles them instead); only the chart
+rounds take Taylor jets.  Chart coefficients come from rational
+arithmetic on those jets: with an exact anchor at which every trig
+argument of the base fields vanishes, every coefficient is a
+Fraction; trig values elsewhere and float anchors flow through the
+same code paths in floats.
 growth_vector takes its ranks with numpy, which loads at its first
 call, not with the module.
 """
@@ -109,20 +110,20 @@ def frame_combos(basis, n):
         for c in itertools.combinations(range(1, len(basis) + 1), n))
 
 
-def cheapest_frame(basis, value_sets):
-    """Cheapest n-subset of the basis spanning on every value matrix.
+def cheapest_frame(ranked, value_sets):
+    """Cheapest ranked n-subset spanning on every value matrix.
 
-    value_sets holds matrices of bracket values (rows are coordinates,
-    columns the whole basis in order).  Candidates are tried in order
-    of total bracket length; the first level holding a subset whose
-    determinant clears the gate on every matrix wins, and within it
-    the largest worst-case magnitude, ties going to the first subset
-    in sorted order.  Returns (combo, dets), one determinant per
-    matrix, or None.
+    ranked holds (level, subset) pairs in frame_combos order, possibly
+    with some left out.  value_sets holds matrices of bracket values
+    (rows are coordinates, columns the whole basis in order).  The
+    first level holding a subset whose determinant clears the gate on
+    every matrix wins, and within it the largest worst-case magnitude,
+    ties going to the first subset in sorted order.  Returns (combo,
+    dets), one determinant per matrix, or None.
     """
     n = len(value_sets[0])
     best = None
-    for level, combo in frame_combos(basis, n):
+    for level, combo in ranked:
         if best is not None and level > best[0]:
             break
         dets = []

@@ -22,13 +22,13 @@ resolution and the step r, never on the endpoints, so a Planner builds
 it once, together with the canonical model and its frequency plan, and
 each query only searches a cell path through it
 (CoveringAtlas.path_between).
-build_covering builds the system's bracket fields once and decides
-most boxes with one float screen over their compiled kernels; a box
-whose outcome could turn on the screen's margins goes through
-cheapest_frame on the same fields' values at its corners instead (see
-_screen_frames).  The screen is the package's one numpy user next to
-growth_vector, so numpy loads at the first covering, not with the
-module.
+build_covering ranks the frame subsets and fills one table of
+compiled bracket values at the grid corners, once each.  A float
+screen over that table decides most boxes; a box whose outcome could
+turn on the screen's margins goes through cheapest_frame on the same
+ranking and table instead (see _screen_frames).  The screen is the
+package's one numpy user next to growth_vector, so numpy loads at the
+first covering, not with the module.
 
 A practical note on tolerances: an endpoint whose coordinates carry
 integrator noise of size tau has pseudo-norm around tau**(1/r), so
@@ -43,7 +43,7 @@ import math
 
 from .canonical import canonical_fields
 from .desing import DET_THRESHOLD, cheapest_frame, desingularize, \
-    frame_combos, frame_values
+    frame_combos
 from .errors import (
     CoverageGap, IterationCapExceeded, NoPath, SingularFrame, SpecError,
     StepFailure,
@@ -351,11 +351,6 @@ class Grid:
         bhi = [a + (i + 1) * s for a, i, s in zip(self.lo, idx, self.step)]
         return blo, bhi
 
-    def corners(self, idx):
-        blo, bhi = self.bounds(idx)
-        return [list(c) for c in itertools.product(
-            *[(a, b) for a, b in zip(blo, bhi)])]
-
 
 class Cell:
     """Face-connected union of grid boxes sharing one bracket frame."""
@@ -516,45 +511,30 @@ def _overlap_waypoint(grid, box_pairs):
 SCREEN_SLACK = 1e-6
 
 
-def _screen_frames(brackets, basis, grid):
+def _screen_frames(table, combos, grid):
     """{box index: frame} for the boxes the float screen decides.
 
-    brackets holds the field of every basis element, in basis order.
-    Only the cheapest level of n-subsets is screened.  Each bracket it
-    uses is compiled once and evaluated once per grid corner, and
-    every (box, corner) determinant of a subset is one numpy batch.  A
-    box is decided when every subset of the level clears the gate
-    (|det| > DET_THRESHOLD * scale) by SCREEN_SLACK * scale at every
-    corner, and the largest worst |det| beats every other by the
-    factor 1 + SCREEN_SLACK.  The compiled kernels equal
-    float(evaluate()) bit for bit up to the sign of a zero (see
-    poly.compile_field), so under those margins the fallback
-    search, cheapest_frame on frame_values of the same bracket fields
-    at the same float corners, picks the same frame; a failing or
-    nearly tied subset leaves the box to that search.
+    table is build_covering's corner table and combos the cheapest
+    level of its ranking; each subset's (box, corner) determinants are
+    one numpy batch.  A box is decided when every subset of the level
+    clears the gate (|det| > DET_THRESHOLD * scale) by SCREEN_SLACK *
+    scale at every corner, and the largest worst |det| beats every
+    other by the factor 1 + SCREEN_SLACK.  cheapest_frame reads the
+    same table entries, so under those margins it picks the same frame.
     """
     # Imported here, not with the module: numpy leaves some 7k objects
     # that every full garbage collection would scan, and exact steering
     # never builds a covering.
     import numpy as np
 
-    n = grid.n
-    combos = frame_combos(basis, n)
-    if not combos:
-        return {}
-    level = combos[0][0]
-    combos = [c for lv, c in combos if lv == level]
+    n, res = grid.n, grid.res
     cols = sorted({j for c in combos for j in c})
-    kernels = [compile_field(brackets[j - 1]) for j in cols]
-    res = grid.res
-    axes = [[a + i * s for i in range(res + 1)]
-            for a, s in zip(grid.lo, grid.step)]
     # values[corner grid index..., bracket, coordinate]
-    values = np.array([[kern(list(p)) for kern in kernels]
-                       for p in itertools.product(*axes)], dtype=float)
+    values = np.array(list(table.values()), dtype=float)[
+        :, [j - 1 for j in cols]]
     values = values.reshape([res + 1] * n + [len(cols), n])
     # box_vals[box, corner, bracket, coordinate], boxes in grid.boxes()
-    # order and corners in Grid.corners() order
+    # order and corners in build_covering's offset order
     box_vals = np.stack(
         [values[tuple(slice(o, o + res) for o in off)]
          .reshape(-1, len(cols), n)
@@ -586,34 +566,43 @@ def build_covering(fields, K, basis, grid):
     largest worst determinant within a level; per-frame box sets are
     split into face-connected cells; cells touching each other are graph
     neighbors with a deterministic waypoint in their intersection.
-    The bracket fields are built once.  The float screen
-    (_screen_frames) compiles them and assigns most boxes; the rest go,
-    in grid order, through cheapest_frame on the same fields evaluated
-    at the float corners, so ties and the CoverageGap box are those of
-    that search.
+    The ranking leaves out the subsets holding an identically zero
+    bracket, and the corner table holds every bracket's value at each
+    grid corner, from one kernel run (0.0 for a zero bracket).  The
+    screen (_screen_frames) reads the ranking's cheapest level; the
+    boxes it leaves go, in grid order, through cheapest_frame on the
+    whole ranking, so ties and the CoverageGap box are that search's.
     """
     grid = Grid(K[0], K[1], grid)
+    n, res = grid.n, grid.res
     brackets = evaluate_brackets(basis, range(1, len(basis) + 1), fields)
-    screened = _screen_frames(brackets, basis, grid)
-    assigned = {}
-    memo = {}
+    kernels = [None if b.is_zero() else compile_field(b) for b in brackets]
+    ranked = [(level, combo) for level, combo in frame_combos(basis, n)
+              if all(kernels[j - 1] is not None for j in combo)]
+    zero = [0.0] * n
+    axes = [[a + i * s for i in range(res + 1)]
+            for a, s in zip(grid.lo, grid.step)]
+    # keyed by corner index, both in itertools.product order
+    corners = itertools.product(range(res + 1), repeat=n)
+    table = {key: [zero if kern is None else kern(point)
+                   for kern in kernels]
+             for key, point in zip(corners, itertools.product(*axes))}
+    screened = {}
+    if ranked:
+        screened = _screen_frames(
+            table, [c for lv, c in ranked if lv == ranked[0][0]], grid)
+    offsets = list(itertools.product((0, 1), repeat=n))
+    by_frame = {}
     for idx in grid.boxes():
         frame = screened.get(idx)
         if frame is None:
-            values = []
-            for corner in grid.corners(idx):
-                key = tuple(corner)
-                if key not in memo:
-                    memo[key] = frame_values(brackets, corner)
-                values.append(memo[key])
-            found = cheapest_frame(basis, values)
+            found = cheapest_frame(ranked, [
+                list(zip(*table[tuple(i + o for i, o in zip(idx, off))]))
+                for off in offsets])
             if found is None:
                 raise CoverageGap("no frame passes the corner gate on "
                                   "box %s" % (idx,), box=list(idx))
             frame = found[0]
-        assigned[idx] = frame
-    by_frame = {}
-    for idx, frame in assigned.items():
         by_frame.setdefault(frame, []).append(idx)
     cells = []
     for frame in sorted(by_frame):

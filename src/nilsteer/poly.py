@@ -756,6 +756,10 @@ class ExprField:
             elif kind != "rat":
                 stack.append(node.a)
 
+    def is_zero(self):
+        """Every component is the constant 0: a test of form, not value."""
+        return all(c.kind == "rat" and c.a == 0 for c in self.comps)
+
     def evaluate(self, point):
         return [expr_eval(c, point) for c in self.comps]
 

@@ -7,7 +7,8 @@ from their term lists, never resampled onto a grid.  A period's
 right-hand side is one straight-line source holding its terms and
 fields, with the law's values as arguments and the state coordinates
 as scalar arguments, so all periods of one shape (fields and term
-counts) share code compiled once per process (poly.load_kernel).  A
+counts) share code compiled once per process (poly.load_kernel), and
+one integrate call builds each shape's source once.  A
 law turns its exact amplitudes into floats on first use, so the
 right-hand side runs in plain floats, with the values the exact
 evaluation would round to.  The solver is compiled the same way, once
@@ -110,21 +111,21 @@ class Trajectory:
         return len(self.states)
 
 
-def _rhs_source(live, n):
+def _rhs_source(fields, shape, n):
     """Source of kernel(gain, base, a0, w0, h0, a1, ...) -> rhs, where
     rhs(t, x0, ..., x(n-1)) is the tuple sum_i u_i(t) X_i(x) of one law
-    period, over the (field, channel terms) pairs of live, each term
-    (amp, w, phase) an argument triple.  It runs ControlLaw.eval's and
-    the field kernels' float operations in their order, summed from
-    0.0, with the products by a literal 0.0 left out and those by a
-    literal 1.0 taken as the input itself: at finite inputs neither
-    changes a bit of the sum."""
-    lines, cols = emit_fields([f for f, _ in live])
+    period of the given shape, one (field index, term count) per live
+    channel, each term (amp, w, phase) an argument triple.  It runs
+    ControlLaw.eval's and the field kernels' float operations in their
+    order, summed from 0.0, with the products by a literal 0.0 left out
+    and those by a literal 1.0 taken as the input itself: at finite
+    inputs neither changes a bit of the sum."""
+    lines, cols = emit_fields([fields[i] for i, _ in shape])
     params, src = [], ["    def rhs(t, %s):" % ", ".join(
         "x%d" % j for j in range(n)), "        tau = t - base"]
-    for i, (_, terms) in enumerate(live):
+    for i, (_, count) in enumerate(shape):
         val = "0.0"
-        for j in range(len(params), len(params) + len(terms)):
+        for j in range(len(params), len(params) + count):
             params.append(", a%d, w%d, h%d" % (j, j, j))
             val += " + a%d * cos(w%d * tau - h%d)" % (j, j, j)
         src.append("        u%d = gain * (%s)" % (i, val))
@@ -302,9 +303,10 @@ def integrate(fields, x0, u, tol):
     steps across a jump of its right-hand side shrinks its step there
     and misses by more than its tolerance; restarted at the edge, it
     sees a smooth right-hand side in every period.  Each solve runs
-    solve_ivp on the compiled _rhs_source of its period's shape, with
-    that period's terms up to and including its end, and a period
-    whose channels are all empty holds the state without a solve.
+    solve_ivp on the compiled _rhs_source of its period's shape, loaded
+    once per shape and call, with that period's terms up to and
+    including its end; a period whose channels are all empty holds the
+    state without a solve.
 
     A non-finite start, or a tolerance check_tol refuses, raises
     SpecError.  A solve that stops early, or whose right-hand side
@@ -318,13 +320,16 @@ def integrate(fields, x0, u, tol):
         raise SpecError("non-finite start %r" % (state,), x0=state)
     gain, periods = u.float_table()
     states = [state]
+    kernels = {}
     for k, channels in enumerate(periods):
-        if any(channels):
-            live = [(f, terms) for f, terms in zip(fields, channels)
-                    if terms]
-            rhs = load_kernel(_rhs_source(live, len(state)))(
-                gain, k * TWO_PI,
-                *[v for _, terms in live for term in terms for v in term])
+        shape = tuple((i, len(terms)) for i, (_, terms)
+                      in enumerate(zip(fields, channels)) if terms)
+        if shape:
+            if shape not in kernels:
+                kernels[shape] = load_kernel(
+                    _rhs_source(fields, shape, len(state)))
+            rhs = kernels[shape](gain, k * TWO_PI, *[
+                v for i, _ in shape for term in channels[i] for v in term])
             try:
                 sol = solve_ivp(rhs, k * TWO_PI, (k + 1) * TWO_PI, state,
                                 tol)

@@ -23,7 +23,8 @@ import oracles
 from nilsteer import desing, privcoord
 from nilsteer.canonical import canonical_fields
 from nilsteer.desing import (
-    _det_gate, cheapest_frame, desingularize, frame_values, growth_vector,
+    _det_gate, cheapest_frame, desingularize, frame_combos, frame_values,
+    growth_vector,
 )
 from nilsteer.errors import SingularFrame, SpecError
 from nilsteer.hall import build_hall_basis, evaluate_brackets
@@ -72,7 +73,7 @@ def frame_at(fields, basis, a):
     det), or None when no frame spans there."""
     values = frame_values(
         evaluate_brackets(basis, range(1, len(basis) + 1), fields), a)
-    found = cheapest_frame(basis, [values])
+    found = cheapest_frame(frame_combos(basis, len(values)), [values])
     if found is None:
         return None
     combo, (det,) = found

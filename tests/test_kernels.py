@@ -411,6 +411,24 @@ def test_replay_of_one_period_shape_compiles_once(compiled):
     assert again != first
 
 
+def test_replay_builds_each_period_shape_source_once(monkeypatch):
+    # shape_law twice over: six solves of three shapes
+    built = []
+    source = sim._rhs_source
+
+    def spy(fields, shape, n):
+        built.append(shape)
+        return source(fields, shape, n)
+
+    monkeypatch.setattr(sim, "_rhs_source", spy)
+    law = shape_law(3)
+    twice = ControlLaw(3, law.periods * 2, scale=law.scale)
+    traj = integrate(dense_fields(), [0.1, -0.2, 0.3], twice, tol=1e-10)
+    assert built == [((0, 2), (2, 1)), ((0, 1), (1, 2)),
+                     ((0, 1), (1, 1), (2, 1))]
+    assert len(traj) == 9
+
+
 def test_second_planner_compiles_no_screen_kernel(compiled):
     box = ([-1.0, -1.0, -2.0], [1.0, 1.0, 2.0])
     Planner(unicycle_fields(), box, PlannerConfig(grid=4), r=2)

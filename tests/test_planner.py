@@ -11,7 +11,7 @@ import pytest
 
 from nilsteer import desing, planner
 from nilsteer.canonical import canonical_fields
-from nilsteer.desing import cheapest_frame, frame_values
+from nilsteer.desing import cheapest_frame, frame_combos, frame_values
 from nilsteer.errors import (
     CoverageGap, IterationCapExceeded, SpecError, StepFailure,
 )
@@ -21,8 +21,8 @@ from nilsteer.planner import (
     _overlap_waypoint, build_covering, global_free, global_plan, subgoal,
 )
 from nilsteer.poly import (
-    ExprField, Poly, WeightedPolynomialField, as_expr_field, ecos, erat,
-    esin, evar,
+    ExprField, Poly, WeightedPolynomialField, as_expr_field, eadd, ecos,
+    epow, erat, esin, evar,
 )
 from nilsteer.privcoord import dilate, pseudo_norm
 from nilsteer.sim import integrate
@@ -385,6 +385,18 @@ def three_plane_fields():
             WeightedPolynomialField([x2, one.add(x1)])]
 
 
+def chained_fields():
+    """The 5-D chained form X1 = d1 + x3 d2 + x4 d3 + x5 d4, X2 = d5,
+    on which [X2, [X1, X2]] is identically zero."""
+    n = 5
+    one, zero = Poly.const(n, 1), Poly.zero(n)
+    x3, x4, x5 = (Poly.var(n, i) for i in (2, 3, 4))
+    return [WeightedPolynomialField([one, x3, x4, x5, zero]),
+            WeightedPolynomialField([zero, zero, zero, zero, one])]
+
+
+BOX5 = ([-1.0] * 5, [1.0] * 5)
+
 ATLAS_CASES = {
     "unicycle-grid4": (unicycle_fields, ([-1.0, -1.0, -2.0],
                                          [1.0, 1.0, 2.0]), 2, 4),
@@ -403,25 +415,32 @@ ATLAS_CASES = {
     "parabola-grid5": (parabola_fields, BOX3, 3, 5),
     "parabola-grid8": (parabola_fields, BOX3, 3, 8),
     "three-plane": (three_plane_fields, ([-2.0, -2.0], [2.0, 2.0]), 2, 8),
+    "chained-grid1": (chained_fields, BOX5, 4, 1),
+    "chained-grid2": (chained_fields, BOX5, 4, 2),
+    "chained-grid3": (chained_fields, BOX5, 4, 3),
 }
 
 
 def exact_frames(fields, K, basis, res):
-    """Every box's frame from cheapest_frame on the bracket values at
-    its corners, with no screen, in grid order, or the first box it
-    finds no frame for."""
+    """Every box's frame from cheapest_frame on every n-subset of the
+    basis and on the bracket values at its corners (frame_values), with
+    no screen, in grid order, or the first box it finds no frame for.
+    build_covering reads compiled kernels, which equal float(evaluate())
+    bit for bit up to the sign of a zero (poly.compile_field), so the
+    two see the same numbers, except that a corner matrix of exact
+    constants gets the exact gate here and the relative one there."""
     grid = Grid(K[0], K[1], res)
     brackets = evaluate_brackets(basis, range(1, len(basis) + 1), fields)
+    ranked = frame_combos(basis, grid.n)
     memo = {}
     frames = {}
     for idx in grid.boxes():
         values = []
-        for corner in grid.corners(idx):
-            key = tuple(corner)
-            if key not in memo:
-                memo[key] = frame_values(brackets, corner)
-            values.append(memo[key])
-        found = cheapest_frame(basis, values)
+        for corner in itertools.product(*zip(*grid.bounds(idx))):
+            if corner not in memo:
+                memo[corner] = frame_values(brackets, corner)
+            values.append(memo[corner])
+        found = cheapest_frame(ranked, values)
         if found is None:
             return list(idx)
         frames[idx] = found[0]
@@ -453,22 +472,108 @@ def test_atlas_matches_exact_frame_search(case):
     assert list(atlas.edges.items()) == list(edges.items())
 
 
-def test_screen_leaves_few_boxes_to_the_exact_search(monkeypatch):
+def counting_cheapest_frame(monkeypatch):
+    """The value sets of every box build_covering hands to
+    cheapest_frame, in call order."""
     calls = []
 
-    def counting(*args):
-        calls.append(args[-1])
-        return desing.frame_values(*args)
+    def counting(ranked, value_sets):
+        calls.append(value_sets)
+        return desing.cheapest_frame(ranked, value_sets)
 
-    monkeypatch.setattr(planner, "frame_values", counting)
+    monkeypatch.setattr(planner, "cheapest_frame", counting)
+    return calls
+
+
+def test_screen_leaves_few_boxes_to_the_exact_search(monkeypatch):
+    calls = counting_cheapest_frame(monkeypatch)
     build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2), 4)
     assert calls == []
     build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3), 8)
-    # the boxes touching x1 = 0, where [X1, X2] vanishes, go to the
-    # fallback search:
-    # at most their 3 * 81 of the 729 corners
-    assert 0 < len(calls) <= 243
-    assert all(abs(corner[0]) <= 0.25 + 1e-12 for corner in calls)
+    # the boxes touching x1 = 0, where [X1, X2] = 2 x1 d3 vanishes, go
+    # to the fallback search: at most their 2 * 64 of the 512 boxes
+    assert 0 < len(calls) <= 128
+    assert all(abs(values[2][2]) <= 0.5 + 1e-12
+               for value_sets in calls for values in value_sets)
+
+
+def test_screen_decides_every_box_of_the_chained_form(monkeypatch):
+    # every subset of the cheapest level holds [X2, [X1, X2]], which is
+    # identically zero; the ranking leaves those subsets out, so the
+    # screen reads the next level, which spans everywhere
+    calls = counting_cheapest_frame(monkeypatch)
+    atlas = build_covering(chained_fields(), BOX5, build_hall_basis(2, 4),
+                           3)
+    assert calls == []
+    assert [(c.frame, len(c.boxes)) for c in atlas.cells] == \
+        [((1, 2, 3, 4, 6), 243)]
+
+
+def test_covering_runs_each_kernel_once_per_corner(monkeypatch):
+    points = Counter()
+    kernels = []
+    combos = []
+    compile_field = planner.compile_field
+
+    def compiling(field):
+        kern = compile_field(field)
+        k = len(kernels)
+        kernels.append(field)
+
+        def counted(p):
+            points[k, tuple(p)] += 1
+            return kern(p)
+        return counted
+
+    def ranking(*args):
+        combos.append(args)
+        return frame_combos(*args)
+
+    monkeypatch.setattr(planner, "compile_field", compiling)
+    monkeypatch.setattr(planner, "frame_combos", ranking)
+    calls = counting_cheapest_frame(monkeypatch)
+    basis = build_hall_basis(2, 3)
+    build_covering(martinet_fields(), BOX3, basis, 8)
+    # some boxes go to the fallback, which reads the same table
+    assert calls
+    assert len(combos) == 1
+    # brackets 1 to 4 run, [X2, [X1, X2]] is identically zero
+    assert len(kernels) == 4
+    assert evaluate_brackets(basis, [5], martinet_fields())[0].is_zero()
+    assert set(points.values()) == {1}
+    assert len(points) == 4 * 9 ** 3
+
+
+def test_structurally_zero_brackets_leave_the_ranking(monkeypatch):
+    """X3 is zero only after simplification, so it is not identically
+    zero to the ranking: the subsets holding it stay ranked and send
+    every box to the fallback, which still picks (1, 2).  A literal zero
+    X3 leaves the ranking, and the screen decides every box."""
+    x1 = evar(0)
+    X1 = ExprField([erat(1), erat(0)])
+    X2 = ExprField([erat(0), erat(1)])
+    cancel = ExprField([eadd(epow(esin(x1), 2), epow(ecos(x1), 2),
+                             erat(-1)), erat(0)])
+    assert not cancel.is_zero()
+    assert ExprField([erat(0), erat(0.0)]).is_zero()
+    basis = build_hall_basis(3, 1)
+    K = ([-1.0, -1.0], [1.0, 1.0])
+    ranked = []
+
+    def recording(ranked_arg, value_sets):
+        ranked.append(ranked_arg)
+        return desing.cheapest_frame(ranked_arg, value_sets)
+
+    monkeypatch.setattr(planner, "cheapest_frame", recording)
+    atlas = build_covering([X1, X2, cancel], K, basis, 2)
+    assert [c.frame for c in atlas.cells] == [(1, 2)]
+    assert len(ranked) == 4
+    assert ranked[0] == frame_combos(basis, 2)
+    ranked.clear()
+    atlas = build_covering([X1, X2, ExprField([erat(0), erat(0)])], K,
+                           basis, 2)
+    assert [c.frame for c in atlas.cells] == [(1, 2)]
+    assert ranked == []
 
 
 # sha256 of the sorted-key JSON of each one-shot law's to_json(), taken
