@@ -28,7 +28,7 @@ argument of the base fields vanishes, every coefficient is a
 Fraction; trig values elsewhere and float anchors flow through the
 same code paths in floats.
 growth_vector takes its ranks with numpy, which loads at its first
-call, not with the module.
+call, not with the module; it is the package's only numpy user.
 """
 
 import itertools
@@ -110,34 +110,32 @@ def frame_combos(basis, n):
         for c in itertools.combinations(range(1, len(basis) + 1), n))
 
 
-def cheapest_frame(ranked, value_sets):
-    """Cheapest ranked n-subset spanning on every value matrix.
+def cheapest_frame(ranked, corners, det_at):
+    """Cheapest ranked n-subset spanning at every corner.
 
     ranked holds (level, subset) pairs in frame_combos order, possibly
-    with some left out.  value_sets holds matrices of bracket values
-    (rows are coordinates, columns the whole basis in order).  The
-    first level holding a subset whose determinant clears the gate on
-    every matrix wins, and within it the largest worst-case magnitude,
-    ties going to the first subset in sorted order.  Returns (combo,
-    dets), one determinant per matrix, or None.
+    with some left out.  det_at(corner, subset) is the magnitude of the
+    subset's determinant at a corner when it clears the gate
+    (_det_gate), None when it does not.  The first level holding a
+    subset that clears the gate at every corner wins, and within it
+    the largest worst-case magnitude, ties going to the first subset
+    in sorted order.  Returns that subset, or None.  A subset is read
+    corner by corner in order and dropped at its first failing one.
     """
-    n = len(value_sets[0])
     best = None
     for level, combo in ranked:
         if best is not None and level > best[0]:
             break
-        dets = []
-        for values in value_sets:
-            rows = [[values[i][j - 1] for j in combo] for i in range(n)]
-            det = det_matrix(rows)
-            if not _det_gate(det, rows):
+        score = math.inf
+        for corner in corners:
+            det = det_at(corner, combo)
+            if det is None:
                 break
-            dets.append(det)
+            score = min(score, det)
         else:
-            score = min(abs(float(d)) for d in dets)
             if best is None or score > best[1]:
-                best = (level, score, combo, dets)
-    return None if best is None else best[2:]
+                best = (level, score, combo)
+    return None if best is None else best[2]
 
 
 def _word_functional(frame, word, p):

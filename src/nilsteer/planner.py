@@ -23,12 +23,9 @@ it once, together with the canonical model and its frequency plan, and
 each query only searches a cell path through it
 (CoveringAtlas.path_between).
 build_covering ranks the frame subsets and fills one table of
-compiled bracket values at the grid corners, once each.  A float
-screen over that table decides most boxes; a box whose outcome could
-turn on the screen's margins goes through cheapest_frame on the same
-ranking and table instead (see _screen_frames).  The screen is the
-package's one numpy user next to growth_vector, so numpy loads at the
-first covering, not with the module.
+compiled bracket values at the grid corners, once each; every box is
+decided by desing.cheapest_frame on that ranking and table, and each
+(corner, subset) determinant is taken once, when a box first asks.
 
 A practical note on tolerances: an endpoint whose coordinates carry
 integrator noise of size tau has pseudo-norm around tau**(1/r), so
@@ -42,14 +39,13 @@ import itertools
 import math
 
 from .canonical import canonical_fields
-from .desing import DET_THRESHOLD, cheapest_frame, desingularize, \
-    frame_combos
+from .desing import _det_gate, cheapest_frame, desingularize, frame_combos
 from .errors import (
     CoverageGap, IterationCapExceeded, NoPath, SingularFrame, SpecError,
     StepFailure,
 )
 from .hall import evaluate_brackets
-from .poly import WeightedPolynomialField, compile_field
+from .poly import WeightedPolynomialField, compile_field, det_matrix
 from .privcoord import dilate, first_order_approx, pseudo_norm
 from .sim import input_length, integrate
 from .steer import build_plan, concatenate, exact_steer
@@ -504,74 +500,21 @@ def _overlap_waypoint(grid, box_pairs):
     return best
 
 
-# Margin of the float screen, relative to the column scale of a
-# bracket matrix.  Float rounding moves a determinant by a few ulps
-# of that scale; a box whose frame choice could flip within this
-# margin goes to the fallback search (cheapest_frame).
-SCREEN_SLACK = 1e-6
-
-
-def _screen_frames(table, combos, grid):
-    """{box index: frame} for the boxes the float screen decides.
-
-    table is build_covering's corner table and combos the cheapest
-    level of its ranking; each subset's (box, corner) determinants are
-    one numpy batch.  A box is decided when every subset of the level
-    clears the gate (|det| > DET_THRESHOLD * scale) by SCREEN_SLACK *
-    scale at every corner, and the largest worst |det| beats every
-    other by the factor 1 + SCREEN_SLACK.  cheapest_frame reads the
-    same table entries, so under those margins it picks the same frame.
-    """
-    # Imported here, not with the module: numpy leaves some 7k objects
-    # that every full garbage collection would scan, and exact steering
-    # never builds a covering.
-    import numpy as np
-
-    n, res = grid.n, grid.res
-    cols = sorted({j for c in combos for j in c})
-    # values[corner grid index..., bracket, coordinate]
-    values = np.array(list(table.values()), dtype=float)[
-        :, [j - 1 for j in cols]]
-    values = values.reshape([res + 1] * n + [len(cols), n])
-    # box_vals[box, corner, bracket, coordinate], boxes in grid.boxes()
-    # order and corners in build_covering's offset order
-    box_vals = np.stack(
-        [values[tuple(slice(o, o + res) for o in off)]
-         .reshape(-1, len(cols), n)
-         for off in itertools.product((0, 1), repeat=n)], axis=1)
-    clear, scores = [], []
-    for combo in combos:
-        mats = box_vals[:, :, [cols.index(j) for j in combo], :]
-        dets = np.abs(np.linalg.det(mats))
-        norms = np.linalg.norm(mats, axis=-1)
-        scale = np.prod(np.where(norms > 0, norms, 1.0), axis=-1)
-        clear.append(np.all(dets > (DET_THRESHOLD + SCREEN_SLACK) * scale,
-                            axis=1))
-        scores.append(np.min(dets, axis=1))
-    ok = np.all(clear, axis=0)
-    scores = np.array(scores)
-    if len(combos) > 1:
-        ranked = np.sort(scores, axis=0)
-        ok &= ranked[-1] > ranked[-2] * (1 + SCREEN_SLACK)
-    best = np.argmax(scores, axis=0)
-    return {idx: combos[best[k]]
-            for k, idx in enumerate(grid.boxes()) if ok[k]}
-
-
 def build_covering(fields, K, basis, grid):
     """Split the box K into frame cells: the covering atlas.
 
     Each of the grid**n boxes gets the lowest-level frame whose
     determinant passes the gate at all box corners, preferring the
-    largest worst determinant within a level; per-frame box sets are
-    split into face-connected cells; cells touching each other are graph
-    neighbors with a deterministic waypoint in their intersection.
-    The ranking leaves out the subsets holding an identically zero
-    bracket, and the corner table holds every bracket's value at each
-    grid corner, from one kernel run (0.0 for a zero bracket).  The
-    screen (_screen_frames) reads the ranking's cheapest level; the
-    boxes it leaves go, in grid order, through cheapest_frame on the
-    whole ranking, so ties and the CoverageGap box are that search's.
+    largest worst determinant within a level (desing.cheapest_frame,
+    box by box in grid order, so the CoverageGap box is the first
+    without a frame); per-frame box sets are split into face-connected
+    cells; cells touching each other are graph neighbors with a
+    deterministic waypoint in their intersection.  The ranking leaves
+    out the subsets holding an identically zero bracket, and the corner
+    table holds every bracket's value at each grid corner, from one
+    kernel run (0.0 for a zero bracket).  Up to 2**n boxes share a
+    corner, so each (corner, subset) determinant is taken and gated
+    once, when a box first asks for it.
     """
     grid = Grid(K[0], K[1], grid)
     n, res = grid.n, grid.res
@@ -582,27 +525,31 @@ def build_covering(fields, K, basis, grid):
     zero = [0.0] * n
     axes = [[a + i * s for i in range(res + 1)]
             for a, s in zip(grid.lo, grid.step)]
-    # keyed by corner index, both in itertools.product order
-    corners = itertools.product(range(res + 1), repeat=n)
-    table = {key: [zero if kern is None else kern(point)
-                   for kern in kernels]
-             for key, point in zip(corners, itertools.product(*axes))}
-    screened = {}
-    if ranked:
-        screened = _screen_frames(
-            table, [c for lv, c in ranked if lv == ranked[0][0]], grid)
-    offsets = list(itertools.product((0, 1), repeat=n))
+    # corners in itertools.product order: corner (i_1, ..., i_n) is
+    # entry sum_k i_k * strides[k]
+    table = [[zero if kern is None else kern(point) for kern in kernels]
+             for point in itertools.product(*axes)]
+    strides = [(res + 1) ** k for k in reversed(range(n))]
+    offsets = [sum(o * s for o, s in zip(off, strides))
+               for off in itertools.product((0, 1), repeat=n)]
+    dets = {}
+
+    def det_at(corner, combo):
+        key = (corner, combo)
+        if key not in dets:
+            values = table[corner]
+            rows = list(zip(*[values[j - 1] for j in combo]))
+            det = det_matrix(rows)
+            dets[key] = abs(float(det)) if _det_gate(det, rows) else None
+        return dets[key]
+
     by_frame = {}
     for idx in grid.boxes():
-        frame = screened.get(idx)
+        base = sum(i * s for i, s in zip(idx, strides))
+        frame = cheapest_frame(ranked, [base + o for o in offsets], det_at)
         if frame is None:
-            found = cheapest_frame(ranked, [
-                list(zip(*table[tuple(i + o for i, o in zip(idx, off))]))
-                for off in offsets])
-            if found is None:
-                raise CoverageGap("no frame passes the corner gate on "
-                                  "box %s" % (idx,), box=list(idx))
-            frame = found[0]
+            raise CoverageGap("no frame passes the corner gate on "
+                              "box %s" % (idx,), box=list(idx))
         by_frame.setdefault(frame, []).append(idx)
     cells = []
     for frame in sorted(by_frame):

@@ -610,9 +610,6 @@ class Poly:
         return Poly(new_n, {e + (0,) * (new_n - self.n): c
                             for e, c in self.terms.items()})
 
-    def is_exact(self):
-        return all(is_exact(c) for c in self.terms.values())
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.n == other.n
                 and self.terms == other.terms)

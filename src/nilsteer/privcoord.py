@@ -108,9 +108,6 @@ class PrivilegedChart:
     def apply_inverse(self, z):
         return self.map.apply_inverse(z)
 
-    def is_exact(self):
-        return all(c.is_exact() for c in self.map.comps)
-
     def to_json(self):
         xnames = ["x%d" % (i + 1) for i in range(self.n)]
         znames = ["z%d" % (i + 1) for i in range(self.n)]

@@ -100,10 +100,6 @@ class Trajectory:
         self.states = states
 
     @property
-    def times(self):
-        return [k * TWO_PI for k in range(len(self.states))]
-
-    @property
     def endpoint(self):
         return self.states[-1]
 

@@ -30,7 +30,7 @@ from nilsteer.errors import SingularFrame, SpecError
 from nilsteer.hall import build_hall_basis, evaluate_brackets
 from nilsteer.poly import (
     ExprField, Poly, WeightedPolynomialField, det_matrix,
-    eadd, ecos, emul, erat, esin, evar, wdeg,
+    eadd, ecos, emul, erat, esin, evar, is_exact, wdeg,
 )
 from nilsteer.privcoord import first_order_approx
 
@@ -73,11 +73,19 @@ def frame_at(fields, basis, a):
     det), or None when no frame spans there."""
     values = frame_values(
         evaluate_brackets(basis, range(1, len(basis) + 1), fields), a)
-    found = cheapest_frame(frame_combos(basis, len(values)), [values])
-    if found is None:
+
+    def rows_of(combo):
+        return [[row[j - 1] for j in combo] for row in values]
+
+    def det_at(_, combo):
+        rows = rows_of(combo)
+        det = det_matrix(rows)
+        return abs(float(det)) if _det_gate(det, rows) else None
+
+    combo = cheapest_frame(frame_combos(basis, len(values)), [a], det_at)
+    if combo is None:
         return None
-    combo, (det,) = found
-    return combo, det
+    return combo, det_matrix(rows_of(combo))
 
 
 def gate_holds(fields, basis, indices, point):
@@ -264,7 +272,7 @@ def test_martinet_lift_matches_the_hand_computation(martinet_lift,
     assert chart.comps[3] == mono((0, 0, 1, 0, 0), F(1, 2))
     assert chart.comps[4] == Poly.var(N, 4)
     assert oracles.check_inverse(chart)
-    assert all(c.is_exact() for c in chart.comps)
+    assert all(is_exact(v) for c in chart.comps for v in c.terms.values())
     assert chart.apply(lift.lift_point(origin(3))) == [F(0)] * 5
 
 
@@ -555,7 +563,8 @@ def test_lift_is_a_first_order_model(martinet_lift, martinet_chart,
 
 
 def test_unicycle_chart_is_exact_at_a_rational_anchor(unicycle_chart):
-    assert unicycle_chart.is_exact()
+    assert all(is_exact(v) for c in unicycle_chart.map.comps
+               for v in c.terms.values())
     assert oracles.check_inverse(unicycle_chart.map)
 
 

@@ -2,7 +2,8 @@
 declares must resolve to a callable in the package, every parameter of
 every function in the package must be read, every function or class
 the package defines must be named somewhere in the package or the
-benchmark, and so must every attribute the package stores on self.
+benchmark (a method or property through attribute access), and so
+must every attribute the package stores on self.
 Every parameter with a default must be passed by some call there,
 too: an option that only ever takes its default is a constant.  Every
 error class must be raised somewhere in the package: an error code
@@ -13,8 +14,9 @@ The package holds no assert statement: python -O strips them, so a
 check the library relies on must raise.
 And one cached loader compiles all the package's generated code, so
 no caller compiles a source anew on every call.
-Importing the package and steering load neither numpy nor scipy, whose
-import-time objects every full garbage collection would scan."""
+Importing the package, steering and planning on a covering load
+neither numpy nor scipy, whose import-time objects every full garbage
+collection would scan."""
 
 import ast
 import importlib
@@ -106,9 +108,12 @@ def python_files(root):
 
 def uncalled_definitions(package, caller_dirs):
     """(file, name) for each function or class, other than a dunder,
-    defined in the package, whose name no ast.Name id or ast.Attribute
-    attr in caller_dirs equals outside the definition's own node.
-    Import statements, comments and docstrings name nothing here."""
+    defined in the package, whose name no use in caller_dirs carries
+    outside the definition's own node.  A use is an ast.Attribute attr
+    or, except for a method or property (a function defined directly
+    in a class body), an ast.Name id: a local variable that shares a
+    method's name does not call it.  Import statements, comments and
+    docstrings name nothing here."""
     trees = {}
     for root in caller_dirs:
         for path in python_files(root):
@@ -121,17 +126,24 @@ def uncalled_definitions(package, caller_dirs):
                 uses.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute):
                 uses.setdefault(node.attr, []).append(node)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = []
     for path in python_files(package):
-        for node in ast.walk(trees[path]):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
+        tree = trees[path]
+        methods = {id(f) for c in ast.walk(tree)
+                   if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, defs)}
+        for node in ast.walk(tree):
+            if not isinstance(node, defs + (ast.ClassDef,)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
+            kinds = ast.Attribute if id(node) in methods \
+                else (ast.Name, ast.Attribute)
             own = {id(n) for n in ast.walk(node)}
-            if all(id(n) in own for n in uses.get(name, ())):
+            if all(id(n) in own for n in uses.get(name, ())
+                   if isinstance(n, kinds)):
                 out.append((os.path.basename(path), name))
     return out
 
@@ -362,7 +374,8 @@ def test_one_cached_loader_compiles_code():
 
 # Run in a fresh interpreter, since pytest's own imports load scipy.
 # It steers canonical (2,3) exactly, takes one float period, replays
-# one local step on the unicycle, and then takes that law's length.
+# one local step on the unicycle, plans one unicycle query on a grid-4
+# covering, and then takes the local step's length.
 FOOTPRINT_SCRIPT = """
 import importlib, json, pkgutil, sys
 
@@ -393,6 +406,10 @@ local = planner.LocalSteering(fields, model, steer.build_plan(model))
 _, law = local.steer([0.1, -0.15, 0.3], [0.0, 0.0, 0.0])
 sim.integrate(fields, [0.1, -0.15, 0.3], law, tol=1e-10)
 out["replay"] = [m for m in loaded() if m.startswith("scipy")]
+session = planner.Planner(fields, ([-1.0, -1.0, -2.0], [1.0, 1.0, 2.0]),
+                          planner.PlannerConfig(4), r=2)
+session.plan([0.1, -0.15, 0.3], [0.0, 0.0, 0.0], 1e-3)
+out["plan"] = loaded()
 out["length"] = sim.input_length(law)
 print(json.dumps(out))
 """
@@ -407,6 +424,7 @@ def test_steering_loads_neither_numpy_nor_scipy():
     out = json.loads(run.stdout.splitlines()[-1])
     assert out["steer"] == []
     assert out["replay"] == []
+    assert out["plan"] == []
     # scipy's quad, loaded only now, gives the length it gave when
     # scipy loaded with the package
     assert out["length"] == 5.3372635004762685

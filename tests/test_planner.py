@@ -11,7 +11,9 @@ import pytest
 
 from nilsteer import desing, planner
 from nilsteer.canonical import canonical_fields
-from nilsteer.desing import cheapest_frame, frame_combos, frame_values
+from nilsteer.desing import (
+    _det_gate, cheapest_frame, frame_combos, frame_values,
+)
 from nilsteer.errors import (
     CoverageGap, IterationCapExceeded, SpecError, StepFailure,
 )
@@ -21,8 +23,8 @@ from nilsteer.planner import (
     _overlap_waypoint, build_covering, global_free, global_plan, subgoal,
 )
 from nilsteer.poly import (
-    ExprField, Poly, WeightedPolynomialField, as_expr_field, eadd, ecos,
-    epow, erat, esin, evar,
+    ExprField, Poly, WeightedPolynomialField, as_expr_field, det_matrix,
+    eadd, ecos, epow, erat, esin, evar,
 )
 from nilsteer.privcoord import dilate, pseudo_norm
 from nilsteer.sim import integrate
@@ -395,6 +397,17 @@ def chained_fields():
             WeightedPolynomialField([zero, zero, zero, zero, one])]
 
 
+def bent_chained_fields():
+    """The chained form bent by x2^2: X1 = d1 + x3 d2 + (x4 + x2^2) d3
+    + x5 d4, X2 = d5, which is not nilpotent."""
+    n = 5
+    one, zero = Poly.const(n, 1), Poly.zero(n)
+    x3, x4, x5 = (Poly.var(n, i) for i in (2, 3, 4))
+    bent = x4.add(Poly.monomial(n, (0, 2, 0, 0, 0), F(1)))
+    return [WeightedPolynomialField([one, x3, bent, x5, zero]),
+            WeightedPolynomialField([zero, zero, zero, zero, one])]
+
+
 BOX5 = ([-1.0] * 5, [1.0] * 5)
 
 ATLAS_CASES = {
@@ -418,32 +431,38 @@ ATLAS_CASES = {
     "chained-grid1": (chained_fields, BOX5, 4, 1),
     "chained-grid2": (chained_fields, BOX5, 4, 2),
     "chained-grid3": (chained_fields, BOX5, 4, 3),
+    "bent-chained-grid1": (bent_chained_fields, BOX5, 4, 1),
+    "bent-chained-grid2": (bent_chained_fields, BOX5, 4, 2),
 }
 
 
 def exact_frames(fields, K, basis, res):
     """Every box's frame from cheapest_frame on every n-subset of the
-    basis and on the bracket values at its corners (frame_values), with
-    no screen, in grid order, or the first box it finds no frame for.
-    build_covering reads compiled kernels, which equal float(evaluate())
-    bit for bit up to the sign of a zero (poly.compile_field), so the
-    two see the same numbers, except that a corner matrix of exact
-    constants gets the exact gate here and the relative one there."""
+    basis and on the bracket values at its corners (frame_values), in
+    grid order, or the first box it finds no frame for.  build_covering
+    reads compiled kernels, which equal float(evaluate()) bit for bit up
+    to the sign of a zero (poly.compile_field), so the two see the same
+    numbers, except that a corner matrix of exact constants gets the
+    exact gate here and the relative one there."""
     grid = Grid(K[0], K[1], res)
     brackets = evaluate_brackets(basis, range(1, len(basis) + 1), fields)
-    ranked = frame_combos(basis, grid.n)
     memo = {}
+
+    def det_at(corner, combo):
+        if corner not in memo:
+            memo[corner] = frame_values(brackets, corner)
+        rows = [[row[j - 1] for j in combo] for row in memo[corner]]
+        det = det_matrix(rows)
+        return abs(float(det)) if _det_gate(det, rows) else None
+
+    ranked = frame_combos(basis, grid.n)
     frames = {}
     for idx in grid.boxes():
-        values = []
-        for corner in itertools.product(*zip(*grid.bounds(idx))):
-            if corner not in memo:
-                memo[corner] = frame_values(brackets, corner)
-            values.append(memo[corner])
-        found = cheapest_frame(ranked, values)
+        corners = list(itertools.product(*zip(*grid.bounds(idx))))
+        found = cheapest_frame(ranked, corners, det_at)
         if found is None:
             return list(idx)
-        frames[idx] = found[0]
+        frames[idx] = found
     return frames
 
 
@@ -473,40 +492,86 @@ def test_atlas_matches_exact_frame_search(case):
 
 
 def counting_cheapest_frame(monkeypatch):
-    """The value sets of every box build_covering hands to
-    cheapest_frame, in call order."""
-    calls = []
+    """(ranking, corners, frame) of every call build_covering makes to
+    cheapest_frame, in call order, and every (corner, subset) its
+    determinant lookup is asked for."""
+    calls, asked = [], []
 
-    def counting(ranked, value_sets):
-        calls.append(value_sets)
-        return desing.cheapest_frame(ranked, value_sets)
+    def counting(ranked, corners, det_at):
+        def lookup(corner, combo):
+            asked.append((corner, combo))
+            return det_at(corner, combo)
+        frame = desing.cheapest_frame(ranked, corners, lookup)
+        calls.append((ranked, corners, frame))
+        return frame
 
     monkeypatch.setattr(planner, "cheapest_frame", counting)
-    return calls
+    return calls, asked
 
 
-def test_screen_leaves_few_boxes_to_the_exact_search(monkeypatch):
-    calls = counting_cheapest_frame(monkeypatch)
-    build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2), 4)
-    assert calls == []
-    build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3), 8)
-    # the boxes touching x1 = 0, where [X1, X2] = 2 x1 d3 vanishes, go
-    # to the fallback search: at most their 2 * 64 of the 512 boxes
-    assert 0 < len(calls) <= 128
-    assert all(abs(values[2][2]) <= 0.5 + 1e-12
-               for value_sets in calls for values in value_sets)
+def test_one_decider_reads_each_box_corners(monkeypatch):
+    calls, _ = counting_cheapest_frame(monkeypatch)
+    atlas = build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2),
+                           4)
+    assert len(atlas.cells) == 1 and len(atlas.cells[0].boxes) == 64
+    # every box, in grid order, with its corners as flat indices into
+    # the 5**3 corner table, in itertools.product((0, 1)) order
+    boxes = list(itertools.product(range(4), repeat=3))
+    assert [corners for _, corners, _ in calls] == [
+        [sum(c * 5 ** (2 - k) for k, c in enumerate(corner))
+         for corner in itertools.product(*[(i, i + 1) for i in idx])]
+        for idx in boxes]
+    assert {frame for _, _, frame in calls} == {(1, 2, 3)}
+    calls.clear()
+    atlas = build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3),
+                           8)
+    assert len(calls) == 512
+    # [X1, X2] = 2 x1 d3 vanishes on x1 = 0: the 2 * 64 boxes touching
+    # it take the length-3 bracket, every other box the cheaper frame
+    got = {idx: cell.frame for cell in atlas.cells for idx in cell.boxes}
+    assert got == {idx: (1, 2, 4) if idx[0] in (3, 4) else (1, 2, 3)
+                   for idx in itertools.product(range(8), repeat=3)}
 
 
-def test_screen_decides_every_box_of_the_chained_form(monkeypatch):
+def test_chained_form_ranks_no_zero_bracket(monkeypatch):
     # every subset of the cheapest level holds [X2, [X1, X2]], which is
-    # identically zero; the ranking leaves those subsets out, so the
-    # screen reads the next level, which spans everywhere
-    calls = counting_cheapest_frame(monkeypatch)
-    atlas = build_covering(chained_fields(), BOX5, build_hall_basis(2, 4),
-                           3)
-    assert calls == []
+    # identically zero; the ranking leaves those subsets out, so every
+    # box reads the next level, which spans everywhere
+    calls, asked = counting_cheapest_frame(monkeypatch)
+    basis = build_hall_basis(2, 4)
+    atlas = build_covering(chained_fields(), BOX5, basis, 3)
     assert [(c.frame, len(c.boxes)) for c in atlas.cells] == \
         [((1, 2, 3, 4, 6), 243)]
+    zero = [j for j, b in enumerate(
+        evaluate_brackets(basis, range(1, len(basis) + 1),
+                          chained_fields()), 1) if b.is_zero()]
+    assert 5 in zero
+    assert len(calls) == 243
+    ranked = calls[0][0]
+    assert all(r is ranked for r, _, _ in calls)
+    assert ranked == [(lv, c) for lv, c in frame_combos(basis, 5)
+                      if not set(c) & set(zero)]
+    assert all(not set(combo) & set(zero) for _, combo in asked)
+
+
+def test_covering_takes_each_determinant_once(monkeypatch):
+    taken = []
+
+    def counting(rows):
+        taken.append(rows)
+        return det_matrix(rows)
+
+    monkeypatch.setattr(planner, "det_matrix", counting)
+    _, asked = counting_cheapest_frame(monkeypatch)
+    build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2), 4)
+    # one subset, (X1, X2, [X1, X2]), at each of the 5**3 corners
+    assert len(taken) == 125
+    assert len(set(asked)) == 125 < len(asked)
+    taken.clear()
+    asked.clear()
+    build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3), 8)
+    # boxes share corners, and no (corner, subset) pair is taken twice
+    assert len(taken) == len(set(asked)) < len(asked)
 
 
 def test_covering_runs_each_kernel_once_per_corner(monkeypatch):
@@ -531,11 +596,11 @@ def test_covering_runs_each_kernel_once_per_corner(monkeypatch):
 
     monkeypatch.setattr(planner, "compile_field", compiling)
     monkeypatch.setattr(planner, "frame_combos", ranking)
-    calls = counting_cheapest_frame(monkeypatch)
+    calls, _ = counting_cheapest_frame(monkeypatch)
     basis = build_hall_basis(2, 3)
     build_covering(martinet_fields(), BOX3, basis, 8)
-    # some boxes go to the fallback, which reads the same table
-    assert calls
+    # every box is decided on the one ranking and the one table
+    assert len(calls) == 512
     assert len(combos) == 1
     # brackets 1 to 4 run, [X2, [X1, X2]] is identically zero
     assert len(kernels) == 4
@@ -546,9 +611,8 @@ def test_covering_runs_each_kernel_once_per_corner(monkeypatch):
 
 def test_structurally_zero_brackets_leave_the_ranking(monkeypatch):
     """X3 is zero only after simplification, so it is not identically
-    zero to the ranking: the subsets holding it stay ranked and send
-    every box to the fallback, which still picks (1, 2).  A literal zero
-    X3 leaves the ranking, and the screen decides every box."""
+    zero to the ranking: the subsets holding it stay ranked, and every
+    box still picks (1, 2).  A literal zero X3 leaves the ranking."""
     x1 = evar(0)
     X1 = ExprField([erat(1), erat(0)])
     X2 = ExprField([erat(0), erat(1)])
@@ -558,22 +622,17 @@ def test_structurally_zero_brackets_leave_the_ranking(monkeypatch):
     assert ExprField([erat(0), erat(0.0)]).is_zero()
     basis = build_hall_basis(3, 1)
     K = ([-1.0, -1.0], [1.0, 1.0])
-    ranked = []
-
-    def recording(ranked_arg, value_sets):
-        ranked.append(ranked_arg)
-        return desing.cheapest_frame(ranked_arg, value_sets)
-
-    monkeypatch.setattr(planner, "cheapest_frame", recording)
+    calls, _ = counting_cheapest_frame(monkeypatch)
     atlas = build_covering([X1, X2, cancel], K, basis, 2)
     assert [c.frame for c in atlas.cells] == [(1, 2)]
-    assert len(ranked) == 4
-    assert ranked[0] == frame_combos(basis, 2)
-    ranked.clear()
+    assert len(calls) == 4
+    assert all(ranked == frame_combos(basis, 2) for ranked, _, _ in calls)
+    calls.clear()
     atlas = build_covering([X1, X2, ExprField([erat(0), erat(0)])], K,
                            basis, 2)
     assert [c.frame for c in atlas.cells] == [(1, 2)]
-    assert ranked == []
+    assert len(calls) == 4
+    assert all(ranked == [(2, (1, 2))] for ranked, _, _ in calls)
 
 
 # sha256 of the sorted-key JSON of each one-shot law's to_json(), taken
