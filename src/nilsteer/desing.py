@@ -25,25 +25,29 @@ fields themselves (the covering compiles them instead); only the chart
 rounds take Taylor jets.  Chart coefficients come from rational
 arithmetic on those jets: with an exact anchor at which every trig
 argument of the base fields vanishes, every coefficient is a
-Fraction; trig values elsewhere and float anchors flow through the
-same code paths in floats.
-growth_vector takes its ranks with numpy, which loads at its first
-call, not with the module; it is the package's only numpy user.
+Fraction.  Jets that hold a float (a float anchor coordinate that the
+fields read, a trig value away from zero) make the round a float one,
+on the same code path: it turns the jets' exact coefficients into
+floats on entry, and every constant it adds (coordinate axes, the
+identity of invert_matrix, canonical monomials, the zeros its
+equations start from) is a float too.  A Fraction operand of a float
+operation rounds as float(F) would, so the round keeps the bits of
+the mixed arithmetic, provided exact coefficients meet each other only
+where float arithmetic on them is exact: units and small integers, as
+in every system the tests pin.  growth_vector takes its ranks by
+poly.rank, in floats; the package loads no numpy.
 """
 
 import itertools
 import math
-from fractions import Fraction
 
 from .canonical import canonical_monomials
 from .errors import IdentificationFailure, SingularFrame, SpecError
 from .hall import evaluate_brackets
 from .poly import (ExprField, Poly, TriangularMap, WeightedPolynomialField,
-                   as_expr_field, det_matrix, invert_matrix, is_exact,
-                   poly_to_expr, solve_unique, taylor_truncate)
-
-F0 = Fraction(0)
-F1 = Fraction(1)
+                   as_expr_field, as_unit, coordinates, det_matrix,
+                   identity, invert_matrix, is_exact, poly_to_expr, rank,
+                   solve_unique, taylor_truncate, unit_of)
 
 # Relative determinant gate of a bracket frame on float data: the
 # covering, the frame check of desingularize and every chart round
@@ -79,20 +83,26 @@ def _pad_map(tmap, extra):
     return TriangularMap(comps, inv)
 
 
-def _column_scale(rows):
-    n = len(rows)
+def column_norm(column):
+    """Euclidean norm of one frame column, summed in coordinate order."""
+    return math.sqrt(sum(float(v) ** 2 for v in column))
+
+
+def _norm_gate(det, norms):
+    """The relative gate on float data, given the frame's column norms
+    in column order: |det| above DET_THRESHOLD times their product, a
+    zero norm counting as 1."""
     scale = 1.0
-    for k in range(n):
-        norm = math.sqrt(sum(float(rows[i][k]) ** 2 for i in range(n)))
+    for norm in norms:
         scale *= norm if norm > 0 else 1.0
-    return scale
+    return abs(float(det)) > DET_THRESHOLD * scale
 
 
 def _det_gate(det, rows):
     """Nonzero test: exact when the data is exact, relative otherwise."""
     if is_exact(det):
         return det != 0
-    return abs(float(det)) > DET_THRESHOLD * _column_scale(rows)
+    return _norm_gate(det, [column_norm(col) for col in zip(*rows)])
 
 
 def frame_values(brackets, point):
@@ -181,10 +191,25 @@ def _chart_round(shadows, basis, coords, s, cap):
     dim = len(coords)
     wt = tuple(basis.element(j).length for j in coords)
     n_low = sum(1 for L in wt if L <= s)
+    # Jets holding a float make the round a float one: their exact
+    # coefficients, and every constant the round adds, are floats
+    # from the start, as they would be at their first float operation.
+    one = unit_of(c for f in shadows for c in f.comps)
+    shadows = [WeightedPolynomialField([as_unit(c, one) for c in f.comps])
+               for f in shadows]
+    zero = one - one
+    axes = coordinates(dim, one)
+
+    def shear(shifts):
+        # with no shift at all, the identity in the round's unit
+        if all(q is None for q in shifts):
+            return TriangularMap(axes, axes)
+        return TriangularMap.shear(shifts)
 
     # Linear alignment: put the frame values on the coordinate axes.
     table = evaluate_brackets(basis, coords, shadows, cap)
-    rows = [[table[k].comps[i].constant_term() for k in range(dim)]
+    origin = (0,) * dim
+    rows = [[table[k].comps[i].terms.get(origin, zero) for k in range(dim)]
             for i in range(dim)]
     det = det_matrix(rows)
     if not _det_gate(det, rows):
@@ -208,7 +233,7 @@ def _chart_round(shadows, basis, coords, s, cap):
             kmax = bound = s
         if kmax < 2:
             continue
-        target = Poly.var(dim, pos)
+        target = axes[pos]
         shift = Poly.zero(dim)
         # Sweep by word length: after level k the functionals of k or
         # fewer applications all vanish, and later subtractions use
@@ -232,7 +257,7 @@ def _chart_round(shadows, basis, coords, s, cap):
             shift = shift.add(batch)
         if not shift.is_zero():
             shifts[pos] = shift
-    correct = TriangularMap.shear(shifts)
+    correct = shear(shifts)
     shadows = [correct.pushforward(f, cap) for f in shadows]
 
     # Homogeneous identification: for every chart coordinate solve the
@@ -255,12 +280,12 @@ def _chart_round(shadows, basis, coords, s, cap):
         phi = basis.element(coords[pos]).phi
         ansatz = _hom_exponents(pos, wt, wj)
         cols = len(ansatz)
-        reps = list(zvars) + [Poly.var(dim, k) for k in range(pos, dim)]
-        goal = _reindex(mons[coords[pos] - 1], dim).subst(reps)
+        reps = list(zvars) + axes[pos:]
+        goal = as_unit(_reindex(mons[coords[pos] - 1], dim), one).subst(reps)
 
         contrib = [[None] * cols for _ in range(m)]
         for t, expo in enumerate(ansatz):
-            mono = Poly.monomial(dim, expo + (0,) * (dim - len(expo)), F1)
+            mono = Poly.monomial(dim, expo + (0,) * (dim - len(expo)), one)
             for i in range(m):
                 acc = Poly.zero(dim)
                 for k in range(pos):
@@ -275,7 +300,7 @@ def _chart_round(shadows, basis, coords, s, cap):
         def row_for(i, expo):
             row = eqs.get((i, expo))
             if row is None:
-                row = [[F0] * cols, F0]
+                row = [[zero] * cols, zero]
                 eqs[(i, expo)] = row
             return row
 
@@ -306,8 +331,8 @@ def _chart_round(shadows, basis, coords, s, cap):
                         dim, expo + (0,) * (dim - len(expo)), sol[t]))
         if not psi.is_zero():
             psi_shifts[pos] = psi
-        zvars.append(Poly.var(dim, pos).add(psi))
-    identify = TriangularMap.shear(psi_shifts)
+        zvars.append(axes[pos].add(psi))
+    identify = shear(psi_shifts)
     return align, correct, identify, shadows, det
 
 
@@ -374,7 +399,7 @@ def desingularize(fields, basis, indices, anchor):
     top = max((basis.element(j).length for j in range(1, len(basis) + 1)
                if j not in J), default=0)
 
-    ident = [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
+    ident = identity(n, unit_of(anchor))
     chart = TriangularMap.affine(ident, ident, anchor)
     # Only the chart rounds, at levels below top, read these jets.
     shadows = ([taylor_truncate(f, anchor, cap) for f in fields]
@@ -432,17 +457,13 @@ def desingularize(fields, basis, indices, anchor):
 
 
 def growth_vector(fields, basis, point):
-    """Ranks of the bracket flag at a point, one entry per length."""
-    # Imported here, not with the module: numpy leaves some 7k objects
-    # that every full garbage collection would scan, and nothing on the
-    # steering path takes a rank.
-    import numpy as np
-
-    values = np.array(frame_values(evaluate_brackets(
-        basis, range(1, len(basis) + 1), fields), point), dtype=float)
+    """Ranks of the bracket flag at a point, one entry per length, each
+    to RANK_TOL relative to the largest entry (or 1)."""
+    values = frame_values(evaluate_brackets(
+        basis, range(1, len(basis) + 1), fields), point)
     out = []
     for k in basis.level_dims:
-        mat = values[:, :k]
-        scale = max(1.0, float(np.abs(mat).max()))
-        out.append(int(np.linalg.matrix_rank(mat, tol=RANK_TOL * scale)))
+        mat = [[float(v) for v in row[:k]] for row in values]
+        scale = max([1.0] + [abs(v) for row in mat for v in row])
+        out.append(rank(mat, RANK_TOL * scale))
     return tuple(out)

@@ -23,9 +23,11 @@ it once, together with the canonical model and its frequency plan, and
 each query only searches a cell path through it
 (CoveringAtlas.path_between).
 build_covering ranks the frame subsets and fills one table of
-compiled bracket values at the grid corners, once each; every box is
-decided by desing.cheapest_frame on that ranking and table, and each
-(corner, subset) determinant is taken once, when a box first asks.
+compiled bracket values at the grid corners, with each bracket
+column's norm, once each; every box is decided by
+desing.cheapest_frame on that ranking and table, and each (corner,
+subset) determinant is taken once, when a box first asks, in plain
+floats (det_matrix's float branch) and gated from the table's norms.
 
 A practical note on tolerances: an endpoint whose coordinates carry
 integrator noise of size tau has pseudo-norm around tau**(1/r), so
@@ -39,7 +41,8 @@ import itertools
 import math
 
 from .canonical import canonical_fields
-from .desing import _det_gate, cheapest_frame, desingularize, frame_combos
+from .desing import (_norm_gate, cheapest_frame, column_norm,
+                     desingularize, frame_combos)
 from .errors import (
     CoverageGap, IterationCapExceeded, NoPath, SingularFrame, SpecError,
     StepFailure,
@@ -468,6 +471,8 @@ def _cell_edges(grid, cells):
     each one's neighbours in sorted order, which is the order the
     waypoint's mean and tie-breaking see.
     """
+    if len(cells) < 2:
+        return {}
     cell_of = {idx: cell.index for cell in cells for idx in cell.boxes}
     pairs = {}
     for cell in cells:
@@ -512,9 +517,14 @@ def build_covering(fields, K, basis, grid):
     deterministic waypoint in their intersection.  The ranking leaves
     out the subsets holding an identically zero bracket, and the corner
     table holds every bracket's value at each grid corner, from one
-    kernel run (0.0 for a zero bracket).  Up to 2**n boxes share a
-    corner, so each (corner, subset) determinant is taken and gated
-    once, when a box first asks for it.
+    kernel run (0.0 for a zero bracket), with its euclidean norm.  Up
+    to 2**n boxes share a corner, so each (corner, subset) determinant
+    is taken and gated once, when a box first asks for it, and kept in
+    the subset's list of corners.  The values are floats, so the
+    determinant runs on det_matrix's float branch, and the gate
+    multiplies the table's norms in subset order, the product that
+    desing._det_gate takes from the same columns: every decision is
+    the one the gate on the whole rows makes.
     """
     grid = Grid(K[0], K[1], grid)
     n, res = grid.n, grid.res
@@ -529,19 +539,28 @@ def build_covering(fields, K, basis, grid):
     # entry sum_k i_k * strides[k]
     table = [[zero if kern is None else kern(point) for kern in kernels]
              for point in itertools.product(*axes)]
+    # each corner's bracket column norms, from its first determinant on
+    norms = [None] * len(table)
     strides = [(res + 1) ** k for k in reversed(range(n))]
     offsets = [sum(o * s for o, s in zip(off, strides))
                for off in itertools.product((0, 1), repeat=n)]
-    dets = {}
+    # per ranked subset, each corner's |det| once it clears the gate,
+    # None once it fails, False while no box has asked
+    decided = {combo: [False] * len(table) for _, combo in ranked}
 
     def det_at(corner, combo):
-        key = (corner, combo)
-        if key not in dets:
+        known = decided[combo]
+        det = known[corner]
+        if det is False:
             values = table[corner]
-            rows = list(zip(*[values[j - 1] for j in combo]))
-            det = det_matrix(rows)
-            dets[key] = abs(float(det)) if _det_gate(det, rows) else None
-        return dets[key]
+            det = det_matrix(list(zip(*[values[j - 1] for j in combo])))
+            col = norms[corner]
+            if col is None:
+                col = norms[corner] = [column_norm(v) for v in values]
+            det = known[corner] = (
+                abs(det) if _norm_gate(det, [col[j - 1] for j in combo])
+                else None)
+        return det
 
     by_frame = {}
     for idx in grid.boxes():

@@ -9,13 +9,20 @@ products cut at one total degree, triangular coordinate changes with
 exact inverses, and pushforwards.  Only Poly.truncate grades by weights.
 
 Coefficients are ``fractions.Fraction`` whenever the inputs allow it;
-any float anywhere poisons the computation to float, and
-``Poly.is_exact`` reads which of the two a result is.
+any float anywhere poisons the computation to float.  Where float data
+first enters (a float anchor coordinate, a trig value taken in floats)
+the exact constants it meets are floats from the start: the unit of a
+recentred variable (_recentred), of a shear's coordinates and of an
+identity matrix (unit_of), and the zero an evaluation sums from.  A
+Fraction operand of a float operation rounds as float(F) would, so
+these floats give the bits the mixed arithmetic gave, without its
+Fraction dispatch.
 """
 
 import functools
 import math
 from fractions import Fraction
+from operator import add as _add
 
 from .errors import SingularMatrix, SpecError
 
@@ -25,12 +32,12 @@ F1 = Fraction(1)
 
 def _num(x):
     """Coerce to Fraction when exact, keep floats as floats."""
+    if isinstance(x, float):
+        return x
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
-        return x
     raise TypeError("expected int, Fraction or float, got %r" % (x,))
 
 
@@ -448,6 +455,102 @@ def wdeg(expo, weights):
     return sum(a * w for a, w in zip(expo, weights))
 
 
+def _unit_expo(n, i):
+    expo = [0] * n
+    expo[i] = 1
+    return tuple(expo)
+
+
+def _recentred(n, i, a):
+    """anchor coordinate a plus h_i: a Poly in h.  The unit of h_i is
+    1.0 where a is a nonzero float, the first float it meets."""
+    a = _num(a)
+    expo = _unit_expo(n, i)
+    if a == 0:
+        return _poly(n, {expo: F1})
+    return _poly(n, {expo: unit_of([a]), (0,) * n: a})
+
+
+def coordinates(n, one):
+    """The coordinate polynomials z_0, ..., z_{n-1}, with unit one."""
+    return [_poly(n, {_unit_expo(n, i): one}) for i in range(n)]
+
+
+def identity(n, one):
+    """The n x n identity matrix in the unit one."""
+    return [[one if i == j else one - one for j in range(n)]
+            for i in range(n)]
+
+
+def unit_of(values):
+    """1.0 when one of the values (numbers or Polys) is or holds a
+    float, else the exact 1: the unit that an exact constant takes
+    where it meets float data.  A Fraction operand of a float operation
+    already rounds as float(F), so a float unit keeps every result bit
+    for bit."""
+    for v in values:
+        if isinstance(v, Poly):
+            if any(isinstance(c, float) for c in v.terms.values()):
+                return 1.0
+        elif isinstance(v, float):
+            return 1.0
+    return F1
+
+
+def as_unit(p, one):
+    """p with float coefficients when one is the float unit, else p."""
+    if one is F1:
+        return p
+    return _poly(p.n, {e: float(c) for e, c in p.terms.items()})
+
+
+def _poly(n, terms):
+    """A Poly on a terms dict that already holds no zero coefficient."""
+    p = Poly.__new__(Poly)
+    p.n = n
+    p.terms = terms
+    return p
+
+
+def _accumulate(terms, more):
+    """Add the terms of more into terms in place, in more's order; a
+    sum that cancels drops its monomial, which a later term re-adds at
+    the end."""
+    for e, c in more.items():
+        acc = terms.get(e)
+        acc = c if acc is None else acc + c
+        if acc == 0:
+            terms.pop(e, None)
+        else:
+            terms[e] = acc
+
+
+def _cut(terms, cap):
+    """terms without the monomials of total degree above cap."""
+    if cap is None:
+        return dict(terms)
+    return {e: c for e, c in terms.items() if sum(e) <= cap}
+
+
+def _product(t1, t2, cap):
+    """Term dict of the product of two term dicts, cut at total degree
+    cap: each product c1 * c2 added into its monomial in the order of
+    the double loop."""
+    terms = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(map(_add, e1, e2))
+            if cap is not None and sum(e) > cap:
+                continue
+            acc = terms.get(e)
+            acc = c1 * c2 if acc is None else acc + c1 * c2
+            if acc == 0:
+                terms.pop(e, None)
+            else:
+                terms[e] = acc
+    return terms
+
+
 class Poly:
     """Sparse polynomial in n variables.
 
@@ -476,9 +579,7 @@ class Poly:
 
     @classmethod
     def var(cls, n, i):
-        expo = [0] * n
-        expo[i] = 1
-        return cls(n, {tuple(expo): F1})
+        return cls(n, {_unit_expo(n, i): F1})
 
     @classmethod
     def monomial(cls, n, expo, c):
@@ -492,16 +593,11 @@ class Poly:
 
     def add(self, other):
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e, 0) + c
-            if acc == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = acc
-        return Poly(self.n, terms)
+        _accumulate(terms, other.terms)
+        return _poly(self.n, terms)
 
     def neg(self):
-        return Poly(self.n, {e: -c for e, c in self.terms.items()})
+        return _poly(self.n, {e: -c for e, c in self.terms.items()})
 
     def sub(self, other):
         return self.add(other.neg())
@@ -514,30 +610,25 @@ class Poly:
 
     def mul(self, other, cap=None):
         """The product, without the terms of total degree above cap."""
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if cap is not None and sum(e) > cap:
-                    continue
-                acc = terms.get(e, 0) + c1 * c2
-                if acc == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = acc
-        return Poly(self.n, terms)
+        return _poly(self.n, _product(self.terms, other.terms, cap))
 
     def pow(self, k, cap=None):
+        """self**k cut at total degree cap, by repeated squaring; the
+        first factor enters as it is, where a product with the
+        constant 1 would give the same terms."""
         k = int(k)
-        result = Poly.const(self.n, 1)
-        base = self
-        while k > 0:
+        if k == 0:
+            return Poly.const(self.n, 1)
+        result = None
+        base = self.terms
+        while True:
             if k & 1:
-                result = result.mul(base, cap)
+                result = (_cut(base, cap) if result is None
+                          else _product(result, base, cap))
             k >>= 1
-            if k:
-                base = base.mul(base, cap)
-        return result
+            if not k:
+                return _poly(self.n, result)
+            base = _product(base, base, cap)
 
     def diff(self, i):
         terms = {}
@@ -547,50 +638,52 @@ class Poly:
             ne = list(e)
             ne[i] -= 1
             terms[tuple(ne)] = c * e[i]
-        return Poly(self.n, terms)
+        return _poly(self.n, terms)
 
     def eval(self, point):
+        """Value at point, terms summed in order from an exact 0, which
+        is 0.0 from the first float term on: what 0 + term rounds to."""
+        point = [_num(x) for x in point]
         total = F0
         for e, c in self.terms.items():
             v = c
-            for i, a in enumerate(e):
+            for x, a in zip(point, e):
                 if a:
-                    v = v * _num(point[i]) ** a
+                    v = v * x ** a
+            if total is F0 and isinstance(v, float):
+                total = 0.0
             total = total + v
         return total
 
     def subst(self, reps, cap=None):
         """Substitute variable i by reps[i] (a Poly in the new variables),
-        cutting every product at total degree cap."""
+        cutting every product at total degree cap.  Each term is
+        multiplied out on plain term dicts, its coefficient first, with
+        the float operations in the order of const(c).mul(...)."""
         if not self.terms:
             return Poly.zero(reps[0].n if reps else self.n)
         new_n = reps[0].n
+        origin = (0,) * new_n
         cache = {}
-
-        def rep_pow(i, k):
-            key = (i, k)
-            hit = cache.get(key)
-            if hit is None:
-                hit = reps[i].pow(k, cap)
-                cache[key] = hit
-            return hit
-
-        total = Poly.zero(new_n)
+        total = {}
         for e, c in self.terms.items():
-            term = Poly.const(new_n, c)
+            term = {origin: _num(c)}
             for i, a in enumerate(e):
                 if a:
-                    term = term.mul(rep_pow(i, a), cap)
-                    if term.is_zero():
+                    key = (i, a)
+                    hit = cache.get(key)
+                    if hit is None:
+                        hit = cache[key] = reps[i].pow(a, cap).terms
+                    term = _product(term, hit, cap)
+                    if not term:
                         break
-            total = total.add(term)
-        return total
+            _accumulate(total, term)
+        return _poly(new_n, total)
 
     def shift(self, anchor):
         """Recentre: return p(anchor + h) as a polynomial in h."""
-        reps = [Poly.var(self.n, i).add(Poly.const(self.n, anchor[i]))
-                for i in range(self.n)]
-        return self.subst(reps)
+        return self.subst([_recentred(self.n, i, anchor[i])
+                           for i in range(self.n)])
 
     def truncate(self, weights, wcap):
         return Poly(self.n, {e: c for e, c in self.terms.items()
@@ -978,20 +1071,19 @@ def taylor_poly(e, anchor, cap):
     if k == "rat":
         return Poly.const(n, e.a)
     if k == "var":
-        p = Poly.var(n, e.a)
-        a = _num(anchor[e.a])
-        if a != 0:
-            p = p.add(Poly.const(n, a))
-        return p.truncate((1,) * n, cap)
+        return _recentred(n, e.a, anchor[e.a]).truncate((1,) * n, cap)
     if k == "add":
         total = Poly.zero(n)
         for c in e.a:
             total = total.add(taylor_poly(c, anchor, cap))
         return total
     if k == "mul":
-        total = Poly.const(n, 1)
+        # every taylor_poly is cut at cap already, so the first factor
+        # enters as it is: 1 times it would give the same terms
+        total = None
         for c in e.a:
-            total = total.mul(taylor_poly(c, anchor, cap), cap)
+            p = taylor_poly(c, anchor, cap)
+            total = p if total is None else total.mul(p, cap)
         return total
     if k == "pow":
         p = taylor_poly(e.a, anchor, cap)
@@ -1001,19 +1093,21 @@ def taylor_poly(e, anchor, cap):
         c0 = p.constant_term()
         h = p.sub(Poly.const(n, c0))
         s0, cv0 = _sincos(c0)
+        one = unit_of([h])
         # sin(c0+h) = sin c0 cos h + cos c0 sin h, and likewise for cos;
         # h has no constant term so h^k dies once k exceeds the cap.
         sin_h = Poly.zero(n)
-        cos_h = Poly.const(n, 1)
-        h_pow = Poly.const(n, 1)
-        fact = F1
+        cos_h = Poly.const(n, one)
+        h_pow = None
+        fact = 1
         j = 1
         while True:
-            h_pow = h_pow.mul(h, cap)
+            h_pow = _poly(n, _cut(h.terms, cap)) if h_pow is None \
+                else h_pow.mul(h, cap)
             if h_pow.is_zero() or j > cap:
                 break
             fact = fact * j
-            coeff = Fraction(1) / fact
+            coeff = one / fact
             if j % 4 == 1:
                 sin_h = sin_h.add(h_pow.scale(coeff))
             elif j % 4 == 2:
@@ -1053,15 +1147,17 @@ def taylor_truncate(field, anchor, cap):
 # zero is tested by truthiness, so Laurent polynomials of pi work too
 # wherever every pivot is a monomial; over floats the pivot is the
 # largest magnitude.  int entries become Fractions so that division
-# never degrades them to floats.
-
-
-def _entry(x):
-    return Fraction(x) if isinstance(x, int) else x
+# never degrades them to floats.  On float rows the exact constants
+# that the elimination adds are floats too (invert_matrix's identity
+# block), and det_matrix keeps only the block that later steps read,
+# so its float branch is one tight loop with every float operation of
+# the whole-row elimination, in the same order.  rank pivots fully, on
+# floats only, for growth_vector.
 
 
 def _working_copy(rows):
-    a = [[_entry(x) for x in r] for r in rows]
+    a = [[Fraction(x) if isinstance(x, int) else x for x in r]
+         for r in rows]
     exact = not any(isinstance(x, float) for r in a for x in r)
     return a, exact
 
@@ -1092,23 +1188,67 @@ def mat_vec(rows, vec):
 
 
 def det_matrix(rows):
-    """Determinant by Gaussian elimination."""
+    """Determinant by Gaussian elimination.  Each step keeps only the
+    rows below its pivot and the columns right of it, the only entries
+    a later step reads, so the float branch is one tight loop with the
+    pivot search inline."""
     a, exact = _working_copy(rows)
     det = F1 if exact else 1.0
-    for col in range(len(a)):
-        pivot = _pivot(a, col, col, exact)
+    while a:
+        if exact:
+            pivot = _pivot(a, 0, 0, True)
+        else:
+            best, pivot = 0.0, None
+            for r, row in enumerate(a):
+                v = abs(row[0])
+                if v > best:
+                    best, pivot = v, r
         if pivot is None:
             return F0 if exact else 0.0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
+        prow = a[pivot]
+        if pivot:
+            a[pivot] = a[0]
             det = -det
-        det = det * a[col][col]
-        inv_p = 1 / a[col][col]
-        for r in range(col + 1, len(a)):
-            if a[r][col]:
-                f = a[r][col] * inv_p
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+        p = prow[0]
+        det = det * p
+        inv_p = 1 / p
+        tail = prow[1:]
+        rest = []
+        for row in a[1:]:
+            x = row[0]
+            if x:
+                f = x * inv_p
+                rest.append([u - f * v for u, v in zip(row[1:], tail)])
+            else:
+                rest.append(row[1:])
+        a = rest
     return det
+
+
+def rank(rows, tol):
+    """Rank of a float matrix: the number of pivots above tol in
+    Gaussian elimination with full pivoting, each pivot the largest
+    remaining entry in magnitude (first in row order on ties)."""
+    a = [[float(x) for x in r] for r in rows]
+    count = 0
+    while a:
+        best, pr, pc = tol, None, None
+        for i, row in enumerate(a):
+            for j, v in enumerate(row):
+                if abs(v) > best:
+                    best, pr, pc = abs(v), i, j
+        if pr is None:
+            break
+        count += 1
+        prow = a.pop(pr)
+        inv_p = 1 / prow[pc]
+        rest = []
+        for row in a:
+            f = row[pc] * inv_p
+            rest.append([x - f * y for k, (x, y) in enumerate(zip(row, prow))
+                         if k != pc])
+        a = rest
+    return count
 
 
 def rref(rows, rhs=None):
@@ -1116,7 +1256,8 @@ def rref(rows, rhs=None):
     m = len(rows)
     n = len(rows[0]) if m else 0
     a, exact = _working_copy(rows)
-    b = [_entry(x) for x in rhs] if rhs is not None else None
+    b = ([Fraction(x) if isinstance(x, int) else x for x in rhs]
+         if rhs is not None else None)
     pivots = []
     row = 0
     for col in range(n):
@@ -1146,8 +1287,8 @@ def rref(rows, rhs=None):
 def invert_matrix(rows):
     """Inverse of a square matrix, by row reduction of [A | I]."""
     n = len(rows)
-    a, pivots, _ = rref([list(r) + [F1 if i == j else F0 for j in range(n)]
-                         for i, r in enumerate(rows)])
+    a, pivots, _ = rref([list(r) + e for r, e in zip(
+        rows, identity(n, unit_of(x for r in rows for x in r)))])
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is singular")
     return [r[n:] for r in a]
@@ -1199,48 +1340,52 @@ class TriangularMap:
         """z = M (x - anchor); inverse x = anchor + M^-1 z.
 
         inverse is M^-1, which every caller already holds; it is taken
-        as given, not checked.
+        as given, not checked.  A coefficient is the matrix entry as
+        it is, and the constants are summed in coordinate order.
         """
         n = len(matrix)
         anchor = [_num(v) for v in anchor]
+        origin = (0,) * n
         comps = []
         for j in range(n):
-            p = Poly.zero(n)
+            terms = {}
             for i in range(n):
                 c = _num(matrix[j][i])
                 if c != 0:
-                    p = p.add(Poly.var(n, i).scale(c))
-                    p = p.add(Poly.const(n, -c * anchor[i]))
-            comps.append(p)
+                    terms[_unit_expo(n, i)] = c
+                    shift = _num(-c * anchor[i]) if anchor[i] != 0 else 0
+                    if shift != 0:
+                        _accumulate(terms, {origin: shift})
+            comps.append(_poly(n, terms))
         inv = []
         for j in range(n):
-            p = Poly.const(n, anchor[j])
+            terms = {origin: anchor[j]} if anchor[j] != 0 else {}
             for i in range(n):
                 c = _num(inverse[j][i])
                 if c != 0:
-                    p = p.add(Poly.var(n, i).scale(c))
-            inv.append(p)
+                    terms[_unit_expo(n, i)] = c
+            inv.append(_poly(n, terms))
         return cls(comps, inv)
 
     @classmethod
     def shear(cls, shifts):
-        """z_j = y_j + shifts[j], each shift using variables below j only."""
+        """z_j = y_j + shifts[j], each shift using variables below j only.
+        The unit of every y_j is 1.0 when a shift holds a float."""
         n = len(shifts)
+        ys = coordinates(n, unit_of(shifts))
         comps = []
         for j, q in enumerate(shifts):
             if q is None:
                 q = Poly.zero(n)
             if not q.uses_only_vars_below(j):
                 raise ValueError("shift %d uses variables >= %d" % (j, j))
-            comps.append(Poly.var(n, j).add(q))
+            comps.append(ys[j].add(q))
         # Back substitution: y_j = z_j - q_j(y_<j) with earlier y's
         # already written in z.
         inv = []
         for j in range(n):
             q = shifts[j] if shifts[j] is not None else Poly.zero(n)
-            p = Poly.var(n, j).sub(q.subst(inv + [Poly.var(n, i)
-                                                  for i in range(j, n)]))
-            inv.append(p)
+            inv.append(ys[j].sub(q.subst(inv + ys[j:])))
         return cls(comps, inv)
 
     def apply(self, point):

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .desing import _chart_round
 from .errors import SpecError
-from .poly import TriangularMap, is_exact, poly_to_str, taylor_truncate
+from .poly import (TriangularMap, identity, is_exact, poly_to_str,
+                   taylor_truncate, unit_of)
 
 
 def _int_nth_root(n, k):
@@ -150,7 +151,7 @@ def first_order_approx(fields, a, basis):
     coords = list(range(1, n + 1))
     align, correct, identify, _, det = _chart_round(
         shadows, basis, coords, basis.r, cap)
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    ident = identity(n, unit_of(a))
     affine = align.compose(TriangularMap.affine(ident, ident, a))
     chart_map = identify.compose(correct).compose(affine)
     return PrivilegedChart(a, basis.free_weights, chart_map, det)

@@ -698,3 +698,67 @@ def trig_eval_float(u, t):
         base = math.cos(w * t) if s == 0 else math.sin(w * t)
         total += float(c) * math.pi ** e * t ** p * base
     return total
+
+
+# ---------------------------------------------------------------------------
+# Float linear algebra as the package wrote it before its tight loops:
+# the reference for bit-for-bit checks of det_matrix, the covering's
+# determinant gate and growth_vector's ranks.
+
+
+def det_elimination(rows):
+    """Determinant by Gaussian elimination over whole rows, with the
+    largest-magnitude pivot (first on ties) on float data and the first
+    nonzero one on exact data."""
+    a = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
+    exact = not any(isinstance(x, float) for r in a for x in r)
+    det = Fraction(1) if exact else 1.0
+    for col in range(len(a)):
+        pivot = None
+        if exact:
+            pivot = next((r for r in range(col, len(a)) if a[r][col]), None)
+        else:
+            best = 0.0
+            for r in range(col, len(a)):
+                if abs(a[r][col]) > best:
+                    best, pivot = abs(a[r][col]), r
+        if pivot is None:
+            return Fraction(0) if exact else 0.0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det = det * a[col][col]
+        inv_p = 1 / a[col][col]
+        for r in range(col + 1, len(a)):
+            if a[r][col]:
+                f = a[r][col] * inv_p
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def det_gate_reference(det, rows, threshold):
+    """The relative determinant gate on float data: |det| above
+    threshold times the product of the column norms, each a square
+    root of its column's sum of squares, a zero norm counting as 1."""
+    n = len(rows)
+    scale = 1.0
+    for k in range(n):
+        norm = math.sqrt(sum(float(rows[i][k]) ** 2 for i in range(n)))
+        scale *= norm if norm > 0 else 1.0
+    return abs(float(det)) > threshold * scale
+
+
+def numpy_growth_vector(fields, basis, point, tol):
+    """Ranks of the bracket flag at a point from numpy's SVD rank, each
+    to tol relative to the largest entry (or 1)."""
+    import numpy as np
+
+    brackets = evaluate_brackets(basis, range(1, len(basis) + 1), fields)
+    values = np.array([[float(v) for v in b.evaluate(point)]
+                       for b in brackets]).T
+    out = []
+    for k in basis.level_dims:
+        mat = values[:, :k]
+        scale = max(1.0, float(np.abs(mat).max()))
+        out.append(int(np.linalg.matrix_rank(mat, tol=tol * scale)))
+    return tuple(out)

@@ -326,6 +326,30 @@ def test_base_growth_vector_shows_the_singular_plane():
     assert growth_vector(fields, basis, [0.5, 0.0, 0.0]) == (2, 3, 3)
 
 
+def test_growth_vector_matches_numpy_rank(martinet_lift, cosine_lift):
+    basis = build_hall_basis(2, 3)
+    rng = oracles.seeded(11)
+    cases = [(martinet_fields(), origin(3)), (martinet_fields(),
+                                              [0.5, 0.0, 0.0])]
+    for fields in (martinet_fields(), cosine_fields()):
+        cases += [(fields, [rng.uniform(-1.0, 1.0), 0.0, 0.0]),
+                  (fields, [0.0, rng.uniform(-1.0, 1.0), 0.3])]
+    for lift in (martinet_lift, cosine_lift):
+        cases += [(lift.fields, [rng.uniform(-1.0, 1.0) for _ in range(5)])
+                  for _ in range(20)]
+    for fields, point in cases:
+        assert growth_vector(fields, basis, point) == \
+            oracles.numpy_growth_vector(fields, basis, point,
+                                        desing.RANK_TOL)
+    for m, r in ((2, 4), (3, 3)):
+        system = canonical_fields(m, r)
+        point = [rng.uniform(-1.0, 1.0) for _ in range(system.n)]
+        assert growth_vector(system.fields, system.basis, point) == \
+            oracles.numpy_growth_vector(system.fields, system.basis, point,
+                                        desing.RANK_TOL) == \
+            tuple(oracles.cumulative_dims(m, r))
+
+
 def test_lift_preserves_nilpotency(martinet_lift):
     # every length-4 bracket of the lifted fields vanishes as a
     # polynomial, not just at sampled points

@@ -14,9 +14,9 @@ The package holds no assert statement: python -O strips them, so a
 check the library relies on must raise.
 And one cached loader compiles all the package's generated code, so
 no caller compiles a source anew on every call.
-Importing the package, steering and planning on a covering load
-neither numpy nor scipy, whose import-time objects every full garbage
-collection would scan."""
+Importing the package, steering, planning on a covering and taking a
+growth vector load neither numpy nor scipy, whose import-time objects
+every full garbage collection would scan."""
 
 import ast
 import importlib
@@ -375,7 +375,8 @@ def test_one_cached_loader_compiles_code():
 # Run in a fresh interpreter, since pytest's own imports load scipy.
 # It steers canonical (2,3) exactly, takes one float period, replays
 # one local step on the unicycle, plans one unicycle query on a grid-4
-# covering, and then takes the local step's length.
+# covering, takes the unicycle's growth vector, and then takes the
+# local step's length.
 FOOTPRINT_SCRIPT = """
 import importlib, json, pkgutil, sys
 
@@ -383,7 +384,7 @@ import nilsteer
 
 for info in pkgutil.iter_modules(nilsteer.__path__):
     importlib.import_module("nilsteer." + info.name)
-from nilsteer import canonical, planner, poly, sim, steer
+from nilsteer import canonical, desing, planner, poly, sim, steer
 
 
 def loaded():
@@ -410,6 +411,8 @@ session = planner.Planner(fields, ([-1.0, -1.0, -2.0], [1.0, 1.0, 2.0]),
                           planner.PlannerConfig(4), r=2)
 session.plan([0.1, -0.15, 0.3], [0.0, 0.0, 0.0], 1e-3)
 out["plan"] = loaded()
+growth = desing.growth_vector(fields, model.basis, [0.1, -0.15, 0.3])
+out["growth"] = [growth, loaded()]
 out["length"] = sim.input_length(law)
 print(json.dumps(out))
 """
@@ -425,6 +428,7 @@ def test_steering_loads_neither_numpy_nor_scipy():
     assert out["steer"] == []
     assert out["replay"] == []
     assert out["plan"] == []
+    assert out["growth"] == [[2, 3], []]
     # scipy's quad, loaded only now, gives the length it gave when
     # scipy loaded with the package
     assert out["length"] == 5.3372635004762685

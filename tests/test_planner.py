@@ -645,6 +645,33 @@ ONE_SHOT_LAWS = [
 ]
 
 
+# sha256 of the sorted-key JSON of [law.to_json(), report.to_json()]
+# for unicycle queries on the bench box: the Expr path (trig jets,
+# float charts at float anchors), which the Martinet pins above miss.
+UNICYCLE_LAWS = [
+    "69a1bb1a3944c403d60246ea0b894ff88e7b60ae08f9478d57b1bddfce8985c3",
+    "13065d873680920a2298495dd58dcfc02c942915def7f043b603bbf5d8f6c597",
+    "a379285c187d72132ed0fae646b7b7fdd77f78b4d2d3f28041ab32236340df80",
+    "b8e26e53c3384fd89728bcfb36da7e0948c0351dd6d40f123f4c610e882fd543",
+]
+
+
+def test_unicycle_plans_are_pinned():
+    queries = [([0.0, 0.0, 0.0], [0.5, 0.2, 0.4]),
+               ([0.0, 0.0, 0.0], [-0.6, 0.3, -1.0]),
+               ([0.2, -0.1, 0.3], [-0.4, 0.5, 1.2]),
+               ([0.0, 0.0, 0.0], [0.1, -0.7, 0.0])]
+    box = ([-1.0, -1.0, -2.0], [1.0, 1.0, 2.0])
+    digests = []
+    for a, b in queries:
+        law, rep = global_plan(unicycle_fields(), a, b, 1e-3, box,
+                               PlannerConfig(4), r=2)
+        digests.append(hashlib.sha256(json.dumps(
+            [law.to_json(), rep.to_json()], sort_keys=True).encode())
+            .hexdigest())
+    assert digests == UNICYCLE_LAWS
+
+
 def test_session_matches_one_shot_plans(monkeypatch):
     queries = [([-0.5, 0.0, 0.0], [0.5, 0.2, 0.1]),
                ([-0.6, 0.3, -0.2], [0.4, -0.1, 0.3]),

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from nilsteer.desing import DET_THRESHOLD, _det_gate, _norm_gate, column_norm
 from nilsteer.errors import SingularMatrix, SpecError
 from nilsteer.poly import (
     ExprField, Poly, TriangularMap, WeightedPolynomialField, det_matrix,
@@ -426,6 +427,47 @@ def test_invert_singular_raises():
     with pytest.raises(SingularMatrix):
         invert_matrix([[Fraction(1), Fraction(2)],
                        [Fraction(2), Fraction(4)]])
+
+
+@st.composite
+def square_matrices(draw, entries):
+    """n x n matrices for n = 1..5, sometimes with a zero column."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    blank = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    if blank is not None:
+        for row in rows:
+            row[blank] = 0.0 if isinstance(row[blank], float) else 0
+    return rows
+
+
+# exact zeros, and few magnitudes so that pivot candidates tie
+FLOAT_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices(FLOAT_ENTRIES))
+def test_float_determinant_is_the_reference_elimination(rows):
+    det = det_matrix(rows)
+    want = oracles.det_elimination(rows)
+    assert isinstance(det, float)
+    assert det.hex() == want.hex()
+    # the covering's gate: norms taken per column once, then multiplied
+    # in column order, decide as the gate on the whole rows does
+    norms = [column_norm(col) for col in zip(*rows)]
+    assert _norm_gate(det, norms) == _det_gate(det, rows) == \
+        oracles.det_gate_reference(det, rows, DET_THRESHOLD)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(st.integers(-3, 3)))
+def test_exact_determinant_is_the_reference_elimination(rows):
+    rows = [[Fraction(x, 2) for x in row] for row in rows]
+    det = det_matrix(rows)
+    assert isinstance(det, Fraction)
+    assert det == oracles.det_elimination(rows)
 
 
 def to_sympy_pi(v):

@@ -182,6 +182,20 @@ def test_trig_system_residual_degrees():
     assert chart.map.comps[2] == expect
 
 
+def test_float_anchor_chart_runs_in_floats():
+    """At a float anchor every chart coefficient is a float, the exact
+    constants of the chain included; at an exact one, a Fraction."""
+    basis = build_hall_basis(2, 2)
+
+    def kinds(anchor):
+        chart = first_order_approx(unicycle_fields(), anchor, basis)
+        return {type(c) for p in chart.map.comps + chart.map.inv
+                for c in p.terms.values()}
+
+    assert kinds([0.3, -0.2, 0.7]) == {float}
+    assert kinds([F(1, 3), F(1, 5), F(0)]) == {F}
+
+
 def test_singular_anchor_is_rejected():
     # the length-2 bracket vanishes at the origin, so this system is
     # not free there even though its dimension matches
