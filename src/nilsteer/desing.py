@@ -157,19 +157,13 @@ def _word_functional(frame, word, p):
 
 
 def _hom_exponents(limit, wt, target):
-    """Exponent tuples over variables < limit with weighted degree target."""
-    out = []
-
-    def rec(i, rem, expo):
-        if i == limit:
-            if rem == 0:
-                out.append(tuple(expo))
-            return
-        for c in range(rem // wt[i] + 1):
-            rec(i + 1, rem - c * wt[i], expo + [c])
-
-    rec(0, target, [])
-    return out
+    """Exponent tuples over variables < limit with weighted degree
+    target, in lexicographic order."""
+    partial = [((), target)]
+    for i in range(limit):
+        partial = [(expo + (c,), rem - c * wt[i]) for expo, rem in partial
+                   for c in range(rem // wt[i] + 1)]
+    return [expo for expo, rem in partial if rem == 0]
 
 
 def _chart_round(shadows, basis, coords, s, cap):

@@ -186,18 +186,19 @@ def evaluate_brackets(basis, indices, fields, cap=None):
     if len(fields) != basis.m:
         raise SpecError("expected %d fields, got %d"
                         % (basis.m, len(fields)))
+    needed = set()
+    todo = list(indices)
+    while todo:
+        k = todo.pop()
+        if k not in needed:
+            needed.add(k)
+            e = basis.element(k)
+            if not e.is_generator():
+                todo += (e.left, e.right)
+    # a bracket's factors are shorter, so they come earlier in the basis
     memo = {}
-
-    def ev(k):
-        hit = memo.get(k)
-        if hit is not None:
-            return hit
+    for k in sorted(needed):
         e = basis.element(k)
-        if e.is_generator():
-            out = fields[e.gen - 1]
-        else:
-            out = lie_bracket(ev(e.left), ev(e.right), cap)
-        memo[k] = out
-        return out
-
-    return [ev(j) for j in indices]
+        memo[k] = fields[e.gen - 1] if e.is_generator() else lie_bracket(
+            memo[e.left], memo[e.right], cap)
+    return [memo[j] for j in indices]

@@ -71,9 +71,12 @@ def pseudo_norm(z, weights):
 def dilate(z, t, weights):
     """Apply the weighted dilation: component j scales by t^w_j."""
     out = []
+    powers = {}
     for v, w in zip(z, weights):
         if is_exact(v) and is_exact(t):
-            out.append(Fraction(t) ** w * Fraction(v))
+            if w not in powers:
+                powers[w] = Fraction(t) ** w
+            out.append(powers[w] * Fraction(v))
         else:
             out.append(float(t) ** w * float(v))
     return out

@@ -7,27 +7,36 @@ sinusoid whose amplitude is solved for.  Each class has one frequency
 plan, built by a chain rule meant to make the designated combination
 the only integer one hitting zero, so that the net displacement of the
 class coordinates is linear in the resonance amplitudes.
-control_matrix is the one gate on a plan: it runs the class's period
-once, with the amplitudes as symbols, and reads the linear map off the
-monomials of degree one.  A plan that moves a settled coordinate,
-whose displacement is not linear in the amplitudes, or whose control
-matrix is too close to singular raises SingularMatrix.
 
-Everything is integrated in closed form, on one representation.  A
-TrigPoly is a sum of terms c t^p trig(w t) a^m pi^e with rational c,
-integer frequencies w, a monomial m of the symbolic amplitudes and a
-power e of pi, so every state value at a period boundary is a Laurent
-polynomial of pi (a PiPoly) in exact steering, and a polynomial in
-the amplitudes over those in control_matrix.  A coordinate's value at
-the end of a period is its start plus the integral of its rate over
-the period.  The rate is a sum of terms t^p trig(w1 t) times control
-terms trig(w2 t), and each such pair integrates to a rational
+Every period runs through one period map.  The channel signature of a
+period lists each channel's terms as (w, q), for amp cos(w t - q pi/2),
+and the map of a signature on canonical (m, r) is the end state of one
+period as a sparse polynomial in every term's amplitude and in the
+start values of the coordinates some monomial reads, with exact Laurent
+polynomials of pi (PiPoly) as coefficients.  It is complete: the
+dynamics are triangular, so a coordinate's rate reads only those start
+values, and every other start value only adds to its own coordinate.
+One symbolic period builds it, and it is kept at module level, keyed
+on (m, r, signature), like the integral tables: a plan's classes, the
+laws steered by the plan and their float replays share one map per
+class.  control_matrix, the one gate on a plan, reads the class's
+linear map off it with the basics set to 1 and the start to 0; a plan
+that moves a settled coordinate, whose displacement is not linear in
+the amplitudes, or whose control matrix is too close to singular
+raises SingularMatrix.  exact_steer evaluates it exactly, and a float
+replay of a law evaluates it in floats (propagate_period).
+
+The symbolic period is integrated in closed form on one
+representation.  A TrigPoly is a sum of terms c t^p trig(w t) a^m pi^e
+with rational c, integer frequencies w, a monomial m of the map's
+variables and a power e of pi.  A coordinate's displacement over a
+period is the integral of its rate, a sum of terms t^p trig(w1 t) times
+control terms trig(w2 t); each such pair integrates to a rational
 combination of powers of 2 pi, read from a kept table.  Trajectories
-are built only for the coordinates that some rate reads.  In float
-mode the same code runs on float coefficients (m = e = 0), for the
-float replay of a law: the period's amplitudes and state become floats
-at its start, and exact values never meet floats (adding a float to a
-PiPoly raises TypeError).
+are built only for the coordinates that some rate reads.  Exact values
+never meet floats (adding a float to a PiPoly raises TypeError): a
+float replay converts the amplitudes and the state once, and the map's
+coefficients once per map.
 
 Laws are joined end to end by one routine, concatenate, which folds
 every law's scale into its amplitudes.
@@ -45,6 +54,7 @@ from .privcoord import dilate, pseudo_norm
 F0 = Fraction(0)
 F1 = Fraction(1)
 _PI_HAT = Fraction(math.pi)
+_PI_NUM, _PI_DEN = _PI_HAT.numerator, _PI_HAT.denominator
 # Length of one period of a law, in float time.
 TWO_PI = 2.0 * math.pi
 # Least |det| of a class's column-equilibrated control matrix, relative
@@ -130,10 +140,17 @@ class PiPoly:
         return self.c == o.c
 
     def __float__(self):
-        # Evaluate at the exact Fraction value of math.pi so huge
-        # coefficient ratios cancel before float conversion.
-        return float(sum((v * _PI_HAT ** k for k, v in self.c.items()),
-                         F0))
+        # The exact value at the Fraction value of math.pi, so huge
+        # coefficient ratios cancel before rounding, as one quotient of
+        # ints: int division rounds correctly, as float(Fraction) does,
+        # and needs no gcd on the way.
+        num, den = 0, 1
+        for k, v in self.c.items():
+            up, down = (_PI_NUM, _PI_DEN) if k >= 0 else (_PI_DEN, _PI_NUM)
+            n = v.numerator * up ** abs(k)
+            d = v.denominator * down ** abs(k)
+            num, den = num * d + n * den, den * d
+        return num / den
 
     def __repr__(self):
         # The reduced-fraction form (num)/(1*pi^k), num free of a
@@ -178,9 +195,9 @@ def simplify_value(v):
 
 
 def _parts(v):
-    """The (m, e) -> coefficient items of a value: an exact number has
-    m = 0 and its powers of pi in e, a float has m = e = 0, and an
-    amplitude polynomial is such a dict already."""
+    """The (m, e) -> coefficient items of an exact value: a number has
+    m = 0 and its powers of pi in e, and a polynomial in a period map's
+    variables is such a dict already."""
     if isinstance(v, dict):
         return v.items()
     if isinstance(v, PiPoly):
@@ -197,13 +214,10 @@ class TrigPoly:
     """Sums of c t^p trig(w t) a^m pi^e, integer w >= 0, trig cos for
     s = 0 and sin for s = 1 (never at w = 0).
 
-    terms maps the key (p, w, s, m, e) to c, a Fraction, or a float in
-    float mode; no c is zero.  m is a monomial of the resonance
-    amplitudes a_k with its exponents packed into one int (base r + 1,
-    so a product of monomials is one integer add), and e a power of pi.
-    Exact numbers have m = 0 and floats m = e = 0, so exact steering,
-    float replay and the symbolic period of control_matrix share one
-    product-to-sum, one antiderivative and one period integral.
+    terms maps the key (p, w, s, m, e) to c, a nonzero Fraction.  m is
+    a monomial of a period map's variables with its exponents packed
+    into one int (base r + 1, so a product of monomials is one integer
+    add), and e a power of pi; exact numbers have m = 0.
     """
 
     __slots__ = ("terms",)
@@ -270,34 +284,37 @@ class TrigPoly:
 def poly_on_trigs(poly, trajs, cache):
     """Evaluate a Poly on TrigPoly arguments; cache keeps the powers
     of the arguments, keyed by (index, exponent)."""
-
-    def power(i, k):
-        key = (i, k)
-        hit = cache.get(key)
-        if hit is None:
-            if k == 1:
-                hit = trajs[i]
-            else:
-                hit = power(i, k - 1).mul(trajs[i])
-            cache[key] = hit
-        return hit
-
     total = {}
     for expo, coef in poly.terms.items():
-        term = None
-        for i, a in enumerate(expo):
-            if not a:
-                continue
-            if term is None:
-                # the first factor carries the coefficient
-                term = TrigPoly({k: coef * c
-                                 for k, c in power(i, a).terms.items()})
-            else:
-                term = term.mul(power(i, a))
-        for k, c in (term.terms.items() if term else
-                     [((0, 0, 0, 0, 0), coef)]):
+        for k, c in monomial_on_trigs(expo, coef, trajs, cache).terms.items():
             _put(total, k, c)
     return TrigPoly(total)
+
+
+def monomial_on_trigs(expo, coef, trajs, cache):
+    """coef times the product of trajs[i]^expo[i], as poly_on_trigs
+    keeps the powers."""
+    term = None
+    for i, a in enumerate(expo):
+        if not a:
+            continue
+        factor = _kept_power(trajs, cache, i, a, TrigPoly.mul)
+        if term is None:
+            # the first factor carries the coefficient
+            term = TrigPoly({k: coef * c for k, c in factor.terms.items()})
+        else:
+            term = term.mul(factor)
+    return TrigPoly({(0, 0, 0, 0, 0): coef}) if term is None else term
+
+
+def _kept_power(xs, cache, i, k, mul):
+    """xs[i] to the power k under mul, kept in cache by (i, k)."""
+    hit = cache.get((i, k))
+    if hit is None:
+        hit = xs[i] if k == 1 else mul(
+            _kept_power(xs, cache, i, k - 1, mul), xs[i])
+        cache[i, k] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -480,121 +497,298 @@ def channel_trigpolys(channels):
 @functools.lru_cache(maxsize=None)
 def _moment(p, w, s):
     """Integral of t^p cos(w t) (s = 0) or t^p sin(w t) (s = 1) over
-    one period [0, 2 pi], as pairs (k, r) for the sum of r (2 pi)^k.
+    one period [0, T], T = 2 pi, as pairs (k, r) for the sum of r T^k.
 
-    It is the antiderivative's value at 2 pi, where every sine vanishes
-    and every cosine is one, so its t^k cosine coefficients sum to r.
+    By parts, with sin(w T) = 0 and cos(w T) = 1 for w > 0: the cosine
+    moment is -p/w times the sine moment of p - 1, and the sine moment
+    is -T^p/w plus p/w times the cosine moment of p - 1 (0 at p = 0).
     Moments are kept, like kernels: each kernel reads two, and kernels
-    share most of them (building the (2,5) plan reads 15076 distinct
-    moments 41602 times).
+    share most of them.
     """
-    if s and not w:
+    if not w:
+        return () if s else ((p + 1, Fraction(1, p + 1)),)
+    if not p:
         return ()
-    prim = TrigPoly({(p, w, s, 0, 0): F1}).antiderivative()
-    out = {}
-    for (k, _, trig, _, _), r in prim.terms.items():
-        if trig == 0:
-            _put(out, k, r)
-    return tuple((k, r) for k, r in out.items() if r)
+    lower = _moment(p - 1, w, 1 - s)
+    if not s:
+        return tuple((k, -p * r / w) for k, r in lower)
+    return ((p, Fraction(-1, w)),) + tuple((k, p * r / w)
+                                           for k, r in lower)
 
 
 @functools.lru_cache(maxsize=None)
 def _kernel(p, w1, s1, w2, s2):
     """Integral of t^p trig(w1 t) trig(w2 t) over one period, where
-    trig is cos for s = 0 and sin for s = 1.
-
-    Returns the exact integral, as pairs (e, c) for the sum of c pi^e,
-    and its float value.  TrigPoly.mul's product to sum splits it into
-    single-frequency moments.  Kernels are kept: periods read the same
+    trig is cos for s = 0 and sin for s = 1, as pairs (e, c) for the
+    sum of c pi^e.  The product to sum splits it into the moments at
+    w1 + w2 and |w1 - w2|.  Kernels are kept: a period reads the same
     few hundred over and over.
     """
-    prod = TrigPoly({(p, w1, s1, 0, 0): F1}).mul(
-        TrigPoly({(0, w2, s2, 0, 0): F1}))
+    if s1 == s2:
+        # cos(a - b) plus cos(a + b), or minus it for two sines
+        parts = ((abs(w1 - w2), 0, 1), (w1 + w2, 0, -1 if s1 else 1))
+    else:
+        # sin(a + b) plus sin(sine frequency - cosine frequency)
+        d = w1 - w2 if s1 else w2 - w1
+        parts = ((w1 + w2, 1, 1), (abs(d), 1, 1 if d >= 0 else -1))
     total = {}
-    for (q, w, s, _, _), c in prod.terms.items():
-        for k, r in _moment(q, w, s):
-            _put(total, k, c * r * 2 ** k)
-    exact = PiPoly(total)
-    return tuple(exact.c.items()), float(exact)
+    for w, s, sign in parts:
+        for k, r in _moment(p, w, s):
+            _put(total, k, sign * r * 2 ** k / 2)
+    return tuple((e, c) for e, c in total.items() if c)
 
 
-def period_end(init, f, u, float_mode):
-    """init plus the integral of f(t) u(t) over one period [0, 2 pi],
-    where u is free of powers of t: each pair of a term of f and a
-    term of u reads its integral from _kernel.
-
-    Floats sum by math.fsum.  Otherwise the end value comes back as
-    (m, e) -> coefficient, zero coefficients left out; the terms of u
-    are grouped by trig(w t), so that f meets each kernel once.
+def period_integral(f, u):
+    """The integral of f(t) u(t) over one period [0, 2 pi], as (m, e)
+    -> coefficient, zero coefficients left out.  Each pair of a term
+    of f and a term of u reads its integral from _kernel, which needs
+    only their summed power of t; the terms of u are grouped by
+    t^p trig(w t), so that f meets each kernel once.  Without a power
+    of t, a term of f meets only its own trig(w t): distinct trigs are
+    orthogonal over the period.
     """
-    if float_mode:
-        terms = [init]
-        us = [(w, s, c) for (_, w, s, _, _), c in u.terms.items()]
-        for (p, w1, s1, _, _), c1 in f.terms.items():
-            terms.extend(c1 * c2 * _kernel(p, w1, s1, w2, s2)[1]
-                         for w2, s2, c2 in us)
-        return math.fsum(terms)
     groups = {}
-    for (_, w2, s2, m2, e2), c2 in u.terms.items():
-        groups.setdefault((w2, s2), []).append((m2, e2, c2))
-    total = dict(_parts(init))
-    for (w2, s2), us in groups.items():
-        inner = {}
-        for (p, w1, s1, m1, e1), c1 in f.terms.items():
-            for k, r in _kernel(p, w1, s1, w2, s2)[0]:
-                _put(inner, (m1, e1 + k), c1 * r)
-        for (m1, e1), c1 in inner.items():
+    for (p2, w2, s2, m2, e2), c2 in u.terms.items():
+        groups.setdefault((p2, w2, s2), []).append((m2, e2, c2))
+    secular = [g for g in groups if g[0]]
+    inner = {g: {} for g in groups}
+    for (p1, w1, s1, m1, e1), c1 in f.terms.items():
+        own = (0, w1, s1)
+        meets = groups if p1 else secular + [own] if own in groups \
+            else secular
+        for g in meets:
+            p2, w2, s2 = g
+            acc = inner[g]
+            for k, r in _kernel(p1 + p2, w1, s1, w2, s2):
+                _put(acc, (m1, e1 + k), c1 * r)
+    total = {}
+    for g, us in groups.items():
+        for (m1, e1), c1 in inner[g].items():
             for m2, e2, c2 in us:
                 _put(total, (m1 + m2, e1 + e2), c1 * c2)
     return {k: c for k, c in total.items() if c}
 
 
-def _period(system, us, state, stop, float_mode):
-    """End values of coordinates 1..stop after one period of the
-    channel TrigPolys us from state, as period_end gives them.
+def rate_integral(poly, trajs, cache, u):
+    """period_integral of poly_on_trigs(poly, trajs, cache) times u,
+    with each monomial's last factor multiplied onto u rather than onto
+    the others: the product of the others then meets, term by term,
+    only the few trigs of that product that it does not integrate to
+    zero against."""
+    total = {}
+    for expo, coef in poly.terms.items():
+        rest = list(expo)
+        last = max((i for i, a in enumerate(expo) if a), default=None)
+        if last is None:
+            part = period_integral(TrigPoly({(0, 0, 0, 0, 0): coef}), u)
+        else:
+            rest[last] -= 1
+            part = period_integral(
+                monomial_on_trigs(rest, coef, trajs, cache),
+                trajs[last].mul(u))
+        for k, c in part.items():
+            _put(total, k, c)
+    return {k: c for k, c in total.items() if c}
+
+
+def _reads(system):
+    """The coordinates (0-based) that some monomial reads."""
+    return sorted({i for mono in system.monomials for expo in mono.terms
+                   for i, a in enumerate(expo) if a})
+
+
+def _period(system, us, state, read):
+    """Displacements of every coordinate over one period of the channel
+    TrigPolys us from state, as period_integral gives them.
 
     The canonical dynamics are triangular: coordinate j moves at rate
-    f_j(t) u_phi(j)(t), where f_j = P_j of the trajectories before j,
-    so no coordinate after stop is needed.  The trajectory of a
-    coordinate, the TrigPoly x_j(0) plus the antiderivative of its
-    rate, is built only when some monomial reads that coordinate;
-    none reads the top-weight ones.
+    f_j(t) u_phi(j)(t), where f_j = P_j of the trajectories before j.
+    The trajectory of a coordinate, the TrigPoly x_j(0) plus the
+    antiderivative of its rate, is built only for the coordinates in
+    read, those some monomial reads (_reads), so only their start
+    values enter; the others, the top-weight ones among them, need
+    their displacement alone (rate_integral).
     """
-    read = {i for mono in system.monomials[:stop] for expo in mono.terms
-            for i, a in enumerate(expo) if a}
     trajs = []
     out = []
     cache = {}
-    for j in range(stop):
-        f = poly_on_trigs(system.monomials[j], trajs, cache)
+    for j in range(system.n):
         u = us[system.basis.element(j + 1).phi - 1]
-        out.append(period_end(state[j], f, u, float_mode))
         traj = None
         if j in read:
-            traj = f.mul(u).antiderivative().add(TrigPoly(
-                {(0, 0, 0, m, e): c for (m, e), c in _parts(state[j])}))
+            traj = TrigPoly({(0, 0, 0, m, e): c
+                             for (m, e), c in _parts(state[j])})
+        if not u.terms:
+            # a silent channel moves its coordinates not at all
+            out.append({})
+        elif traj is None:
+            out.append(rate_integral(system.monomials[j], trajs, cache, u))
+        else:
+            f = poly_on_trigs(system.monomials[j], trajs, cache)
+            out.append(period_integral(f, u))
+            traj = traj.add(f.mul(u).antiderivative())
         trajs.append(traj)
     return out
 
 
-def propagate_period(system, channels, state, float_mode):
-    """State after one 2 pi period of the given controls, exact as
-    Laurent polynomials of pi, or in floats when float_mode is set: the
-    channel amplitudes and the state are then made floats once, here,
-    and every TrigPoly of the period holds floats only.  Each end
-    value is x_j(0) plus the integral of its rate over the period, in
-    closed form (period_end).
+# ---------------------------------------------------------------------------
+# Period maps
+
+
+class PeriodMap:
+    """One period of a channel signature on the canonical system, as a
+    polynomial map from its variables to the displacement of every
+    coordinate.
+
+    The signature lists each channel's terms as (w, q), for amp
+    cos(w t - q pi / 2).  The variables are the amplitude of every
+    channel term, in channel order, then the start value of every
+    coordinate in reads, the coordinates some monomial reads.  disp[j]
+    lists coordinate j's displacement as pairs (powers, coef): powers
+    is a tuple of (variable, exponent) pairs and coef a dict e -> c,
+    the Laurent polynomial of pi, the sum of c pi^e, that the monomial
+    carries.  The map is complete: the rates read only the start values
+    of reads, and every other start value enters its own coordinate
+    alone, as the constant of its trajectory, so the end state of any
+    amplitudes from any start is the start plus disp.
     """
+
+    __slots__ = ("reads", "disp", "_floats")
+
+    def __init__(self, system, signature):
+        # One symbolic period: variable v is the monomial base^v, as in
+        # TrigPoly keys, and no exponent reaches base, since a
+        # coordinate's rate has total weight at most r.
+        base = system.r + 1
+        channels = []
+        nvars = 0
+        for terms in signature:
+            channels.append([({(base ** (nvars + i), 0): F1}, w, q)
+                             for i, (w, q) in enumerate(terms)])
+            nvars += len(terms)
+        self.reads = _reads(system)
+        state = [F0] * system.n
+        for i, j in enumerate(self.reads):
+            state[j] = {(base ** (nvars + i), 0): F1}
+        self.disp = [_unpack(d, base) for d in _period(
+            system, channel_trigpolys(channels), state, set(self.reads))]
+        self._floats = None
+
+    def end_state(self, amps, state):
+        """The exact end state from exact amplitudes and state, as
+        dicts e -> c for the sum of c pi^e."""
+        # A zero variable drops its terms and a unit one drops out of
+        # them: the basics are 1, and most start values of exact
+        # steering are 0.
+        vals = [None if not v else True if type(v) is Fraction and v == 1
+                else dict(_terms(v))
+                for v in amps + [state[j] for j in self.reads]]
+        powers = {}
+        out = []
+        for x, terms in zip(state, self.disp):
+            total = dict(_terms(x))
+            for mono, acc in terms:
+                for v, k in mono:
+                    val = vals[v]
+                    if val is None:
+                        break
+                    if val is not True:
+                        acc = _product(acc, _kept_power(vals, powers, v, k,
+                                                        _product))
+                else:
+                    for e, c in acc.items():
+                        _put(total, e, c)
+            out.append(total)
+        return out
+
+    def float_end_state(self, amps, state):
+        """The end state from float amplitudes and state, each moved
+        coordinate summed by math.fsum on the map's coefficients,
+        rounded once, on first use, from their exact values."""
+        if self._floats is None:
+            self._floats = [(j, [(mono, float(PiPoly(coef)))
+                                 for mono, coef in terms])
+                            for j, terms in enumerate(self.disp) if terms]
+        vals = amps + [state[j] for j in self.reads]
+        out = list(state)
+        for j, terms in self._floats:
+            parts = [state[j]]
+            for mono, c in terms:
+                for v, k in mono:
+                    c *= vals[v] if k == 1 else vals[v] ** k
+                parts.append(c)
+            # one addition rounds as fsum does
+            out[j] = math.fsum(parts) if len(parts) > 2 \
+                else parts[0] + parts[1]
+        return out
+
+
+def _unpack(disp, base):
+    """The (powers, coef) pairs of a displacement (m, e) -> c whose
+    monomials m pack variable v's exponent in digit v of base."""
+    coefs = {}
+    for (m, e), c in disp.items():
+        coefs.setdefault(m, {})[e] = c
+    out = []
+    for m, coef in coefs.items():
+        mono = []
+        v = 0
+        while m:
+            m, k = divmod(m, base)
+            if k:
+                mono.append((v, k))
+            v += 1
+        out.append((tuple(mono), coef))
+    return out
+
+
+def _product(a, b):
+    """The product of two Laurent polynomials of pi, dicts e -> c."""
+    out = {}
+    items = list(b.items())
+    for e1, c1 in a.items():
+        for e2, c2 in items:
+            _put(out, e1 + e2, c1 * c2)
+    return out
+
+
+# The period map of each (m, r, signature), built on first use and
+# kept, like _kernel and _moment: a plan's classes, every period of
+# every law steered by it and every float replay of those laws share
+# one map per class.
+_MAPS = {}
+
+
+def period_map(system, channels):
+    """The PeriodMap of the signature of channels, lists of terms
+    (amp, w, q), on the canonical system."""
+    signature = tuple(tuple((w, q) for _, w, q in terms)
+                      for terms in channels)
+    key = (system.m, system.r, signature)
+    pmap = _MAPS.get(key)
+    if pmap is None:
+        pmap = _MAPS[key] = PeriodMap(system, signature)
+    return pmap
+
+
+def propagate_period(system, channels, state, float_mode):
+    """State after one 2 pi period of the given controls.
+
+    The period map of the channels' signature, kept by (m, r,
+    signature), is evaluated at the channels' amplitudes and the
+    state: exactly, as Laurent polynomials of pi, or in floats when
+    float_mode is set, when the amplitudes and the state are made
+    floats once, here.  The map is complete (PeriodMap), so it holds
+    for any amplitudes from any start, and exact steering, the plan
+    gate and a law's float replay all run the same polynomial, the
+    replay at float rounding only.
+    """
+    pmap = period_map(system, channels)
+    amps = [a for terms in channels for a, _, _ in terms]
     if float_mode:
-        channels = [[(float(a), w, q) for a, w, q in terms]
-                    for terms in channels]
-        state = [float(v) for v in state]
-    end = _period(system, channel_trigpolys(channels), state, system.n,
-                  float_mode)
-    if float_mode:
-        return end
-    return [simplify_value(PiPoly({e: c for (_, e), c in v.items()}))
-            for v in end]
+        return pmap.float_end_state([float(a) for a in amps],
+                                    [float(v) for v in state])
+    return [simplify_value(PiPoly(v)) for v in pmap.end_state(amps, state)]
 
 
 def control_matrix(system, entry):
@@ -603,17 +797,18 @@ def control_matrix(system, entry):
     resonance amplitude.  Also fills entry.B, its inverse, and
     entry.det.
 
-    One period runs with the resonance amplitudes a_k as symbols, up to
-    the last coordinate read: the last class coordinate, or the last
-    coordinate of an earlier class if that comes later.  A is read off
-    the monomials a_k of the class coordinates.  From the zero state no
-    secular term precedes the designed resonance, so every entry is
-    c pi with c rational: A is pi times a rational matrix A0, det(A) is
-    pi^q det(A0), and B is the inverse of A0 over Q divided by pi.
-    Raises SingularMatrix, with the class_id, when a settled coordinate
-    moves, when a class coordinate has a constant term (the basics
-    alone displace it), a monomial of degree other than one, or an
-    entry that is not c pi, and below DET_THRESHOLD.
+    A is read off the class's period map, with the basics set to 1,
+    the start to 0 and the resonance amplitudes a_k kept as symbols:
+    the monomials a_k of the class coordinates.  The map covers every
+    coordinate, so the check no longer stops at the last coordinate
+    it reads.  From the zero state no secular term precedes the
+    designed resonance, so every entry is c pi with c rational: A is
+    pi times a rational matrix A0, det(A) is pi^q det(A0), and B is
+    the inverse of A0 over Q divided by pi.  Raises SingularMatrix,
+    with the class_id, when a settled coordinate moves, when a class
+    coordinate has a constant term (the basics alone displace it), a
+    monomial of degree other than one, or an entry that is not c pi,
+    and below DET_THRESHOLD.
 
     It is the one gate on a plan, and a complete one: the class and
     settled coordinates move at rates that read only strictly shorter
@@ -628,18 +823,33 @@ def control_matrix(system, entry):
     unit = {base ** k: k for k in range(q)}
     earlier = [j for j in range(1, system.n + 1)
                if system.basis.class_of[j] < entry.class_id]
-    channels = template_channels(entry, [{(base ** k, 0): F1}
-                                         for k in range(q)])
-    end = _period(system, channel_trigpolys(channels), [F0] * system.n,
-                  max(elements + tuple(earlier)), float_mode=False)
+    # a_k enters as the int base^k, its monomial as TrigPoly keys pack
+    # it; a basic is the Fraction 1, and its monomial is 0
+    channels = template_channels(entry, [base ** k for k in range(q)])
+    monos = [a if type(a) is int else 0
+             for terms in channels for a, _, _ in terms]
+    pmap = period_map(system, channels)
+    end = {}
+    for j in earlier + list(elements):
+        out = {}
+        for mono, coef in pmap.disp[j - 1]:
+            key = 0
+            for v, k in mono:
+                if v >= len(monos):
+                    break  # a start value, 0 in the zero state
+                key += k * monos[v]
+            else:
+                for e, c in coef.items():
+                    _put(out, (key, e), c)
+        end[j] = {k: c for k, c in out.items() if c}
     for j in earlier:
-        if end[j - 1]:
+        if end[j]:
             raise SingularMatrix(
                 "the period of class %d displaces settled coordinate %d"
                 % (entry.class_id, j), class_id=entry.class_id)
     cols = [[F0] * q for _ in range(q)]
     for i, j in enumerate(elements):
-        for (mono, e), c in end[j - 1].items():
+        for (mono, e), c in end[j].items():
             if mono not in unit:
                 raise SingularMatrix(
                     ("coordinate %d of class %d is not linear in the "
@@ -655,7 +865,7 @@ def control_matrix(system, entry):
             cols[unit[mono]][i] = c
     gains = []
     for k in range(q):
-        norm = math.sqrt(math.fsum(float(x * _PI_HAT) ** 2
+        norm = math.sqrt(math.fsum(float(PiPoly({1: x})) ** 2
                                    for x in cols[k]))
         if norm == 0.0:
             raise SingularMatrix("slot %d displaces nothing" % k,
@@ -676,7 +886,9 @@ def control_matrix(system, entry):
             "control matrix determinant %.3e below threshold %.3e"
             % (det_f, DET_THRESHOLD * geo), class_id=entry.class_id)
     entry.A = a
-    entry.B = [[PiPoly({-1: x}) for x in row] for row in invert_matrix(a0)]
+    # most classes hold one slot, whose inverse is a reciprocal
+    inv = [[F1 / a0[0][0]]] if q == 1 else invert_matrix(a0)
+    entry.B = [[PiPoly({-1: x}) for x in row] for row in inv]
     entry.det = det
     entry.gains = gains
 

@@ -14,11 +14,14 @@ The package holds no assert statement: python -O strips them, so a
 check the library relies on must raise.
 And one cached loader compiles all the package's generated code, so
 no caller compiles a source anew on every call.
-Importing the package, steering, planning on a covering and taking a
-growth vector load neither numpy nor scipy, whose import-time objects
-every full garbage collection would scan."""
+Importing the package, steering, float-replaying a law, planning on a
+covering and taking a growth vector load neither numpy nor scipy,
+whose import-time objects every full garbage collection would scan.
+The package's memoised recursions leave no reference cycle behind, so
+a query leaves no garbage for those collections to find."""
 
 import ast
+import gc
 import importlib
 import json
 import os
@@ -372,8 +375,34 @@ def test_one_cached_loader_compiles_code():
     assert any(d.startswith("functools.lru_cache(") for d in decorators)
 
 
+def recursion_calls():
+    """One call of each memoised recursion of the package, by name."""
+    from nilsteer import canonical, desing, hall, steer
+    system = canonical.canonical_fields(2, 3)
+    trajs = steer.channel_trigpolys([[(1, 1, 0), (2, 3, 1)], [(1, 2, 0)]])
+    return {
+        "evaluate_brackets": lambda: hall.evaluate_brackets(
+            system.basis, range(1, system.n + 1), system.fields, None),
+        "hom_exponents": lambda: desing._hom_exponents(4, (1, 1, 2, 2), 5),
+        "poly_on_trigs": lambda: steer.poly_on_trigs(
+            system.monomials[3], trajs, {}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(recursion_calls()))
+def test_recursions_leave_no_cyclic_garbage(name):
+    call = recursion_calls()[name]
+    gc.disable()
+    try:
+        gc.collect()
+        assert call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # Run in a fresh interpreter, since pytest's own imports load scipy.
-# It steers canonical (2,3) exactly, takes one float period, replays
+# It steers canonical (2,4) exactly, float-replays the whole law, replays
 # one local step on the unicycle, plans one unicycle query on a grid-4
 # covering, takes the unicycle's growth vector, and then takes the
 # local step's length.
@@ -392,13 +421,14 @@ def loaded():
                   if m.partition(".")[0] in ("numpy", "scipy"))
 
 
-system = canonical.canonical_fields(2, 3)
-law = steer.exact_steer([0.3, -0.2, 0.1, 0.4, -0.5], system,
-                        steer.build_plan(system))
+system = canonical.canonical_fields(2, 4)
+law = steer.exact_steer([0.3, -0.2, 0.1, 0.4, -0.5, 0.2, -0.1, 0.6],
+                        system, steer.build_plan(system))
 z = [float(v) for v in law.meta["z_init"]]
-steer.propagate_period(system, law.periods[0]["channels"], z,
-                       float_mode=True)
-out = {"steer": loaded()}
+for period in law.periods:
+    z = steer.propagate_period(system, period["channels"], z,
+                               float_mode=True)
+out = {"steer": loaded(), "replay_miss": max(abs(v) for v in z)}
 names = ["x", "y", "th"]
 fields = [poly.ExprField([poly.parse_expr(c, names) for c in comps])
           for comps in (["cos(th)", "sin(th)", "0"], ["0", "0", "1"])]
@@ -426,6 +456,7 @@ def test_steering_loads_neither_numpy_nor_scipy():
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout.splitlines()[-1])
     assert out["steer"] == []
+    assert out["replay_miss"] <= 1e-9
     assert out["replay"] == []
     assert out["plan"] == []
     assert out["growth"] == [[2, 3], []]

@@ -24,7 +24,7 @@ from nilsteer.privcoord import dilate, pseudo_norm
 from nilsteer.steer import (
     ClassPlan, ControlLaw, FrequencyPlan, PiPoly, SlotPlan, TrigPoly,
     _kernel, build_plan, channel_trigpolys, concatenate, control_matrix,
-    exact_steer, period_end, plan_class, plan_frequencies, TWO_PI,
+    exact_steer, period_integral, plan_class, plan_frequencies, TWO_PI,
     propagate_period, simplify_value, template_channels,
 )
 
@@ -243,7 +243,7 @@ def sinusoid(amp, w, q):
 
 
 def end_value(d):
-    """The number an exact period_end result stands for."""
+    """The number an exact period_integral result stands for."""
     assert all(m == 0 for m, _ in d), d
     return simplify_value(PiPoly({e: c for (_, e), c in d.items()}))
 
@@ -306,17 +306,16 @@ def test_antiderivative_matches_quadrature():
         lambda t: oracles.trig_eval_float(u, t), horizon, top)
     got = oracles.trig_eval_float(u.antiderivative(), horizon)
     assert got == pytest.approx(ref, abs=1e-10)
-    assert period_end(F(0), u, ONE, True) == pytest.approx(ref, abs=1e-10)
-    exact = end_value(period_end(F(0), u, ONE, False))
+    exact = end_value(period_integral(u, ONE))
     assert float(exact) == pytest.approx(ref, abs=1e-10)
 
 
 def test_squared_cosine_integrates_to_pi_exactly():
     u = sinusoid(F(1), 3, 0)
-    assert period_end(F(0), u, u, False) == {(0, 1): F(1)}
+    assert period_integral(u, u) == {(0, 1): F(1)}
     # amplitude monomials ride along: (a0 cos 3t)^2 integrates to a0^2 pi
     a = TrigPoly({(0, 3, 0, 1, 0): F(1)})
-    assert period_end(F(0), a, a, False) == {(2, 1): F(1)}
+    assert period_integral(a, a) == {(2, 1): F(1)}
 
 
 def sympy_period_integral(expr, t, moments):
@@ -351,11 +350,9 @@ def test_kernels_match_sympy():
                                                (0, 1), (0, 1)):
         expr = TR8(t ** p * trigs[s1](w1 * t) * trigs[s2](w2 * t))
         want = sympy_period_integral(expr, t, moments)
-        exact, value = _kernel(p, w1, s1, w2, s2)
         got = sum(sympy.Rational(r.numerator, r.denominator) * sympy.pi ** d
-                  for d, r in exact)
+                  for d, r in _kernel(p, w1, s1, w2, s2))
         assert sympy.expand(got - want) == 0, (p, w1, s1, w2, s2)
-        assert value == pytest.approx(float(want), rel=1e-15, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +369,9 @@ def test_constant_controls_sweep_quadratic_area(sys22):
 
 
 def test_float_period_matches_ode(sys33):
-    # the float route of the period integral, which a law's float
-    # replay runs, against scipy on the canonical fields
+    # the float evaluation of a period map, which a law's float replay
+    # runs, against scipy on the canonical fields, on signatures no
+    # plan has: repeated and zero frequencies, all four quarters
     rng = oracles.seeded(59)
     for _ in range(3):
         state = oracles.random_rational_point(sys33.n, rng, lo=-1, hi=1)
@@ -392,6 +390,75 @@ def test_zero_controls_fix_the_state(sys23):
     state = oracles.random_rational_point(sys23.n, rng)
     end = propagate_period(sys23, [[], []], state, float_mode=False)
     assert [simplify_value(v) for v in end] == state
+
+
+# ---------------------------------------------------------------------------
+# Period maps
+
+
+def random_amplitude(rng):
+    """A rational or, one time in three, a Laurent polynomial of pi."""
+    q = oracles.random_fraction(rng, -1, 1, 16)
+    if rng.random() < 1 / 3:
+        return PiPoly({rng.choice((-1, 1)): q, 0: F(1, rng.randint(2, 9))})
+    return q
+
+
+@pytest.mark.parametrize("m,r", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_period_map_is_the_direct_period(m, r):
+    # every class's signature, every amplitude of it seeded and exact,
+    # from a seeded exact start: the map's end state is the TrigPoly
+    # period run on those values, and its float evaluation the DOP853
+    # replay of the canonical fields
+    system = canonical_fields(m, r)
+    rng = oracles.seeded(100 * m + r)
+    read = set(steer._reads(system))
+    for entry in build_plan(system).classes:
+        channels = [[(random_amplitude(rng), w, q) for _, w, q in terms]
+                    for terms in template_channels(
+                        entry, [F(1)] * len(entry.slots))]
+        state = oracles.random_rational_point(system.n, rng, lo=-1, hi=1)
+        disp = steer._period(system, channel_trigpolys(channels), state,
+                             read)
+        direct = [simplify_value(x + end_value(d))
+                  for x, d in zip(state, disp)]
+        end = propagate_period(system, channels, state, float_mode=False)
+        assert end == direct, entry.class_id
+        assert end != state
+        floats = propagate_period(system, channels, state, float_mode=True)
+        law = ControlLaw(m, [{"channels": [
+            [(float(a), w, q) for a, w, q in terms] for terms in channels]}])
+        want = ode_endpoint(system, law, state)
+        assert max(abs(a - b) for a, b in zip(floats, want)) <= 1e-9, \
+            entry.class_id
+
+
+def test_period_maps_are_built_once_per_class(monkeypatch):
+    # the plan builds one map per class signature; a second plan, the
+    # laws it steers and their float replays build none
+    monkeypatch.setattr(steer, "_MAPS", {})
+    real = steer.PeriodMap
+    built = []
+
+    def counting(system, signature):
+        built.append(signature)
+        return real(system, signature)
+
+    monkeypatch.setattr(steer, "PeriodMap", counting)
+    plan = build_plan(canonical_fields(2, 4))
+    assert len(built) == len(set(built)) == len(plan.classes)
+    del built[:]
+    system = canonical_fields(2, 4)
+    plan = build_plan(system)
+    rng = oracles.seeded(29)
+    for _ in range(20):
+        law = exact_steer(oracles.random_rational_point(system.n, rng),
+                          system, plan)
+        z = [float(v) for v in law.meta["z_init"]]
+        for p in law.periods:
+            z = propagate_period(system, p["channels"], z, float_mode=True)
+        assert max(abs(v) for v in z) <= 1e-9
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -652,21 +719,27 @@ def test_determinant_threshold_raises(sys23, monkeypatch):
     assert info.value.payload == {"class_id": 2}
 
 
-def skew_period_end(patch, coordinate, key):
-    """Make period_end add one unit of the (m, e) term key to the end
-    value of coordinate (1-based) in the next period that runs."""
-    real = steer.period_end
-    calls = []
+def fresh_maps(patch):
+    """Empty the period-map cache until patch undoes it, so that the
+    next period map is built anew and dropped afterwards."""
+    patch.setattr(steer, "_MAPS", {})
 
-    def skewed(init, f, u, float_mode):
-        end = real(init, f, u, float_mode)
-        calls.append(key)
-        if len(calls) == coordinate:
-            end = dict(end)
-            end[key] = end.get(key, 0) + 1
+
+def skew_period_end(patch, coordinate, key):
+    """Make the symbolic period add one unit of the (m, e) term key to
+    the displacement of coordinate (1-based) in every period map built
+    until patch undoes it; a map's variable v is the monomial (r + 1)^v.
+    """
+    fresh_maps(patch)
+    real = steer._period
+
+    def skewed(system, us, state, read):
+        end = real(system, us, state, read)
+        skew = end[coordinate - 1] = dict(end[coordinate - 1])
+        skew[key] = skew.get(key, 0) + 1
         return end
 
-    patch.setattr(steer, "period_end", skewed)
+    patch.setattr(steer, "_period", skewed)
 
 
 def test_plan_class_raises_on_a_rejected_plan(sys23, sys24, monkeypatch):
@@ -678,9 +751,9 @@ def test_plan_class_raises_on_a_rejected_plan(sys23, sys24, monkeypatch):
             plan_class(sys23, 2)
         assert info.value.payload == {"class_id": 2}
     # an entry that is not c pi cannot be factored out of A: a0 alone
-    # (monomial 1), without pi, on class coordinate 3
+    # (variable 1, monomial 4), without pi, on class coordinate 3
     with monkeypatch.context() as patch:
-        skew_period_end(patch, 3, (1, 0))
+        skew_period_end(patch, 3, (4, 0))
         with pytest.raises(SingularMatrix, match="multiple of pi") as info:
             plan_class(sys23, 2)
         assert info.value.payload == {"class_id": 2}
@@ -696,12 +769,14 @@ def test_plan_class_raises_on_a_rejected_plan(sys23, sys24, monkeypatch):
     assert info.value.payload == {"class_id": bad.class_id}
 
 
-# (2,3) class 2 is coordinate 3 alone: its one amplitude a0 is the
-# monomial 1 (base r + 1 = 4), a0^2 is 2.
+# (2,3) class 2 is coordinate 3 alone.  Its map's variables are the
+# basic on channel 1 (variable 0, monomial 1 in base r + 1 = 4), the
+# resonance amplitude a0 (variable 1, monomial 4; a0^2 is 8) and the
+# carrier (variable 2) on channel 2, then the start values.
 @pytest.mark.parametrize("coordinate,key,match,payload", [
-    (3, (2, 1), "not linear", {}),
-    (3, (0, 1), "basics alone displace coordinate 3", {}),
-    (1, (1, 1), "settled coordinate 1", {}),
+    (3, (8, 1), "not linear", {}),
+    (3, (1, 1), "basics alone displace coordinate 3", {}),
+    (1, (4, 1), "settled coordinate 1", {}),
     (2, (0, 0), "settled coordinate 2", {}),
 ], ids=["degree-2", "constant", "settled-a0", "settled-constant"])
 def test_control_matrix_checks_every_monomial(sys23, monkeypatch,
@@ -714,14 +789,15 @@ def test_control_matrix_checks_every_monomial(sys23, monkeypatch,
 
 
 def test_plan_class_runs_one_period_per_class(sys33, monkeypatch):
-    # one symbolic period per class, cut at the last coordinate read:
-    # (3,3) class 10 is coordinate 11, but class 9 owns coordinate 12
+    # one symbolic period per class, the one that builds its period
+    # map, over every coordinate: no numeric probe period
+    fresh_maps(monkeypatch)
     real = steer._period
-    stops = []
+    runs = []
 
-    def spy(system, us, state, stop, float_mode):
-        stops.append(stop)
-        return real(system, us, state, stop, float_mode)
+    def spy(system, us, state, read):
+        runs.append(real(system, us, state, read))
+        return runs[-1]
 
     def forbidden(*args):
         raise AssertionError("a numeric probe period")
@@ -730,8 +806,8 @@ def test_plan_class_runs_one_period_per_class(sys33, monkeypatch):
     monkeypatch.setattr(steer, "propagate_period", forbidden)
     for ci in range(len(sys33.basis.classes)):
         plan_class(sys33, ci)
-        assert len(stops) == ci + 1
-    assert stops == [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 12, 13, 14]
+        assert len(runs) == ci + 1
+    assert [len(end) for end in runs] == [sys33.n] * 13
 
 
 @pytest.mark.parametrize("m,r", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3),
@@ -968,8 +1044,6 @@ def test_pinned_laws(m, r, seed, scale, digest):
     amps = [p["amps"] for p in law.periods]
     assert law.scale == scale
     assert hashlib.sha256(repr(amps).encode()).hexdigest() == digest
-    if r == 5:
-        return
     # the float replay of every period from z_init lands on the origin
     z = [float(v) for v in law.meta["z_init"]]
     for p in law.periods:
@@ -1029,9 +1103,8 @@ def junction_gaps(law):
             else:
                 worst.append(simplify_value(prev[c] - start))
         # the value at 2 pi: the start plus the period integral of u'
-        prev = [end_value(period_end(oracles.trig_value_zero(u),
-                                     oracles.trig_derivative(u), ONE,
-                                     False)) for u in us]
+        prev = [simplify_value(oracles.trig_value_zero(u) + end_value(
+            period_integral(oracles.trig_derivative(u), ONE))) for u in us]
     return worst
 
 
