@@ -8,13 +8,16 @@ exact polynomial coordinate changes on the lifted fields (_chart_round),
 a linear map putting a bracket frame on the coordinate axes,
 order-raising corrections that cancel low-order derivative
 functionals, and a homogeneous identification matching the leading
-graded part of every field against the canonical monomials.  Rounds
-stop below the last level that adds a fiber, since no rate reads
-them.  The output is the lifted fields alone: they are free up to
-the step at the lifted anchor, so steering can be done upstairs and
-the trajectory projected back down, and the privileged chart
-upstairs comes from privcoord.first_order_approx, which runs the same
-round once on the lifted fields.
+graded part of every field against the canonical monomials.  That
+chart is kept forward only, one Poly per coordinate in the base
+variables, and the rounds' maps are composed onto it by substitution:
+a rate reads the chart, and nothing reads its inverse.  Rounds stop
+below the last level that adds a fiber, since no rate reads them.
+The output is the lifted fields alone: they are free up to the step
+at the lifted anchor, so steering can be done upstairs and the
+trajectory projected back down, and the privileged chart upstairs
+comes from privcoord.first_order_approx, which runs the same round
+once on the lifted fields.
 
 The lifted fields keep the base type: polynomial fields lift to
 polynomial fields, terms in sorted exponent order (desingularize says
@@ -46,7 +49,7 @@ from .errors import IdentificationFailure, SingularFrame, SpecError
 from .hall import evaluate_brackets
 from .poly import (ExprField, Poly, TriangularMap, WeightedPolynomialField,
                    as_expr_field, as_unit, coordinates, det_matrix,
-                   identity, invert_matrix, is_exact, poly_to_expr, rank,
+                   invert_matrix, is_exact, poly_to_expr, rank,
                    solve_unique, taylor_truncate, unit_of)
 
 # Relative determinant gate of a bracket frame on float data: the
@@ -68,19 +71,6 @@ def _reindex(p, n_new):
         key = tuple(expo[:n_new]) + (0,) * max(0, n_new - len(expo))
         terms[key] = c
     return Poly(n_new, terms)
-
-
-def _pad_map(tmap, extra):
-    """Extend a coordinate change by the identity on appended variables."""
-    if extra == 0:
-        return tmap
-    n = tmap.n + extra
-    comps = [c.pad(n) for c in tmap.comps]
-    inv = [c.pad(n) for c in tmap.inv]
-    for i in range(tmap.n, n):
-        comps.append(Poly.var(n, i))
-        inv.append(Poly.var(n, i))
-    return TriangularMap(comps, inv)
 
 
 def column_norm(column):
@@ -393,8 +383,10 @@ def desingularize(fields, basis, indices, anchor):
     top = max((basis.element(j).length for j in range(1, len(basis) + 1)
                if j not in J), default=0)
 
-    ident = identity(n, unit_of(anchor))
-    chart = TriangularMap.affine(ident, ident, anchor)
+    # the chart, forward only, from x - anchor
+    one = unit_of(anchor)
+    chart = [x.sub(Poly.const(n, one * a))
+             for x, a in zip(coordinates(n, one), anchor)]
     # Only the chart rounds, at levels below top, read these jets.
     shadows = ([taylor_truncate(f, anchor, cap) for f in fields]
                if top > 1 else None)
@@ -410,9 +402,10 @@ def desingularize(fields, basis, indices, anchor):
         # coordinates of the previous level, whose leading block
         # matches the basis positions.
         rates = [_reindex(mons[k - 1], dim) for k in new]
-        chart = _pad_map(chart, len(new))
+        chart = [c.pad(dim) for c in chart] + [
+            Poly.var(dim, i) for i in range(prev_dim, dim)]
         for k, rate in zip(new, rates):
-            fiber_rate[k] = rate.subst(list(chart.comps))
+            fiber_rate[k] = rate.subst(chart)
             fiber_order.append(k)
         coords = sorted(set(coords) | set(new))
         if s == top:
@@ -429,7 +422,10 @@ def desingularize(fields, basis, indices, anchor):
         if s + 1 < top:
             # the next round reads the shadows in this round's chart
             shadows = [identify.pushforward(f, cap) for f in shadows]
-        chart = identify.compose(correct).compose(align).compose(chart)
+        # ((identify o correct) o align) o chart; floats round by order
+        step = [c.subst(list(correct.comps)) for c in identify.comps]
+        step = [c.subst(list(align.comps)) for c in step]
+        chart = [c.subst(chart) for c in step]
 
     N = n + len(fiber_order)
     rates = [[fiber_rate[k] if basis.element(k).phi == i + 1

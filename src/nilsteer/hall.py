@@ -121,7 +121,6 @@ def build_hall_basis(m, r):
     if r < 1:
         raise SpecError("need depth at least one")
     elements = []
-    interned = {}
 
     def add(length, gen=0, left=0, right=0):
         index = len(elements) + 1
@@ -135,9 +134,6 @@ def build_hall_basis(m, r):
             delta = tuple(a + b for a, b in zip(le.delta, re.delta))
         elements.append(HallElement(index, length, gen, left, right,
                                     phi, (), delta))
-        key = gen if gen else (left, right)
-        interned[key] = index
-        return index
 
     for i in range(1, m + 1):
         add(1, gen=i)

@@ -395,13 +395,13 @@ def parse_expr(text, names):
                 return node
 
     def parse_factor():
-        kind, val, pos = toks.peek()
+        kind, val, _ = toks.peek()
         sign = 1
         while kind == "op" and val in "+-":
             toks.take()
             if val == "-":
                 sign = -sign
-            kind, val, pos = toks.peek()
+            kind, val, _ = toks.peek()
         node = parse_power()
         if sign < 0:
             node = emul(erat(-1), node)
@@ -409,7 +409,7 @@ def parse_expr(text, names):
 
     def parse_power():
         node = parse_atom()
-        kind, val, pos = toks.peek()
+        kind, val, _ = toks.peek()
         if kind == "op" and val == "^":
             toks.take()
             kind2, val2, pos2 = toks.take()

@@ -17,7 +17,7 @@ polynomials of pi (PiPoly) as coefficients.  It is complete: the
 dynamics are triangular, so a coordinate's rate reads only those start
 values, and every other start value only adds to its own coordinate.
 One symbolic period builds it, and it is kept at module level, keyed
-on (m, r, signature), like the integral tables: a plan's classes, the
+on (m, r, signature), like the kernel table: a plan's classes, the
 laws steered by the plan and their float replays share one map per
 class.  control_matrix, the one gate on a plan, reads the class's
 linear map off it with the basics set to 1 and the start to 0; a plan
@@ -29,14 +29,15 @@ replay of a law evaluates it in floats (propagate_period).
 The symbolic period is integrated in closed form on one
 representation.  A TrigPoly is a sum of terms c t^p trig(w t) a^m pi^e
 with rational c, integer frequencies w, a monomial m of the map's
-variables and a power e of pi.  A coordinate's displacement over a
-period is the integral of its rate, a sum of terms t^p trig(w1 t) times
-control terms trig(w2 t); each such pair integrates to a rational
-combination of powers of 2 pi, read from a kept table.  Trajectories
-are built only for the coordinates that some rate reads.  Exact values
-never meet floats (adding a float to a PiPoly raises TypeError): a
-float replay converts the amplitudes and the state once, and the map's
-coefficients once per map.
+variables and a power e of pi, with one product to sum (TrigPoly.mul)
+and one integration by parts (TrigPoly.antiderivative).  A coordinate
+that some rate reads has a trajectory, its start value plus the
+primitive of its rate, and moves by that primitive at t = 2 pi
+(_at_period_end).  Any other coordinate needs only the integral of its
+rate, whose pairs of terms are read from a kept table of kernels, each
+made by the same two routines.  Exact values never meet floats (adding
+a float to a PiPoly raises TypeError): a float replay converts the
+amplitudes and the state once, and the map's coefficients once per map.
 
 Laws are joined end to end by one routine, concatenate, which folds
 every law's scale into its amplitudes.
@@ -494,48 +495,31 @@ def channel_trigpolys(channels):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _moment(p, w, s):
-    """Integral of t^p cos(w t) (s = 0) or t^p sin(w t) (s = 1) over
-    one period [0, T], T = 2 pi, as pairs (k, r) for the sum of r T^k.
-
-    By parts, with sin(w T) = 0 and cos(w T) = 1 for w > 0: the cosine
-    moment is -p/w times the sine moment of p - 1, and the sine moment
-    is -T^p/w plus p/w times the cosine moment of p - 1 (0 at p = 0).
-    Moments are kept, like kernels: each kernel reads two, and kernels
-    share most of them.
-    """
-    if not w:
-        return () if s else ((p + 1, Fraction(1, p + 1)),)
-    if not p:
-        return ()
-    lower = _moment(p - 1, w, 1 - s)
-    if not s:
-        return tuple((k, -p * r / w) for k, r in lower)
-    return ((p, Fraction(-1, w)),) + tuple((k, p * r / w)
-                                           for k, r in lower)
+def _at_period_end(f):
+    """The value at t = 2 pi of a TrigPoly that vanishes at t = 0, as
+    (m, e) -> coefficient, zero coefficients left out: a cosine term
+    c t^p gives c (2 pi)^p, and every sine vanishes there."""
+    out = {}
+    for (p, _, s, m, e), c in f.terms.items():
+        if not s:
+            _put(out, (m, e + p), c * 2 ** p)
+    return {k: c for k, c in out.items() if c}
 
 
 @functools.lru_cache(maxsize=None)
 def _kernel(p, w1, s1, w2, s2):
     """Integral of t^p trig(w1 t) trig(w2 t) over one period, where
     trig is cos for s = 0 and sin for s = 1, as pairs (e, c) for the
-    sum of c pi^e.  The product to sum splits it into the moments at
-    w1 + w2 and |w1 - w2|.  Kernels are kept: a period reads the same
-    few hundred over and over.
+    sum of c pi^e: the antiderivative of their product, TrigPoly.mul,
+    at the period's end.  Kernels are kept: a period reads the same few
+    hundred over and over.
     """
-    if s1 == s2:
-        # cos(a - b) plus cos(a + b), or minus it for two sines
-        parts = ((abs(w1 - w2), 0, 1), (w1 + w2, 0, -1 if s1 else 1))
-    else:
-        # sin(a + b) plus sin(sine frequency - cosine frequency)
-        d = w1 - w2 if s1 else w2 - w1
-        parts = ((w1 + w2, 1, 1), (abs(d), 1, 1 if d >= 0 else -1))
-    total = {}
-    for w, s, sign in parts:
-        for k, r in _moment(p, w, s):
-            _put(total, k, sign * r * 2 ** k / 2)
-    return tuple((e, c) for e, c in total.items() if c)
+    if s1 and not w1 or s2 and not w2:
+        return ()  # a sine at frequency zero
+    product = TrigPoly({(p, w1, s1, 0, 0): F1}).mul(
+        TrigPoly({(0, w2, s2, 0, 0): F1}))
+    return tuple((e, c) for (_, e), c in
+                 _at_period_end(product.antiderivative()).items())
 
 
 def period_integral(f, u):
@@ -599,14 +583,15 @@ def _reads(system):
 
 def _period(system, us, state, read):
     """Displacements of every coordinate over one period of the channel
-    TrigPolys us from state, as period_integral gives them.
+    TrigPolys us from state, as (m, e) -> coefficient.
 
     The canonical dynamics are triangular: coordinate j moves at rate
     f_j(t) u_phi(j)(t), where f_j = P_j of the trajectories before j.
     The trajectory of a coordinate, the TrigPoly x_j(0) plus the
     antiderivative of its rate, is built only for the coordinates in
     read, those some monomial reads (_reads), so only their start
-    values enter; the others, the top-weight ones among them, need
+    values enter; their displacement is that antiderivative at the
+    period's end.  The others, the top-weight ones among them, need
     their displacement alone (rate_integral).
     """
     trajs = []
@@ -624,9 +609,10 @@ def _period(system, us, state, read):
         elif traj is None:
             out.append(rate_integral(system.monomials[j], trajs, cache, u))
         else:
-            f = poly_on_trigs(system.monomials[j], trajs, cache)
-            out.append(period_integral(f, u))
-            traj = traj.add(f.mul(u).antiderivative())
+            rise = poly_on_trigs(system.monomials[j], trajs, cache).mul(
+                u).antiderivative()
+            out.append(_at_period_end(rise))
+            traj = traj.add(rise)
         trajs.append(traj)
     return out
 
@@ -753,9 +739,9 @@ def _product(a, b):
 
 
 # The period map of each (m, r, signature), built on first use and
-# kept, like _kernel and _moment: a plan's classes, every period of
-# every law steered by it and every float replay of those laws share
-# one map per class.
+# kept, like _kernel: a plan's classes, every period of every law
+# steered by it and every float replay of those laws share one map per
+# class.
 _MAPS = {}
 
 
@@ -799,16 +785,14 @@ def control_matrix(system, entry):
 
     A is read off the class's period map, with the basics set to 1,
     the start to 0 and the resonance amplitudes a_k kept as symbols:
-    the monomials a_k of the class coordinates.  The map covers every
-    coordinate, so the check no longer stops at the last coordinate
-    it reads.  From the zero state no secular term precedes the
-    designed resonance, so every entry is c pi with c rational: A is
-    pi times a rational matrix A0, det(A) is pi^q det(A0), and B is
-    the inverse of A0 over Q divided by pi.  Raises SingularMatrix,
-    with the class_id, when a settled coordinate moves, when a class
-    coordinate has a constant term (the basics alone displace it), a
-    monomial of degree other than one, or an entry that is not c pi,
-    and below DET_THRESHOLD.
+    the monomials a_k of the class coordinates.  From the zero state
+    no secular term precedes the designed resonance, so every entry is
+    c pi with c rational: A is pi times a rational matrix A0, det(A)
+    is pi^q det(A0), and B is the inverse of A0 over Q divided by pi.
+    Raises SingularMatrix, with the class_id, when a settled coordinate
+    moves, when a class coordinate has a constant term (the basics
+    alone displace it), a monomial of degree other than one, or an
+    entry that is not c pi, and below DET_THRESHOLD.
 
     It is the one gate on a plan, and a complete one: the class and
     settled coordinates move at rates that read only strictly shorter
@@ -1052,7 +1036,6 @@ def exact_steer(x_init, system, plan):
             "class_id": entry.class_id,
             "elements": entry.elements,
             "channels": channels,
-            "amps": amps,
         })
     return ControlLaw(system.m, periods, lam,
                       meta={"z_init": z_init})

@@ -13,6 +13,7 @@ the lifted anchor, with the fields read in the chart through
 oracles.chart_fields.
 """
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -37,14 +38,21 @@ from nilsteer.privcoord import first_order_approx
 F = Fraction
 
 
-def martinet_fields():
-    """Forward drive plus a sideways drift that grows with x1 squared."""
+def drift_fields(*exponents):
+    """X1 = d1, X2 = d2 + (the sum of the monomials x^e) d3."""
     n = 3
-    x1sq = Poly.monomial(n, (2, 0, 0), F(1))
+    drift = Poly.zero(n)
+    for expo in exponents:
+        drift = drift.add(Poly.monomial(n, expo, F(1)))
     f1 = WeightedPolynomialField(
         [Poly.const(n, 1), Poly.zero(n), Poly.zero(n)])
-    f2 = WeightedPolynomialField([Poly.zero(n), Poly.const(n, 1), x1sq])
+    f2 = WeightedPolynomialField([Poly.zero(n), Poly.const(n, 1), drift])
     return [f1, f2]
+
+
+def martinet_fields():
+    """Forward drive plus a sideways drift that grows with x1 squared."""
+    return drift_fields((2, 0, 0))
 
 
 def unicycle_fields():
@@ -628,3 +636,54 @@ def test_per_level_identifications_are_homogeneous(monkeypatch,
     # the unicycle's round identifies one coordinate, so the checks
     # above have a nonzero map to judge
     assert moved[1] == 1
+
+
+# Lifts at seeded anchors, two exact and two float, for every frame that
+# passes the gate there: (fields, depth, sha256 of the repr of every
+# lift's frame, fiber order and lifted fields, their terms in order).
+PINNED_LIFTS = {
+    "martinet": (
+        martinet_fields, 3,
+        "c347df8270330d53def324e822eb09fe7fc82dd9318e0280d85b79564a5dceaa"),
+    "parabola": (
+        lambda: drift_fields((2, 0, 0), (1, 2, 0)), 3,
+        "e42dd456eb4c547538b5c2ce0030c7d957bc3aa9818fb1eb00021dc74e1e8b6d"),
+    "x1^3": (
+        lambda: drift_fields((3, 0, 0)), 4,
+        "846cf818c3088bc24e36f9ddf1655cee84a87717f5c469cae6efd18dc20b7a3e"),
+    "x1^2+x3^2": (
+        lambda: drift_fields((2, 0, 0), (0, 0, 2)), 3,
+        "5592165c2c0937ec8c0ced06fdea4674a39c000f5d5abe197f0e4f3c052d2617"),
+    "unicycle": (
+        unicycle_fields, 2,
+        "a5cf8204d1b036438b16f40c885fc617c14eaeb5de44bb2bcae3851fa0c682bc"),
+}
+
+
+def pinned_lifts(name):
+    """The repr of every lift of PINNED_LIFTS[name]."""
+    make, r, _ = PINNED_LIFTS[name]
+    fields = make()
+    basis = build_hall_basis(2, r)
+    rng = oracles.seeded(sorted(PINNED_LIFTS).index(name))
+    anchors = [oracles.random_rational_point(3, rng, -1, 1, 4)
+               for _ in range(2)]
+    anchors += [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(2)]
+    out = []
+    for a in anchors:
+        for _, frame in frame_combos(basis, 3):
+            if not gate_holds(fields, basis, frame, a):
+                continue
+            lift = desingularize(fields, basis, frame, a)
+            out.append((frame, lift.fiber_order, [
+                [c.key() for c in f.comps] if isinstance(f, ExprField)
+                else [list(c.terms.items()) for c in f.comps]
+                for f in lift.fields]))
+    return repr(out)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LIFTS))
+def test_pinned_lifts(name):
+    digest = PINNED_LIFTS[name][2]
+    got = hashlib.sha256(pinned_lifts(name).encode()).hexdigest()
+    assert got == digest

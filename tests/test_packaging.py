@@ -3,7 +3,8 @@ declares must resolve to a callable in the package, every parameter of
 every function in the package must be read, every function or class
 the package defines must be named somewhere in the package or the
 benchmark (a method or property through attribute access), and so
-must every attribute the package stores on self.
+must every attribute the package stores on self, and every local
+name a package function binds must be read.
 Every parameter with a default must be passed by some call there,
 too: an option that only ever takes its default is a constant.  Every
 error class must be raised somewhere in the package: an error code
@@ -193,6 +194,69 @@ def test_every_stored_attribute_is_read():
     assert not found, found
     # a name that has gained a reader leaves the list
     assert set(NO_READER_NEEDED) == {name for _, name in unread}
+
+
+def write_only_locals(source):
+    """(function, name) for each name bound in a function's own scope
+    (nested functions and classes aside) that no expression in the
+    function, nested functions included, reads, other than _ and the
+    names it declares global or nonlocal.  A container's name as the
+    target of a subscript store (d[k] = v) reads nothing."""
+    tree = ast.parse(source)
+    parent = {id(c): node for node in ast.walk(tree)
+              for c in ast.iter_child_nodes(node)}
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+              ast.ClassDef)
+
+    def read(name):
+        up = parent[id(name)]
+        return isinstance(name.ctx, ast.Load) and not (
+            isinstance(up, ast.Subscript) and up.value is name
+            and isinstance(up.ctx, ast.Store))
+
+    def own(node):
+        for child in ast.iter_child_nodes(node):
+            yield child
+            if not isinstance(child, scopes):
+                yield from own(child)
+
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = [n for stmt in fn.body for n in (stmt, *own(stmt))]
+        bound = {n.id for n in body if isinstance(n, ast.Name)
+                 and isinstance(n.ctx, ast.Store)}
+        bound |= {n.name for n in body if isinstance(
+            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        bound -= {name for n in body
+                  if isinstance(n, (ast.Global, ast.Nonlocal))
+                  for name in n.names}
+        bound -= {n.id for stmt in fn.body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and read(n)}
+        out.extend((fn.name, name) for name in sorted(bound - {"_"}))
+    return out
+
+
+def test_every_local_is_read():
+    found = []
+    for path in python_files(PACKAGE):
+        with open(path) as fh:
+            found.extend("%s: %s(%s)" % (os.path.basename(path), fn, name)
+                         for fn, name in write_only_locals(fh.read()))
+    assert not found, found
+
+
+def test_write_only_local_guard_sees_stores():
+    source = (
+        "def f(xs):\n"
+        "    seen = {}\n"
+        "    for i, x in enumerate(xs):\n"
+        "        seen[x] = i\n"
+        "    pos = 0\n"
+        "    kind, _, pos = xs\n"
+        "    return kind\n")
+    assert write_only_locals(source) == [("f", "pos"), ("f", "seen")]
 
 
 def defaulted_parameters(tree):

@@ -39,6 +39,21 @@ def assert_exact_zero(v, label=""):
     assert not simplify_value(v), (label, v)
 
 
+def slot_amps(plan, period):
+    """The resonance amplitude of each slot of a law period's class,
+    read off its channels: the one term on the slot's resonance channel
+    at its resonance frequency with the class's quarter, which the
+    chain rule leaves unique."""
+    entry = plan.classes[period["class_id"]]
+    out = []
+    for slot in entry.slots:
+        (amp,) = [a for a, w, q in
+                  period["channels"][slot.resonance_channel - 1]
+                  if (w, q) == (slot.resonance, entry.epsilon)]
+        out.append(amp)
+    return out
+
+
 @pytest.fixture(scope="module")
 def sys22():
     return canonical_fields(2, 2)
@@ -863,7 +878,7 @@ def test_steer_scale_is_homogeneous(sys23, plan23):
     law4 = exact_steer(dilate(z0, F(4), sys23.weights), sys23, plan23)
     assert law4.scale == 4 * law1.scale
     for p1, p4 in zip(law1.periods, law4.periods):
-        assert p1["amps"] == p4["amps"]
+        assert slot_amps(plan23, p1) == slot_amps(plan23, p4)
 
 
 def test_steer_float_input_stays_exact(sys22, plan22):
@@ -959,6 +974,36 @@ def test_steering_residual_survives_optimized_mode():
         "steering-residual [('class_id', 2), ('coordinate', 3)]")
 
 
+# sha256 of the period maps a cold plan of each canonical system
+# builds: per map in key order, the key, the read coordinates and, per
+# coordinate, the sorted (monomial, sorted pi coefficients) pairs, so
+# that the digest does not depend on the order terms were summed in.
+PINNED_MAPS = [
+    (2, 2, "9f00d672ddcc6583bd2fe5afaa98b44aa40a3287fd6ec1b5438d8409ffc29751"),
+    (2, 3, "e96351644a9188e2224c9f81243b0f8318190518c8cce56cd2d63a3973ba41ec"),
+    (3, 2, "c896fb01f189f141ad4693e9564c0e2966d2ff7390d90a8dc0a58601afdd5d43"),
+    (2, 4, "70443263e93b9b3ffb65481c303681fe2b9ae70dd778d4b082b9f9bf00f4b2eb"),
+    (3, 3, "f77e75a2c3fc7c6d175fe3262d9436f236cde5c6d6d764ae768b97ae4e10e6ab"),
+    (4, 3, "894ef1350861c8334cb56cd30e55ae57b79842d5471b8daa75624a0c35c51275"),
+    (3, 4, "fa368bfad0fe4e07cbd5dfe368e9b4c57ce080104ff1b69c09b698ca28c752eb"),
+    (2, 5, "0b0e07fd21e81f5cbd00f5ddf15dfe133b6929fd0e61618952ebe0e8e149a223"),
+]
+
+
+@pytest.mark.parametrize("m,r,digest", PINNED_MAPS,
+                         ids=["%d-%d" % p[:2] for p in PINNED_MAPS])
+def test_pinned_period_maps(m, r, digest, monkeypatch):
+    fresh_maps(monkeypatch)
+    steer._kernel.cache_clear()
+    build_plan(canonical_fields(m, r))
+    maps = [(key, pmap.reads,
+             [sorted((mono, sorted(coef.items())) for mono, coef in terms)
+              for terms in pmap.disp])
+            for key, pmap in sorted(steer._MAPS.items())]
+    got = hashlib.sha256(repr(maps).encode()).hexdigest()
+    assert got == digest
+
+
 # Laws steered from a seeded start (seed None: x_i = (-1)^i / (3 + i)):
 # the scale, and the sha256 of the repr of the per-period amplitudes.
 PINNED_LAWS = [
@@ -1040,8 +1085,9 @@ def test_pinned_laws(m, r, seed, scale, digest):
         x = [F((-1) ** i, 3 + i) for i in range(1, system.n + 1)]
     else:
         x = oracles.random_rational_point(system.n, oracles.seeded(seed))
-    law = exact_steer(x, system, build_plan(system))
-    amps = [p["amps"] for p in law.periods]
+    plan = build_plan(system)
+    law = exact_steer(x, system, plan)
+    amps = [slot_amps(plan, p) for p in law.periods]
     assert law.scale == scale
     assert hashlib.sha256(repr(amps).encode()).hexdigest() == digest
     # the float replay of every period from z_init lands on the origin
@@ -1132,3 +1178,18 @@ def test_plain_concatenation_keeps_periods(sys22, plan22):
         want = (law1 if t < end1 else law2).eval(
             t if t < end1 else t - end1)
         assert joined.eval(t) == pytest.approx(want, abs=1e-12)
+
+
+def test_periods_store_each_amplitude_once(sys23, plan23):
+    # a period holds its class and its channels alone, so joining laws,
+    # which scales the channels, leaves no copy of an amplitude unscaled
+    rng = oracles.seeded(37)
+    laws = [exact_steer(oracles.random_rational_point(sys23.n, rng),
+                        sys23, plan23) for _ in range(2)]
+    joined = concatenate(laws, 2)
+    for p in laws[0].periods + laws[1].periods + joined.periods:
+        assert set(p) == {"class_id", "elements", "channels"}
+    own = [(law, p) for law in laws for p in law.periods]
+    for (law, p), q in zip(own, joined.periods):
+        assert slot_amps(plan23, q) == [law.scale * a
+                                        for a in slot_amps(plan23, p)]
