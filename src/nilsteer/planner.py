@@ -23,11 +23,15 @@ it once, together with the canonical model and its frequency plan, and
 each query only searches a cell path through it
 (CoveringAtlas.path_between).
 build_covering ranks the frame subsets and fills one table of
-compiled bracket values at the grid corners, with each bracket
-column's norm, once each; every box is decided by
-desing.cheapest_frame on that ranking and table, and each (corner,
+compiled bracket values, with each bracket column's norm, once each,
+at the corners of the grid of the axes those brackets read
+(poly.read_coordinates); every box takes the frame that
+desing.cheapest_frame decides, on that ranking and table, for its
+projection onto that grid, once per projection, and each (corner,
 subset) determinant is taken once, when a box first asks, in plain
 floats (det_matrix's float branch) and gated from the table's norms.
+Cell.contains finds a point's boxes from the grid index, not by a
+scan of the cell.
 
 A practical note on tolerances: an endpoint whose coordinates carry
 integrator noise of size tau has pseudo-norm around tau**(1/r), so
@@ -48,7 +52,8 @@ from .errors import (
     StepFailure,
 )
 from .hall import evaluate_brackets
-from .poly import WeightedPolynomialField, compile_field, det_matrix
+from .poly import (WeightedPolynomialField, compile_field, det_matrix,
+                   read_coordinates)
 from .privcoord import dilate, first_order_approx, pseudo_norm
 from .sim import input_length, integrate
 from .steer import build_plan, concatenate, exact_steer
@@ -350,26 +355,43 @@ class Grid:
         bhi = [a + (i + 1) * s for a, i, s in zip(self.lo, idx, self.step)]
         return blo, bhi
 
+    def holding(self, point):
+        """Every box whose bounds (as bounds gives them) widened by
+        1e-12 hold the float point, as an iterator of index tuples.
+        Per axis, the indices near (v - lo) / step are tried with the
+        bounds' own float formulas."""
+        near = []
+        for v, a, s in zip(point, self.lo, self.step):
+            if not math.isfinite(v):
+                return iter(())
+            # clamped to [-1, res] first, since floor takes no infinity
+            first, last = (math.floor(min(max((v - a + d) / s, -1.0),
+                                          self.res))
+                           for d in (-1e-12, 1e-12))
+            near.append([i for i in range(max(first - 1, 0),
+                                          min(last + 2, self.res))
+                         if a + i * s - 1e-12 <= v
+                         <= a + (i + 1) * s + 1e-12])
+        return itertools.product(*near)
+
 
 class Cell:
     """Face-connected union of grid boxes sharing one bracket frame."""
 
-    __slots__ = ("frame", "boxes", "grid", "index")
+    __slots__ = ("frame", "boxes", "grid", "index", "_members")
 
     def __init__(self, frame, boxes, grid, index):
         self.frame = tuple(frame)
         self.boxes = sorted(boxes)
         self.grid = grid
         self.index = index
+        self._members = set(self.boxes)
 
     def contains(self, point):
-        pt = [float(v) for v in point]
-        for idx in self.boxes:
-            blo, bhi = self.grid.bounds(idx)
-            if all(a - 1e-12 <= v <= b + 1e-12
-                   for v, a, b in zip(pt, blo, bhi)):
-                return True
-        return False
+        """Whether some box of the cell, widened by 1e-12, holds the
+        point (Grid.holding)."""
+        return any(idx in self._members
+                   for idx in self.grid.holding([float(v) for v in point]))
 
     def bounding_box(self):
         los, his = [], []
@@ -515,13 +537,22 @@ def build_covering(fields, K, basis, grid):
     without a frame); per-frame box sets are split into face-connected
     cells; cells touching each other are graph neighbors with a
     deterministic waypoint in their intersection.  The ranking leaves
-    out the subsets holding an identically zero bracket, and the corner
-    table holds every bracket's value at each grid corner, from one
-    kernel run (0.0 for a zero bracket), with its euclidean norm.  Up
-    to 2**n boxes share a corner, so each (corner, subset) determinant
-    is taken and gated once, when a box first asks for it, and kept in
-    the subset's list of corners.  The values are floats, so the
-    determinant runs on det_matrix's float branch, and the gate
+    out the subsets holding an identically zero bracket.
+
+    The decisions read only the axes that some ranked subset's bracket
+    columns read (poly.read_coordinates): a compiled kernel never
+    references another coordinate, so a box's corner values, and with
+    them its frame, are those of its projection onto the grid of those
+    axes.  The corner table holds every bracket's value at each corner
+    of that grid, from one kernel run (0.0 for a zero bracket), with
+    its euclidean norm; every other coordinate sits at its lower bound.
+    Each box, in grid order, takes the frame of its projection, which
+    cheapest_frame decides the first time a box asks for it, so a
+    system whose brackets read every axis decides every box.  Up to
+    2**n projected boxes share a corner, so each (corner, subset)
+    determinant is taken and gated once, when a box first asks for it,
+    and kept in the subset's list of corners.  The values are floats,
+    so the determinant runs on det_matrix's float branch, and the gate
     multiplies the table's norms in subset order, the product that
     desing._det_gate takes from the same columns: every decision is
     the one the gate on the whole rows makes.
@@ -532,18 +563,23 @@ def build_covering(fields, K, basis, grid):
     kernels = [None if b.is_zero() else compile_field(b) for b in brackets]
     ranked = [(level, combo) for level, combo in frame_combos(basis, n)
               if all(kernels[j - 1] is not None for j in combo)]
+    columns = {j for _, combo in ranked for j in combo}
+    read = set().union(*(read_coordinates(brackets[j - 1])
+                         for j in columns))
     zero = [0.0] * n
-    axes = [[a + i * s for i in range(res + 1)]
-            for a, s in zip(grid.lo, grid.step)]
+    axes = [[a + i * s for i in range(res + 1)] if k in read else [a]
+            for k, (a, s) in enumerate(zip(grid.lo, grid.step))]
     # corners in itertools.product order: corner (i_1, ..., i_n) is
-    # entry sum_k i_k * strides[k]
+    # entry sum_k i_k * strides[k], and an unread axis has stride 0
     table = [[zero if kern is None else kern(point) for kern in kernels]
              for point in itertools.product(*axes)]
     # each corner's bracket column norms, from its first determinant on
     norms = [None] * len(table)
-    strides = [(res + 1) ** k for k in reversed(range(n))]
+    strides = [math.prod(len(ax) for ax in axes[k + 1:]) if k in read
+               else 0 for k in range(n)]
     offsets = [sum(o * s for o, s in zip(off, strides))
-               for off in itertools.product((0, 1), repeat=n)]
+               for off in itertools.product(
+                   *[(0, 1) if k in read else (0,) for k in range(n)])]
     # per ranked subset, each corner's |det| once it clears the gate,
     # None once it fails, False while no box has asked
     decided = {combo: [False] * len(table) for _, combo in ranked}
@@ -562,13 +598,18 @@ def build_covering(fields, K, basis, grid):
                 else None)
         return det
 
+    # each projected box's frame, keyed by its first corner
+    frames = {}
     by_frame = {}
     for idx in grid.boxes():
         base = sum(i * s for i, s in zip(idx, strides))
-        frame = cheapest_frame(ranked, [base + o for o in offsets], det_at)
+        frame = frames.get(base)
         if frame is None:
-            raise CoverageGap("no frame passes the corner gate on "
-                              "box %s" % (idx,), box=list(idx))
+            frame = frames[base] = cheapest_frame(
+                ranked, [base + o for o in offsets], det_at)
+            if frame is None:
+                raise CoverageGap("no frame passes the corner gate on "
+                                  "box %s" % (idx,), box=list(idx))
         by_frame.setdefault(frame, []).append(idx)
     cells = []
     for frame in sorted(by_frame):

@@ -876,6 +876,35 @@ def as_expr_field(field):
     return ExprField([poly_to_expr(c) for c in field.comps])
 
 
+def read_coordinates(field):
+    """The set of coordinates (0-based) a field's compiled kernel reads:
+    the var nodes of an ExprField, the variables with a nonzero exponent
+    in some term of a WeightedPolynomialField.  It is a test of form:
+    the kernel never references any other coordinate, so moving one
+    leaves every value it returns bit for bit the same."""
+    if isinstance(field, WeightedPolynomialField):
+        return {i for comp in field.comps for expo in comp.terms
+                for i, a in enumerate(expo) if a}
+    if not isinstance(field, ExprField):
+        raise TypeError("cannot read the coordinates of %r" % (field,))
+    found = set()
+    seen = set()
+    stack = list(field.comps)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        kind = node.kind
+        if kind == "var":
+            found.add(node.a)
+        elif kind == "add" or kind == "mul":
+            stack += node.a
+        elif kind != "rat":
+            stack.append(node.a)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Float kernels
 #

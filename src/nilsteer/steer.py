@@ -49,7 +49,8 @@ import math
 from fractions import Fraction
 
 from .errors import SingularMatrix, SpecError, SteeringResidual
-from .poly import det_matrix, invert_matrix, is_exact, mat_vec
+from .poly import (det_matrix, invert_matrix, is_exact, mat_vec,
+                   read_coordinates)
 from .privcoord import dilate, pseudo_norm
 
 F0 = Fraction(0)
@@ -576,9 +577,10 @@ def rate_integral(poly, trajs, cache, u):
 
 
 def _reads(system):
-    """The coordinates (0-based) that some monomial reads."""
-    return sorted({i for mono in system.monomials for expo in mono.terms
-                   for i, a in enumerate(expo) if a})
+    """The coordinates (0-based) that some monomial reads, in order:
+    those the canonical fields, whose components are the monomials,
+    read."""
+    return sorted(set().union(*map(read_coordinates, system.fields)))
 
 
 def _period(system, us, state, read):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -23,8 +24,8 @@ from nilsteer.planner import (
     _overlap_waypoint, build_covering, global_free, global_plan, subgoal,
 )
 from nilsteer.poly import (
-    ExprField, Poly, WeightedPolynomialField, as_expr_field, det_matrix,
-    eadd, ecos, epow, erat, esin, evar,
+    ExprField, Poly, WeightedPolynomialField, as_expr_field, compile_field,
+    det_matrix, eadd, ecos, epow, erat, esin, evar, read_coordinates,
 )
 from nilsteer.privcoord import dilate, pseudo_norm
 from nilsteer.sim import integrate
@@ -408,6 +409,14 @@ def bent_chained_fields():
             WeightedPolynomialField([zero, zero, zero, zero, one])]
 
 
+def sine_martinet_fields():
+    """X1 = d1, X2 = d2 + sin(x1)^2 d3 as expression fields: the
+    Martinet singular plane x1 = 0 through trig kernels."""
+    s = esin(evar(0))
+    return [ExprField([erat(1), erat(0), erat(0)]),
+            ExprField([erat(0), erat(1), epow(s, 2)])]
+
+
 BOX5 = ([-1.0] * 5, [1.0] * 5)
 
 ATLAS_CASES = {
@@ -433,6 +442,8 @@ ATLAS_CASES = {
     "chained-grid3": (chained_fields, BOX5, 4, 3),
     "bent-chained-grid1": (bent_chained_fields, BOX5, 4, 1),
     "bent-chained-grid2": (bent_chained_fields, BOX5, 4, 2),
+    "sine-martinet-r2-grid8": (sine_martinet_fields, BOX3, 2, 8),
+    "sine-martinet-r3-grid8": (sine_martinet_fields, BOX3, 3, 8),
 }
 
 
@@ -491,6 +502,235 @@ def test_atlas_matches_exact_frame_search(case):
     assert list(atlas.edges.items()) == list(edges.items())
 
 
+def atlas_digest(case):
+    """sha256 of the sorted-key JSON of a case's atlas.to_json() and
+    each cell's (frame, boxes) in index order, or of its CoverageGap
+    box: cell order, every box and every waypoint bit."""
+    make, K, r, res = ATLAS_CASES[case]
+    fields = make()
+    try:
+        atlas = build_covering(fields, K, build_hall_basis(len(fields), r),
+                               res)
+        blob = [atlas.to_json(), [[list(c.frame), [list(b) for b in c.boxes]]
+                                  for c in atlas.cells]]
+    except CoverageGap as exc:
+        blob = ["CoverageGap", exc.payload["box"]]
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()) \
+        .hexdigest()
+
+
+# atlas_digest of every ATLAS_CASES entry, taken when every box was
+# decided on the full corner grid
+ATLAS_DIGESTS = {
+    "bent-chained-grid1":
+        "9a17d7a4cd2612e9ded626b01f123c7fe4be37e0263d5c35ede9adcf6bef01d8",
+    "bent-chained-grid2":
+        "0e0942a605d1cf88d2c81eb2f539955e698191a7ca75da3386a9dc4b893fe3c3",
+    "canonical22":
+        "9d7798ad72999eb9a622fe73851e575fe236339df355e0fa05f173a616d75157",
+    "chained-grid1":
+        "9a17d7a4cd2612e9ded626b01f123c7fe4be37e0263d5c35ede9adcf6bef01d8",
+    "chained-grid2":
+        "0e0942a605d1cf88d2c81eb2f539955e698191a7ca75da3386a9dc4b893fe3c3",
+    "chained-grid3":
+        "e28a010f3d3197c314bedff39c4c3b6436fda2b3124efb7a3ae41b36bd2fb326",
+    "martinet-r2-grid4":
+        "d23d2f01ef8701539466cd319ef95bec500d1ab786f32862356737dd98981f39",
+    "martinet-r2-grid8":
+        "bca5238fdd230c60fd1d825a984154f611ef0537a8c5d7faeb1ef4792de29ada",
+    "martinet-r3-grid4":
+        "40c2f9afba1383b21294fff040f56ce8cb43fb98bb7fa557564a81cb594ac3c6",
+    "martinet-r3-grid8":
+        "fc2f5dc4b623cf15d7211e29df63db68e58b8bb59ebd27ef93e45dd6d63bdc3a",
+    "parabola-grid3":
+        "28fb84d572ef87415433bebc38831e4f09484b28ec46c4f7d9d1299c0683e965",
+    "parabola-grid4":
+        "68176d6fea198c4e5f8a68e52800b7b528f218c5b0cff09a9ae718f48db4e8a7",
+    "parabola-grid5":
+        "e03fa9339790dc43e9516c9553519f4daacb34b6f7451ed33f7bd4a498ea9019",
+    "parabola-grid8":
+        "ed5128c06d231122d2e197c4cfe1e9f05ff4238e0fe59cd1a6c99e37ef5ab66f",
+    "sine-martinet-r2-grid8":
+        "bca5238fdd230c60fd1d825a984154f611ef0537a8c5d7faeb1ef4792de29ada",
+    "sine-martinet-r3-grid8":
+        "fc2f5dc4b623cf15d7211e29df63db68e58b8bb59ebd27ef93e45dd6d63bdc3a",
+    "three-plane":
+        "51ff372fb2960dc847c601475b2e58dd27015ecc3d06f578f1d62329044009e5",
+    "unicycle-grid2":
+        "8dfe761fb4248f4c2178d74355238ea2fed69b11fea484c90a8e70d634f171d0",
+    "unicycle-grid4":
+        "b55b2188ad765d29c7ec1a32ee84173c4af3cecfe185af03332f8fa0e395bb55",
+    "x1^1":
+        "9d7798ad72999eb9a622fe73851e575fe236339df355e0fa05f173a616d75157",
+    "x1^2":
+        "40c2f9afba1383b21294fff040f56ce8cb43fb98bb7fa557564a81cb594ac3c6",
+    "x1^3":
+        "8cc84bd239647f29b95823b19514cb1cdac8bef753487dc7f0996094619cf216",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ATLAS_CASES))
+def test_atlas_is_pinned(case):
+    assert atlas_digest(case) == ATLAS_DIGESTS[case]
+
+
+def test_sine_martinet_splits_on_its_projection():
+    make, K, _, res = ATLAS_CASES["sine-martinet-r3-grid8"]
+    atlas = build_covering(make(), K, build_hall_basis(2, 3), res)
+    assert [(c.frame, len(c.boxes)) for c in atlas.cells] == \
+        [((1, 2, 3), 192), ((1, 2, 3), 192), ((1, 2, 4), 128)]
+    with pytest.raises(CoverageGap) as exc:
+        build_covering(make(), K, build_hall_basis(2, 2), res)
+    assert exc.value.payload["box"] == [3, 0, 0]
+
+
+# read_coordinates of every nonzero bracket, by basis index, for each
+# group of ATLAS_CASES entries on one system and step r; the covering
+# decides on the grid of their union
+READ_SETS = {
+    ("unicycle-grid2", "unicycle-grid4"): {1: {2}, 2: set(), 3: {2}},
+    ("martinet-r2-grid4", "martinet-r2-grid8", "sine-martinet-r2-grid8"):
+        {1: set(), 2: {0}, 3: {0}},
+    ("martinet-r3-grid4", "martinet-r3-grid8", "x1^2"):
+        {1: set(), 2: {0}, 3: {0}, 4: set()},
+    ("sine-martinet-r3-grid8",): {1: set(), 2: {0}, 3: {0}, 4: {0}},
+    ("canonical22", "x1^1"): {1: set(), 2: {0}, 3: set()},
+    ("x1^3",): {1: set(), 2: {0}, 3: {0}, 4: {0}, 6: set()},
+    ("parabola-grid3", "parabola-grid4", "parabola-grid5",
+     "parabola-grid8"):
+        {1: set(), 2: {0, 1}, 3: {0, 1}, 4: set(), 5: {1}},
+    ("three-plane",): {1: set(), 2: set(), 3: {0, 1}, 5: set(), 6: set()},
+    ("chained-grid1", "chained-grid2", "chained-grid3"):
+        {1: {2, 3, 4}, 2: set(), 3: set(), 4: set(), 6: set()},
+    ("bent-chained-grid1", "bent-chained-grid2"):
+        {1: {1, 2, 3, 4}, 2: set(), 3: set(), 4: set(), 6: set()},
+}
+
+
+def nonzero_brackets(case):
+    make, _, r, _ = ATLAS_CASES[case]
+    fields = make()
+    basis = build_hall_basis(len(fields), r)
+    brackets = evaluate_brackets(basis, range(1, len(basis) + 1), fields)
+    return {j: b for j, b in enumerate(brackets, 1) if not b.is_zero()}
+
+
+def test_read_sets_are_pinned():
+    assert sorted(c for group in READ_SETS for c in group) == \
+        sorted(ATLAS_CASES)
+    for group, want in READ_SETS.items():
+        for case in group:
+            got = {j: read_coordinates(b)
+                   for j, b in nonzero_brackets(case).items()}
+            assert got == want, case
+
+
+@pytest.mark.parametrize("group", sorted(READ_SETS))
+def test_unread_coordinates_leave_kernels_bit_identical(group):
+    rng = random.Random(5)
+    for j, b in nonzero_brackets(group[0]).items():
+        kern = compile_field(b)
+        unread = [k for k in range(b.n) if k not in read_coordinates(b)]
+        for _ in range(20):
+            p = [rng.uniform(-2.0, 2.0) for _ in range(b.n)]
+            want = [v.hex() for v in kern(p)]
+            for k in unread:
+                for v in (rng.uniform(-1e3, 1e3), 0.0, -0.0, math.inf,
+                          math.nan, 1e308):
+                    q = list(p)
+                    q[k] = v
+                    assert [w.hex() for w in kern(q)] == want, (j, k, v)
+
+
+def scan_contains(cell, pt):
+    """Cell.contains as a scan of every box of the cell."""
+    for idx in cell.boxes:
+        blo, bhi = cell.grid.bounds(idx)
+        if all(a - 1e-12 <= v <= b + 1e-12
+               for v, a, b in zip(pt, blo, bhi)):
+            return True
+    return False
+
+
+def probe_points(grid, rng, count=120):
+    """Seeded points of a grid: corners, face centres, every coordinate
+    of a corner moved by about 1e-12 in or out of its box, and points
+    outside the box."""
+    def edge(k, i):
+        return grid.lo[k] + i * grid.step[k]
+
+    def mid(k, i):
+        return grid.lo[k] + (i + 0.5) * grid.step[k]
+
+    corners = [[edge(k, rng.randrange(grid.res + 1)) for k in range(grid.n)]
+               for _ in range(count)]
+    faces = []
+    for _ in range(count):
+        axis = rng.randrange(grid.n)
+        faces.append([edge(k, rng.randrange(grid.res + 1)) if k == axis
+                      else mid(k, rng.randrange(grid.res))
+                      for k in range(grid.n)])
+    moves = (1e-12, -1e-12, 0.5e-12, -0.5e-12, 2e-12, -2e-12)
+    near = []
+    for c in corners + faces:
+        q = list(c)
+        for k in range(grid.n):
+            d = rng.choice(moves)
+            q[k] = rng.choice([q[k] + d, math.nextafter(q[k] + d, math.inf),
+                               math.nextafter(q[k] + d, -math.inf)])
+        near.append(q)
+    outside = []
+    for _ in range(count // 4):
+        q = [mid(k, rng.randrange(grid.res)) for k in range(grid.n)]
+        k = rng.randrange(grid.n)
+        q[k] = rng.choice([grid.lo[k] - 0.5, grid.hi[k] + 3e-12, math.nan,
+                           math.inf, -1e300])
+        outside.append(q)
+    return corners + faces + near + outside
+
+
+@pytest.mark.parametrize("case", sorted(ATLAS_CASES))
+def test_cell_contains_matches_the_box_scan(case):
+    make, K, r, res = ATLAS_CASES[case]
+    fields = make()
+    try:
+        atlas = build_covering(fields, K, build_hall_basis(len(fields), r),
+                               res)
+    except CoverageGap:
+        atlas = None
+    if atlas is None:
+        # the gap cases' grids, with one cell of every box
+        grid = Grid(K[0], K[1], res)
+        cells = [planner.Cell((), list(grid.boxes()), grid, 0)]
+    else:
+        grid, cells = atlas.grid, atlas.cells
+    rng = random.Random(case)
+    seen = Counter()
+    for pt in probe_points(grid, rng):
+        for cell in cells:
+            got = cell.contains(pt)
+            assert got == scan_contains(cell, pt), (cell.index, pt)
+            seen[got] += 1
+    assert seen[True] and seen[False]
+
+
+def test_cell_contains_on_boxes_finer_than_the_margin():
+    # steps of 2.5e-13 and 5e-13, below the 1e-12 widening: a point is
+    # held by up to ten boxes per axis, which one cell of every other
+    # box must see as the scan does
+    grid = Grid([0.0, -1e-12], [1e-12, 1e-12], 4)
+    cells = [planner.Cell((), [idx for idx in grid.boxes()
+                               if sum(idx) % 2 == parity], grid, parity)
+             for parity in (0, 1)]
+    rng = random.Random(3)
+    points = probe_points(grid, rng) + [
+        [rng.uniform(-3e-12, 4e-12), rng.uniform(-3e-12, 3e-12)]
+        for _ in range(200)]
+    for pt in points:
+        for cell in cells:
+            assert cell.contains(pt) == scan_contains(cell, pt), pt
+
+
 def counting_cheapest_frame(monkeypatch):
     """(ranking, corners, frame) of every call build_covering makes to
     cheapest_frame, in call order, and every (corner, subset) its
@@ -514,23 +754,34 @@ def test_one_decider_reads_each_box_corners(monkeypatch):
     atlas = build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2),
                            4)
     assert len(atlas.cells) == 1 and len(atlas.cells[0].boxes) == 64
-    # every box, in grid order, with its corners as flat indices into
-    # the 5**3 corner table, in itertools.product((0, 1)) order
-    boxes = list(itertools.product(range(4), repeat=3))
-    assert [corners for _, corners, _ in calls] == [
-        [sum(c * 5 ** (2 - k) for k, c in enumerate(corner))
-         for corner in itertools.product(*[(i, i + 1) for i in idx])]
-        for idx in boxes]
+    # every bracket reads theta alone: the corner table holds the 5
+    # theta values, and each theta slab is decided once, in grid order,
+    # on its two corners
+    assert [corners for _, corners, _ in calls] == [[i, i + 1]
+                                                     for i in range(4)]
     assert {frame for _, _, frame in calls} == {(1, 2, 3)}
     calls.clear()
     atlas = build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3),
                            8)
-    assert len(calls) == 512
-    # [X1, X2] = 2 x1 d3 vanishes on x1 = 0: the 2 * 64 boxes touching
-    # it take the length-3 bracket, every other box the cheaper frame
+    # every bracket reads x1 alone: one decision per x1-slab.
+    # [X1, X2] = 2 x1 d3 vanishes on x1 = 0: the slabs 3 and 4 touching
+    # it take the length-3 bracket, every other slab the cheaper frame
+    assert [corners for _, corners, _ in calls] == [[i, i + 1]
+                                                     for i in range(8)]
+    assert [frame for _, _, frame in calls] == \
+        [(1, 2, 3)] * 3 + [(1, 2, 4)] * 2 + [(1, 2, 3)] * 3
     got = {idx: cell.frame for cell in atlas.cells for idx in cell.boxes}
     assert got == {idx: (1, 2, 4) if idx[0] in (3, 4) else (1, 2, 3)
                    for idx in itertools.product(range(8), repeat=3)}
+    calls.clear()
+    make, K, r, res = ATLAS_CASES["three-plane"]
+    build_covering(make(), K, build_hall_basis(3, r), res)
+    # X3 reads both axes: every box is decided, on its corners as flat
+    # indices into the 9**2 corner table, in itertools.product order
+    assert [corners for _, corners, _ in calls] == [
+        [sum(c * 9 ** (1 - k) for k, c in enumerate(corner))
+         for corner in itertools.product(*[(i, i + 1) for i in idx])]
+        for idx in itertools.product(range(8), repeat=2)]
 
 
 def test_chained_form_ranks_no_zero_bracket(monkeypatch):
@@ -546,7 +797,8 @@ def test_chained_form_ranks_no_zero_bracket(monkeypatch):
         evaluate_brackets(basis, range(1, len(basis) + 1),
                           chained_fields()), 1) if b.is_zero()]
     assert 5 in zero
-    assert len(calls) == 243
+    # the brackets read x3, x4 and x5: one decision per box of their grid
+    assert len(calls) == 27
     ranked = calls[0][0]
     assert all(r is ranked for r, _, _ in calls)
     assert ranked == [(lv, c) for lv, c in frame_combos(basis, 5)
@@ -564,14 +816,20 @@ def test_covering_takes_each_determinant_once(monkeypatch):
     monkeypatch.setattr(planner, "det_matrix", counting)
     _, asked = counting_cheapest_frame(monkeypatch)
     build_covering(unicycle_fields(), BOX3, build_hall_basis(2, 2), 4)
-    # one subset, (X1, X2, [X1, X2]), at each of the 5**3 corners
-    assert len(taken) == 125
-    assert len(set(asked)) == 125 < len(asked)
+    # one subset, (X1, X2, [X1, X2]), at each of the 5 theta corners
+    assert len(taken) == 5
+    assert len(set(asked)) == 5 < len(asked)
     taken.clear()
     asked.clear()
     build_covering(martinet_fields(), BOX3, build_hall_basis(2, 3), 8)
-    # boxes share corners, and no (corner, subset) pair is taken twice
+    # slabs share corners, and no (corner, subset) pair is taken twice
     assert len(taken) == len(set(asked)) < len(asked)
+    taken.clear()
+    asked.clear()
+    make, K, r, res = ATLAS_CASES["three-plane"]
+    build_covering(make(), K, build_hall_basis(3, r), res)
+    # every axis is read: the full-grid count
+    assert len(taken) == len(set(asked)) == 241 < len(asked)
 
 
 def test_covering_runs_each_kernel_once_per_corner(monkeypatch):
@@ -599,14 +857,27 @@ def test_covering_runs_each_kernel_once_per_corner(monkeypatch):
     calls, _ = counting_cheapest_frame(monkeypatch)
     basis = build_hall_basis(2, 3)
     build_covering(martinet_fields(), BOX3, basis, 8)
-    # every box is decided on the one ranking and the one table
-    assert len(calls) == 512
+    # every x1-slab is decided on the one ranking and the one table
+    assert len(calls) == 8
     assert len(combos) == 1
-    # brackets 1 to 4 run, [X2, [X1, X2]] is identically zero
+    # brackets 1 to 4 run, [X2, [X1, X2]] is identically zero, and
+    # each runs at the 9 x1 corners, the other coordinates at their
+    # lower bounds
     assert len(kernels) == 4
     assert evaluate_brackets(basis, [5], martinet_fields())[0].is_zero()
     assert set(points.values()) == {1}
-    assert len(points) == 4 * 9 ** 3
+    assert {p for _, p in points} == {(-1.0 + i * 0.25, -1.0, -1.0)
+                                      for i in range(9)}
+    assert len(points) == 4 * 9
+    points.clear()
+    kernels.clear()
+    calls.clear()
+    make, K, r, res = ATLAS_CASES["three-plane"]
+    build_covering(make(), K, build_hall_basis(3, r), res)
+    # every axis is read: the full-grid counts
+    assert len(calls) == 64
+    assert set(points.values()) == {1}
+    assert len(points) == len(kernels) * 9 ** 2 == 5 * 81
 
 
 def test_structurally_zero_brackets_leave_the_ranking(monkeypatch):
@@ -625,13 +896,15 @@ def test_structurally_zero_brackets_leave_the_ranking(monkeypatch):
     calls, _ = counting_cheapest_frame(monkeypatch)
     atlas = build_covering([X1, X2, cancel], K, basis, 2)
     assert [c.frame for c in atlas.cells] == [(1, 2)]
-    assert len(calls) == 4
+    # X3 reads x1, X1 and X2 nothing: one decision per x1-slab
+    assert len(calls) == 2
     assert all(ranked == frame_combos(basis, 2) for ranked, _, _ in calls)
     calls.clear()
     atlas = build_covering([X1, X2, ExprField([erat(0), erat(0)])], K,
                            basis, 2)
     assert [c.frame for c in atlas.cells] == [(1, 2)]
-    assert len(calls) == 4
+    # the ranked columns read no coordinate: one decision for every box
+    assert len(calls) == 1
     assert all(ranked == [(2, (1, 2))] for ranked, _, _ in calls)
 
 

@@ -12,9 +12,10 @@ from nilsteer.desing import DET_THRESHOLD, _det_gate, _norm_gate, column_norm
 from nilsteer.errors import SingularMatrix, SpecError
 from nilsteer.poly import (
     ExprField, Poly, TriangularMap, WeightedPolynomialField, det_matrix,
-    ecos, emul, epow, erat, esin, evar, expr_diff, expr_eval, expr_to_poly,
-    expr_to_str, invert_matrix, is_exact, lie_bracket, parse_expr,
-    poly_to_expr, solve_unique, taylor_poly, taylor_truncate, wdeg,
+    eadd, ecos, emul, epow, erat, esin, evar, expr_diff, expr_eval,
+    expr_to_poly, expr_to_str, invert_matrix, is_exact, lie_bracket,
+    parse_expr, poly_to_expr, read_coordinates, solve_unique, taylor_poly,
+    taylor_truncate, wdeg,
 )
 from oracles import nonholonomic_order, weighted_components
 from nilsteer.steer import PiPoly
@@ -323,6 +324,25 @@ def test_bracket_expr_fields():
     assert abs(vals[1] + math.cos(0.5)) < 1e-15
     assert vals[2] == 0
 
+
+
+def test_read_coordinates_of_both_field_kinds():
+    # a test of form: a shared subtree is read once, and x4 - x4 reads
+    # x4, since the kernel references it
+    shared = esin(evar(1))
+    x4 = evar(3)
+    e = ExprField([emul(shared, shared), epow(shared, 2), erat(0),
+                   eadd(x4, emul(erat(-1), x4))])
+    assert read_coordinates(e) == {1, 3}
+    assert read_coordinates(ExprField([erat(1), erat(0)])) == set()
+    # a Poly drops a zero coefficient's term, and with it its variables
+    n = 4
+    p = WeightedPolynomialField(
+        [Poly.monomial(n, (0, 2, 0, 1), Fraction(1)), Poly.const(n, 1),
+         Poly.zero(n), Poly.monomial(n, (1, 0, 0, 0), 0.0)])
+    assert read_coordinates(p) == {1, 3}
+    with pytest.raises(TypeError):
+        read_coordinates([erat(1)])
 
 # ---------------------------------------------------------------------------
 # weighted components
